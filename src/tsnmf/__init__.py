@@ -43,15 +43,10 @@ from .factorization import (
     update_w_weighted,
 )
 from .matrix import (
-    SparseMatrix,
     frobenius_sq,
-    hadamard,
     l2_normalize_rows,
-    matmul,
     read_dense_csv,
-    read_sparse,
     write_dense_csv,
-    write_sparse,
 )
 from .preprocessing import (
     IngestResult,
@@ -108,15 +103,10 @@ __all__ = [
     "update_h_weighted",
     "update_w",
     "update_w_weighted",
-    "SparseMatrix",
     "frobenius_sq",
-    "hadamard",
     "l2_normalize_rows",
-    "matmul",
     "read_dense_csv",
-    "read_sparse",
     "write_dense_csv",
-    "write_sparse",
     "IngestResult",
     "RawDocument",
     "TermDocumentMatrix",

@@ -82,12 +82,28 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _load_supervision_spec(path) -> dict:
-    spec = json.loads(Path(path).read_text())
-    if not isinstance(spec, dict):
+def _read_supervision(path) -> dict:
+    """Load a supervision spec or record: a JSON object with a list of id strings."""
+    try:
+        info = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(info, dict):
         raise ValueError(f"{path}: supervision spec must be a JSON object")
+    ids = info.get("supervised_ids", [])
+    if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
+        raise ValueError(f"{path}: 'supervised_ids' must be a list of document id strings")
+    return info
+
+
+def _load_supervision_spec(path) -> dict:
+    spec = _read_supervision(path)
     if "rate" not in spec and "supervised_ids" not in spec:
         raise ValueError(f"{path}: supervision spec needs 'rate' or 'supervised_ids'")
+    for key, kinds, what in (("rate", (int, float), "a number"), ("seed", int, "an integer")):
+        value = spec.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"{path}: '{key}' must be {what}, got {value!r}")
     return spec
 
 
@@ -96,7 +112,7 @@ def _resolve_supervised(dataset, args) -> tuple[set[int], float | None, int]:
     seed = args.seed
     if args.supervision:
         spec = _load_supervision_spec(args.supervision)
-        seed = int(spec.get("seed", seed))
+        seed = spec.get("seed", seed)
         if "supervised_ids" in spec:
             id_to_row = {doc_id: i for i, doc_id in enumerate(dataset.doc_ids)}
             missing = [x for x in spec["supervised_ids"] if x not in id_to_row]
@@ -174,12 +190,12 @@ def cmd_evaluate(args) -> int:
     try:
         dataset = read_dataset(args.data)
         model, _header = load_model(args.model)
+        supervision_path = Path(args.model) / "supervision.json"
+        info = _read_supervision(supervision_path) if supervision_path.exists() else None
     except (OSError, ValueError, KeyError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     coverage = None
-    supervision_path = Path(args.model) / "supervision.json"
-    if supervision_path.exists():
-        info = json.loads(supervision_path.read_text())
+    if info is not None:
         id_to_row = {doc_id: i for i, doc_id in enumerate(dataset.doc_ids)}
         rows = {id_to_row[x] for x in info.get("supervised_ids", []) if x in id_to_row}
         coverage = topic_coverage(dataset.label_table, rows)

@@ -3,12 +3,20 @@
 A dataset directory holds the encoded matrix plus everything needed to
 supervise and evaluate against it:
 
-    matrix.sparse.txt   sparse coordinate form of the documents x terms matrix
+    matrix.indptr.npy   CSR row pointers of the documents x terms matrix
+    matrix.indices.npy  CSR column (term) indices, ascending within each row
+    matrix.data.npy     CSR values, all > 0
     meta.json           doc_ids, vocabulary, labels, per-document label names,
                         and filter statistics
 
+The three matrix files are plain ``.npy`` arrays (int64, int64, float64)
+written without pickling, so a rerun writes identical bytes.  The matrix
+shape comes from ``meta.json``: one row per doc id, one column per
+vocabulary term.
+
 The ingest and synth commands write this layout; fit, evaluate, sweep,
-and top-terms read it.
+and top-terms read it.  Every load failure, from a missing file to an
+entry out of range, raises ``OSError`` or ``ValueError`` naming the file.
 """
 
 from __future__ import annotations
@@ -19,13 +27,73 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrix import SparseMatrix, read_sparse, write_dense_csv, write_sparse
+from .matrix import write_dense_csv
 from .preprocessing import IngestResult, Vocabulary
 from .supervision import LabelTable
 from .synthetic import PlantedInstance
 
-MATRIX_FILENAME = "matrix.sparse.txt"
+MATRIX_FILENAMES = {part: f"matrix.{part}.npy" for part in ("indptr", "indices", "data")}
 META_FILENAME = "meta.json"
+
+
+def _write_matrix(out: Path, V: np.ndarray) -> None:
+    rows, cols = np.nonzero(V)  # row-major order: ascending columns within each row
+    indptr = np.zeros(V.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=V.shape[0]), out=indptr[1:])
+    arrays = {"indptr": indptr, "indices": cols.astype(np.int64), "data": V[rows, cols]}
+    for part, name in MATRIX_FILENAMES.items():
+        np.save(out / name, arrays[part], allow_pickle=False)
+
+
+def _read_matrix(datadir: Path, n_rows: int, n_cols: int) -> np.ndarray:
+    """Load and check the CSR files, returning the dense n_rows x n_cols matrix."""
+    kinds = {"indptr": np.integer, "indices": np.integer, "data": np.floating}
+    arrays = {}
+    for part, name in MATRIX_FILENAMES.items():
+        path = datadir / name
+        with open(path, "rb") as fh:
+            try:
+                a = np.lib.format.read_array(fh, allow_pickle=False)
+            except ValueError as exc:
+                raise ValueError(f"{path}: not a readable .npy array: {exc}") from None
+        if a.ndim != 1 or not np.issubdtype(a.dtype, kinds[part]):
+            raise ValueError(
+                f"{path}: expected a 1-D {kinds[part].__name__} array, "
+                f"got {a.dtype} with shape {a.shape}"
+            )
+        arrays[part] = a
+    indptr = arrays["indptr"].astype(np.int64, copy=False)  # unsigned differences would wrap
+    indices, data = arrays["indices"], arrays["data"]
+
+    def check(ok, part: str, message: str) -> None:
+        if not ok:
+            raise ValueError(f"{datadir / MATRIX_FILENAMES[part]}: {message}")
+
+    check(
+        len(indptr) == n_rows + 1, "indptr",
+        f"{len(indptr) - 1} rows for {n_rows} doc_ids in {META_FILENAME}",
+    )
+    counts = np.diff(indptr)
+    check(indptr[0] == 0, "indptr", f"must start at 0, starts at {indptr[0]}")
+    check(np.all(counts >= 0), "indptr", "must never decrease")
+    check(
+        indptr[-1] == len(indices) == len(data), "indptr",
+        f"ends at {indptr[-1]} for {len(indices)} indices and {len(data)} values",
+    )
+    check(
+        not len(indices) or (indices.min() >= 0 and indices.max() < n_cols), "indices",
+        f"column index out of range for {n_cols} vocabulary terms",
+    )
+    # flat positions row * n_cols + col must strictly increase: columns sorted
+    # within each row and no duplicate entries
+    flat = np.repeat(np.arange(n_rows, dtype=np.int64) * n_cols, counts)
+    flat += indices.astype(np.int64, copy=False)
+    check(np.all(np.diff(flat) > 0), "indices", "columns must strictly increase within each row")
+    # NaN and Inf pass: the fit reports non-finite input as a numerical failure
+    check(not np.any(data <= 0.0), "data", "stored values must be > 0")
+    V = np.zeros((n_rows, n_cols), dtype=np.float64)
+    V.ravel()[flat] = data
+    return V
 
 
 @dataclass(frozen=True)
@@ -53,7 +121,7 @@ def _write(
 ) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    write_sparse(SparseMatrix.from_dense(V), out / MATRIX_FILENAME)
+    _write_matrix(out, V)
     meta = {
         "doc_ids": list(doc_ids),
         "vocabulary": list(vocab_terms),
@@ -94,18 +162,10 @@ def write_planted_instance(outdir, inst: PlantedInstance, stats: dict | None = N
 
 def read_dataset(datadir) -> Dataset:
     datadir = Path(datadir)
-    V = read_sparse(datadir / MATRIX_FILENAME).to_dense()
     meta = json.loads((datadir / META_FILENAME).read_text())
     doc_ids = tuple(meta["doc_ids"])
     vocab = Vocabulary(terms=tuple(meta["vocabulary"]))
-    if len(doc_ids) != V.shape[0]:
-        raise ValueError(
-            f"{datadir}: {len(doc_ids)} doc_ids for a {V.shape[0]}-row matrix"
-        )
-    if len(vocab) != V.shape[1]:
-        raise ValueError(
-            f"{datadir}: vocabulary size {len(vocab)} for a {V.shape[1]}-column matrix"
-        )
+    V = _read_matrix(datadir, len(doc_ids), len(vocab))
     labels = tuple(meta["labels"])
     index = {name: j for j, name in enumerate(labels)}
     doc_labels = tuple(

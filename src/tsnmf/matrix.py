@@ -1,23 +1,16 @@
-"""Dense and sparse matrix primitives used throughout the package.
+"""Dense matrix primitives used throughout the package.
 
-Dense matrices are plain ``numpy.ndarray`` values: 2-D, float64, row-major.
-Everything here is a pure function; inputs are never mutated.  The sparse
-coordinate form exists only for file interchange and is densified before
-any numerical work.
+Matrices are plain ``numpy.ndarray`` values: 2-D, float64, row-major.
+Everything here is a pure function; inputs are never mutated.  The
+dataset matrix has its own on-disk form, kept in ``dataio``.
 
-File formats
-------------
-Sparse text: a header line ``rows cols nnz`` followed by one
-``row col value`` line per stored entry, 0-based indices.
-Dense CSV: one matrix row per line, comma-separated values.
-
-Floats are written with ``repr`` so files round-trip exactly and reruns
-are byte-identical.
+Dense CSV: one matrix row per line, comma-separated values.  Floats are
+written with ``repr`` so files round-trip exactly and reruns are
+byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,24 +31,6 @@ def require_nonnegative(a: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} must be non-negative, min entry is {a.min()!r}")
 
 
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product of two equal-shape matrices."""
-    a = as_dense(a, "a")
-    b = as_dense(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def matmul(a, b) -> np.ndarray:
-    """Standard matrix product; inner dimensions must agree."""
-    a = as_dense(a, "a")
-    b = as_dense(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def frobenius_sq(a) -> float:
     """Sum of squared entries (squared Frobenius norm)."""
     a = as_dense(a, "a")
@@ -68,74 +43,6 @@ def l2_normalize_rows(a) -> np.ndarray:
     norms = np.sqrt(np.sum(a * a, axis=1, keepdims=True))
     safe = np.where(norms > 0.0, norms, 1.0)
     return a / safe
-
-
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Coordinate-form sparse matrix for file interchange.
-
-    Entries hold strictly positive values with no duplicate coordinates;
-    zeros are represented by absence.
-    """
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for r, c, v in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ShapeError(
-                    f"sparse entry ({r},{c}) out of range for {self.rows}x{self.cols}"
-                )
-            if (r, c) in seen:
-                raise ValueError(f"duplicate sparse entry at ({r},{c})")
-            if v <= 0.0:
-                raise ValueError(f"sparse entry at ({r},{c}) must be > 0, got {v!r}")
-            seen.add((r, c))
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.float64)
-        for r, c, v in self.entries:
-            out[r, c] = v
-        return out
-
-    @classmethod
-    def from_dense(cls, a) -> "SparseMatrix":
-        a = as_dense(a)
-        rr, cc = np.nonzero(a)
-        entries = tuple(
-            (int(r), int(c), float(a[r, c])) for r, c in zip(rr, cc)
-        )
-        return cls(rows=a.shape[0], cols=a.shape[1], entries=entries)
-
-
-def write_sparse(m: SparseMatrix, path) -> None:
-    lines = [f"{m.rows} {m.cols} {m.nnz}"]
-    lines.extend(f"{r} {c} {v!r}" for r, c, v in m.entries)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_sparse(path) -> SparseMatrix:
-    text = Path(path).read_text().strip().splitlines()
-    if not text:
-        raise ValueError(f"empty sparse matrix file: {path}")
-    header = text[0].split()
-    if len(header) != 3:
-        raise ValueError(f"bad sparse header {text[0]!r} in {path}")
-    rows, cols, nnz = (int(x) for x in header)
-    if len(text) - 1 != nnz:
-        raise ValueError(f"expected {nnz} entries, found {len(text) - 1} in {path}")
-    entries = []
-    for line in text[1:]:
-        r, c, v = line.split()
-        entries.append((int(r), int(c), float(v)))
-    return SparseMatrix(rows=rows, cols=cols, entries=tuple(entries))
 
 
 def write_dense_csv(a, path) -> None:

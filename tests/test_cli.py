@@ -3,11 +3,11 @@
 import json
 
 import numpy as np
+import pytest
 
 from tsnmf.cli import main
-from tsnmf.dataio import read_dataset, write_planted_instance
+from tsnmf.dataio import MATRIX_FILENAMES, read_dataset, write_planted_instance
 from tsnmf.factorization import FactorModel, FitConfig, FitTrace, fit, load_model, save_model
-from tsnmf.matrix import SparseMatrix, write_sparse
 from tsnmf.synthetic import make_planted_instance
 
 
@@ -191,10 +191,9 @@ class TestFit:
         # hand-build a dataset whose matrix contains an Inf
         out = tmp_path / "data"
         out.mkdir()
-        write_sparse(
-            SparseMatrix(rows=2, cols=2, entries=((0, 0, float("inf")), (1, 1, 1.0))),
-            out / "matrix.sparse.txt",
-        )
+        csr = {"indptr": [0, 1, 2], "indices": [0, 1], "data": [float("inf"), 1.0]}
+        for part, values in csr.items():
+            np.save(out / MATRIX_FILENAMES[part], np.array(values), allow_pickle=False)
         (out / "meta.json").write_text(
             json.dumps(
                 {
@@ -211,6 +210,17 @@ class TestFit:
             rc = main(["fit", "--data", str(out), "--topics", "1", "--out", str(model_dir)])
         assert rc == 4
         assert (model_dir / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "spec", [{"supervised_ids": 5}, {"rate": 0.2, "seed": None}], ids=["ids_int", "seed_null"]
+    )
+    def test_malformed_supervision_spec_exits_2(self, tmp_path, capsys, spec):
+        data = _synth_dataset(tmp_path)
+        path = tmp_path / "sup.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["fit", "--data", str(data), "--supervision", str(path), "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert "sup.json" in capsys.readouterr().err
 
     def test_dimension_problem_exits_2(self, tmp_path, capsys):
         rc = main(["fit", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "m")])
@@ -257,6 +267,16 @@ class TestEvaluate:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("content", ['{"rate": 0.5, "supervised', "[1, 2]"], ids=["truncated", "list"])
+    def test_malformed_supervision_record_exits_2(self, tmp_path, capsys, content):
+        data = _synth_dataset(tmp_path)
+        model_dir = tmp_path / "model"
+        assert main(["fit", "--data", str(data), "--rate", "0.5", "--out", str(model_dir)]) == 0
+        (model_dir / "supervision.json").write_text(content)
+        rc = main(["evaluate", "--model", str(model_dir), "--data", str(data), "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        assert "supervision.json" in capsys.readouterr().err
+
     def test_coverage_recorded_from_supervision_info(self, tmp_path):
         data = _synth_dataset(tmp_path)
         model_dir = tmp_path / "model"
@@ -264,6 +284,51 @@ class TestEvaluate:
         rep = tmp_path / "rep"
         assert main(["evaluate", "--model", str(model_dir), "--data", str(data), "--out", str(rep)]) == 0
         assert json.loads((rep / "report.json").read_text())["coverage"] == 1.0
+
+
+def _rewrite(data, part, edit):
+    """Replace one CSR file of a dataset with ``edit`` applied to its array."""
+    path = data / MATRIX_FILENAMES[part]
+    np.save(path, edit(np.load(path, allow_pickle=False)), allow_pickle=False)
+
+
+def _set(index, value):
+    def edit(a):
+        a = a.copy()
+        a[index] = value
+        return a
+
+    return edit
+
+
+CORRUPTIONS = {
+    "missing_file": lambda data: (data / MATRIX_FILENAMES["data"]).unlink(),
+    "empty_npy": lambda data: (data / MATRIX_FILENAMES["indices"]).write_bytes(b""),
+    "truncated_npy": lambda data: (data / MATRIX_FILENAMES["data"]).write_bytes(
+        (data / MATRIX_FILENAMES["data"]).read_bytes()[:-12]
+    ),
+    "float_indices": lambda data: _rewrite(data, "indices", lambda a: a.astype(np.float64)),
+    "index_at_t": lambda data: _rewrite(data, "indices", _set(-1, 40)),
+    "duplicate_column": lambda data: _rewrite(data, "indices", _set(1, 0)),
+    "unsorted_columns": lambda data: _rewrite(data, "indices", _set([0, 1], [1, 0])),
+    "zero_value": lambda data: _rewrite(data, "data", _set(3, 0.0)),
+    "row_count": lambda data: _rewrite(data, "indptr", lambda a: np.append(a, a[-1])),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupt_matrix_exits_2_on_fit_and_evaluate(tmp_path, capsys, corruption):
+    data = _synth_dataset(tmp_path, docs=30, terms=40)
+    model_dir = tmp_path / "model"
+    assert main(["fit", "--data", str(data), "--rate", "0.5", "--out", str(model_dir)]) == 0
+    CORRUPTIONS[corruption](data)
+    capsys.readouterr()
+    rc_fit = main(["fit", "--data", str(data), "--out", str(tmp_path / "m2")])
+    rc_eval = main(
+        ["evaluate", "--model", str(model_dir), "--data", str(data), "--out", str(tmp_path / "rep")]
+    )
+    assert (rc_fit, rc_eval) == (2, 2)
+    assert capsys.readouterr().err.count("matrix.") == 2  # both messages name the file
 
 
 class TestTopTerms:
@@ -384,6 +449,13 @@ class TestSynth:
         assert dataset.V.shape == (15, 20)
         assert dataset.label_table.n_labels == 4
         assert (data / "W_true.csv").exists() and (data / "H_true.csv").exists()
+        planted = make_planted_instance(15, 20, 4, noise_level=0.1, seed=9)
+        assert dataset.V.tobytes() == planted.V.tobytes()
+        again = _synth_dataset(tmp_path / "again", docs=15, terms=20, topics=4, seed=9)
+        names = sorted(p.name for p in data.glob("matrix*"))
+        assert names == sorted(p.name for p in again.glob("matrix*"))
+        for name in names:
+            assert (data / name).read_bytes() == (again / name).read_bytes()
 
     def test_rejects_bad_shape(self, tmp_path):
         rc = main(["synth", "--docs", "2", "--terms", "5", "--topics", "4", "--out", str(tmp_path / "x")])

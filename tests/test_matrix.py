@@ -1,75 +1,10 @@
-"""Dense primitive and sparse interchange tests."""
+"""Dense primitive and dense CSV tests."""
 
 import numpy as np
 import pytest
 
 from tsnmf.errors import ShapeError
-from tsnmf.matrix import (
-    SparseMatrix,
-    frobenius_sq,
-    hadamard,
-    l2_normalize_rows,
-    matmul,
-    read_dense_csv,
-    read_sparse,
-    write_dense_csv,
-    write_sparse,
-)
-
-
-class TestHadamard:
-    def test_binary_mask_zeroes_entries(self):
-        out = hadamard([[1, 2], [3, 4]], [[0, 1], [1, 0]])
-        np.testing.assert_array_equal(out, [[0, 2], [3, 0]])
-
-    def test_all_ones_is_identity(self):
-        a = np.arange(6, dtype=float).reshape(2, 3)
-        np.testing.assert_array_equal(hadamard(a, np.ones((2, 3))), a)
-
-    def test_entrywise_product(self):
-        np.testing.assert_array_equal(hadamard([[2, 3]], [[5, 7]]), [[10, 21]])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 2\).*\(1, 2\)"):
-            hadamard(np.ones((2, 2)), np.ones((1, 2)))
-
-    def test_commutative_and_associative(self):
-        rng = np.random.default_rng(0)
-        a, b, c = rng.random((3, 4, 5))
-        np.testing.assert_array_equal(hadamard(a, b), hadamard(b, a))
-        np.testing.assert_allclose(
-            hadamard(hadamard(a, b), c), hadamard(a, hadamard(b, c)), rtol=1e-15
-        )
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), a), a)
-
-    def test_dot_product(self):
-        np.testing.assert_array_equal(matmul([[1, 2]], [[3], [4]]), [[11]])
-
-    def test_zero_annihilates(self):
-        b = np.random.default_rng(1).random((3, 4))
-        np.testing.assert_array_equal(matmul(np.zeros((2, 3)), b), np.zeros((2, 4)))
-
-    def test_inner_dimension_mismatch(self):
-        with pytest.raises(ShapeError, match="inner dimension"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_against_triple_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.random((10, 10))
-        b = rng.random((10, 10))
-        expected = np.zeros((10, 10))
-        for i in range(10):
-            for j in range(10):
-                acc = 0.0
-                for k in range(10):
-                    acc += a[i, k] * b[k, j]
-                expected[i, j] = acc
-        np.testing.assert_allclose(matmul(a, b), expected, rtol=1e-12)
+from tsnmf.matrix import frobenius_sq, l2_normalize_rows, read_dense_csv, write_dense_csv
 
 
 class TestFrobeniusSq:
@@ -114,49 +49,6 @@ class TestL2NormalizeRows:
         a = np.random.default_rng(6).random((5, 7)) + 0.1
         norms = np.linalg.norm(l2_normalize_rows(a), axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-
-
-class TestSparseMatrix:
-    def test_round_trip_through_dense(self):
-        rng = np.random.default_rng(8)
-        a = rng.random((4, 6))
-        a[a < 0.5] = 0.0
-        sp = SparseMatrix.from_dense(a)
-        np.testing.assert_array_equal(sp.to_dense(), a)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ShapeError):
-            SparseMatrix(rows=2, cols=2, entries=((2, 0, 1.0),))
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            SparseMatrix(rows=2, cols=2, entries=((0, 0, 1.0), (0, 0, 2.0)))
-
-    def test_rejects_nonpositive_values(self):
-        with pytest.raises(ValueError, match="> 0"):
-            SparseMatrix(rows=2, cols=2, entries=((0, 0, 0.0),))
-
-    def test_file_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(9)
-        a = rng.random((5, 3))
-        a[a < 0.4] = 0.0
-        path = tmp_path / "m.sparse.txt"
-        write_sparse(SparseMatrix.from_dense(a), path)
-        back = read_sparse(path).to_dense()
-        np.testing.assert_array_equal(back, a)
-
-    def test_header_format(self, tmp_path):
-        path = tmp_path / "m.sparse.txt"
-        write_sparse(SparseMatrix.from_dense(np.array([[0.0, 1.5], [2.0, 0.0]])), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "2 2 2"
-        assert lines[1].split() == ["0", "1", "1.5"]
-
-    def test_read_rejects_bad_count(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 2 3\n0 0 1.0\n")
-        with pytest.raises(ValueError, match="expected 3 entries"):
-            read_sparse(path)
 
 
 class TestDenseCsv:
