@@ -21,25 +21,27 @@ print("1. Plant a corpus: 120 documents, 200 terms, 6 topics, 10% noise")
 print("=" * 70)
 
 inst = make_planted_instance(120, 200, 6, noise_level=0.1, seed=5)
-workdir = Path(tempfile.mkdtemp(prefix="tsnmf_sweep_"))
-data_dir = workdir / "data"
-write_planted_instance(data_dir, inst)
-print(f"dataset written to {data_dir}")
+# the dataset and the per-cell artifacts are removed when the sweep is done
+with tempfile.TemporaryDirectory(prefix="tsnmf_sweep_") as tmp:
+    workdir = Path(tmp)
+    data_dir = workdir / "data"
+    write_planted_instance(data_dir, inst)
+    print(f"dataset written to {data_dir}")
 
-print()
-print("=" * 70)
-print("2. Sweep rates x seeds (error-weighted fits)")
-print("=" * 70)
+    print()
+    print("=" * 70)
+    print("2. Sweep rates x seeds (error-weighted fits)")
+    print("=" * 70)
 
-cfg = SweepConfig(
-    data=str(data_dir),
-    out=str(workdir / "sweep"),
-    rates=(0.0, 0.1, 0.25, 0.5, 1.0),
-    seeds=(1, 2, 3, 4, 5),
-    weighted=True,
-    max_iter=120,
-)
-result = run_sweep(cfg)
+    cfg = SweepConfig(
+        data=str(data_dir),
+        out=str(workdir / "sweep"),
+        rates=(0.0, 0.1, 0.25, 0.5, 1.0),
+        seeds=(1, 2, 3, 4, 5),
+        weighted=True,
+        max_iter=120,
+    )
+    result = run_sweep(cfg)
 
 print(f"{'rate':>6} {'coverage':>9} {'similarity':>11} {'resolved':>9} {'iters':>6}")
 for cell in result.cells:
@@ -59,5 +61,3 @@ for rate, s in result.summary.items():
         f"{rate:>6.2f} {s['mean_similarity_mean']:>11.4f} "
         f"{s['mean_similarity_std']:>8.4f} {s['resolved_mean']:>9.1f}"
     )
-print()
-print(f"full CSV artifacts under {workdir / 'sweep'}")

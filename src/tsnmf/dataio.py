@@ -160,9 +160,37 @@ def write_planted_instance(outdir, inst: PlantedInstance, stats: dict | None = N
     write_dense_csv(inst.H_true, out / "H_true.csv")
 
 
+def _read_meta(path: Path) -> dict:
+    """Load ``meta.json`` and check the type of every field the reader uses."""
+    try:
+        meta = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+    def strings(value) -> bool:
+        return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: must be a JSON object")
+    for key in ("doc_ids", "vocabulary", "labels"):
+        if not strings(meta.get(key)):
+            raise ValueError(f"{path}: '{key}' must be a list of strings")
+    doc_labels = meta.get("doc_labels")
+    if not isinstance(doc_labels, list) or not all(strings(x) for x in doc_labels):
+        raise ValueError(f"{path}: 'doc_labels' must be a list of lists of strings")
+    if len(doc_labels) != len(meta["doc_ids"]):
+        raise ValueError(
+            f"{path}: {len(doc_labels)} 'doc_labels' entries for {len(meta['doc_ids'])} doc_ids"
+        )
+    unknown = sorted({x for names in doc_labels for x in names} - set(meta["labels"]))
+    if unknown:
+        raise ValueError(f"{path}: 'doc_labels' names labels not in 'labels': {unknown[:5]}")
+    return meta
+
+
 def read_dataset(datadir) -> Dataset:
     datadir = Path(datadir)
-    meta = json.loads((datadir / META_FILENAME).read_text())
+    meta = _read_meta(datadir / META_FILENAME)
     doc_ids = tuple(meta["doc_ids"])
     vocab = Vocabulary(terms=tuple(meta["vocabulary"]))
     V = _read_matrix(datadir, len(doc_ids), len(vocab))
@@ -171,7 +199,10 @@ def read_dataset(datadir) -> Dataset:
     doc_labels = tuple(
         frozenset(index[name] for name in names) for names in meta["doc_labels"]
     )
-    table = LabelTable(labels=labels, doc_labels=doc_labels)
+    try:
+        table = LabelTable(labels=labels, doc_labels=doc_labels)
+    except ValueError as exc:
+        raise ValueError(f"{datadir / META_FILENAME}: {exc}") from None
     return Dataset(
         V=V,
         doc_ids=doc_ids,

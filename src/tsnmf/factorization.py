@@ -10,18 +10,33 @@ are held at exactly zero.  With an all-ones mask the updates are the
 classical multiplicative rules for plain NMF.
 
 The optional row-weighted variant multiplies each document's residual by
-an importance weight inside the update ratios, which steers the fit
-toward supervised documents.  For the weighted rules the fit trace
+an importance weight ``e_i`` inside the update ratios, which steers the
+fit toward supervised documents.  For the weighted rules the fit trace
 records the row-weighted squared error
 
-    sum_i weight_i * || V_i - ((W o mask) H)_i ||^2
+    sum_i e_i * || V_i - ((W o mask) H)_i ||^2
 
 because that is the quantity the weighted updates decrease monotonically
 (weights enter the update ratios linearly).  ``loss_tsw`` with the weight
 matrix inside the Frobenius norm is also provided for reporting.
 
+The updates run in Gram form, with ``WL = W o mask``, ``Ve = V * e``
+(``V`` itself, not a copy, for the plain rule) and ``G = (WL * e)^T WL``:
+
+    H <- H o (WL^T Ve) / (G H + epsilon)
+    W <- W o (Ve H^T o mask) / ((WL (H H^T)) * e o mask + epsilon)
+
+W is pinned to exactly 0 where the mask is 0, and unit weights reproduce
+the plain rule bitwise.  An iteration forms two products with the n x t
+data and no n x t temporary: ``fit`` records the loss by the identity
+``sum e||V||^2 - 2 sum(WL o Ve H^T) + sum(G o H H^T)`` from the W step's
+products, with ``sum e||V||^2`` and ``Ve`` computed once per fit.  Near an
+exact fit the identity cancels badly, so whenever its value is at most
+``LOSS_GUARD * sum e||V||^2`` the explicit residual is recorded instead.
+
 Epsilon is added to every update denominator to keep ratios finite; the
-monotonicity guarantee therefore holds up to a 1e-10 relative slack.
+monotonicity guarantee therefore holds up to a 1e-10 relative slack
+(``MONOTONE_SLACK``).
 """
 
 from __future__ import annotations
@@ -34,12 +49,21 @@ import numpy as np
 
 from .errors import NumericalFailureError, ShapeError
 from .matrix import frobenius_sq, read_dense_csv, require_nonnegative, write_dense_csv
+from .supervision import build_error_weights
 
 STOP_CONVERGED = "converged"
+STOP_LOSS_INCREASED = "loss_increased"
 STOP_MAX_ITER = "max_iter"
 
 OBJECTIVE_MASKED = "masked_sse"
 OBJECTIVE_ROW_WEIGHTED = "row_weighted_sse"
+
+MONOTONE_SLACK = 1e-10
+# At or below this fraction of sum e||V||^2 the fit records the explicit
+# residual: the trace-identity loss loses digits to cancellation as the fit
+# nears exact.  Just above 1e-4 its relative error measured up to 7e-12,
+# inside MONOTONE_SLACK; near 1e-6 it measured 7e-11 to 3e-10.
+LOSS_GUARD = 1e-4
 
 
 @dataclass(frozen=True)
@@ -132,17 +156,60 @@ def loss_tsw(V, W, H, L, E) -> float:
 
 
 def _row_weighted_sse(V, W, H, L, E) -> float:
-    """sum_i E_i * ||row i residual||^2 — the objective the weighted updates descend."""
+    """sum_i E_i * ||row i residual||^2 — the objective the weighted updates descend.
+
+    With ``E`` None this is the plain masked loss, bitwise equal to loss_ts.
+    """
     V, W, H, L = _conform(V, W, H, L)
     R = V - (W * L) @ H
-    e = _row_weights_column(E, V.shape[0])
-    return float(np.sum(e * R * R))
+    if E is None:
+        return float(np.sum(R * R))
+    return float(np.sum(_row_weights_column(E, V.shape[0]) * R * R))
 
 
 def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise NumericalFailureError(f"{what} produced NaN or Inf entries", iteration=-1)
     return a
+
+
+def _gram(WL: np.ndarray, e: np.ndarray | None) -> np.ndarray:
+    """G = (WL * e)^T WL, the d x d row-weighted Gram matrix of the masked W.
+
+    Formed as S^T S with S = WL * sqrt(e) so both rules take numpy's syrk
+    path for ``A.T @ A``; gemm differs in the last bits, and unit weights
+    must reproduce the plain rule bitwise.
+    """
+    S = WL if e is None else WL * np.sqrt(e)
+    return S.T @ S
+
+
+def _h_step(Ve, WL, H, G, epsilon: float) -> np.ndarray:
+    """H o (WL^T Ve) / (G H + epsilon); zero entries stay zero."""
+    with np.errstate(all="ignore"):
+        out = H * ((WL.T @ Ve) / (G @ H + epsilon))
+    return _check_finite(out, "H update")
+
+
+def _w_step(W, WL, L, e, VeHt, HHt, epsilon: float) -> np.ndarray:
+    """W o (Ve H^T o L) / ((WL HH^T) * e o L + epsilon), exactly 0 where L is 0.
+
+    At forbidden positions both the numerator and denominator vanish, so
+    the value is pinned to 0 explicitly rather than left to 0/epsilon.
+    """
+    with np.errstate(all="ignore"):
+        denom = WL @ HHt
+        if e is not None:
+            denom = denom * e
+        out = W * ((VeHt * L) / (denom * L + epsilon))
+    _check_finite(out, "W update")
+    return np.where(L == 0.0, 0.0, out)
+
+
+def _step_inputs(V, W, H, L, E):
+    V, W, H, L = _conform(V, W, H, L)
+    e = None if E is None else _row_weights_column(E, V.shape[0])
+    return (V if e is None else V * e), W, H, L, e
 
 
 def update_h(V, W, H, L, epsilon: float) -> np.ndarray:
@@ -152,41 +219,19 @@ def update_h(V, W, H, L, epsilon: float) -> np.ndarray:
     the masked self-correlation with the current reconstruction, epsilon
     added to every denominator entry.  Zero entries stay zero.
     """
-    V, W, H, L = _conform(V, W, H, L)
-    WL = W * L
-    with np.errstate(all="ignore"):
-        numer = WL.T @ V
-        denom = WL.T @ (WL @ H) + epsilon
-        out = H * (numer / denom)
-    return _check_finite(out, "H update")
+    return update_h_weighted(V, W, H, L, None, epsilon)
 
 
 def update_w(V, W, H, L, epsilon: float) -> np.ndarray:
-    """One multiplicative step on W; masked entries come out exactly zero.
-
-    At forbidden positions both the numerator and denominator vanish, so
-    the value is pinned to 0 explicitly rather than left to 0/epsilon.
-    """
-    V, W, H, L = _conform(V, W, H, L)
-    WL = W * L
-    with np.errstate(all="ignore"):
-        numer = (V @ H.T) * L
-        denom = ((WL @ H) @ H.T) * L + epsilon
-        out = W * (numer / denom)
-    _check_finite(out, "W update")
-    return np.where(L == 0.0, 0.0, out)
+    """One multiplicative step on W; masked entries come out exactly zero."""
+    return update_w_weighted(V, W, H, L, None, epsilon)
 
 
 def update_h_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
-    """Row-weighted multiplicative step on H; reduces to update_h when E is all ones."""
-    V, W, H, L = _conform(V, W, H, L)
-    e = _row_weights_column(E, V.shape[0])
+    """Row-weighted multiplicative step on H; ``E`` of None or all ones is update_h."""
+    Ve, W, H, L, e = _step_inputs(V, W, H, L, E)
     WL = W * L
-    with np.errstate(all="ignore"):
-        numer = WL.T @ (V * e)
-        denom = WL.T @ ((WL @ H) * e) + epsilon
-        out = H * (numer / denom)
-    return _check_finite(out, "weighted H update")
+    return _h_step(Ve, WL, H, _gram(WL, e), epsilon)
 
 
 def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
@@ -196,15 +241,8 @@ def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     row's ratios, so for row-constant weights this is numerically close to
     the unweighted step and identical to it when E is all ones.
     """
-    V, W, H, L = _conform(V, W, H, L)
-    e = _row_weights_column(E, V.shape[0])
-    WL = W * L
-    with np.errstate(all="ignore"):
-        numer = ((V * e) @ H.T) * L
-        denom = (((WL @ H) * e) @ H.T) * L + epsilon
-        out = W * (numer / denom)
-    _check_finite(out, "weighted W update")
-    return np.where(L == 0.0, 0.0, out)
+    Ve, W, H, L, e = _step_inputs(V, W, H, L, E)
+    return _w_step(W, W * L, L, e, Ve @ H.T, H @ H.T, epsilon)
 
 
 def init_model(V, L, config: FitConfig) -> FactorModel:
@@ -232,14 +270,14 @@ def init_model(V, L, config: FitConfig) -> FactorModel:
     return FactorModel(W=W0, H=H0)
 
 
-def _default_row_weights(L: np.ndarray) -> np.ndarray:
-    """Inverse-rate weights inferred from the mask: constrained rows are supervised."""
-    n = L.shape[0]
-    supervised = np.where(~L.all(axis=1))[0]
-    weights = np.ones(n, dtype=np.float64)
-    if supervised.size:
-        weights[supervised] = n / supervised.size
-    return weights
+def _stop_reason(prev: float, cur: float, rel_tol: float) -> str | None:
+    """Why the fit stops after a step from loss ``prev`` to ``cur``, or None to go on.
+
+    A rise beyond ``MONOTONE_SLACK`` is ``loss_increased``, not ``converged``.
+    """
+    if prev == 0.0 or (prev - cur) / prev < rel_tol:
+        return STOP_LOSS_INCREASED if cur > prev * (1.0 + MONOTONE_SLACK) else STOP_CONVERGED
+    return None
 
 
 def fit(
@@ -251,13 +289,15 @@ def fit(
     """Alternate H and W updates from a seeded start until converged.
 
     Stops when the relative loss improvement over one iteration falls
-    below ``config.rel_tol``, when the factors reach an exact fixed point,
-    or at ``config.max_iter``.  The returned W is exactly zero wherever
-    the mask is zero.
+    below ``config.rel_tol`` (``converged``, or ``loss_increased`` when
+    the loss rose beyond the monotone slack), when the factors reach an
+    exact fixed point (``converged``), or at ``config.max_iter``
+    (``max_iter``).  The returned W is exactly zero wherever the mask is
+    zero.
 
     When ``config.weighted`` is set, the weighted update rules run with
-    ``row_weights`` (derived from the mask when not supplied) and the
-    trace records the row-weighted squared error.
+    ``row_weights`` (by default ``build_error_weights`` over the rows the
+    mask constrains) and the trace records the row-weighted squared error.
     """
     V = np.asarray(V, dtype=np.float64)
     L = np.asarray(L, dtype=np.float64)
@@ -267,49 +307,45 @@ def fit(
     if not np.isin(L, (0.0, 1.0)).all():
         raise ValueError("mask entries must be exactly 0 or 1")
 
+    E = row_weights if config.weighted else None
+    if config.weighted and E is None:
+        E = build_error_weights(V.shape[0], np.flatnonzero(~L.all(axis=1))).row_weight
     model = init_model(V, L, config)
-    W, H = model.W, model.H
+    Ve, W, H, L, e = _step_inputs(V, model.W, model.H, L, E)
     eps = config.epsilon
+    sum_ev2 = float(np.vdot(Ve, V))
 
-    if config.weighted:
-        e = _default_row_weights(L) if row_weights is None else np.asarray(row_weights, float)
-        objective = OBJECTIVE_ROW_WEIGHTED
+    def loss(W, H, WL, G, VeHt, HHt):
+        cheap = sum_ev2 - 2.0 * float(np.vdot(WL, VeHt)) + float(np.vdot(G, HHt))
+        # a NaN from non-finite data fails the comparison and is recomputed too
+        return cheap if cheap > LOSS_GUARD * sum_ev2 else _row_weighted_sse(V, W, H, L, E)
 
-        def loss_fn(Wc, Hc):
-            return _row_weighted_sse(V, Wc, Hc, L, e)
-
-    else:
-        e = None
-        objective = OBJECTIVE_MASKED
-
-        def loss_fn(Wc, Hc):
-            return loss_ts(V, Wc, Hc, L)
-
-    losses = [loss_fn(W, H)]
+    WL = W * L
+    G = _gram(WL, e)
+    losses = [loss(W, H, WL, G, Ve @ H.T, H @ H.T)]
     stop_reason = STOP_MAX_ITER
     for iteration in range(1, config.max_iter + 1):
         try:
-            if config.weighted:
-                H_next = update_h_weighted(V, W, H, L, e, eps)
-                W_next = update_w_weighted(V, W, H_next, L, e, eps)
-            else:
-                H_next = update_h(V, W, H, L, eps)
-                W_next = update_w(V, W, H_next, L, eps)
+            H_next = _h_step(Ve, WL, H, G, eps)
+            VeHt, HHt = Ve @ H_next.T, H_next @ H_next.T
+            W_next = _w_step(W, WL, L, e, VeHt, HHt, eps)
         except NumericalFailureError as exc:
             raise NumericalFailureError(str(exc), iteration=iteration, losses=losses) from exc
 
         fixed_point = np.array_equal(H_next, H) and np.array_equal(W_next, W)
         W, H = W_next, H_next
-        losses.append(loss_fn(W, H))
-        if fixed_point:
-            stop_reason = STOP_CONVERGED
-            break
-        prev, cur = losses[-2], losses[-1]
-        if prev == 0.0 or (prev - cur) / prev < config.rel_tol:
-            stop_reason = STOP_CONVERGED
+        WL = W * L
+        G = _gram(WL, e)
+        losses.append(loss(W, H, WL, G, VeHt, HHt))
+        reason = (
+            STOP_CONVERGED if fixed_point
+            else _stop_reason(losses[-2], losses[-1], config.rel_tol)
+        )
+        if reason is not None:
+            stop_reason = reason
             break
 
-    W = np.where(L == 0.0, 0.0, W)
+    objective = OBJECTIVE_ROW_WEIGHTED if config.weighted else OBJECTIVE_MASKED
     trace = FitTrace(losses=tuple(losses), stop_reason=stop_reason, objective=objective)
     return FactorModel(W=W, H=H), trace
 

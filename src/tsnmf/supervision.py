@@ -146,12 +146,10 @@ def build_mask(
 
 def build_error_weights(n: int, supervised: Iterable[int]) -> ErrorWeights:
     """Weight supervised rows by n / |supervised|, unsupervised rows by 1."""
-    supervised = frozenset(int(i) for i in supervised)
+    rows = np.unique(np.asarray(list(supervised), dtype=np.int64))
     weights = np.ones(n, dtype=np.float64)
-    if supervised:
-        w = n / len(supervised)
-        for i in supervised:
-            weights[i] = w
+    if rows.size:
+        weights[rows] = n / rows.size
     return ErrorWeights(row_weight=weights)
 
 

@@ -331,6 +331,36 @@ def test_corrupt_matrix_exits_2_on_fit_and_evaluate(tmp_path, capsys, corruption
     assert capsys.readouterr().err.count("matrix.") == 2  # both messages name the file
 
 
+META_CORRUPTIONS = {
+    "not_object": lambda meta: [1],
+    "doc_ids_int": lambda meta: dict(meta, doc_ids=5),
+    "vocabulary_ints": lambda meta: dict(meta, vocabulary=list(range(len(meta["vocabulary"])))),
+    "labels_int": lambda meta: dict(meta, labels=7),
+    "labels_missing": lambda meta: {k: v for k, v in meta.items() if k != "labels"},
+    "doc_labels_flat": lambda meta: dict(meta, doc_labels=[names[0] for names in meta["doc_labels"]]),
+    "doc_labels_short": lambda meta: dict(meta, doc_labels=meta["doc_labels"][:-1]),
+    "doc_labels_unknown": lambda meta: dict(meta, doc_labels=[["nope"]] * len(meta["doc_ids"])),
+    "labels_unsorted": lambda meta: dict(meta, labels=meta["labels"][::-1]),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(META_CORRUPTIONS))
+def test_malformed_meta_exits_2_on_fit_evaluate_and_top_terms(tmp_path, capsys, corruption):
+    data = _synth_dataset(tmp_path, docs=30, terms=40)
+    model_dir = tmp_path / "model"
+    assert main(["fit", "--data", str(data), "--rate", "0.5", "--out", str(model_dir)]) == 0
+    meta_path = data / "meta.json"
+    meta_path.write_text(json.dumps(META_CORRUPTIONS[corruption](json.loads(meta_path.read_text()))))
+    capsys.readouterr()
+    rcs = (
+        main(["fit", "--data", str(data), "--out", str(tmp_path / "m2")]),
+        main(["evaluate", "--model", str(model_dir), "--data", str(data), "--out", str(tmp_path / "r")]),
+        main(["top-terms", "--model", str(model_dir), "--data", str(data)]),
+    )
+    assert rcs == (2, 2, 2)
+    assert capsys.readouterr().err.count("meta.json") == 3  # every message names the file
+
+
 class TestTopTerms:
     def test_one_hot_h_prints_exact_terms(self, tmp_path, capsys):
         data = _synth_dataset(tmp_path, docs=10, terms=4, topics=2)

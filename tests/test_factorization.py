@@ -5,7 +5,11 @@ import pytest
 
 from tsnmf.errors import NumericalFailureError, ShapeError
 from tsnmf.factorization import (
+    LOSS_GUARD,
+    MONOTONE_SLACK,
     FitConfig,
+    _row_weighted_sse,
+    _stop_reason,
     fit,
     init_model,
     load_model,
@@ -18,6 +22,8 @@ from tsnmf.factorization import (
     update_w_weighted,
 )
 from tsnmf.matrix import frobenius_sq
+from tsnmf.supervision import build_error_weights, build_mask, sample_supervised_set
+from tsnmf.synthetic import make_planted_instance
 
 EPS = 1e-9
 TINY = 1e-300  # effectively-zero denominator guard for fixed-point checks
@@ -308,6 +314,29 @@ class TestFit:
         assert trace.stop_reason == "converged"
         assert trace.iterations < 500
 
+    def test_stop_rule(self):
+        assert _stop_reason(10.0, 5.0, 1e-4) is None
+        assert _stop_reason(10.0, 10.0 * (1 - 1e-5), 1e-4) == "converged"
+        assert _stop_reason(10.0, 10.0, 1e-4) == "converged"
+        # a rise inside the monotone slack still counts as convergence
+        assert _stop_reason(10.0, 10.0 * (1 + MONOTONE_SLACK / 2), 1e-4) == "converged"
+        assert _stop_reason(10.0, 10.0 * (1 + 10 * MONOTONE_SLACK), 1e-4) == "loss_increased"
+        assert _stop_reason(10.0, 11.0, 1e-15) == "loss_increased"
+        assert _stop_reason(0.0, 0.0, 1e-4) == "converged"
+        assert _stop_reason(0.0, 1.0, 1e-4) == "loss_increased"
+
+    def test_default_row_weights_equal_explicit_bitwise(self):
+        inst = make_planted_instance(40, 30, 4, noise_level=0.1, seed=25)
+        for rate, seed in ((0.0, 1), (0.25, 2), (1.0, 3)):
+            supervised = sample_supervised_set(40, rate, seed)
+            L = build_mask(inst.label_table, supervised, 40, 4).matrix
+            weights = build_error_weights(40, supervised).row_weight
+            cfg = FitConfig(d=4, seed=seed, max_iter=30, rel_tol=1e-15, weighted=True)
+            m1, t1 = fit(inst.V, L, cfg)
+            m2, t2 = fit(inst.V, L, cfg, row_weights=weights)
+            assert np.array_equal(m1.W, m2.W) and np.array_equal(m1.H, m2.H)
+            assert t1.losses == t2.losses
+
 
 class TestNmfReduction:
     def test_ten_iterations_match_classical_nmf_oracle(self):
@@ -332,6 +361,92 @@ class TestNmfReduction:
             W2, H2 = oracle_step(V, W2, H2)
         np.testing.assert_allclose(W1, W2, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(H1, H2, rtol=1e-12, atol=1e-12)
+
+
+def _oracle_h(V, W, H, L, e):
+    """The n x t-association weighted H rule, kept as the reference."""
+    WL = W * L
+    return H * ((WL.T @ (V * e)) / (WL.T @ ((WL @ H) * e) + EPS))
+
+
+def _oracle_w(V, W, H, L, e):
+    """The n x t-association weighted W rule, kept as the reference."""
+    WL = W * L
+    out = W * ((((V * e) @ H.T) * L) / ((((WL @ H) * e) @ H.T) * L + EPS))
+    return np.where(L == 0.0, 0.0, out)
+
+
+def _planted_fit_setup(noise_level, seed, weighted, n=40, t=30, d=3, rate=0.5):
+    inst = make_planted_instance(n, t, d, noise_level=noise_level, seed=seed)
+    supervised = sample_supervised_set(n, rate, seed)
+    L = build_mask(inst.label_table, supervised, n, d).matrix
+    E = build_error_weights(n, supervised).row_weight
+    cfg = FitConfig(d=d, seed=seed, max_iter=200, rel_tol=1e-15, weighted=weighted)
+    return inst.V, L, E, cfg
+
+
+def _iterates_and_explicit_losses(V, L, E, cfg):
+    """Replay a fit through the public steps; explicit loss of every iterate."""
+    model = init_model(V, L, cfg)
+    W, H = model.W, model.H
+
+    def explicit(W, H):
+        return _row_weighted_sse(V, W, H, L, E) if cfg.weighted else loss_ts(V, W, H, L)
+
+    losses = [explicit(W, H)]
+    for _ in range(cfg.max_iter):
+        if cfg.weighted:
+            H = update_h_weighted(V, W, H, L, E, cfg.epsilon)
+            W = update_w_weighted(V, W, H, L, E, cfg.epsilon)
+        else:
+            H = update_h(V, W, H, L, cfg.epsilon)
+            W = update_w(V, W, H, L, cfg.epsilon)
+        losses.append(explicit(W, H))
+    return W, H, np.array(losses)
+
+
+class TestGramForm:
+    def test_weighted_steps_match_oracle_over_ten_iterations(self):
+        rng = np.random.default_rng(26)
+        for _ in range(5):
+            V, L = _random_instance(rng, n=30, t=20, d=4)
+            e = rng.uniform(1.0, 8.0, size=(30, 1))
+            W1 = rng.random((30, 4)) * L
+            H1 = rng.random((4, 20))
+            W2, H2 = W1.copy(), H1.copy()
+            for _ in range(10):
+                H1 = update_h_weighted(V, W1, H1, L, e[:, 0], EPS)
+                W1 = update_w_weighted(V, W1, H1, L, e[:, 0], EPS)
+                H2 = _oracle_h(V, W2, H2, L, e)
+                W2 = _oracle_w(V, W2, H2, L, e)
+            np.testing.assert_allclose(W1, W2, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(H1, H2, rtol=1e-12, atol=1e-12)
+            assert (W1[L == 0.0] == 0.0).all()
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_trace_matches_explicit_loss_on_noisy_data(self, weighted):
+        for noise_level, seed in ((0.2, 1), (0.5, 2)):
+            V, L, E, cfg = _planted_fit_setup(noise_level, seed, weighted)
+            model, trace = fit(V, L, cfg, row_weights=E if weighted else None)
+            W, H, explicit = _iterates_and_explicit_losses(V, L, E, cfg)
+            assert np.array_equal(model.W, W) and np.array_equal(model.H, H)
+            np.testing.assert_allclose(trace.losses, explicit, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("noise_level", [1e-3, 1e-5, 1e-8])
+    def test_near_exact_fit_records_explicit_loss_under_guard(self, noise_level, weighted):
+        V, L, E, cfg = _planted_fit_setup(noise_level, 2, weighted)
+        model, trace = fit(V, L, cfg, row_weights=E if weighted else None)
+        W, H, explicit = _iterates_and_explicit_losses(V, L, E, cfg)
+        assert np.array_equal(model.W, W) and np.array_equal(model.H, H)
+        losses = np.array(trace.losses)
+        scale = float(np.sum(E[:, None] * V * V)) if weighted else frobenius_sq(V)
+        # well under the guard the identity's value is under it too
+        under = explicit < 0.9 * LOSS_GUARD * scale
+        assert under.sum() >= 50, "fit never reached the guarded region"
+        assert np.array_equal(losses[under], explicit[under])
+        np.testing.assert_allclose(losses, explicit, rtol=MONOTONE_SLACK, atol=0.0)
+        assert (losses[1:] <= losses[:-1] * (1 + MONOTONE_SLACK)).all()
 
 
 class TestModelIO:

@@ -129,6 +129,17 @@ class TestBuildErrorWeights:
             build_error_weights(5, set(range(5))).row_weight, 1.0
         )
 
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            n = int(rng.integers(1, 50))
+            picks = rng.integers(0, n, size=int(rng.integers(0, 2 * n))).tolist()  # repeats
+            expected = np.ones(n)
+            for i in set(picks):
+                expected[i] = n / len(set(picks))
+            for supervised in (picks, set(picks), np.array(picks, dtype=np.int64)):
+                assert np.array_equal(build_error_weights(n, supervised).row_weight, expected)
+
 
 class TestTopicCoverage:
     def test_empty_supervised(self):
