@@ -1,9 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, exit codes and printing.
 
 Stages hand off through files: ``ingest`` (or ``synth``) writes a dataset
 directory, ``fit`` writes a model directory, ``evaluate`` and
-``top-terms`` read both, and ``sweep`` orchestrates fit + evaluate over a
-(rate, seed) grid in-process while writing the same per-cell artifacts.
+``top-terms`` read both, and ``sweep`` runs fit + evaluate over a
+(rate, seed) grid.  ``fit``, ``evaluate`` and the sweep share one
+supervise -> fit -> record -> score path, which lives in
+``tsnmf.experiment``; this module only maps its errors to exit codes.
 
 Exit codes are a stable contract: 0 success, 2 input or shape error,
 3 empty-data error, 4 numerical failure.
@@ -13,15 +15,24 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 from .dataio import read_dataset, write_ingest_result, write_planted_instance
 from .errors import EmptyVocabularyError, NumericalFailureError, TsnmfError
-from .evaluation import TruthMatrix, score_report, top_terms, write_report
-from .experiment import SweepConfig, run_sweep
-from .factorization import FitConfig, FitTrace, fit, load_model, save_model, write_trace_csv
+from .evaluation import top_terms, write_report
+from .experiment import (
+    SweepConfig,
+    fit_config,
+    fit_supervised,
+    recorded_rows,
+    run_sweep,
+    score,
+    supervise,
+    topic_count,
+    write_supervision,
+)
+from .factorization import FitTrace, load_model, save_model, write_trace_csv
 from .matrix import write_dense_csv
 from .preprocessing import (
     DEFAULT_MIN_CHARS,
@@ -29,12 +40,6 @@ from .preprocessing import (
     ingest,
     load_stopwords,
     read_corpus_jsonl,
-)
-from .supervision import (
-    build_error_weights,
-    build_mask,
-    sample_supervised_set,
-    topic_coverage,
 )
 from .synthetic import make_planted_instance
 
@@ -82,101 +87,24 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _read_supervision(path) -> dict:
-    """Load a supervision spec or record: a JSON object with a list of id strings."""
-    try:
-        info = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(info, dict):
-        raise ValueError(f"{path}: supervision spec must be a JSON object")
-    ids = info.get("supervised_ids", [])
-    if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
-        raise ValueError(f"{path}: 'supervised_ids' must be a list of document id strings")
-    return info
-
-
-def _load_supervision_spec(path) -> dict:
-    spec = _read_supervision(path)
-    if "rate" not in spec and "supervised_ids" not in spec:
-        raise ValueError(f"{path}: supervision spec needs 'rate' or 'supervised_ids'")
-    for key, kinds, what in (("rate", (int, float), "a number"), ("seed", int, "an integer")):
-        value = spec.get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ValueError(f"{path}: '{key}' must be {what}, got {value!r}")
-    return spec
-
-
-def _resolve_supervised(dataset, args) -> tuple[set[int], float | None, int]:
-    """Determine the supervised row set from --supervision or --rate/--seed."""
-    seed = args.seed
-    if args.supervision:
-        spec = _load_supervision_spec(args.supervision)
-        seed = spec.get("seed", seed)
-        if "supervised_ids" in spec:
-            id_to_row = {doc_id: i for i, doc_id in enumerate(dataset.doc_ids)}
-            missing = [x for x in spec["supervised_ids"] if x not in id_to_row]
-            if missing:
-                raise ValueError(f"supervised_ids not in dataset: {missing[:5]}")
-            return {id_to_row[x] for x in spec["supervised_ids"]}, None, seed
-        rate = float(spec["rate"])
-    else:
-        rate = args.rate
-    supervised = sample_supervised_set(dataset.n_docs, rate, seed)
-    supervised = {i for i in supervised if dataset.label_table.doc_labels[i]}
-    return supervised, rate, seed
-
-
 def cmd_fit(args) -> int:
+    out = Path(args.out)
     try:
         dataset = read_dataset(args.data)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    d = args.topics if args.topics is not None else dataset.label_table.n_labels
-    if d < 1:
-        return _fail("dataset has no labels; pass --topics", EXIT_INPUT)
-    try:
-        supervised, rate, seed = _resolve_supervised(dataset, args)
-        config = FitConfig(
-            d=d,
-            max_iter=args.max_iter,
-            rel_tol=args.rel_tol,
-            epsilon=args.epsilon,
-            seed=seed,
-            weighted=args.weighted,
-            acol_q=args.acol_q,
-        )
-        mask = build_mask(dataset.label_table, supervised, dataset.n_docs, d)
-        weights = (
-            build_error_weights(dataset.n_docs, supervised).row_weight
-            if args.weighted
-            else None
-        )
-    except (TsnmfError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    try:
-        model, trace = fit(dataset.V, mask.matrix, config, row_weights=weights)
+        d = topic_count(dataset, args.topics)
+        supervised, rate, seed = supervise(dataset, args.rate, args.seed, args.supervision)
+        config = fit_config(args, d, seed)
+        mask, model, trace = fit_supervised(dataset, supervised, config)
     except NumericalFailureError as exc:
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        partial = FitTrace(
-            losses=tuple(exc.losses), stop_reason="numerical_failure"
-        ) if exc.losses else None
-        if partial is not None:
+        if exc.losses:
+            partial = FitTrace(losses=tuple(exc.losses), stop_reason="numerical_failure")
             write_trace_csv(out / "trace.csv", partial)
         return _fail(f"{exc} (iteration {exc.iteration})", EXIT_NUMERICAL)
-    except (TsnmfError, ValueError) as exc:
+    except (OSError, TsnmfError, ValueError, KeyError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    out = Path(args.out)
     save_model(out, model, trace, config)
-    supervision_info = {
-        "rate": rate,
-        "seed": seed,
-        "supervised_ids": sorted(dataset.doc_ids[i] for i in supervised),
-    }
-    (out / "supervision.json").write_text(
-        json.dumps(supervision_info, indent=2, sort_keys=True) + "\n"
-    )
+    write_supervision(out, dataset, supervised, rate, seed)
     if args.mask_out:
         write_dense_csv(mask.matrix, args.mask_out)
     print(
@@ -190,19 +118,8 @@ def cmd_evaluate(args) -> int:
     try:
         dataset = read_dataset(args.data)
         model, _header = load_model(args.model)
-        supervision_path = Path(args.model) / "supervision.json"
-        info = _read_supervision(supervision_path) if supervision_path.exists() else None
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    coverage = None
-    if info is not None:
-        id_to_row = {doc_id: i for i, doc_id in enumerate(dataset.doc_ids)}
-        rows = {id_to_row[x] for x in info.get("supervised_ids", []) if x in id_to_row}
-        coverage = topic_coverage(dataset.label_table, rows)
-    truth = TruthMatrix.from_label_table(dataset.label_table)
-    try:
-        report = score_report(model, truth, threshold=args.threshold, coverage=coverage)
-    except (TsnmfError, ValueError) as exc:
+        report = score(dataset, model, recorded_rows(dataset, args.model), args.threshold)
+    except (OSError, TsnmfError, ValueError, KeyError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     write_report(args.out, report, labels=dataset.label_table.labels)
     print(
@@ -235,7 +152,7 @@ def cmd_top_terms(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         cfg = SweepConfig.from_json(args.config)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     try:
         result = run_sweep(cfg)

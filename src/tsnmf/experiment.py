@@ -1,11 +1,12 @@
-"""Supervision-rate sweep harness.
+"""The supervision pipeline and the supervision-rate sweep harness.
 
-Runs fit + evaluate over a grid of (supervision rate, seed) cells against
-one dataset, recording topic coverage, matched similarity, resolved-topic
-counts, and convergence statistics per cell.  Cells run independently and
-a failing cell is recorded in its row without stopping the sweep.
-
-Output files under the sweep directory:
+``fit``, ``evaluate`` and every sweep cell take one path: supervise (sample
+the labeled rows or map a spec's ids to rows), fit (mask, error weights,
+``factorization.fit``), record (``supervision.json``; no other module of
+the package reads or writes it) and score (coverage, truth matrix, ``score_report``).  A
+sweep runs that path over a grid of (supervision rate, seed) cells against
+one dataset; a failing cell is recorded in its row without stopping the
+sweep.  Output files under the sweep directory:
 
     sweep.csv           one row per (rate, seed) cell, deterministic
     sweep_summary.csv   mean and stddev per rate over seeds
@@ -13,8 +14,8 @@ Output files under the sweep directory:
                         byte-reproducible across runs)
     cells/rate_<r>/seed_<s>/   model and report artifacts per cell
 
-All cell artifacts use the formats of the owning stages, so any cell can
-be re-inspected with the evaluate and top-terms commands.
+A cell holds the bytes ``fit`` and ``evaluate`` write with the same
+settings, so it can be re-inspected with the evaluate and top-terms commands.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import Dataset, read_dataset
-from .evaluation import TruthMatrix, score_report, write_report
+from .evaluation import EvaluationReport, TruthMatrix, score_report, write_report
 from .factorization import FitConfig, fit, save_model
 from .supervision import (
     build_error_weights,
@@ -36,6 +37,20 @@ from .supervision import (
     sample_supervised_set,
     topic_coverage,
 )
+
+SUPERVISION_FILENAME = "supervision.json"
+_INTEGER = (int, "an integer")
+_NUMBER = ((int, float), "a number")
+# (types, description) of each sweep config value, or of each entry of the
+# "rates" and "seeds" lists; numbers are read as floats
+_SWEEP_TYPES = {
+    **dict.fromkeys(("data", "out"), (str, "a path string")),
+    **dict.fromkeys(("rates", "rel_tol", "epsilon", "threshold"), _NUMBER),
+    **dict.fromkeys(("seeds", "topics", "max_iter", "acol_q"), _INTEGER),
+    "weighted": (bool, "true or false"),
+}
+# FitConfig fields that fit's arguments and a SweepConfig both carry
+_FIT_KNOBS = ("max_iter", "rel_tol", "epsilon", "weighted", "acol_q")
 
 SWEEP_COLUMNS = (
     "rate",
@@ -47,6 +62,113 @@ SWEEP_COLUMNS = (
     "iterations",
     "final_loss",
 )
+
+
+def _check_type(path, key, value, kinds, what) -> None:
+    # JSON true/false pass only as bools: Python would take them for 1 and 0
+    if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
+        raise ValueError(f"{path}: '{key}' must be {what}, got {value!r}")
+
+
+def _read_json_object(path) -> dict:
+    try:
+        info = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(info, dict):
+        raise ValueError(f"{path}: must be a JSON object")
+    return info
+
+
+def _read_supervision(path) -> dict:
+    """Load a supervision spec or record: a JSON object with a list of id strings."""
+    info = _read_json_object(path)
+    ids = info.get("supervised_ids", [])
+    if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
+        raise ValueError(f"{path}: 'supervised_ids' must be a list of document id strings")
+    return info
+
+
+def _rows_of(dataset: Dataset, ids, path) -> set[int]:
+    row = {doc_id: i for i, doc_id in enumerate(dataset.doc_ids)}
+    missing = [x for x in ids if x not in row]
+    if missing:
+        raise ValueError(f"{path}: supervised_ids not in dataset: {missing[:5]}")
+    return {row[x] for x in ids}
+
+
+def topic_count(dataset: Dataset, topics: int | None) -> int:
+    """``topics``, by default the dataset's label count; at least 1 either way."""
+    if topics is None:
+        topics = dataset.label_table.n_labels
+        if topics == 0:
+            raise ValueError("dataset has no labels; pass fit --topics or the sweep key 'topics'")
+    if topics < 1:
+        raise ValueError(f"topic count must be >= 1, got {topics}")
+    return topics
+
+
+def fit_config(settings, d: int, seed: int) -> FitConfig:
+    """The FitConfig of ``fit``'s parsed arguments or of a SweepConfig."""
+    return FitConfig(d=d, seed=seed, **{key: getattr(settings, key) for key in _FIT_KNOBS})
+
+
+def supervise(
+    dataset: Dataset, rate: float, seed: int, spec=None
+) -> tuple[set[int], float | None, int]:
+    """The supervised rows of a fit, and the rate (None for explicit ids) and seed.
+
+    Sampled rows skip documents without labels, which cannot be supervised.
+    A supervision ``spec`` file's seed, and its ids or else its rate, win.
+    """
+    if spec is not None:
+        info = _read_supervision(spec)
+        if "rate" not in info and "supervised_ids" not in info:
+            raise ValueError(f"{spec}: supervision spec needs 'rate' or 'supervised_ids'")
+        for key, (kinds, what) in (("rate", _NUMBER), ("seed", _INTEGER)):
+            _check_type(spec, key, info.get(key, 0), kinds, what)
+        seed = info.get("seed", seed)
+        if "supervised_ids" in info:
+            return _rows_of(dataset, info["supervised_ids"], spec), None, seed
+        rate = float(info["rate"])
+    supervised = sample_supervised_set(dataset.n_docs, rate, seed)
+    return {i for i in supervised if dataset.label_table.doc_labels[i]}, rate, seed
+
+
+def fit_supervised(dataset: Dataset, supervised: set[int], config: FitConfig):
+    """Fit with W masked to the labels of the ``supervised`` rows; returns (mask, model, trace).
+
+    A weighted fit weights those rows by n / |supervised|.
+    """
+    n = dataset.n_docs
+    mask = build_mask(dataset.label_table, supervised, n, config.d)
+    weights = build_error_weights(n, supervised).row_weight if config.weighted else None
+    model, trace = fit(dataset.V, mask.matrix, config, row_weights=weights)
+    return mask, model, trace
+
+
+def write_supervision(outdir, dataset: Dataset, supervised, rate, seed) -> None:
+    ids = sorted(dataset.doc_ids[i] for i in supervised)
+    info = {"rate": rate, "seed": seed, "supervised_ids": ids}
+    (Path(outdir) / SUPERVISION_FILENAME).write_text(
+        json.dumps(info, indent=2, sort_keys=True) + "\n"
+    )
+
+
+def recorded_rows(dataset: Dataset, modeldir) -> set[int] | None:
+    """The rows a model directory records as supervised; None without a record."""
+    path = Path(modeldir) / SUPERVISION_FILENAME
+    if not path.exists():
+        return None
+    return _rows_of(dataset, _read_supervision(path).get("supervised_ids", []), path)
+
+
+def score(dataset: Dataset, model, supervised, threshold: float) -> EvaluationReport:
+    """Score ``model`` against the labels; no coverage when ``supervised`` is None."""
+    table = dataset.label_table
+    coverage = None if supervised is None else topic_coverage(table, supervised)
+    truth = TruthMatrix.from_label_table(table)
+    return score_report(model, truth, threshold=threshold, coverage=coverage)
 
 
 @dataclass(frozen=True)
@@ -66,34 +188,36 @@ class SweepConfig:
     threshold: float = 0.1
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("seeds list must be non-empty")
+        for key in ("rates", "seeds"):
+            values = getattr(self, key)
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{key} must be non-empty and distinct, got {list(values)}")
         for r in self.rates:
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"supervision rate {r} outside [0, 1]")
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
-        raw = json.loads(Path(path).read_text())
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        raw = _read_json_object(path)
+        unknown = set(raw) - set(_SWEEP_TYPES)
         if unknown:
             raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
         for key in ("data", "out", "rates", "seeds"):
             if key not in raw:
                 raise ValueError(f"sweep config missing required key {key!r}")
+        for key, value in raw.items():
+            kinds, what = _SWEEP_TYPES[key]
+            if key in ("rates", "seeds"):
+                _check_type(path, key, value, list, "a list")
+                for i, item in enumerate(value):
+                    _check_type(path, f"{key}[{i}]", item, kinds, what)
+            elif key != "topics" or value is not None:
+                _check_type(path, key, value, kinds, what)
+            if kinds == _NUMBER[0]:
+                raw[key] = tuple(map(float, value)) if key == "rates" else float(value)
+        raw["seeds"] = tuple(raw["seeds"])
         if not Path(raw["data"]).is_dir():
             raise ValueError(f"sweep data directory not found: {raw['data']}")
-        raw["rates"] = tuple(float(r) for r in raw["rates"])
-        raw["seeds"] = tuple(int(s) for s in raw["seeds"])
-        if raw.get("topics") is not None:
-            raw["topics"] = int(raw["topics"])
-        for key in ("max_iter", "acol_q"):
-            if key in raw:
-                raw[key] = int(raw[key])
-        for key in ("rel_tol", "epsilon", "threshold"):
-            if key in raw:
-                raw[key] = float(raw[key])
         return cls(**raw)
 
 
@@ -128,38 +252,21 @@ def run_cell(
     seed: int,
     config: FitConfig,
     threshold: float,
-    outdir=None,
+    outdir,
 ) -> SweepCell:
-    """Fit and score one supervision cell; optionally persist its artifacts."""
+    """Supervise, fit, record and score one cell; its artifacts go to ``outdir``."""
     start = time.perf_counter()
-    n = dataset.n_docs
-    table = dataset.label_table
-    supervised = sample_supervised_set(n, rate, seed)
-    # documents without labels cannot be supervised
-    supervised = {i for i in supervised if table.doc_labels[i]}
-    mask = build_mask(table, supervised, n, config.d)
-    weights = build_error_weights(n, supervised).row_weight if config.weighted else None
-    model, trace = fit(dataset.V, mask.matrix, config, row_weights=weights)
-    coverage = topic_coverage(table, supervised)
-    truth = TruthMatrix.from_label_table(table)
-    report = score_report(model, truth, threshold=threshold, coverage=coverage)
-    if outdir is not None:
-        out = Path(outdir)
-        save_model(out, model, trace, config)
-        write_report(out, report, labels=table.labels)
-        supervision_info = {
-            "rate": rate,
-            "seed": seed,
-            "supervised_ids": sorted(dataset.doc_ids[i] for i in supervised),
-        }
-        (out / "supervision.json").write_text(
-            json.dumps(supervision_info, indent=2, sort_keys=True) + "\n"
-        )
+    supervised, rate, seed = supervise(dataset, rate, seed)
+    _mask, model, trace = fit_supervised(dataset, supervised, config)
+    report = score(dataset, model, supervised, threshold)
+    save_model(outdir, model, trace, config)
+    write_supervision(outdir, dataset, supervised, rate, seed)
+    write_report(outdir, report, labels=dataset.label_table.labels)
     return SweepCell(
         rate=rate,
         seed=seed,
         status="ok",
-        coverage=coverage,
+        coverage=report.coverage,
         mean_similarity=report.mean_similarity,
         resolved_count=report.resolved_count,
         iterations=trace.iterations,
@@ -171,7 +278,7 @@ def run_cell(
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Execute every (rate, seed) cell in order and write the sweep CSVs."""
     dataset = read_dataset(cfg.data)
-    d = cfg.topics if cfg.topics is not None else dataset.label_table.n_labels
+    d = topic_count(dataset, cfg.topics)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -179,17 +286,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     for rate in cfg.rates:
         for seed in cfg.seeds:
             cell_dir = out / "cells" / f"rate_{rate}" / f"seed_{seed}"
-            config = FitConfig(
-                d=d,
-                max_iter=cfg.max_iter,
-                rel_tol=cfg.rel_tol,
-                epsilon=cfg.epsilon,
-                seed=seed,
-                weighted=cfg.weighted,
-                acol_q=cfg.acol_q,
-            )
+            config = fit_config(cfg, d, seed)
             try:
-                cell = run_cell(dataset, rate, seed, config, cfg.threshold, outdir=cell_dir)
+                cell = run_cell(dataset, rate, seed, config, cfg.threshold, cell_dir)
             except Exception as exc:
                 cell = SweepCell(rate=rate, seed=seed, status=f"error: {exc}")
             cells.append(cell)

@@ -222,6 +222,13 @@ class TestFit:
         assert rc == 2
         assert "sup.json" in capsys.readouterr().err
 
+    def test_missing_supervision_spec_exits_2(self, tmp_path, capsys):
+        data = _synth_dataset(tmp_path)
+        spec = tmp_path / "absent.json"
+        rc = main(["fit", "--data", str(data), "--supervision", str(spec), "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert "absent.json" in capsys.readouterr().err
+
     def test_dimension_problem_exits_2(self, tmp_path, capsys):
         rc = main(["fit", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "m")])
         assert rc == 2
@@ -267,7 +274,11 @@ class TestEvaluate:
         )
         assert rc == 2
 
-    @pytest.mark.parametrize("content", ['{"rate": 0.5, "supervised', "[1, 2]"], ids=["truncated", "list"])
+    @pytest.mark.parametrize(
+        "content",
+        ['{"rate": 0.5, "supervised', "[1, 2]", '{"supervised_ids": ["doc00", "ghost"]}'],
+        ids=["truncated", "list", "unknown_id"],
+    )
     def test_malformed_supervision_record_exits_2(self, tmp_path, capsys, content):
         data = _synth_dataset(tmp_path)
         model_dir = tmp_path / "model"
@@ -275,7 +286,9 @@ class TestEvaluate:
         (model_dir / "supervision.json").write_text(content)
         rc = main(["evaluate", "--model", str(model_dir), "--data", str(data), "--out", str(tmp_path / "rep")])
         assert rc == 2
-        assert "supervision.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "supervision.json" in err
+        assert "ghost" in err or "ghost" not in content  # a missing id is named
 
     def test_coverage_recorded_from_supervision_info(self, tmp_path):
         data = _synth_dataset(tmp_path)
@@ -404,6 +417,29 @@ class TestTopTerms:
         assert len(lines) == 1 + 3  # header + one row per topic
 
 
+# wrongly typed values, which must not be coerced, and repeated grid values
+BAD_SWEEP_VALUES = {
+    "seeds_float": ("seeds", [1.7]),
+    "seeds_string": ("seeds", ["3"]),
+    "seeds_bool": ("seeds", [True]),
+    "seeds_scalar": ("seeds", 1),
+    "rates_bool": ("rates", [True]),
+    "rates_string": ("rates", ["0.5"]),
+    "rates_empty": ("rates", []),
+    "topics_string": ("topics", "3"),
+    "topics_float": ("topics", 2.0),
+    "max_iter_float": ("max_iter", 2.5),
+    "acol_q_bool": ("acol_q", True),
+    "rel_tol_string": ("rel_tol", "1e-4"),
+    "epsilon_bool": ("epsilon", True),
+    "threshold_null": ("threshold", None),
+    "weighted_int": ("weighted", 1),
+    "rates_repeated": ("rates", [0.3, 0.3]),
+    "rates_repeated_int_float": ("rates", [0, 0.0]),
+    "seeds_repeated": ("seeds", [1, 2, 1]),
+}
+
+
 class TestSweep:
     def _config(self, tmp_path, data, **overrides):
         cfg = {
@@ -465,11 +501,71 @@ class TestSweep:
         for name in ("model.json", "W.csv", "H.csv", "trace.csv", "report.json", "report.csv"):
             assert (cell / name).exists()
 
+    @pytest.mark.parametrize("case", sorted(BAD_SWEEP_VALUES))
+    def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, case):
+        key, value = BAD_SWEEP_VALUES[case]
+        data = _synth_dataset(tmp_path)
+        cfg = self._config(tmp_path, data, **{key: value})
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_fit_and_evaluate_write_the_cell_bytes(self, tmp_path, weighted):
+        data = _synth_dataset(tmp_path)
+        rates = [0.0, 0.3, 1.0]
+        cfg = self._config(tmp_path, data, rates=rates, seeds=[2], weighted=weighted)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        for rate in rates:
+            cell = tmp_path / "sweep" / "cells" / f"rate_{rate}" / "seed_2"
+            model, report = tmp_path / f"m{rate}", tmp_path / f"r{rate}"
+            fit_args = ["fit", "--data", str(data), "--rate", str(rate), "--seed", "2", "--max-iter", "30"]
+            assert main(fit_args + ["--weighted"] * weighted + ["--out", str(model)]) == 0
+            assert main(["evaluate", "--model", str(model), "--data", str(data), "--out", str(report)]) == 0
+            for name in ("model.json", "W.csv", "H.csv", "trace.csv", "supervision.json"):
+                assert (model / name).read_bytes() == (cell / name).read_bytes(), (rate, name)
+            for name in ("report.json", "report.csv"):
+                assert (report / name).read_bytes() == (cell / name).read_bytes(), (rate, name)
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         data = _synth_dataset(tmp_path)
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"data": str(data), "out": "x", "rates": [0], "seeds": [1], "bogus": 1}))
         assert main(["sweep", "--config", str(path)]) == 2
+
+
+def _drop_labels(data):
+    meta_path = data / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta.update(labels=[], doc_labels=[[] for _ in meta["doc_ids"]])
+    meta_path.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("command", ["fit", "sweep"])
+@pytest.mark.parametrize(
+    "labeled,topics,rc,message",
+    [
+        (False, None, 2, "dataset has no labels"),
+        (True, 0, 2, "topic count must be >= 1, got 0"),
+        (False, 2, 0, ""),
+    ],
+    ids=["unlabeled", "zero_topics", "unlabeled_with_topics"],
+)
+def test_one_topic_count_rule_for_fit_and_sweep(tmp_path, capsys, command, labeled, topics, rc, message):
+    data = _synth_dataset(tmp_path)
+    if not labeled:
+        _drop_labels(data)
+    if command == "fit":
+        argv = ["fit", "--data", str(data), "--rate", "0.5", "--out", str(tmp_path / "m")]
+        argv += [] if topics is None else ["--topics", str(topics)]
+    else:
+        cfg = {"data": str(data), "out": str(tmp_path / "sweep"), "rates": [0.5], "seeds": [1]}
+        cfg.update({} if topics is None else {"topics": topics})
+        (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+        argv = ["sweep", "--config", str(tmp_path / "sweep.json")]
+    capsys.readouterr()
+    assert main(argv) == rc
+    assert message in capsys.readouterr().err
 
 
 class TestSynth:
