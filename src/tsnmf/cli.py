@@ -8,7 +8,10 @@ supervise -> fit -> record -> score path, which lives in
 ``tsnmf.experiment``; this module only maps its errors to exit codes.
 
 Exit codes are a stable contract: 0 success, 2 input or shape error,
-3 empty-data error, 4 numerical failure.
+3 empty-data error, 4 numerical failure.  Every command catches its own
+read errors, so an ``OSError`` that reaches ``main`` comes from writing an
+output path (an ``--out`` that names a file where a directory goes, or a
+directory where a file goes) and also exits 2.
 """
 
 from __future__ import annotations
@@ -251,7 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}", EXIT_INPUT)
 
 
 if __name__ == "__main__":

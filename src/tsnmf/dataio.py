@@ -12,7 +12,9 @@ supervise and evaluate against it:
 The three matrix files are plain ``.npy`` arrays (int64, int64, float64)
 written without pickling, so a rerun writes identical bytes.  The matrix
 shape comes from ``meta.json``: one row per doc id, one column per
-vocabulary term.
+vocabulary term.  ``ingest`` hands its CSR parts over as they are, and
+``synth`` takes them from the dense planted matrix with ``csr_parts``;
+reading returns the dense matrix.
 
 The ingest and synth commands write this layout; fit, evaluate, sweep,
 and top-terms read it.  Every load failure, from a missing file to an
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrix import write_dense_csv
+from .matrix import csr_parts, write_dense_csv
 from .preprocessing import IngestResult, Vocabulary
 from .supervision import LabelTable
 from .synthetic import PlantedInstance
@@ -36,11 +38,8 @@ MATRIX_FILENAMES = {part: f"matrix.{part}.npy" for part in ("indptr", "indices",
 META_FILENAME = "meta.json"
 
 
-def _write_matrix(out: Path, V: np.ndarray) -> None:
-    rows, cols = np.nonzero(V)  # row-major order: ascending columns within each row
-    indptr = np.zeros(V.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=V.shape[0]), out=indptr[1:])
-    arrays = {"indptr": indptr, "indices": cols.astype(np.int64), "data": V[rows, cols]}
+def _write_matrix(out: Path, indptr, indices, data) -> None:
+    arrays = {"indptr": indptr, "indices": indices, "data": data}
     for part, name in MATRIX_FILENAMES.items():
         np.save(out / name, arrays[part], allow_pickle=False)
 
@@ -113,7 +112,7 @@ class Dataset:
 
 def _write(
     outdir,
-    V: np.ndarray,
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     doc_ids,
     vocab_terms,
     doc_label_names,
@@ -121,7 +120,7 @@ def _write(
 ) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_matrix(out, V)
+    _write_matrix(out, *csr)
     meta = {
         "doc_ids": list(doc_ids),
         "vocabulary": list(vocab_terms),
@@ -133,11 +132,12 @@ def _write(
 
 
 def write_ingest_result(outdir, result: IngestResult) -> None:
+    tdm = result.tdm
     _write(
         outdir,
-        result.tdm.matrix,
-        result.tdm.doc_ids,
-        result.tdm.vocabulary.terms,
+        (tdm.indptr, tdm.indices, tdm.data),
+        tdm.doc_ids,
+        tdm.vocabulary.terms,
         result.doc_labels,
         result.stats,
     )
@@ -154,7 +154,9 @@ def write_planted_instance(outdir, inst: PlantedInstance, stats: dict | None = N
         sorted(inst.label_table.labels[j] for j in idxs)
         for idxs in inst.label_table.doc_labels
     ]
-    _write(outdir, inst.V, doc_ids, terms, doc_label_names, stats or {"synthetic": True})
+    _write(
+        outdir, csr_parts(inst.V), doc_ids, terms, doc_label_names, stats or {"synthetic": True}
+    )
     out = Path(outdir)
     write_dense_csv(inst.W_true, out / "W_true.csv")
     write_dense_csv(inst.H_true, out / "H_true.csv")

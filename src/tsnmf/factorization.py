@@ -34,6 +34,16 @@ products, with ``sum e||V||^2`` and ``Ve`` computed once per fit.  Near an
 exact fit the identity cancels badly, so whenever its value is at most
 ``LOSS_GUARD * sum e||V||^2`` the explicit residual is recorded instead.
 
+Sparse data: when at most ``SPARSE_DENSITY_MAX`` of ``Ve``'s entries are
+non-zero and ``scipy.sparse`` imports, ``fit`` builds a CSR copy of ``Ve``
+once, from its non-zeros, and evaluates the two data products ``Ve H^T``
+and ``WL^T Ve`` with it.  Everything else stays dense: validation,
+initialization, ``sum e||V||^2``, the guarded explicit residual and the
+public ``update_*`` steps, which are the reference the CSR path is tested
+against.  CSR products sum in a different order than BLAS, so the two
+paths agree to rounding, not bitwise.  scipy is imported only on that
+branch, so dense fits and ``import tsnmf`` never load it.
+
 Epsilon is added to every update denominator to keep ratios finite; the
 monotonicity guarantee therefore holds up to a 1e-10 relative slack
 (``MONOTONE_SLACK``).
@@ -48,7 +58,13 @@ import json
 import numpy as np
 
 from .errors import NumericalFailureError, ShapeError
-from .matrix import frobenius_sq, read_dense_csv, require_nonnegative, write_dense_csv
+from .matrix import (
+    csr_parts,
+    frobenius_sq,
+    read_dense_csv,
+    require_nonnegative,
+    write_dense_csv,
+)
 from .supervision import build_error_weights
 
 STOP_CONVERGED = "converged"
@@ -64,6 +80,10 @@ MONOTONE_SLACK = 1e-10
 # nears exact.  Just above 1e-4 its relative error measured up to 7e-12,
 # inside MONOTONE_SLACK; near 1e-6 it measured 7e-11 to 3e-10.
 LOSS_GUARD = 1e-4
+# At or below this share of non-zero entries fit evaluates its data products
+# with a CSR copy of the data.  Measured at 1500x2000 with d = 10 and 20, one
+# BLAS thread: CSR is 2.2x faster at 10 % density, level at 20 %, slower at 30 %.
+SPARSE_DENSITY_MAX = 0.1
 
 
 @dataclass(frozen=True)
@@ -206,6 +226,23 @@ def _w_step(W, WL, L, e, VeHt, HHt, epsilon: float) -> np.ndarray:
     return np.where(L == 0.0, 0.0, out)
 
 
+def _sparse_operand(Ve: np.ndarray):
+    """A scipy CSR copy of ``Ve`` when it is sparse enough and scipy imports, else ``Ve``.
+
+    Built from ``csr_parts``, in about half the time ``csr_array(Ve)`` takes.
+    NaN and Inf count as non-zero, so non-finite data still reaches the
+    finiteness checks.
+    """
+    if np.count_nonzero(Ve) > SPARSE_DENSITY_MAX * Ve.size:
+        return Ve
+    try:
+        from scipy.sparse import csr_array
+    except ImportError:
+        return Ve
+    indptr, indices, data = csr_parts(Ve)
+    return csr_array((data, indices, indptr), shape=Ve.shape)
+
+
 def _step_inputs(V, W, H, L, E):
     V, W, H, L = _conform(V, W, H, L)
     e = None if E is None else _row_weights_column(E, V.shape[0])
@@ -314,6 +351,7 @@ def fit(
     Ve, W, H, L, e = _step_inputs(V, model.W, model.H, L, E)
     eps = config.epsilon
     sum_ev2 = float(np.vdot(Ve, V))
+    Vs = _sparse_operand(Ve)  # Ve itself on dense data
 
     def loss(W, H, WL, G, VeHt, HHt):
         cheap = sum_ev2 - 2.0 * float(np.vdot(WL, VeHt)) + float(np.vdot(G, HHt))
@@ -322,12 +360,12 @@ def fit(
 
     WL = W * L
     G = _gram(WL, e)
-    losses = [loss(W, H, WL, G, Ve @ H.T, H @ H.T)]
+    losses = [loss(W, H, WL, G, Vs @ H.T, H @ H.T)]
     stop_reason = STOP_MAX_ITER
     for iteration in range(1, config.max_iter + 1):
         try:
-            H_next = _h_step(Ve, WL, H, G, eps)
-            VeHt, HHt = Ve @ H_next.T, H_next @ H_next.T
+            H_next = _h_step(Vs, WL, H, G, eps)
+            VeHt, HHt = Vs @ H_next.T, H_next @ H_next.T
             W_next = _w_step(W, WL, L, e, VeHt, HHt, eps)
         except NumericalFailureError as exc:
             raise NumericalFailureError(str(exc), iteration=iteration, losses=losses) from exc

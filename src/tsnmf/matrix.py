@@ -2,7 +2,8 @@
 
 Matrices are plain ``numpy.ndarray`` values: 2-D, float64, row-major.
 Everything here is a pure function; inputs are never mutated.  The
-dataset matrix has its own on-disk form, kept in ``dataio``.
+dataset matrix has its own on-disk form, kept in ``dataio``; ``csr_parts``
+gives the CSR arrays of a dense matrix for it and for the sparse fit.
 
 Dense CSV: one matrix row per line, comma-separated values.  Floats are
 written with ``repr`` so files round-trip exactly and reruns are
@@ -43,6 +44,20 @@ def l2_normalize_rows(a) -> np.ndarray:
     norms = np.sqrt(np.sum(a * a, axis=1, keepdims=True))
     safe = np.where(norms > 0.0, norms, 1.0)
     return a / safe
+
+
+def csr_parts(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR row pointers, column indices (both int64) and values of ``a``'s non-zeros.
+
+    Entries come in row-major order, so columns ascend within each row.
+    NaN and Inf count as non-zero.
+    """
+    a = as_dense(a, "a")
+    flat = np.flatnonzero(a != 0.0)  # far faster on the bool mask than on floats
+    rows, cols = np.divmod(flat, a.shape[1])
+    indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=a.shape[0]), out=indptr[1:])
+    return indptr, cols, a.ravel()[flat]
 
 
 def write_dense_csv(a, path) -> None:

@@ -10,6 +10,12 @@ Weighting is raw term count times smoothed inverse document frequency,
 normalization.  Tokens are lowercased ASCII-alphabetic runs; anything
 shorter than three characters or on the stopword list is dropped.
 Lemmatization is not built in; pass ``normalizer`` to plug one in.
+
+The matrix is built and returned in CSR form; no documents x terms array
+is ever allocated.  Row norms are taken over dense blocks of about
+``TFIDF_BLOCK_BYTES``, so every value is bitwise the one the dense formula
+``l2_normalize_rows(counts * idf)`` gives.  ``TermDocumentMatrix.matrix``
+densifies on request.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -32,6 +39,7 @@ from .matrix import l2_normalize_rows
 MIN_TOKEN_LEN = 3
 DEFAULT_MIN_CHARS = 250
 DEFAULT_VOCAB_CAP = 2000
+TFIDF_BLOCK_BYTES = 4 << 20  # dense row block used for the row norms
 STOPWORDS_ENV_VAR = "TSNMF_STOPWORDS"
 
 _WORD_RE = re.compile(r"[a-zA-Z]+")
@@ -69,16 +77,30 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class TermDocumentMatrix:
-    """TF-IDF matrix (documents x terms) with row/column identities attached."""
+    """TF-IDF matrix (documents x terms) in CSR form, with row/column identities attached.
 
-    matrix: np.ndarray
+    ``indptr`` (int64 row pointers), ``indices`` (int64 term indices,
+    ascending within each row) and ``data`` (float64 values, all > 0) are
+    the CSR parts; the shape is one row per doc id and one column per term.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     doc_ids: tuple[str, ...]
     vocabulary: Vocabulary
     zero_rows: tuple[int, ...] = ()
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return len(self.doc_ids), len(self.vocabulary)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense float64 matrix, built on every access."""
+        out = np.zeros(self.shape, dtype=np.float64)
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
+        return out
 
 
 def load_stopwords(path=None) -> frozenset[str]:
@@ -188,25 +210,42 @@ def tfidf_encode(
         if len(doc_ids) != n:
             raise ValueError(f"{len(doc_ids)} doc_ids for {n} documents")
 
-    counts = np.zeros((n, t), dtype=np.float64)
-    df = np.zeros(t, dtype=np.float64)
-    for i, tokens in enumerate(tokenized):
-        row_seen = set()
-        for token in tokens:
-            j = vocab.index.get(token)
-            if j is None:
-                continue
-            counts[i, j] += 1.0
-            row_seen.add(j)
-        for j in row_seen:
-            df[j] += 1.0
+    # one vocabulary lookup per token, -1 out of vocabulary
+    lengths = np.fromiter(map(len, tokenized), dtype=np.int64, count=n)
+    ids = np.fromiter(
+        map(vocab.index.get, chain.from_iterable(tokenized), repeat(-1)),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    token_rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    keep = ids >= 0
+    # sorted flat positions: row-major order, so columns ascend within each row
+    flat, counts = np.unique(token_rows[keep] * t + ids[keep], return_counts=True)
+    rows, indices = np.divmod(flat, t)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
 
+    df = np.bincount(indices, minlength=t).astype(np.float64)
     idf = np.array([math.log((1.0 + n) / (1.0 + d)) + 1.0 for d in df])
-    weighted = counts * idf[np.newaxis, :]
-    normalized = l2_normalize_rows(weighted)
-    zero_rows = tuple(int(i) for i in np.where(~normalized.any(axis=1))[0])
+    weighted = counts.astype(np.float64) * idf[indices]
+    # normalize over dense row blocks: a row sum over the sparse entries alone
+    # would add in a different order than the dense formula and change the bits
+    data = np.empty_like(weighted)
+    step = max(1, TFIDF_BLOCK_BYTES // (8 * t))
+    for start in range(0, n, step):
+        lo, hi = indptr[start], indptr[min(start + step, n)]
+        at = (rows[lo:hi] - start, indices[lo:hi])
+        block = np.zeros((min(step, n - start), t), dtype=np.float64)
+        block[at] = weighted[lo:hi]
+        data[lo:hi] = l2_normalize_rows(block)[at]
+    zero_rows = tuple(int(i) for i in np.flatnonzero(np.diff(indptr) == 0))
     return TermDocumentMatrix(
-        matrix=normalized, doc_ids=doc_ids, vocabulary=vocab, zero_rows=zero_rows
+        indptr=indptr,
+        indices=indices,
+        data=data,
+        doc_ids=doc_ids,
+        vocabulary=vocab,
+        zero_rows=zero_rows,
     )
 
 

@@ -1,13 +1,16 @@
 """Command-line contract tests: stages, file handoffs, exit codes."""
 
 import json
+from importlib.util import find_spec
 
 import numpy as np
 import pytest
 
+from tsnmf import factorization
 from tsnmf.cli import main
 from tsnmf.dataio import MATRIX_FILENAMES, read_dataset, write_planted_instance
 from tsnmf.factorization import FactorModel, FitConfig, FitTrace, fit, load_model, save_model
+from tsnmf.matrix import csr_parts
 from tsnmf.synthetic import make_planted_instance
 
 
@@ -28,6 +31,22 @@ def _small_corpus(tmp_path):
         ],
     )
     return path
+
+
+def _write_dataset(out, V):
+    """Write V as a dataset directory with one label per document, from two labels."""
+    out.mkdir()
+    for part, values in zip(("indptr", "indices", "data"), csr_parts(V)):
+        np.save(out / MATRIX_FILENAMES[part], values, allow_pickle=False)
+    meta = {
+        "doc_ids": [f"d{i}" for i in range(V.shape[0])],
+        "vocabulary": [f"t{j}" for j in range(V.shape[1])],
+        "labels": ["a", "b"],
+        "doc_labels": [["ab"[i % 2]] for i in range(V.shape[0])],
+        "stats": {},
+    }
+    (out / "meta.json").write_text(json.dumps(meta))
+    return out
 
 
 def _synth_dataset(tmp_path, docs=30, terms=40, topics=3, seed=1):
@@ -208,6 +227,21 @@ class TestFit:
         model_dir = tmp_path / "model"
         with np.errstate(invalid="ignore"):
             rc = main(["fit", "--data", str(out), "--topics", "1", "--out", str(model_dir)])
+        assert rc == 4
+        assert (model_dir / "trace.csv").exists()
+
+    @pytest.mark.skipif(find_spec("scipy") is None, reason="the CSR path needs scipy")
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_sparse_data_exits_4(self, tmp_path, bad):
+        V = np.zeros((20, 30))
+        V[np.arange(20), np.arange(20)] = 1.0
+        V[3, 3] = bad
+        data = _write_dataset(tmp_path / "data", V)
+        # 3 % dense: the fit takes the CSR products
+        assert not isinstance(factorization._sparse_operand(read_dataset(data).V), np.ndarray)
+        model_dir = tmp_path / "model"
+        with np.errstate(invalid="ignore"):
+            rc = main(["fit", "--data", str(data), "--topics", "2", "--out", str(model_dir)])
         assert rc == 4
         assert (model_dir / "trace.csv").exists()
 
@@ -566,6 +600,31 @@ def test_one_topic_count_rule_for_fit_and_sweep(tmp_path, capsys, command, label
     capsys.readouterr()
     assert main(argv) == rc
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "synth", "fit", "evaluate", "top-terms"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    data = _synth_dataset(tmp_path)
+    assert main(["fit", "--data", str(data), "--out", str(tmp_path / "model")]) == 0
+    # a regular file where an output directory goes; top-terms writes a file, so a directory
+    blocked = tmp_path / "blocked"
+    if command == "top-terms":
+        blocked.mkdir()
+    else:
+        blocked.write_text("keep me\n")
+    inputs = {
+        "ingest": ["--corpus", str(_small_corpus(tmp_path)), "--min-chars", "100"],
+        "synth": ["--docs", "20", "--terms", "30", "--topics", "3"],
+        "fit": ["--data", str(data)],
+        "evaluate": ["--model", str(tmp_path / "model"), "--data", str(data)],
+        "top-terms": ["--model", str(tmp_path / "model"), "--data", str(data)],
+    }
+    capsys.readouterr()
+    assert main([command, *inputs[command], "--out", str(blocked)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and str(blocked) in err
+    if command != "top-terms":
+        assert blocked.read_text() == "keep me\n"
 
 
 class TestSynth:

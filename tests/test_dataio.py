@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from tsnmf.dataio import MATRIX_FILENAMES, _read_matrix, _write, _write_matrix, read_dataset
+from tsnmf.matrix import csr_parts
 
 
 def _save_dataset(path, V):
     n, t = V.shape
-    _write(path, V, [f"d{i}" for i in range(n)], [f"t{j}" for j in range(t)], [[]] * n, {})
+    _write(path, csr_parts(V), [f"d{i}" for i in range(n)], [f"t{j}" for j in range(t)], [[]] * n, {})
     return path
 
 
@@ -26,7 +27,7 @@ class TestCsrMatrixFiles:
         a[a < 0.5] = 0.0
         a[2] = 0.0  # an empty row and an empty column survive too
         a[:, 4] = 0.0
-        _write_matrix(tmp_path, a)
+        _write_matrix(tmp_path, *csr_parts(a))
         back = _read_matrix(tmp_path, *a.shape)
         assert back.dtype == np.float64
         assert back.tobytes() == a.tobytes()

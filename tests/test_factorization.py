@@ -1,14 +1,23 @@
 """Engine tests: losses, update rules, initialization, and the fit loop."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from importlib.util import find_spec
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tsnmf import factorization
 from tsnmf.errors import NumericalFailureError, ShapeError
 from tsnmf.factorization import (
     LOSS_GUARD,
     MONOTONE_SLACK,
     FitConfig,
     _row_weighted_sse,
+    _sparse_operand,
     _stop_reason,
     fit,
     init_model,
@@ -22,7 +31,12 @@ from tsnmf.factorization import (
     update_w_weighted,
 )
 from tsnmf.matrix import frobenius_sq
-from tsnmf.supervision import build_error_weights, build_mask, sample_supervised_set
+from tsnmf.supervision import (
+    build_error_weights,
+    build_label_table,
+    build_mask,
+    sample_supervised_set,
+)
 from tsnmf.synthetic import make_planted_instance
 
 EPS = 1e-9
@@ -473,3 +487,127 @@ class TestModelIO:
         assert lines[0] == "iteration,loss"
         assert len(lines) == len(trace.losses) + 1
         assert lines[1].startswith("0,")
+
+
+def _tfidf_like(seed, n=60, t=80, density=0.05):
+    """Sparse non-negative data with unit-L2 rows, the shape of TF-IDF input."""
+    rng = np.random.default_rng(seed)
+    V = rng.random((n, t)) * (rng.random((n, t)) < density)
+    norms = np.linalg.norm(V, axis=1, keepdims=True)
+    return V / np.where(norms > 0.0, norms, 1.0)
+
+
+def _sparse_planted(noise_level, seed, n=40, t=100, d=3, anchors=3):
+    """Exact W H with disjoint anchor terms per topic (at most 6 % dense), noise on the non-zeros."""
+    rng = np.random.default_rng(seed)
+    W = np.zeros((n, d))
+    for i in range(n):
+        W[i, rng.choice(d, size=int(rng.integers(1, 3)), replace=False)] = rng.uniform(0.5, 1.5)
+    H = np.zeros((d, t))
+    for j in range(d):
+        H[j, j * anchors:(j + 1) * anchors] = rng.uniform(0.5, 1.5, size=anchors)
+    V = W @ H
+    return V * (1.0 + noise_level * rng.random(V.shape))
+
+
+def _dense_fit(monkeypatch, *args, **kwargs):
+    """``fit`` with scipy.sparse unimportable, so the products run as dense BLAS."""
+    with monkeypatch.context() as m:
+        m.setitem(sys.modules, "scipy.sparse", None)
+        return fit(*args, **kwargs)
+
+
+def _assert_close_to_dense(sparse, dense):
+    (ms, ts), (md, td) = sparse, dense
+    for a, b in ((ms.W, md.W), (ms.H, md.H)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+    assert len(ts.losses) == len(td.losses) and ts.stop_reason == td.stop_reason
+    np.testing.assert_allclose(ts.losses, td.losses, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.skipif(find_spec("scipy") is None, reason="the CSR path needs scipy")
+class TestSparsePath:
+    """The CSR products against the dense path, which is the reference."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_matches_dense_path_on_tfidf_like_data(self, monkeypatch, weighted):
+        for seed in range(4):
+            V = _tfidf_like(seed)
+            assert not isinstance(_sparse_operand(V), np.ndarray)
+            supervised = sample_supervised_set(60, 0.3, seed)
+            table = build_label_table([{"ab"[i % 2], "cd"[i % 3 % 2]} for i in range(60)])
+            L = build_mask(table, supervised, 60, 5).matrix
+            E = build_error_weights(60, supervised).row_weight if weighted else None
+            cfg = FitConfig(d=5, seed=seed, max_iter=80, rel_tol=1e-9, weighted=weighted)
+            _assert_close_to_dense(fit(V, L, cfg, row_weights=E),
+                                   _dense_fit(monkeypatch, V, L, cfg, row_weights=E))
+
+    def test_unit_weights_reproduce_plain_fit_bitwise(self):
+        V = _tfidf_like(5)
+        L = np.ones((60, 4))
+        L[:20] = np.eye(4)[np.arange(20) % 4]
+        plain = fit(V, L, FitConfig(d=4, seed=1, max_iter=50, rel_tol=1e-15))
+        weighted = fit(V, L, FitConfig(d=4, seed=1, max_iter=50, rel_tol=1e-15, weighted=True),
+                       row_weights=np.ones(60))
+        assert np.array_equal(plain[0].W, weighted[0].W)
+        assert np.array_equal(plain[0].H, weighted[0].H)
+        assert plain[1].losses == weighted[1].losses
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_without_scipy_the_fit_is_the_dense_one(self, monkeypatch, weighted):
+        V, L = _tfidf_like(6, n=40, t=30, density=0.08), np.ones((40, 3))
+        L[:10] = np.eye(3)[np.arange(10) % 3]
+        E = build_error_weights(40, range(10)).row_weight
+        cfg = FitConfig(d=3, seed=2, max_iter=40, rel_tol=1e-15, weighted=weighted)
+        model, trace = _dense_fit(monkeypatch, V, L, cfg, row_weights=E if weighted else None)
+        W, H, explicit = _iterates_and_explicit_losses(V, L, E, cfg)
+        assert np.array_equal(model.W, W) and np.array_equal(model.H, H)
+        np.testing.assert_allclose(trace.losses, explicit, rtol=1e-12, atol=0.0)
+        # above the cutoff scipy is never asked for either
+        monkeypatch.setattr(factorization, "SPARSE_DENSITY_MAX", 0.01)
+        again = fit(V, L, cfg, row_weights=E if weighted else None)
+        assert np.array_equal(again[0].W, W) and again[1].losses == trace.losses
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_near_exact_fit_records_explicit_loss_under_guard(self, weighted):
+        V = _sparse_planted(1e-8, 2)
+        assert not isinstance(_sparse_operand(V), np.ndarray)
+        L = np.ones((40, 3))
+        E = np.where(np.arange(40) < 10, 4.0, 1.0)
+        E_fit = E if weighted else None
+        cfg = FitConfig(d=3, seed=2, max_iter=200, rel_tol=1e-15, weighted=weighted)
+        _, trace = fit(V, L, cfg, row_weights=E_fit)
+        losses = np.array(trace.losses)
+        scale = float(np.vdot(V * E[:, None], V)) if weighted else frobenius_sq(V)
+        under = np.flatnonzero(losses < 0.9 * LOSS_GUARD * scale)
+        assert len(under) >= 50, "fit never reached the guarded region"
+        assert (losses[1:] <= losses[:-1] * (1 + MONOTONE_SLACK)).all()
+        # a fit stopped at iteration k records the explicit residual of its own iterates
+        for k in under[:: len(under) // 3]:
+            model, short = fit(V, L, dataclasses.replace(cfg, max_iter=int(k)), row_weights=E_fit)
+            assert short.losses == trace.losses[: k + 1]
+            assert short.final_loss == _row_weighted_sse(V, model.W, model.H, L, E_fit)
+
+    def test_operand_is_csr_of_the_data(self):
+        V = _tfidf_like(7)
+        V[3] = 0.0
+        Vs = _sparse_operand(V)
+        assert Vs.format == "csr" and Vs.shape == V.shape
+        assert Vs.toarray().tobytes() == V.tobytes()
+        dense = np.ones((4, 4))
+        assert _sparse_operand(dense) is dense
+
+
+def test_dense_fits_and_cli_import_never_load_scipy():
+    code = (
+        "import sys\n"
+        "import tsnmf.cli\n"
+        "assert 'scipy' not in sys.modules, 'import tsnmf.cli loaded scipy'\n"
+        "from tsnmf import FitConfig, fit, make_planted_instance\n"
+        "inst = make_planted_instance(30, 40, 3, seed=1)\n"
+        "fit(inst.V, [[1.0] * 3] * 30, FitConfig(d=3, seed=0, max_iter=5))\n"
+        "assert 'scipy' not in sys.modules, 'a dense fit loaded scipy'\n"
+    )
+    src = str(Path(factorization.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

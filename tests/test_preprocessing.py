@@ -6,7 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from tsnmf import factorization, preprocessing
+from tsnmf.cli import main
+from tsnmf.dataio import read_dataset
 from tsnmf.errors import EmptyVocabularyError
+from tsnmf.matrix import csr_parts, l2_normalize_rows
 from tsnmf.preprocessing import (
     RawDocument,
     build_vocabulary,
@@ -211,3 +215,95 @@ class TestReadCorpusJsonl:
         path.write_text(line + "\n" + line + "\n")
         with pytest.raises(ValueError, match="duplicate"):
             read_corpus_jsonl(path)
+
+
+def _dense_tfidf(tokenized, vocab):
+    """The dense n x t construction tfidf_encode replaced, kept as the reference."""
+    n, t = len(tokenized), len(vocab)
+    counts = np.zeros((n, t), dtype=np.float64)
+    df = np.zeros(t, dtype=np.float64)
+    for i, tokens in enumerate(tokenized):
+        row_seen = set()
+        for token in tokens:
+            j = vocab.index.get(token)
+            if j is None:
+                continue
+            counts[i, j] += 1.0
+            row_seen.add(j)
+        for j in row_seen:
+            df[j] += 1.0
+    idf = np.array([math.log((1.0 + n) / (1.0 + d)) + 1.0 for d in df])
+    return l2_normalize_rows(counts * idf[np.newaxis, :])
+
+
+_LETTERS = "bcdfghjklmnpqrstvwxz"
+
+
+def _zipf_tokens(seed, n_docs, n_words=300, mean_tokens=25):
+    """Tokenized documents drawing Zipf-distributed words; some empty, some of one word."""
+    rng = np.random.default_rng(seed)
+    words = ["x" + _LETTERS[k // 20 % 20] + _LETTERS[k % 20] + "a" * (1 + k // 400)
+             for k in range(n_words)]
+    p = 1.0 / np.arange(1, n_words + 1)
+    p /= p.sum()
+    docs = [[words[k] for k in rng.choice(n_words, size=rng.poisson(mean_tokens), p=p)]
+            for _ in range(n_docs)]
+    docs[min(2, n_docs - 1)] = []
+    return docs
+
+
+class TestTfidfBlocks:
+    """The CSR construction against the dense formula, bit for bit."""
+
+    BLOCK_ROWS = 4
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9, 13])
+    @pytest.mark.parametrize("cap", [1, 7, 60])
+    def test_bitwise_equal_to_dense_formula_across_blocks(self, monkeypatch, n, cap):
+        docs = _zipf_tokens(n * 100 + cap, n)
+        # the vocabulary comes from a larger corpus: out-of-vocabulary tokens
+        # and documents that come out as zero rows are both likely
+        vocab = build_vocabulary(docs + _zipf_tokens(cap, 30), cap=cap)
+        monkeypatch.setattr(preprocessing, "TFIDF_BLOCK_BYTES", 8 * len(vocab) * self.BLOCK_ROWS)
+        tdm = tfidf_encode(docs, vocab)
+        oracle = _dense_tfidf(docs, vocab)
+        assert tdm.shape == oracle.shape
+        assert tdm.matrix.tobytes() == oracle.tobytes()
+        for ours, theirs in zip((tdm.indptr, tdm.indices, tdm.data), csr_parts(oracle)):
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        assert tdm.zero_rows == tuple(int(i) for i in np.flatnonzero(~oracle.any(axis=1)))
+
+    def test_zero_rows_and_out_of_vocabulary_tokens(self):
+        vocab = build_vocabulary([["apple", "berry"]], cap=2)
+        docs = [["zebra"], [], ["apple", "zebra", "apple"], ["berry", "yak"]]
+        tdm = tfidf_encode(docs, vocab)
+        assert tdm.zero_rows == (0, 1)
+        assert tdm.matrix.tobytes() == _dense_tfidf(docs, vocab).tobytes()
+        np.testing.assert_array_equal(tdm.indptr, [0, 0, 0, 1, 2])
+
+    def test_default_block_size_on_a_larger_corpus(self):
+        docs = _zipf_tokens(11, 400, n_words=2000)
+        vocab = build_vocabulary(docs, cap=1500)
+        assert 8 * len(vocab) * len(docs) > preprocessing.TFIDF_BLOCK_BYTES  # several blocks
+        assert tfidf_encode(docs, vocab).matrix.tobytes() == _dense_tfidf(docs, vocab).tobytes()
+
+
+def test_ingest_and_fit_are_byte_reproducible(tmp_path):
+    """Two ingest + fit runs on a sparse text corpus write the same bytes."""
+    docs = _zipf_tokens(3, 120, n_words=600, mean_tokens=30)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"d{i}", "text": " ".join(tokens), "labels": [f"l{i % 4}"]}) + "\n"
+        for i, tokens in enumerate(docs)
+    ))
+    runs = []
+    for k in range(2):
+        data, model = tmp_path / f"data{k}", tmp_path / f"model{k}"
+        assert main(["ingest", "--corpus", str(corpus), "--min-chars", "0", "--out", str(data)]) == 0
+        V = read_dataset(data).V
+        assert np.count_nonzero(V) <= factorization.SPARSE_DENSITY_MAX * V.size
+        assert main(["fit", "--data", str(data), "--rate", "0.3", "--max-iter", "30",
+                     "--out", str(model)]) == 0
+        files = sorted(data.glob("matrix*")) + [model / f for f in ("W.csv", "H.csv", "trace.csv")]
+        runs.append({p.name: p.read_bytes() for p in files})
+    assert len(runs[0]) == 6 and runs[0] == runs[1]
