@@ -17,7 +17,6 @@ directory where a file goes) and also exits 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .experiment import (
     write_supervision,
 )
 from .factorization import FitTrace, load_model, save_model, write_trace_csv
-from .matrix import write_dense_csv
+from .matrix import write_csv, write_dense_csv
 from .preprocessing import (
     DEFAULT_MIN_CHARS,
     DEFAULT_VOCAB_CAP,
@@ -99,7 +98,6 @@ def cmd_fit(args) -> int:
         config = fit_config(args, d, seed)
         mask, model, trace = fit_supervised(dataset, supervised, config)
     except NumericalFailureError as exc:
-        out.mkdir(parents=True, exist_ok=True)
         if exc.losses:
             partial = FitTrace(losses=tuple(exc.losses), stop_reason="numerical_failure")
             write_trace_csv(out / "trace.csv", partial)
@@ -141,11 +139,8 @@ def cmd_top_terms(args) -> int:
         return _fail(str(exc), EXIT_INPUT)
     if args.out:
         width = len(tables[0]) if tables else 0
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["topic"] + [f"term{k + 1}" for k in range(width)])
-            for j, terms in enumerate(tables):
-                writer.writerow([j] + terms)
+        header = ["topic"] + [f"term{k + 1}" for k in range(width)]
+        write_csv(args.out, [header, *([j, *terms] for j, terms in enumerate(tables))])
     else:
         for j, terms in enumerate(tables):
             print(f"topic {j}: {', '.join(terms)}")

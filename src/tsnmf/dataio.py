@@ -10,11 +10,14 @@ supervise and evaluate against it:
                         and filter statistics
 
 The three matrix files are plain ``.npy`` arrays (int64, int64, float64)
-written without pickling, so a rerun writes identical bytes.  The matrix
-shape comes from ``meta.json``: one row per doc id, one column per
-vocabulary term.  ``ingest`` hands its CSR parts over as they are, and
-``synth`` takes them from the dense planted matrix with ``csr_parts``;
-reading returns the dense matrix.
+with the bytes ``np.save`` writes without pickling, so a rerun writes
+identical bytes; like every artifact they reach disk through
+``matrix.write_file``, whole or not at all.  The matrix shape comes from
+``meta.json``: one row per doc id, one column per vocabulary term.
+``ingest`` hands its CSR parts over as they are, and ``synth`` takes them
+from the dense planted matrix with ``csr_parts``.  Reading checks every
+file and keeps the CSR parts; ``Dataset.V`` builds the dense matrix on
+first access, which only ``fit`` makes.
 
 The ingest and synth commands write this layout; fit, evaluate, sweep,
 and top-terms read it.  Every load failure, from a missing file to an
@@ -23,13 +26,13 @@ entry out of range, raises ``OSError`` or ``ValueError`` naming the file.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .matrix import csr_parts, write_dense_csv
+from .matrix import csr_parts, dense_from_csr, read_json, write_file, write_json
 from .preprocessing import IngestResult, Vocabulary
 from .supervision import LabelTable
 from .synthetic import PlantedInstance
@@ -41,11 +44,13 @@ META_FILENAME = "meta.json"
 def _write_matrix(out: Path, indptr, indices, data) -> None:
     arrays = {"indptr": indptr, "indices": indices, "data": data}
     for part, name in MATRIX_FILENAMES.items():
-        np.save(out / name, arrays[part], allow_pickle=False)
+        array = np.asanyarray(arrays[part])
+        # np.save's own writer: its bytes, streamed without a copy of the array
+        write_file(out / name, lambda fh: np.lib.format.write_array(fh, array, allow_pickle=False))
 
 
-def _read_matrix(datadir: Path, n_rows: int, n_cols: int) -> np.ndarray:
-    """Load and check the CSR files, returning the dense n_rows x n_cols matrix."""
+def _read_matrix(datadir: Path, n_rows: int, n_cols: int):
+    """The checked (indptr, indices, data) of an n_rows x n_cols matrix's CSR files."""
     kinds = {"indptr": np.integer, "indices": np.integer, "data": np.floating}
     arrays = {}
     for part, name in MATRIX_FILENAMES.items():
@@ -90,16 +95,14 @@ def _read_matrix(datadir: Path, n_rows: int, n_cols: int) -> np.ndarray:
     check(np.all(np.diff(flat) > 0), "indices", "columns must strictly increase within each row")
     # NaN and Inf pass: the fit reports non-finite input as a numerical failure
     check(not np.any(data <= 0.0), "data", "stored values must be > 0")
-    V = np.zeros((n_rows, n_cols), dtype=np.float64)
-    V.ravel()[flat] = data
-    return V
+    return indptr, indices, data
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """In-memory view of a dataset directory."""
+    """In-memory view of a dataset directory; ``csr`` holds the checked matrix parts until V."""
 
-    V: np.ndarray
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     doc_ids: tuple[str, ...]
     vocabulary: Vocabulary
     label_table: LabelTable
@@ -107,7 +110,14 @@ class Dataset:
 
     @property
     def n_docs(self) -> int:
-        return self.V.shape[0]
+        return len(self.doc_ids)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        """The dense matrix, built on first access; ``csr`` is then dropped to hold it once."""
+        V = dense_from_csr(*self.csr, (self.n_docs, len(self.vocabulary)))
+        self.__dict__["csr"] = None  # the way cached_property stores V on a frozen dataclass
+        return V
 
 
 def _write(
@@ -119,7 +129,6 @@ def _write(
     stats: dict,
 ) -> None:
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_matrix(out, *csr)
     meta = {
         "doc_ids": list(doc_ids),
@@ -128,7 +137,7 @@ def _write(
         "doc_labels": [sorted(labels) for labels in doc_label_names],
         "stats": stats,
     }
-    (out / META_FILENAME).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(out / META_FILENAME, meta)
 
 
 def write_ingest_result(outdir, result: IngestResult) -> None:
@@ -144,7 +153,7 @@ def write_ingest_result(outdir, result: IngestResult) -> None:
 
 
 def write_planted_instance(outdir, inst: PlantedInstance, stats: dict | None = None) -> None:
-    """Persist a synthetic instance in dataset layout, plus the truth factors."""
+    """Persist a synthetic instance's V and labels in dataset layout."""
     n, t = inst.V.shape
     id_width = len(str(n - 1))
     term_width = len(str(t - 1))
@@ -157,23 +166,15 @@ def write_planted_instance(outdir, inst: PlantedInstance, stats: dict | None = N
     _write(
         outdir, csr_parts(inst.V), doc_ids, terms, doc_label_names, stats or {"synthetic": True}
     )
-    out = Path(outdir)
-    write_dense_csv(inst.W_true, out / "W_true.csv")
-    write_dense_csv(inst.H_true, out / "H_true.csv")
 
 
 def _read_meta(path: Path) -> dict:
     """Load ``meta.json`` and check the type of every field the reader uses."""
-    try:
-        meta = json.loads(path.read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    meta = read_json(path)
 
     def strings(value) -> bool:
         return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: must be a JSON object")
     for key in ("doc_ids", "vocabulary", "labels"):
         if not strings(meta.get(key)):
             raise ValueError(f"{path}: '{key}' must be a list of strings")
@@ -195,7 +196,7 @@ def read_dataset(datadir) -> Dataset:
     meta = _read_meta(datadir / META_FILENAME)
     doc_ids = tuple(meta["doc_ids"])
     vocab = Vocabulary(terms=tuple(meta["vocabulary"]))
-    V = _read_matrix(datadir, len(doc_ids), len(vocab))
+    csr = _read_matrix(datadir, len(doc_ids), len(vocab))
     labels = tuple(meta["labels"])
     index = {name: j for j, name in enumerate(labels)}
     doc_labels = tuple(
@@ -206,7 +207,7 @@ def read_dataset(datadir) -> Dataset:
     except ValueError as exc:
         raise ValueError(f"{datadir / META_FILENAME}: {exc}") from None
     return Dataset(
-        V=V,
+        csr=csr,
         doc_ids=doc_ids,
         vocabulary=vocab,
         label_table=table,

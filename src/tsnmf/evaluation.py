@@ -13,8 +13,6 @@ scoring against the binary truth.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -22,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import as_dense
+from .matrix import as_dense, read_json, write_csv, write_json
 from .preprocessing import Vocabulary
 from .supervision import LabelTable
 
@@ -252,7 +250,6 @@ def top_terms(H, vocab: Vocabulary, m: int) -> list[list[str]]:
 def write_report(outdir, report: EvaluationReport, labels: Sequence[str]) -> None:
     """Write report.json and report.csv (one row per matched pair) under ``outdir``."""
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
     pairs = [
         {
             "topic": i,
@@ -272,13 +269,10 @@ def write_report(outdir, report: EvaluationReport, labels: Sequence[str]) -> Non
         "threshold": report.threshold,
         "coverage": report.coverage,
     }
-    (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    with open(out / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["topic", "label_index", "label", "similarity"])
-        for row in pairs:
-            writer.writerow([row["topic"], row["label_index"], row["label"], repr(row["similarity"])])
+    write_json(out / "report.json", payload)
+    columns = ("topic", "label_index", "label", "similarity")
+    write_csv(out / "report.csv", [columns, *([row[k] for k in columns] for row in pairs)])
 
 
 def read_report(outdir) -> dict:
-    return json.loads((Path(outdir) / "report.json").read_text())
+    return read_json(Path(outdir) / "report.json")

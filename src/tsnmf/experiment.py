@@ -16,12 +16,13 @@ sweep.  Output files under the sweep directory:
 
 A cell holds the bytes ``fit`` and ``evaluate`` write with the same
 settings, so it can be re-inspected with the evaluate and top-terms commands.
+Every file is written whole through ``matrix.write_file`` (a temporary file
+renamed into place), so a sweep killed midway leaves each cell file and
+each sweep CSV either complete or absent.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +32,7 @@ import numpy as np
 from .dataio import Dataset, read_dataset
 from .evaluation import EvaluationReport, TruthMatrix, score_report, write_report
 from .factorization import FitConfig, fit, save_model
+from .matrix import read_json, write_csv, write_json
 from .supervision import (
     build_error_weights,
     build_mask,
@@ -62,6 +64,9 @@ SWEEP_COLUMNS = (
     "iterations",
     "final_loss",
 )
+SUMMARY_COLUMNS = ("rate", "n_ok", "mean_similarity_mean", "mean_similarity_std",
+                   "resolved_mean", "resolved_std")
+TIMING_COLUMNS = ("rate", "seed", "wall_time_s")
 
 
 def _check_type(path, key, value, kinds, what) -> None:
@@ -70,19 +75,9 @@ def _check_type(path, key, value, kinds, what) -> None:
         raise ValueError(f"{path}: '{key}' must be {what}, got {value!r}")
 
 
-def _read_json_object(path) -> dict:
-    try:
-        info = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(info, dict):
-        raise ValueError(f"{path}: must be a JSON object")
-    return info
-
-
 def _read_supervision(path) -> dict:
     """Load a supervision spec or record: a JSON object with a list of id strings."""
-    info = _read_json_object(path)
+    info = read_json(path)
     ids = info.get("supervised_ids", [])
     if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
         raise ValueError(f"{path}: 'supervised_ids' must be a list of document id strings")
@@ -150,9 +145,7 @@ def fit_supervised(dataset: Dataset, supervised: set[int], config: FitConfig):
 def write_supervision(outdir, dataset: Dataset, supervised, rate, seed) -> None:
     ids = sorted(dataset.doc_ids[i] for i in supervised)
     info = {"rate": rate, "seed": seed, "supervised_ids": ids}
-    (Path(outdir) / SUPERVISION_FILENAME).write_text(
-        json.dumps(info, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(Path(outdir) / SUPERVISION_FILENAME, info)
 
 
 def recorded_rows(dataset: Dataset, modeldir) -> set[int] | None:
@@ -198,7 +191,7 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
-        raw = _read_json_object(path)
+        raw = read_json(path)
         unknown = set(raw) - set(_SWEEP_TYPES)
         if unknown:
             raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
@@ -280,8 +273,6 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     dataset = read_dataset(cfg.data)
     d = topic_count(dataset, cfg.topics)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     cells = []
     for rate in cfg.rates:
         for seed in cfg.seeds:
@@ -294,38 +285,12 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             cells.append(cell)
 
     result = SweepResult(cells=tuple(cells), summary=_summarize(cells))
-    _write_sweep_csv(out / "sweep.csv", cells)
-    _write_summary_csv(out / "sweep_summary.csv", result.summary)
-    _write_timing_csv(out / "sweep_timing.csv", cells)
+    for name, columns in (("sweep.csv", SWEEP_COLUMNS), ("sweep_timing.csv", TIMING_COLUMNS)):
+        write_csv(out / name, [columns, *([getattr(c, k) for k in columns] for c in cells)])
+    summary = sorted(result.summary.items())
+    rows = ([rate, *(stats[k] for k in SUMMARY_COLUMNS[1:])] for rate, stats in summary)
+    write_csv(out / "sweep_summary.csv", [SUMMARY_COLUMNS, *rows])
     return result
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_sweep_csv(path, cells) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for c in cells:
-            writer.writerow(
-                _fmt(v)
-                for v in (
-                    c.rate,
-                    c.seed,
-                    c.status,
-                    c.coverage,
-                    c.mean_similarity,
-                    c.resolved_count,
-                    c.iterations,
-                    c.final_loss,
-                )
-            )
 
 
 def _summarize(cells) -> dict:
@@ -348,31 +313,3 @@ def _summarize(cells) -> dict:
             "resolved_std": float(res.std(ddof=ddof)),
         }
     return summary
-
-
-def _write_summary_csv(path, summary: dict) -> None:
-    lines = [
-        "rate,n_ok,mean_similarity_mean,mean_similarity_std,resolved_mean,resolved_std"
-    ]
-    for rate in sorted(summary):
-        s = summary[rate]
-        lines.append(
-            ",".join(
-                (
-                    repr(rate),
-                    str(s["n_ok"]),
-                    repr(s["mean_similarity_mean"]),
-                    repr(s["mean_similarity_std"]),
-                    repr(s["resolved_mean"]),
-                    repr(s["resolved_std"]),
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_timing_csv(path, cells) -> None:
-    lines = ["rate,seed,wall_time_s"]
-    for c in cells:
-        lines.append(f"{c.rate!r},{c.seed},{c.wall_time_s!r}")
-    Path(path).write_text("\n".join(lines) + "\n")

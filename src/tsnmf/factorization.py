@@ -46,14 +46,15 @@ branch, so dense fits and ``import tsnmf`` never load it.
 
 Epsilon is added to every update denominator to keep ratios finite; the
 monotonicity guarantee therefore holds up to a 1e-10 relative slack
-(``MONOTONE_SLACK``).
+(``MONOTONE_SLACK``).  A fit that is exact up to epsilon jitters at the
+rounding floor of ``V - WH``, so a stop is labeled ``loss_increased`` only
+for a rise beyond that slack plus ``ROUNDING_FLOOR * sum e||V||^2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-import json
 
 import numpy as np
 
@@ -62,8 +63,11 @@ from .matrix import (
     csr_parts,
     frobenius_sq,
     read_dense_csv,
+    read_json,
     require_nonnegative,
+    write_csv,
     write_dense_csv,
+    write_json,
 )
 from .supervision import build_error_weights
 
@@ -75,6 +79,9 @@ OBJECTIVE_MASKED = "masked_sse"
 OBJECTIVE_ROW_WEIGHTED = "row_weighted_sse"
 
 MONOTONE_SLACK = 1e-10
+# A rise of at most this fraction of sum e||V||^2 beyond MONOTONE_SLACK is rounding: a fit
+# exact up to epsilon settles near 1e-20 of it, where losses differ by parts in 1e6.
+ROUNDING_FLOOR = 1e-14
 # At or below this fraction of sum e||V||^2 the fit records the explicit
 # residual: the trace-identity loss loses digits to cancellation as the fit
 # nears exact.  Just above 1e-4 its relative error measured up to 7e-12,
@@ -307,13 +314,16 @@ def init_model(V, L, config: FitConfig) -> FactorModel:
     return FactorModel(W=W0, H=H0)
 
 
-def _stop_reason(prev: float, cur: float, rel_tol: float) -> str | None:
+def _stop_reason(prev: float, cur: float, rel_tol: float, sum_ev2: float = 0.0) -> str | None:
     """Why the fit stops after a step from loss ``prev`` to ``cur``, or None to go on.
 
-    A rise beyond ``MONOTONE_SLACK`` is ``loss_increased``, not ``converged``.
+    A rise beyond ``MONOTONE_SLACK`` plus ``ROUNDING_FLOOR * sum_ev2`` is
+    ``loss_increased``, not ``converged``.  The floor only relabels a stop;
+    it never decides whether the fit stops.
     """
     if prev == 0.0 or (prev - cur) / prev < rel_tol:
-        return STOP_LOSS_INCREASED if cur > prev * (1.0 + MONOTONE_SLACK) else STOP_CONVERGED
+        rose = cur > prev * (1.0 + MONOTONE_SLACK) + ROUNDING_FLOOR * sum_ev2
+        return STOP_LOSS_INCREASED if rose else STOP_CONVERGED
     return None
 
 
@@ -327,10 +337,10 @@ def fit(
 
     Stops when the relative loss improvement over one iteration falls
     below ``config.rel_tol`` (``converged``, or ``loss_increased`` when
-    the loss rose beyond the monotone slack), when the factors reach an
-    exact fixed point (``converged``), or at ``config.max_iter``
-    (``max_iter``).  The returned W is exactly zero wherever the mask is
-    zero.
+    the loss rose beyond the monotone slack and the rounding floor), when
+    the factors reach an exact fixed point (``converged``), or at
+    ``config.max_iter`` (``max_iter``).  The returned W is exactly zero
+    wherever the mask is zero.
 
     When ``config.weighted`` is set, the weighted update rules run with
     ``row_weights`` (by default ``build_error_weights`` over the rows the
@@ -377,7 +387,7 @@ def fit(
         losses.append(loss(W, H, WL, G, VeHt, HHt))
         reason = (
             STOP_CONVERGED if fixed_point
-            else _stop_reason(losses[-2], losses[-1], config.rel_tol)
+            else _stop_reason(losses[-2], losses[-1], config.rel_tol, sum_ev2)
         )
         if reason is not None:
             stop_reason = reason
@@ -391,7 +401,6 @@ def fit(
 def save_model(outdir, model: FactorModel, trace: FitTrace, config: FitConfig) -> None:
     """Write model.json (header), W.csv, H.csv, and trace.csv under ``outdir``."""
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
     header = {
         "n": int(model.W.shape[0]),
         "d": int(model.W.shape[1]),
@@ -407,22 +416,20 @@ def save_model(outdir, model: FactorModel, trace: FitTrace, config: FitConfig) -
         "objective": trace.objective,
         "final_loss": trace.final_loss,
     }
-    (out / "model.json").write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    write_json(out / "model.json", header)
     write_dense_csv(model.W, out / "W.csv")
     write_dense_csv(model.H, out / "H.csv")
     write_trace_csv(out / "trace.csv", trace)
 
 
 def write_trace_csv(path, trace: FitTrace) -> None:
-    lines = ["iteration,loss"]
-    lines.extend(f"{i},{loss!r}" for i, loss in enumerate(trace.losses))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, [("iteration", "loss"), *enumerate(trace.losses)])
 
 
 def load_model(modeldir) -> tuple[FactorModel, dict]:
     """Read back a model directory written by save_model."""
     modeldir = Path(modeldir)
-    header = json.loads((modeldir / "model.json").read_text())
+    header = read_json(modeldir / "model.json")
     W = read_dense_csv(modeldir / "W.csv")
     H = read_dense_csv(modeldir / "H.csv")
     return FactorModel(W=W, H=H), header

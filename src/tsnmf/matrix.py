@@ -1,18 +1,30 @@
-"""Dense matrix primitives used throughout the package.
+"""Dense matrix primitives, and the one path by which the package writes files.
 
 Matrices are plain ``numpy.ndarray`` values: 2-D, float64, row-major.
-Everything here is a pure function; inputs are never mutated.  The
+The matrix functions are pure; inputs are never mutated.  The
 dataset matrix has its own on-disk form, kept in ``dataio``; ``csr_parts``
-gives the CSR arrays of a dense matrix for it and for the sparse fit.
+gives the CSR arrays of a dense matrix for it and for the sparse fit, and
+``dense_from_csr`` turns such arrays back into the dense matrix.
 
 Dense CSV: one matrix row per line, comma-separated values.  Floats are
 written with ``repr`` so files round-trip exactly and reruns are
 byte-identical.
+
+Artifacts: every file the package writes goes through ``write_file``: a
+temporary ``.<name>.<pid>.tmp`` beside the target, renamed into place by
+``os.replace`` (no fsync), so a killed process leaves each artifact whole
+or absent.  ``write_json`` and ``write_csv`` fix the one JSON layout and
+the one CSV dialect; ``read_json`` names the file in every error.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import os
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -60,16 +72,70 @@ def csr_parts(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return indptr, cols, a.ravel()[flat]
 
 
+def dense_from_csr(indptr, indices, data, shape: tuple[int, int]) -> np.ndarray:
+    """The dense float64 matrix of CSR parts; the inverse of ``csr_parts``."""
+    out = np.zeros(shape, dtype=np.float64)
+    out[np.repeat(np.arange(shape[0]), np.diff(indptr)), indices] = data
+    return out
+
+
+def write_file(path, content: str | bytes | Callable[[BinaryIO], object]) -> None:
+    """Write ``content`` to ``path`` atomically, creating its directory.
+
+    ``content`` is text (written as UTF-8), bytes, or a function that writes
+    to the open binary file (no in-memory copy of a large array).  The bytes
+    go to ``.<name>.<pid>.tmp`` beside ``path``, which ``os.replace`` renames
+    into place; on any failure the temporary file is removed and ``path``
+    keeps its old bytes.  The mode is the one ``open(path, "w")`` gives.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content.encode() if isinstance(content, str) else content)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, obj) -> None:
+    write_file(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, rows) -> None:
+    """Write ``rows`` (the header first) as CSV; None becomes "" and floats their repr."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    write_file(path, buf.getvalue())
+
+
+def read_json(path) -> dict:
+    """Load a JSON object; a ``ValueError`` naming the file if it is not one."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: must be a JSON object")
+    return obj
+
+
 def write_dense_csv(a, path) -> None:
-    a = as_dense(a, "a")
-    lines = [",".join(repr(float(v)) for v in row) for row in a]
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = [",".join(map(repr, row)) for row in as_dense(a, "a").tolist()]
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def read_dense_csv(path) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text().strip().splitlines():
-        rows.append([float(x) for x in line.split(",")])
+    lines = Path(path).read_text().strip().splitlines()
+    try:
+        rows = [[float(x) for x in line.split(",")] for line in lines]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"empty dense matrix file: {path}")
     widths = {len(r) for r in rows}

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyVocabularyError
-from .matrix import l2_normalize_rows
+from .matrix import dense_from_csr, l2_normalize_rows
 
 MIN_TOKEN_LEN = 3
 DEFAULT_MIN_CHARS = 250
@@ -98,9 +98,7 @@ class TermDocumentMatrix:
     @property
     def matrix(self) -> np.ndarray:
         """The dense float64 matrix, built on every access."""
-        out = np.zeros(self.shape, dtype=np.float64)
-        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
-        return out
+        return dense_from_csr(self.indptr, self.indices, self.data, self.shape)
 
 
 def load_stopwords(path=None) -> frozenset[str]:

@@ -1,16 +1,23 @@
 """Command-line contract tests: stages, file handoffs, exit codes."""
 
+import csv
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from importlib.util import find_spec
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsnmf import factorization
+from tsnmf import dataio, factorization
 from tsnmf.cli import main
 from tsnmf.dataio import MATRIX_FILENAMES, read_dataset, write_planted_instance
 from tsnmf.factorization import FactorModel, FitConfig, FitTrace, fit, load_model, save_model
-from tsnmf.matrix import csr_parts
+from tsnmf.matrix import csr_parts, read_dense_csv, read_json
 from tsnmf.synthetic import make_planted_instance
 
 
@@ -408,6 +415,43 @@ def test_malformed_meta_exits_2_on_fit_evaluate_and_top_terms(tmp_path, capsys, 
     assert capsys.readouterr().err.count("meta.json") == 3  # every message names the file
 
 
+MODEL_CORRUPTIONS = {
+    "W_not_a_number": ("W.csv", lambda text: text.replace(text.split(",")[0], "x", 1)),
+    "model_json_truncated": ("model.json", lambda text: text[:25]),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "top-terms"])
+@pytest.mark.parametrize("corruption", sorted(MODEL_CORRUPTIONS))
+def test_corrupt_model_file_exits_2_naming_it(tmp_path, capsys, corruption, command):
+    data = _synth_dataset(tmp_path)
+    model_dir = tmp_path / "model"
+    assert main(["fit", "--data", str(data), "--out", str(model_dir)]) == 0
+    name, corrupt = MODEL_CORRUPTIONS[corruption]
+    path = model_dir / name
+    path.write_text(corrupt(path.read_text()))
+    argv = [command, "--model", str(model_dir), "--data", str(data)]
+    capsys.readouterr()
+    assert main(argv + (["--out", str(tmp_path / "rep")] if command == "evaluate" else [])) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_evaluate_and_top_terms_never_densify_the_data(tmp_path, monkeypatch):
+    data = _synth_dataset(tmp_path)
+    model_dir = tmp_path / "model"
+    assert main(["fit", "--data", str(data), "--rate", "0.5", "--out", str(model_dir)]) == 0
+
+    def refuse(*args):
+        raise RuntimeError("densified")
+
+    monkeypatch.setattr(dataio, "dense_from_csr", refuse)
+    inputs = ["--model", str(model_dir), "--data", str(data)]
+    assert main(["evaluate", *inputs, "--out", str(tmp_path / "rep")]) == 0
+    assert main(["top-terms", *inputs, "--out", str(tmp_path / "tt.csv")]) == 0
+    with pytest.raises(RuntimeError, match="densified"):  # fit reads V, so the patch is live
+        main(["fit", "--data", str(data), "--out", str(tmp_path / "m2")])
+
+
 class TestTopTerms:
     def test_one_hot_h_prints_exact_terms(self, tmp_path, capsys):
         data = _synth_dataset(tmp_path, docs=10, terms=4, topics=2)
@@ -625,6 +669,61 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
     assert "cannot write output" in err and str(blocked) in err
     if command != "top-terms":
         assert blocked.read_text() == "keep me\n"
+    assert not list(tmp_path.rglob("*.tmp"))  # the failed write removed its temporary file
+
+
+ARTIFACT_READERS = {
+    "model.json": read_json,
+    "supervision.json": read_json,
+    "report.json": read_json,
+    "W.csv": read_dense_csv,
+    "H.csv": read_dense_csv,
+    **dict.fromkeys(
+        ("trace.csv", "report.csv", "sweep.csv", "sweep_summary.csv", "sweep_timing.csv"), None
+    ),
+}
+
+
+def test_killed_sweep_leaves_each_artifact_whole_or_absent(tmp_path):
+    data = _synth_dataset(tmp_path, docs=60, terms=80, topics=4)
+    out = tmp_path / "sweep"
+    # 200 cells of 200 iterations each: seconds of work, far more than the wait below
+    cfg = {"data": str(data), "out": str(out), "rates": [i / 19 for i in range(20)],
+           "seeds": list(range(10)), "max_iter": 200, "rel_tol": 1e-12}
+    (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tsnmf.cli", "sweep", "--config", str(tmp_path / "sweep.json")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while (proc.poll() is None and time.monotonic() < deadline
+               and len(list(out.rglob("report.csv"))) < 5):
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGKILL)
+        assert proc.wait(timeout=30) == -signal.SIGKILL  # killed mid-run, not finished
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    files = [p for p in out.rglob("*") if p.is_file()]
+    assert any(p.name == "W.csv" for p in files)
+    for path in files:
+        if path.name.startswith("."):
+            assert path.name.endswith(".tmp")
+            continue
+        assert path.name in ARTIFACT_READERS
+        text = path.read_text()
+        assert text.endswith("\n"), path
+        read = ARTIFACT_READERS[path.name]
+        if read is not None:
+            read(path)
+        else:
+            rows = list(csv.reader(text.splitlines()))
+            assert len({len(row) for row in rows}) == 1, path
 
 
 class TestSynth:
@@ -633,7 +732,7 @@ class TestSynth:
         dataset = read_dataset(data)
         assert dataset.V.shape == (15, 20)
         assert dataset.label_table.n_labels == 4
-        assert (data / "W_true.csv").exists() and (data / "H_true.csv").exists()
+        assert not (data / "W_true.csv").exists() and not (data / "H_true.csv").exists()
         planted = make_planted_instance(15, 20, 4, noise_level=0.1, seed=9)
         assert dataset.V.tobytes() == planted.V.tobytes()
         again = _synth_dataset(tmp_path / "again", docs=15, terms=20, topics=4, seed=9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsnmf.dataio import MATRIX_FILENAMES, _read_matrix, _write, _write_matrix, read_dataset
-from tsnmf.matrix import csr_parts
+from tsnmf.matrix import csr_parts, dense_from_csr
 
 
 def _save_dataset(path, V):
@@ -28,7 +28,7 @@ class TestCsrMatrixFiles:
         a[2] = 0.0  # an empty row and an empty column survive too
         a[:, 4] = 0.0
         _write_matrix(tmp_path, *csr_parts(a))
-        back = _read_matrix(tmp_path, *a.shape)
+        back = dense_from_csr(*_read_matrix(tmp_path, *a.shape), a.shape)
         assert back.dtype == np.float64
         assert back.tobytes() == a.tobytes()
 
@@ -40,6 +40,14 @@ class TestCsrMatrixFiles:
         _save_dataset(tmp_path / "again", back)  # a rewrite of what was read gives the same bytes
         for name in MATRIX_FILENAMES.values():
             assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
+
+    def test_dense_matrix_built_once_and_parts_released(self, tmp_path):
+        a = np.array([[0.0, 1.5, 0.0], [2.0, 0.0, 0.5]])
+        dataset = read_dataset(_save_dataset(tmp_path, a))
+        assert dataset.n_docs == 2 and dataset.csr is not None
+        V = dataset.V
+        assert V.tobytes() == a.tobytes()
+        assert dataset.V is V and dataset.csr is None
 
     def test_file_layout(self, tmp_path):
         _save_dataset(tmp_path, np.array([[0.0, 1.5], [2.0, 0.0]]))

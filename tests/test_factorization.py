@@ -15,6 +15,7 @@ from tsnmf.errors import NumericalFailureError, ShapeError
 from tsnmf.factorization import (
     LOSS_GUARD,
     MONOTONE_SLACK,
+    ROUNDING_FLOOR,
     FitConfig,
     _row_weighted_sse,
     _sparse_operand,
@@ -338,6 +339,18 @@ class TestFit:
         assert _stop_reason(10.0, 11.0, 1e-15) == "loss_increased"
         assert _stop_reason(0.0, 0.0, 1e-4) == "converged"
         assert _stop_reason(0.0, 1.0, 1e-4) == "loss_increased"
+
+    def test_rounding_floor_relabels_but_never_moves_the_stop(self):
+        # exact up to epsilon: the loss settles near 1e-19 of sum||V||^2 and jitters there
+        _, trace = fit([[6.4059207, 2.77088847]], [[1.0]], FitConfig(d=1, seed=0))
+        assert trace.losses[3] > trace.losses[2] * (1 + MONOTONE_SLACK)
+        assert (trace.iterations, trace.stop_reason) == (3, "converged")
+        assert _stop_reason(1e-18, 2e-18, 1e-4, 1.0) == "converged"
+        assert _stop_reason(1e-18, 2e-18, 1e-4, 0.0) == "loss_increased"
+        assert _stop_reason(10.0, 11.0, 1e-15, 1.0) == "loss_increased"
+        assert _stop_reason(1e-10, 1e-10 + 2 * ROUNDING_FLOOR, 1e-4, 1.0) == "loss_increased"
+        # the floor only labels a stop: it never turns a step into one
+        assert _stop_reason(10.0, 5.0, 1e-4, 1e20) is None
 
     def test_default_row_weights_equal_explicit_bitwise(self):
         inst = make_planted_instance(40, 30, 4, noise_level=0.1, seed=25)

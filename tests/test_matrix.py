@@ -1,10 +1,27 @@
-"""Dense primitive and dense CSV tests."""
+"""Dense primitive, dense CSV and artifact writer tests."""
+
+import ast
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsnmf
 from tsnmf.errors import ShapeError
-from tsnmf.matrix import frobenius_sq, l2_normalize_rows, read_dense_csv, write_dense_csv
+from tsnmf.matrix import (
+    csr_parts,
+    dense_from_csr,
+    frobenius_sq,
+    l2_normalize_rows,
+    read_dense_csv,
+    read_json,
+    write_csv,
+    write_dense_csv,
+    write_file,
+    write_json,
+)
 
 
 class TestFrobeniusSq:
@@ -64,3 +81,176 @@ class TestDenseCsv:
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(ShapeError, match="ragged"):
             read_dense_csv(path)
+
+    def test_unparsable_value_names_the_file(self, tmp_path):
+        path = tmp_path / "W.csv"
+        path.write_text("1.0,2.0\n3.0,x\n")
+        with pytest.raises(ValueError, match=rf"{path}: could not convert string to float: 'x'"):
+            read_dense_csv(path)
+
+    def test_bytes_are_repr_of_each_float(self, tmp_path):
+        a = np.array([[0.1, -0.0, 1e-300], [2.0 / 3.0, 5e20, 1.0]])
+        write_dense_csv(a, tmp_path / "m.csv")
+        expected = "\n".join(",".join(repr(float(v)) for v in row) for row in a) + "\n"
+        assert (tmp_path / "m.csv").read_text() == expected
+
+
+class TestDenseFromCsr:
+    def test_inverse_of_csr_parts(self):
+        a = np.random.default_rng(11).random((7, 5))
+        a[a < 0.6] = 0.0
+        a[3] = 0.0
+        a[:, 1] = 0.0
+        back = dense_from_csr(*csr_parts(a), a.shape)
+        assert back.dtype == np.float64
+        assert back.tobytes() == a.tobytes()
+
+    def test_no_entries(self):
+        back = dense_from_csr(*csr_parts(np.zeros((2, 3))), (2, 3))
+        np.testing.assert_array_equal(back, np.zeros((2, 3)))
+
+
+class TestWriteFile:
+    def test_creates_directories_and_replaces_old_bytes(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.txt"
+        write_file(path, "first\n")
+        write_file(path, b"second\n")
+        assert path.read_bytes() == b"second\n"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["out.txt"]
+
+    def test_text_is_utf8(self, tmp_path):
+        write_file(tmp_path / "t.csv", "caf\u00e9\n")
+        assert (tmp_path / "t.csv").read_bytes() == "caf\u00e9\n".encode("utf-8")
+
+    @pytest.mark.parametrize("failure", ["write", "replace", "interrupt"])
+    def test_failed_write_keeps_old_bytes_and_no_temp_file(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        content = "new\n"
+        if failure == "write":
+            content = 12345  # neither str nor bytes: fails once the temp file is open
+        else:
+            error = OSError("no space left") if failure == "replace" else KeyboardInterrupt()
+
+            def refuse(src, dst):
+                assert Path(src).read_text() == "new\n"  # the temp file was complete
+                raise error
+
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises((TypeError, OSError, KeyboardInterrupt)):
+            write_file(path, content)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+    def test_mode_equals_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "w") as fh:
+                fh.write("x")
+            write_file(tmp_path / "atomic", "x")
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("plain", "atomic")]
+        assert modes == [0o666 & ~umask] * 2
+
+    def test_json_layout(self, tmp_path):
+        write_json(tmp_path / "x.json", {"b": 1.5, "a": [None, True]})
+        assert (tmp_path / "x.json").read_text() == (
+            '{\n  "a": [\n    null,\n    true\n  ],\n  "b": 1.5\n}\n'
+        )
+        assert read_json(tmp_path / "x.json") == {"a": [None, True], "b": 1.5}
+
+    def test_csv_dialect(self, tmp_path):
+        rows = [("a", "b", "c", "d"), (None, 0.1, 3, "x,y"), (1e-20, "", 2, -0.0)]
+        write_csv(tmp_path / "x.csv", rows)
+        assert (tmp_path / "x.csv").read_text() == 'a,b,c,d\n,0.1,3,"x,y"\n1e-20,,2,-0.0\n'
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"a": ', "not valid JSON"),
+            ("[1, 2]", "must be a JSON object"),
+            (b"\xff", "not valid JSON"),
+        ],
+    )
+    def test_read_json_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "model.json"
+        write_file(path, content)
+        with pytest.raises(ValueError, match=rf"{path}: {message}"):
+            read_json(path)
+
+
+WRITE_METHODS = {"write_text", "write_bytes", "tofile"}
+NUMPY_WRITERS = {"save", "savetxt", "savez", "savez_compressed"}
+
+
+def _writes_file(call: ast.Call) -> bool:
+    """Whether ``call`` can create or change a file's bytes."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in WRITE_METHODS:
+        return True
+    if name in NUMPY_WRITERS:
+        return isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return True  # os.open takes flags; treat any use as a write
+    # Path(...).open(mode) takes the mode first, open(file, mode) second
+    method = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) != "io"
+    position = 0 if method else 1
+    mode = call.args[position] if len(call.args) > position else None
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and not set("wax+") & set(str(mode.value)))
+
+
+def _write_sites(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every file-writing call in ``source``."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and _writes_file(node):
+            sites.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_write_detector_finds_every_kind_of_write():
+    source = "\n".join(
+        [
+            "def f(p, a, m):",
+            "    Path(p).write_text('x')",
+            "    p.write_bytes(b'x')",
+            "    np.save(p, a)",
+            "    numpy.savetxt(p, a)",
+            "    a.tofile(p)",
+            "    open(p, 'a')",
+            "    open(p, mode='x')",
+            "    p.open('r+')",
+            "    open(p, m)",
+            "    os.open(p, 0)",
+            "    open(p)",
+            "    open(p, 'rb')",
+            "    p.read_text()",
+            "    np.load(p)",
+        ]
+    )
+    assert [line for _, line in _write_sites(source)] == list(range(2, 12))
+
+
+def test_write_file_is_the_only_write_site():
+    src = Path(tsnmf.__file__).parent
+    sites = [
+        (path.name, function)
+        for path in sorted(src.glob("*.py"))
+        for function, _ in _write_sites(path.read_text())
+    ]
+    assert sites == [("matrix.py", "write_file")]

@@ -24,12 +24,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tsnmf import factorization
-from tsnmf.factorization import MONOTONE_SLACK, FitConfig, _sparse_operand, fit
+from tsnmf.factorization import MONOTONE_SLACK, ROUNDING_FLOOR, FitConfig, _sparse_operand, fit
 from tsnmf.supervision import LabelTable, build_error_weights, build_mask
 
 # the cutoff that sends every V down one path: all CSR, or all dense BLAS
 PATHS = {"csr": 1.0, "dense": -1.0}
-ROUNDING_FLOOR = 1e-14
 
 
 @st.composite
