@@ -33,9 +33,9 @@ from .factorization import (
     FitTrace,
     fit,
     init_model,
-    load_model,
     loss_ts,
     loss_tsw,
+    read_factor,
     save_model,
     update_h,
     update_h_weighted,
@@ -95,9 +95,9 @@ __all__ = [
     "FitTrace",
     "fit",
     "init_model",
-    "load_model",
     "loss_ts",
     "loss_tsw",
+    "read_factor",
     "save_model",
     "update_h",
     "update_h_weighted",

@@ -3,9 +3,11 @@
 Stages hand off through files: ``ingest`` (or ``synth``) writes a dataset
 directory, ``fit`` writes a model directory, ``evaluate`` and
 ``top-terms`` read both, and ``sweep`` runs fit + evaluate over a
-(rate, seed) grid.  ``fit``, ``evaluate`` and the sweep share one
-supervise -> fit -> record -> score path, which lives in
-``tsnmf.experiment``; this module only maps its errors to exit codes.
+(rate, seed) grid.  Only ``fit`` and ``sweep`` read the dataset matrix;
+``evaluate`` reads the model's W and ``top-terms`` its H.  ``fit``,
+``evaluate`` and the sweep share one supervise -> fit -> record -> score
+path, which lives in ``tsnmf.experiment``; this module only maps its
+errors to exit codes.
 
 Exit codes are a stable contract: 0 success, 2 input or shape error,
 3 empty-data error, 4 numerical failure.  Every command catches its own
@@ -20,9 +22,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dataio import read_dataset, write_ingest_result, write_planted_instance
+from .dataio import read_dataset, read_matrix, write_ingest_result, write_planted_instance
 from .errors import EmptyVocabularyError, NumericalFailureError, TsnmfError
-from .evaluation import top_terms, write_report
+from .evaluation import DEFAULT_THRESHOLD, top_terms, write_report
 from .experiment import (
     SweepConfig,
     fit_config,
@@ -34,7 +36,7 @@ from .experiment import (
     topic_count,
     write_supervision,
 )
-from .factorization import FitTrace, load_model, save_model, write_trace_csv
+from .factorization import FitConfig, FitTrace, read_factor, save_model, write_trace_csv
 from .matrix import write_csv, write_dense_csv
 from .preprocessing import (
     DEFAULT_MIN_CHARS,
@@ -93,10 +95,11 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     try:
         dataset = read_dataset(args.data)
+        V = read_matrix(args.data, dataset)
         d = topic_count(dataset, args.topics)
         supervised, rate, seed = supervise(dataset, args.rate, args.seed, args.supervision)
         config = fit_config(args, d, seed)
-        mask, model, trace = fit_supervised(dataset, supervised, config)
+        mask, model, trace = fit_supervised(dataset, V, supervised, config)
     except NumericalFailureError as exc:
         if exc.losses:
             partial = FitTrace(losses=tuple(exc.losses), stop_reason="numerical_failure")
@@ -118,8 +121,8 @@ def cmd_fit(args) -> int:
 def cmd_evaluate(args) -> int:
     try:
         dataset = read_dataset(args.data)
-        model, _header = load_model(args.model)
-        report = score(dataset, model, recorded_rows(dataset, args.model), args.threshold)
+        W = read_factor(args.model, "W")
+        report = score(dataset, W, recorded_rows(dataset, args.model), args.threshold)
     except (OSError, TsnmfError, ValueError, KeyError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     write_report(args.out, report, labels=dataset.label_table.labels)
@@ -133,8 +136,7 @@ def cmd_evaluate(args) -> int:
 def cmd_top_terms(args) -> int:
     try:
         dataset = read_dataset(args.data)
-        model, _header = load_model(args.model)
-        tables = top_terms(model.H, dataset.vocabulary, args.terms)
+        tables = top_terms(read_factor(args.model, "H"), dataset.vocabulary, args.terms)
     except (OSError, TsnmfError, ValueError, KeyError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     if args.out:
@@ -206,13 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--topics", type=int, default=None, help="topic count (default: label count)")
     p.add_argument("--rate", type=float, default=0.0, help="supervision rate in [0, 1]")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=FitConfig.seed)
     p.add_argument("--supervision", help="JSON spec with 'rate' or 'supervised_ids'")
     p.add_argument("--weighted", action="store_true", help="use error-weighted updates")
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--rel-tol", type=float, default=1e-4)
-    p.add_argument("--epsilon", type=float, default=1e-9)
-    p.add_argument("--acol-q", type=int, default=5)
+    p.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
+    p.add_argument("--rel-tol", type=float, default=FitConfig.rel_tol)
+    p.add_argument("--epsilon", type=float, default=FitConfig.epsilon)
+    p.add_argument("--acol-q", type=int, default=FitConfig.acol_q)
     p.add_argument("--mask-out", help="also export the mask as dense CSV")
     p.add_argument("--out", required=True, help="model output directory")
     p.set_defaults(func=cmd_fit)
@@ -220,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a model against the dataset labels")
     p.add_argument("--model", required=True, help="model directory")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--threshold", type=float, default=0.1)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", required=True, help="report output directory")
     p.set_defaults(func=cmd_evaluate)
 

@@ -15,19 +15,19 @@ identical bytes; like every artifact they reach disk through
 ``matrix.write_file``, whole or not at all.  The matrix shape comes from
 ``meta.json``: one row per doc id, one column per vocabulary term.
 ``ingest`` hands its CSR parts over as they are, and ``synth`` takes them
-from the dense planted matrix with ``csr_parts``.  Reading checks every
-file and keeps the CSR parts; ``Dataset.V`` builds the dense matrix on
-first access, which only ``fit`` makes.
+from the dense planted matrix with ``csr_parts``.
 
-The ingest and synth commands write this layout; fit, evaluate, sweep,
-and top-terms read it.  Every load failure, from a missing file to an
-entry out of range, raises ``OSError`` or ``ValueError`` naming the file.
+The ingest and synth commands write this layout.  Reading is split by
+use: ``read_dataset`` reads ``meta.json`` alone, which is all evaluate and
+top-terms need, and ``read_matrix`` checks the three matrix files and
+builds the dense V, for fit and sweep.  Every load failure, from a missing
+file to an entry out of range, raises ``OSError`` or ``ValueError`` naming
+the file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +49,10 @@ def _write_matrix(out: Path, indptr, indices, data) -> None:
         write_file(out / name, lambda fh: np.lib.format.write_array(fh, array, allow_pickle=False))
 
 
-def _read_matrix(datadir: Path, n_rows: int, n_cols: int):
-    """The checked (indptr, indices, data) of an n_rows x n_cols matrix's CSR files."""
+def read_matrix(datadir, dataset: Dataset) -> np.ndarray:
+    """The dense V of ``dataset``, from its directory's CSR files once every check passes."""
+    datadir = Path(datadir)
+    n_rows, n_cols = dataset.n_docs, len(dataset.vocabulary)
     kinds = {"indptr": np.integer, "indices": np.integer, "data": np.floating}
     arrays = {}
     for part, name in MATRIX_FILENAMES.items():
@@ -95,29 +97,20 @@ def _read_matrix(datadir: Path, n_rows: int, n_cols: int):
     check(np.all(np.diff(flat) > 0), "indices", "columns must strictly increase within each row")
     # NaN and Inf pass: the fit reports non-finite input as a numerical failure
     check(not np.any(data <= 0.0), "data", "stored values must be > 0")
-    return indptr, indices, data
+    return dense_from_csr(indptr, indices, data, (n_rows, n_cols))
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """In-memory view of a dataset directory; ``csr`` holds the checked matrix parts until V."""
+    """What a dataset directory's ``meta.json`` says; ``read_matrix`` reads its V."""
 
-    csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     doc_ids: tuple[str, ...]
     vocabulary: Vocabulary
     label_table: LabelTable
-    stats: dict
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
-
-    @cached_property
-    def V(self) -> np.ndarray:
-        """The dense matrix, built on first access; ``csr`` is then dropped to hold it once."""
-        V = dense_from_csr(*self.csr, (self.n_docs, len(self.vocabulary)))
-        self.__dict__["csr"] = None  # the way cached_property stores V on a frozen dataclass
-        return V
 
 
 def _write(
@@ -181,6 +174,11 @@ def _read_meta(path: Path) -> dict:
     doc_labels = meta.get("doc_labels")
     if not isinstance(doc_labels, list) or not all(strings(x) for x in doc_labels):
         raise ValueError(f"{path}: 'doc_labels' must be a list of lists of strings")
+    seen = set()
+    for doc_id in meta["doc_ids"]:
+        if doc_id in seen:
+            raise ValueError(f"{path}: doc_id {doc_id!r} appears more than once")
+        seen.add(doc_id)
     if len(doc_labels) != len(meta["doc_ids"]):
         raise ValueError(
             f"{path}: {len(doc_labels)} 'doc_labels' entries for {len(meta['doc_ids'])} doc_ids"
@@ -192,11 +190,9 @@ def _read_meta(path: Path) -> dict:
 
 
 def read_dataset(datadir) -> Dataset:
-    datadir = Path(datadir)
-    meta = _read_meta(datadir / META_FILENAME)
-    doc_ids = tuple(meta["doc_ids"])
-    vocab = Vocabulary(terms=tuple(meta["vocabulary"]))
-    csr = _read_matrix(datadir, len(doc_ids), len(vocab))
+    """The checked ``meta.json`` of a dataset directory; no matrix file is opened."""
+    path = Path(datadir) / META_FILENAME
+    meta = _read_meta(path)
     labels = tuple(meta["labels"])
     index = {name: j for j, name in enumerate(labels)}
     doc_labels = tuple(
@@ -205,11 +201,9 @@ def read_dataset(datadir) -> Dataset:
     try:
         table = LabelTable(labels=labels, doc_labels=doc_labels)
     except ValueError as exc:
-        raise ValueError(f"{datadir / META_FILENAME}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     return Dataset(
-        csr=csr,
-        doc_ids=doc_ids,
-        vocabulary=vocab,
+        doc_ids=tuple(meta["doc_ids"]),
+        vocabulary=Vocabulary(terms=tuple(meta["vocabulary"])),
         label_table=table,
-        stats=meta.get("stats", {}),
     )

@@ -24,6 +24,9 @@ from .matrix import as_dense, read_json, write_csv, write_json
 from .preprocessing import Vocabulary
 from .supervision import LabelTable
 
+# A matched topic whose similarity is above this counts as resolved.
+DEFAULT_THRESHOLD = 0.1
+
 
 @dataclass(frozen=True)
 class TruthMatrix:
@@ -201,7 +204,7 @@ def hungarian_match(similarity) -> Matching:
 def score_report(
     model_W,
     truth: TruthMatrix,
-    threshold: float = 0.1,
+    threshold: float = DEFAULT_THRESHOLD,
     coverage: float | None = None,
 ) -> EvaluationReport:
     """Match topics to labels and summarize the similarities.

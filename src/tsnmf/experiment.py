@@ -29,8 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import Dataset, read_dataset
-from .evaluation import EvaluationReport, TruthMatrix, score_report, write_report
+from .dataio import Dataset, read_dataset, read_matrix
+from .evaluation import (
+    DEFAULT_THRESHOLD,
+    EvaluationReport,
+    TruthMatrix,
+    score_report,
+    write_report,
+)
 from .factorization import FitConfig, fit, save_model
 from .matrix import read_json, write_csv, write_json
 from .supervision import (
@@ -130,15 +136,15 @@ def supervise(
     return {i for i in supervised if dataset.label_table.doc_labels[i]}, rate, seed
 
 
-def fit_supervised(dataset: Dataset, supervised: set[int], config: FitConfig):
-    """Fit with W masked to the labels of the ``supervised`` rows; returns (mask, model, trace).
+def fit_supervised(dataset: Dataset, V, supervised: set[int], config: FitConfig):
+    """Fit ``V``, W masked to the ``supervised`` rows' labels; returns (mask, model, trace).
 
     A weighted fit weights those rows by n / |supervised|.
     """
     n = dataset.n_docs
     mask = build_mask(dataset.label_table, supervised, n, config.d)
     weights = build_error_weights(n, supervised).row_weight if config.weighted else None
-    model, trace = fit(dataset.V, mask.matrix, config, row_weights=weights)
+    model, trace = fit(V, mask.matrix, config, row_weights=weights)
     return mask, model, trace
 
 
@@ -156,12 +162,12 @@ def recorded_rows(dataset: Dataset, modeldir) -> set[int] | None:
     return _rows_of(dataset, _read_supervision(path).get("supervised_ids", []), path)
 
 
-def score(dataset: Dataset, model, supervised, threshold: float) -> EvaluationReport:
-    """Score ``model`` against the labels; no coverage when ``supervised`` is None."""
+def score(dataset: Dataset, W, supervised, threshold: float) -> EvaluationReport:
+    """Score the fitted ``W`` against the labels; no coverage when ``supervised`` is None."""
     table = dataset.label_table
     coverage = None if supervised is None else topic_coverage(table, supervised)
     truth = TruthMatrix.from_label_table(table)
-    return score_report(model, truth, threshold=threshold, coverage=coverage)
+    return score_report(W, truth, threshold=threshold, coverage=coverage)
 
 
 @dataclass(frozen=True)
@@ -174,11 +180,11 @@ class SweepConfig:
     seeds: tuple[int, ...]
     topics: int | None = None
     weighted: bool = False
-    max_iter: int = 200
-    rel_tol: float = 1e-4
-    epsilon: float = 1e-9
-    acol_q: int = 5
-    threshold: float = 0.1
+    max_iter: int = FitConfig.max_iter
+    rel_tol: float = FitConfig.rel_tol
+    epsilon: float = FitConfig.epsilon
+    acol_q: int = FitConfig.acol_q
+    threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):
         for key in ("rates", "seeds"):
@@ -241,6 +247,7 @@ class SweepResult:
 
 def run_cell(
     dataset: Dataset,
+    V,
     rate: float,
     seed: int,
     config: FitConfig,
@@ -250,8 +257,8 @@ def run_cell(
     """Supervise, fit, record and score one cell; its artifacts go to ``outdir``."""
     start = time.perf_counter()
     supervised, rate, seed = supervise(dataset, rate, seed)
-    _mask, model, trace = fit_supervised(dataset, supervised, config)
-    report = score(dataset, model, supervised, threshold)
+    _mask, model, trace = fit_supervised(dataset, V, supervised, config)
+    report = score(dataset, model.W, supervised, threshold)
     save_model(outdir, model, trace, config)
     write_supervision(outdir, dataset, supervised, rate, seed)
     write_report(outdir, report, labels=dataset.label_table.labels)
@@ -271,6 +278,7 @@ def run_cell(
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Execute every (rate, seed) cell in order and write the sweep CSVs."""
     dataset = read_dataset(cfg.data)
+    V = read_matrix(cfg.data, dataset)
     d = topic_count(dataset, cfg.topics)
     out = Path(cfg.out)
     cells = []
@@ -279,7 +287,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             cell_dir = out / "cells" / f"rate_{rate}" / f"seed_{seed}"
             config = fit_config(cfg, d, seed)
             try:
-                cell = run_cell(dataset, rate, seed, config, cfg.threshold, cell_dir)
+                cell = run_cell(dataset, V, rate, seed, config, cfg.threshold, cell_dir)
             except Exception as exc:
                 cell = SweepCell(rate=rate, seed=seed, status=f"error: {exc}")
             cells.append(cell)

@@ -426,10 +426,19 @@ def write_trace_csv(path, trace: FitTrace) -> None:
     write_csv(path, [("iteration", "loss"), *enumerate(trace.losses)])
 
 
-def load_model(modeldir) -> tuple[FactorModel, dict]:
-    """Read back a model directory written by save_model."""
+def read_factor(modeldir, name: str) -> np.ndarray:
+    """Factor ``name``, "W" or "H", of a model directory written by save_model.
+
+    The factor must have the shape ``model.json`` records, (n, d) for W and
+    (d, t) for H, and finite entries >= 0; a ``ValueError`` names the file.
+    """
     modeldir = Path(modeldir)
     header = read_json(modeldir / "model.json")
-    W = read_dense_csv(modeldir / "W.csv")
-    H = read_dense_csv(modeldir / "H.csv")
-    return FactorModel(W=W, H=H), header
+    shape = tuple(header.get(key) for key in {"W": ("n", "d"), "H": ("d", "t")}[name])
+    path = modeldir / f"{name}.csv"
+    a = read_dense_csv(path)
+    if a.shape != shape:
+        raise ValueError(f"{path}: shape {a.shape}, model.json records {shape}")
+    if not np.isfinite(a).all() or a.min() < 0.0:
+        raise ValueError(f"{path}: entries must be finite and >= 0")
+    return a

@@ -1,6 +1,7 @@
 """Command-line contract tests: stages, file handoffs, exit codes."""
 
 import csv
+import inspect
 import json
 import os
 import signal
@@ -13,10 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsnmf import dataio, factorization
-from tsnmf.cli import main
-from tsnmf.dataio import MATRIX_FILENAMES, read_dataset, write_planted_instance
-from tsnmf.factorization import FactorModel, FitConfig, FitTrace, fit, load_model, save_model
+from tsnmf import factorization
+from tsnmf.cli import build_parser, main
+from tsnmf.dataio import MATRIX_FILENAMES, read_dataset, read_matrix, write_planted_instance
+from tsnmf.evaluation import score_report
+from tsnmf.experiment import SweepConfig, fit_config
+from tsnmf.factorization import FactorModel, FitConfig, FitTrace, fit, read_factor, save_model
 from tsnmf.matrix import csr_parts, read_dense_csv, read_json
 from tsnmf.synthetic import make_planted_instance
 
@@ -79,7 +82,7 @@ class TestIngest:
         rc = main(["ingest", "--corpus", str(corpus), "--min-chars", "100", "--out", str(out)])
         assert rc == 0
         dataset = read_dataset(out)
-        assert dataset.V.shape[0] == 3
+        assert read_matrix(out, dataset).shape[0] == 3
         assert dataset.label_table.labels == ("grain", "metal", "trade")
         assert "ingested 3/3" in capsys.readouterr().out
 
@@ -142,11 +145,10 @@ class TestFit:
         assert rc == 0
         dataset = read_dataset(data)
         ones = np.ones((dataset.n_docs, 3))
-        expected, _ = fit(dataset.V, ones, FitConfig(d=3, seed=5))
-        model, header = load_model(model_dir)
-        np.testing.assert_array_equal(model.W, expected.W)
-        np.testing.assert_array_equal(model.H, expected.H)
-        assert header["stop_reason"] in ("converged", "max_iter")
+        expected, _ = fit(read_matrix(data, dataset), ones, FitConfig(d=3, seed=5))
+        np.testing.assert_array_equal(read_factor(model_dir, "W"), expected.W)
+        np.testing.assert_array_equal(read_factor(model_dir, "H"), expected.H)
+        assert read_json(model_dir / "model.json")["stop_reason"] in ("converged", "max_iter")
 
     def test_same_seed_gives_byte_identical_outputs(self, tmp_path):
         data = _synth_dataset(tmp_path)
@@ -245,7 +247,8 @@ class TestFit:
         V[3, 3] = bad
         data = _write_dataset(tmp_path / "data", V)
         # 3 % dense: the fit takes the CSR products
-        assert not isinstance(factorization._sparse_operand(read_dataset(data).V), np.ndarray)
+        V = read_matrix(data, read_dataset(data))
+        assert not isinstance(factorization._sparse_operand(V), np.ndarray)
         model_dir = tmp_path / "model"
         with np.errstate(invalid="ignore"):
             rc = main(["fit", "--data", str(data), "--topics", "2", "--out", str(model_dir)])
@@ -371,18 +374,20 @@ CORRUPTIONS = {
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-def test_corrupt_matrix_exits_2_on_fit_and_evaluate(tmp_path, capsys, corruption):
+def test_corrupt_matrix_exits_2_on_fit_and_sweep(tmp_path, capsys, corruption):
     data = _synth_dataset(tmp_path, docs=30, terms=40)
-    model_dir = tmp_path / "model"
-    assert main(["fit", "--data", str(data), "--rate", "0.5", "--out", str(model_dir)]) == 0
     CORRUPTIONS[corruption](data)
+    config = tmp_path / "sweep.json"
+    sweep_out = tmp_path / "sweep"
+    config.write_text(
+        json.dumps({"data": str(data), "out": str(sweep_out), "rates": [0.5], "seeds": [0]})
+    )
     capsys.readouterr()
     rc_fit = main(["fit", "--data", str(data), "--out", str(tmp_path / "m2")])
-    rc_eval = main(
-        ["evaluate", "--model", str(model_dir), "--data", str(data), "--out", str(tmp_path / "rep")]
-    )
-    assert (rc_fit, rc_eval) == (2, 2)
+    rc_sweep = main(["sweep", "--config", str(config)])
+    assert (rc_fit, rc_sweep) == (2, 2)
     assert capsys.readouterr().err.count("matrix.") == 2  # both messages name the file
+    assert not sweep_out.exists()  # the sweep reads V before its first cell
 
 
 META_CORRUPTIONS = {
@@ -395,6 +400,7 @@ META_CORRUPTIONS = {
     "doc_labels_short": lambda meta: dict(meta, doc_labels=meta["doc_labels"][:-1]),
     "doc_labels_unknown": lambda meta: dict(meta, doc_labels=[["nope"]] * len(meta["doc_ids"])),
     "labels_unsorted": lambda meta: dict(meta, labels=meta["labels"][::-1]),
+    "doc_ids_repeated": lambda meta: dict(meta, doc_ids=meta["doc_ids"][:1] + meta["doc_ids"][:-1]),
 }
 
 
@@ -415,14 +421,41 @@ def test_malformed_meta_exits_2_on_fit_evaluate_and_top_terms(tmp_path, capsys, 
     assert capsys.readouterr().err.count("meta.json") == 3  # every message names the file
 
 
+def _first_entry(value):
+    return lambda text: value + text[text.index(","):]
+
+
+def _drop_last_row(text):
+    return "".join(line + "\n" for line in text.splitlines()[:-1])
+
+
+def _drop_last_column(text):
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+
+
+# each factor corruption is run against the command that reads that factor:
+# evaluate reads only W.csv, top-terms only H.csv, and both read model.json
+FACTOR_CORRUPTIONS = {
+    "not_a_number": _first_entry("x"),
+    "nan": _first_entry("nan"),
+    "inf": _first_entry("inf"),
+    "negative": _first_entry("-5.0"),
+    "row_missing": _drop_last_row,
+    "column_missing": _drop_last_column,
+}
 MODEL_CORRUPTIONS = {
-    "W_not_a_number": ("W.csv", lambda text: text.replace(text.split(",")[0], "x", 1)),
+    **{f"{factor}_{kind}": (f"{factor}.csv", corrupt)
+       for factor in "WH" for kind, corrupt in FACTOR_CORRUPTIONS.items()},
     "model_json_truncated": ("model.json", lambda text: text[:25]),
 }
+READERS = {"W.csv": ["evaluate"], "H.csv": ["top-terms"], "model.json": ["evaluate", "top-terms"]}
 
 
-@pytest.mark.parametrize("command", ["evaluate", "top-terms"])
-@pytest.mark.parametrize("corruption", sorted(MODEL_CORRUPTIONS))
+@pytest.mark.parametrize(
+    "corruption, command",
+    [(key, command) for key, (name, _) in sorted(MODEL_CORRUPTIONS.items())
+     for command in READERS[name]],
+)
 def test_corrupt_model_file_exits_2_naming_it(tmp_path, capsys, corruption, command):
     data = _synth_dataset(tmp_path)
     model_dir = tmp_path / "model"
@@ -436,20 +469,28 @@ def test_corrupt_model_file_exits_2_naming_it(tmp_path, capsys, corruption, comm
     assert str(path) in capsys.readouterr().err
 
 
-def test_evaluate_and_top_terms_never_densify_the_data(tmp_path, monkeypatch):
+def test_evaluate_and_top_terms_never_densify_the_data(tmp_path):
     data = _synth_dataset(tmp_path)
     model_dir = tmp_path / "model"
     assert main(["fit", "--data", str(data), "--rate", "0.5", "--out", str(model_dir)]) == 0
-
-    def refuse(*args):
-        raise RuntimeError("densified")
-
-    monkeypatch.setattr(dataio, "dense_from_csr", refuse)
     inputs = ["--model", str(model_dir), "--data", str(data)]
+    assert main(["evaluate", *inputs, "--out", str(tmp_path / "all_files")]) == 0
+    assert main(["top-terms", *inputs, "--out", str(tmp_path / "all_files.csv")]) == 0
+
+    # each command reads meta.json and its own factor only
+    for name in MATRIX_FILENAMES.values():
+        (data / name).unlink()
+    H = (model_dir / "H.csv").read_bytes()
+    (model_dir / "H.csv").unlink()
     assert main(["evaluate", *inputs, "--out", str(tmp_path / "rep")]) == 0
+    (model_dir / "H.csv").write_bytes(H)
+    (model_dir / "W.csv").unlink()
     assert main(["top-terms", *inputs, "--out", str(tmp_path / "tt.csv")]) == 0
-    with pytest.raises(RuntimeError, match="densified"):  # fit reads V, so the patch is live
-        main(["fit", "--data", str(data), "--out", str(tmp_path / "m2")])
+
+    report = (tmp_path / "rep" / "report.json").read_bytes()
+    assert report == (tmp_path / "all_files" / "report.json").read_bytes()
+    assert (tmp_path / "tt.csv").read_bytes() == (tmp_path / "all_files.csv").read_bytes()
+    assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m2")]) == 2
 
 
 class TestTopTerms:
@@ -612,6 +653,16 @@ class TestSweep:
         assert main(["sweep", "--config", str(path)]) == 2
 
 
+def test_fit_and_scoring_defaults_have_one_home():
+    args = build_parser().parse_args(["fit", "--data", "d", "--out", "m"])
+    assert fit_config(args, 3, args.seed) == FitConfig(d=3, seed=0)
+    sweep = SweepConfig(data="d", out="s", rates=(0.5,), seeds=(1,))
+    assert fit_config(sweep, 3, 1) == FitConfig(d=3, seed=1)
+    evaluate = build_parser().parse_args(["evaluate", "--model", "m", "--data", "d", "--out", "r"])
+    score_default = inspect.signature(score_report).parameters["threshold"].default
+    assert evaluate.threshold == sweep.threshold == score_default
+
+
 def _drop_labels(data):
     meta_path = data / "meta.json"
     meta = json.loads(meta_path.read_text())
@@ -730,11 +781,12 @@ class TestSynth:
     def test_dataset_round_trip(self, tmp_path):
         data = _synth_dataset(tmp_path, docs=15, terms=20, topics=4, seed=9)
         dataset = read_dataset(data)
-        assert dataset.V.shape == (15, 20)
+        V = read_matrix(data, dataset)
+        assert V.shape == (15, 20)
         assert dataset.label_table.n_labels == 4
         assert not (data / "W_true.csv").exists() and not (data / "H_true.csv").exists()
         planted = make_planted_instance(15, 20, 4, noise_level=0.1, seed=9)
-        assert dataset.V.tobytes() == planted.V.tobytes()
+        assert V.tobytes() == planted.V.tobytes()
         again = _synth_dataset(tmp_path / "again", docs=15, terms=20, topics=4, seed=9)
         names = sorted(p.name for p in data.glob("matrix*"))
         assert names == sorted(p.name for p in again.glob("matrix*"))

@@ -1,16 +1,24 @@
 """Dataset directory tests: the CSR matrix files and their load checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from tsnmf.dataio import MATRIX_FILENAMES, _read_matrix, _write, _write_matrix, read_dataset
-from tsnmf.matrix import csr_parts, dense_from_csr
+from tsnmf import dataio
+from tsnmf.dataio import MATRIX_FILENAMES, Dataset, _write, read_dataset, read_matrix
+from tsnmf.experiment import SweepConfig, run_sweep
+from tsnmf.matrix import csr_parts
 
 
 def _save_dataset(path, V):
     n, t = V.shape
     _write(path, csr_parts(V), [f"d{i}" for i in range(n)], [f"t{j}" for j in range(t)], [[]] * n, {})
     return path
+
+
+def _read(path):
+    return read_matrix(path, read_dataset(path))
 
 
 def _load(path, part):
@@ -27,27 +35,41 @@ class TestCsrMatrixFiles:
         a[a < 0.5] = 0.0
         a[2] = 0.0  # an empty row and an empty column survive too
         a[:, 4] = 0.0
-        _write_matrix(tmp_path, *csr_parts(a))
-        back = dense_from_csr(*_read_matrix(tmp_path, *a.shape), a.shape)
+        back = _read(_save_dataset(tmp_path, a))
         assert back.dtype == np.float64
         assert back.tobytes() == a.tobytes()
 
     def test_file_round_trip_is_exact(self, tmp_path):
         a = np.random.default_rng(9).random((5, 3))
         a[a < 0.4] = 0.0
-        back = read_dataset(_save_dataset(tmp_path / "first", a)).V
+        back = _read(_save_dataset(tmp_path / "first", a))
         assert back.tobytes() == a.tobytes()
         _save_dataset(tmp_path / "again", back)  # a rewrite of what was read gives the same bytes
         for name in MATRIX_FILENAMES.values():
             assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
 
-    def test_dense_matrix_built_once_and_parts_released(self, tmp_path):
+    def test_dense_matrix_built_once_and_parts_released(self, tmp_path, monkeypatch):
+        # a Dataset is meta.json alone: no matrix parts are held past read_matrix
+        assert [f.name for f in dataclasses.fields(Dataset)] == [
+            "doc_ids", "vocabulary", "label_table"
+        ]
         a = np.array([[0.0, 1.5, 0.0], [2.0, 0.0, 0.5]])
-        dataset = read_dataset(_save_dataset(tmp_path, a))
-        assert dataset.n_docs == 2 and dataset.csr is not None
-        V = dataset.V
-        assert V.tobytes() == a.tobytes()
-        assert dataset.V is V and dataset.csr is None
+        data = _save_dataset(tmp_path / "data", a)
+        assert read_dataset(data).n_docs == 2
+        assert _read(data).tobytes() == a.tobytes()
+        # a sweep builds V once for all of its cells
+        built = []
+        dense_from_csr = dataio.dense_from_csr
+
+        def counted(*args):
+            built.append(args[-1])
+            return dense_from_csr(*args)
+
+        monkeypatch.setattr(dataio, "dense_from_csr", counted)
+        cfg = SweepConfig(
+            data=str(data), out=str(tmp_path / "sweep"), rates=(0.0, 0.5), seeds=(1, 2), topics=1
+        )
+        assert len(run_sweep(cfg).cells) == 4 and built == [(2, 3)]
 
     def test_file_layout(self, tmp_path):
         _save_dataset(tmp_path, np.array([[0.0, 1.5], [2.0, 0.0]]))
@@ -62,32 +84,32 @@ class TestCsrMatrixFiles:
         _save_dataset(tmp_path, np.array([[1.0, 0.0], [0.0, 1.0]]))
         _replace(tmp_path, "indices", np.array([0, 2]))
         with pytest.raises(ValueError, match=r"matrix\.indices\.npy: column index out of range"):
-            read_dataset(tmp_path)
+            _read(tmp_path)
 
     def test_rejects_duplicate_entry(self, tmp_path):
         _save_dataset(tmp_path, np.array([[1.0, 2.0], [0.0, 1.0]]))
         _replace(tmp_path, "indices", np.array([0, 0, 1]))
         with pytest.raises(ValueError, match=r"matrix\.indices\.npy: columns must strictly increase"):
-            read_dataset(tmp_path)
+            _read(tmp_path)
 
     def test_rejects_nonpositive_value(self, tmp_path):
         _save_dataset(tmp_path, np.array([[1.0, 0.0], [0.0, 1.0]]))
         _replace(tmp_path, "data", np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match=r"matrix\.data\.npy: stored values must be > 0"):
-            read_dataset(tmp_path)
+            _read(tmp_path)
 
     def test_rejects_count_mismatch(self, tmp_path):
         _save_dataset(tmp_path, np.array([[1.0, 0.0], [0.0, 1.0]]))
         _replace(tmp_path, "data", np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError, match=r"matrix\.indptr\.npy: ends at 2 for 2 indices and 3"):
-            read_dataset(tmp_path)
+            _read(tmp_path)
 
     def test_rejects_decreasing_indptr(self, tmp_path):
         _save_dataset(tmp_path, np.array([[1.0, 0.0], [0.0, 1.0]]))
         # unsigned, so a naive np.diff would wrap round instead of going negative
         _replace(tmp_path, "indptr", np.array([0, 2, 1], dtype=np.uint64))
         with pytest.raises(ValueError, match="never decrease"):
-            read_dataset(tmp_path)
+            _read(tmp_path)
 
     @pytest.mark.parametrize(
         "part, array",
@@ -101,11 +123,11 @@ class TestCsrMatrixFiles:
         _save_dataset(tmp_path, np.array([[1.0, 0.0], [0.0, 1.0]]))
         _replace(tmp_path, part, array)
         with pytest.raises(ValueError, match=rf"{MATRIX_FILENAMES[part]}: expected a 1-D"):
-            read_dataset(tmp_path)
+            _read(tmp_path)
 
     @pytest.mark.parametrize("content", [b"", b"2 2 2\n0 1 1.5\n", b"PK\x03\x04zip"])
     def test_unreadable_file_is_value_error_naming_it(self, tmp_path, content):
         _save_dataset(tmp_path, np.array([[1.0, 0.0], [0.0, 1.0]]))
         (tmp_path / MATRIX_FILENAMES["indices"]).write_bytes(content)
         with pytest.raises(ValueError, match=r"matrix\.indices\.npy: not a readable \.npy array"):
-            read_dataset(tmp_path)
+            _read(tmp_path)

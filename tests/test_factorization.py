@@ -22,16 +22,16 @@ from tsnmf.factorization import (
     _stop_reason,
     fit,
     init_model,
-    load_model,
     loss_ts,
     loss_tsw,
+    read_factor,
     save_model,
     update_h,
     update_h_weighted,
     update_w,
     update_w_weighted,
 )
-from tsnmf.matrix import frobenius_sq
+from tsnmf.matrix import frobenius_sq, read_json
 from tsnmf.supervision import (
     build_error_weights,
     build_label_table,
@@ -483,9 +483,9 @@ class TestModelIO:
         cfg = FitConfig(d=3, seed=9, max_iter=20)
         model, trace = fit(V, L, cfg)
         save_model(tmp_path, model, trace, cfg)
-        loaded, header = load_model(tmp_path)
-        np.testing.assert_array_equal(loaded.W, model.W)
-        np.testing.assert_array_equal(loaded.H, model.H)
+        np.testing.assert_array_equal(read_factor(tmp_path, "W"), model.W)
+        np.testing.assert_array_equal(read_factor(tmp_path, "H"), model.H)
+        header = read_json(tmp_path / "model.json")
         assert header["stop_reason"] == trace.stop_reason
         assert header["final_loss"] == trace.final_loss
         assert header["seed"] == 9

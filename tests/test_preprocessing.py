@@ -8,7 +8,7 @@ import pytest
 
 from tsnmf import factorization, preprocessing
 from tsnmf.cli import main
-from tsnmf.dataio import read_dataset
+from tsnmf.dataio import read_dataset, read_matrix
 from tsnmf.errors import EmptyVocabularyError
 from tsnmf.matrix import csr_parts, l2_normalize_rows
 from tsnmf.preprocessing import (
@@ -300,7 +300,7 @@ def test_ingest_and_fit_are_byte_reproducible(tmp_path):
     for k in range(2):
         data, model = tmp_path / f"data{k}", tmp_path / f"model{k}"
         assert main(["ingest", "--corpus", str(corpus), "--min-chars", "0", "--out", str(data)]) == 0
-        V = read_dataset(data).V
+        V = read_matrix(data, read_dataset(data))
         assert np.count_nonzero(V) <= factorization.SPARSE_DENSITY_MAX * V.size
         assert main(["fit", "--data", str(data), "--rate", "0.3", "--max-iter", "30",
                      "--out", str(model)]) == 0
