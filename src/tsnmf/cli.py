@@ -67,7 +67,7 @@ def cmd_ingest(args) -> int:
     if args.stopwords:
         try:
             stopwords = load_stopwords(args.stopwords)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             return _fail(str(exc), EXIT_INPUT)
     try:
         result = ingest(

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import as_dense, read_json, write_csv, write_json
+from .matrix import as_dense, write_csv, write_json
 from .preprocessing import Vocabulary
 from .supervision import LabelTable
 
@@ -89,10 +89,7 @@ def jaccard_match(x, y) -> float:
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape != y.shape:
         raise ShapeError(f"jaccard length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    max_sum = float(np.maximum(x, y).sum())
-    if max_sum == 0.0:
-        return 1.0
-    return float(np.minimum(x, y).sum()) / max_sum
+    return float(cross_similarity(x[:, None], y[:, None])[0, 0])
 
 
 def cross_similarity(W, Wt) -> np.ndarray:
@@ -212,8 +209,10 @@ def score_report(
     ``model_W`` is the fitted documents x topics matrix (or a FactorModel;
     its W is used).  Columns are max-normalized before scoring.  A matched
     topic counts as resolved when its similarity is strictly above
-    ``threshold``.
+    ``threshold``, which must be finite.
     """
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     W = getattr(model_W, "W", model_W)
     W = as_dense(W, "W")
     if W.shape[0] != truth.matrix.shape[0]:
@@ -275,7 +274,3 @@ def write_report(outdir, report: EvaluationReport, labels: Sequence[str]) -> Non
     write_json(out / "report.json", payload)
     columns = ("topic", "label_index", "label", "similarity")
     write_csv(out / "report.csv", [columns, *([row[k] for k in columns] for row in pairs)])
-
-
-def read_report(outdir) -> dict:
-    return read_json(Path(outdir) / "report.json")

@@ -194,6 +194,9 @@ class SweepConfig:
         for r in self.rates:
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"supervision rate {r} outside [0, 1]")
+        # checked here, not in each cell, so a bad value runs no cell and exits 2
+        if not np.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":

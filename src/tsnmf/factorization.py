@@ -110,10 +110,11 @@ class FitConfig:
             raise ValueError(f"topic count d must be >= 1, got {self.d}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        # a non-finite value would be written to model.json as a token JSON lacks
+        if not (self.rel_tol > 0.0 and np.isfinite(self.rel_tol)):
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+        if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.acol_q < 1:
             raise ValueError(f"acol_q must be >= 1, got {self.acol_q}")
 
@@ -167,8 +168,7 @@ def _row_weights_column(E: np.ndarray, n: int) -> np.ndarray:
 
 def loss_ts(V, W, H, L) -> float:
     """Squared Frobenius error of the masked reconstruction."""
-    V, W, H, L = _conform(V, W, H, L)
-    return frobenius_sq(V - (W * L) @ H)
+    return _row_weighted_sse(V, W, H, L, None)
 
 
 def loss_tsw(V, W, H, L, E) -> float:
@@ -185,7 +185,7 @@ def loss_tsw(V, W, H, L, E) -> float:
 def _row_weighted_sse(V, W, H, L, E) -> float:
     """sum_i E_i * ||row i residual||^2 — the objective the weighted updates descend.
 
-    With ``E`` None this is the plain masked loss, bitwise equal to loss_ts.
+    With ``E`` None this is the plain masked loss, ``loss_ts``.
     """
     V, W, H, L = _conform(V, W, H, L)
     R = V - (W * L) @ H
@@ -337,10 +337,10 @@ def fit(
 
     Stops when the relative loss improvement over one iteration falls
     below ``config.rel_tol`` (``converged``, or ``loss_increased`` when
-    the loss rose beyond the monotone slack and the rounding floor), when
-    the factors reach an exact fixed point (``converged``), or at
-    ``config.max_iter`` (``max_iter``).  The returned W is exactly zero
-    wherever the mask is zero.
+    the loss rose beyond the monotone slack and the rounding floor), or at
+    ``config.max_iter`` (``max_iter``).  An exact fixed point stops as
+    ``converged``, since equal factors give an equal loss.  The returned W
+    is exactly zero wherever the mask is zero.
 
     When ``config.weighted`` is set, the weighted update rules run with
     ``row_weights`` (by default ``build_error_weights`` over the rows the
@@ -380,15 +380,11 @@ def fit(
         except NumericalFailureError as exc:
             raise NumericalFailureError(str(exc), iteration=iteration, losses=losses) from exc
 
-        fixed_point = np.array_equal(H_next, H) and np.array_equal(W_next, W)
         W, H = W_next, H_next
         WL = W * L
         G = _gram(WL, e)
         losses.append(loss(W, H, WL, G, VeHt, HHt))
-        reason = (
-            STOP_CONVERGED if fixed_point
-            else _stop_reason(losses[-2], losses[-1], config.rel_tol, sum_ev2)
-        )
+        reason = _stop_reason(losses[-2], losses[-1], config.rel_tol, sum_ev2)
         if reason is not None:
             stop_reason = reason
             break

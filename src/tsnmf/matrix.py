@@ -7,8 +7,9 @@ gives the CSR arrays of a dense matrix for it and for the sparse fit, and
 ``dense_from_csr`` turns such arrays back into the dense matrix.
 
 Dense CSV: one matrix row per line, comma-separated values.  Floats are
-written with ``repr`` so files round-trip exactly and reruns are
-byte-identical.
+written with ``repr`` and read back with ``numpy.loadtxt``, so files
+round-trip exactly and reruns are byte-identical; a file that does not
+parse, is ragged or is empty raises a ``ValueError`` naming it.
 
 Artifacts: every file the package writes goes through ``write_file``: a
 temporary ``.<name>.<pid>.tmp`` beside the target, renamed into place by
@@ -23,6 +24,7 @@ import csv
 import io
 import json
 import os
+import warnings
 from pathlib import Path
 from typing import BinaryIO, Callable
 
@@ -131,14 +133,12 @@ def write_dense_csv(a, path) -> None:
 
 
 def read_dense_csv(path) -> np.ndarray:
-    lines = Path(path).read_text().strip().splitlines()
     try:
-        rows = [[float(x) for x in line.split(",")] for line in lines]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file is rejected below
+            a = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if not rows:
+    if not a.size:
         raise ValueError(f"empty dense matrix file: {path}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ShapeError(f"ragged rows in dense CSV {path}: widths {sorted(widths)}")
-    return np.array(rows, dtype=np.float64)
+    return a

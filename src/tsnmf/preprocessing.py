@@ -9,7 +9,7 @@ Weighting is raw term count times smoothed inverse document frequency,
 ``idf(j) = ln((1 + n) / (1 + df_j)) + 1``, followed by row-wise L2
 normalization.  Tokens are lowercased ASCII-alphabetic runs; anything
 shorter than three characters or on the stopword list is dropped.
-Lemmatization is not built in; pass ``normalizer`` to plug one in.
+``stopwords`` replaces the bundled list (``ingest --stopwords FILE``).
 
 The matrix is built and returned in CSR form; no documents x terms array
 is ever allocated.  Row norms are taken over dense blocks of about
@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ MIN_TOKEN_LEN = 3
 DEFAULT_MIN_CHARS = 250
 DEFAULT_VOCAB_CAP = 2000
 TFIDF_BLOCK_BYTES = 4 << 20  # dense row block used for the row norms
-STOPWORDS_ENV_VAR = "TSNMF_STOPWORDS"
 
 _WORD_RE = re.compile(r"[a-zA-Z]+")
 
@@ -71,9 +70,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.index
-
 
 @dataclass(frozen=True)
 class TermDocumentMatrix:
@@ -102,20 +98,18 @@ class TermDocumentMatrix:
 
 
 def load_stopwords(path=None) -> frozenset[str]:
-    """Load the stopword set.
+    """Load the stopword set from ``path``, by default the bundled list.
 
-    Resolution order: explicit ``path`` argument, then the
-    ``TSNMF_STOPWORDS`` environment variable, then the bundled list.
-    The file holds one lowercase token per line; '#' starts a comment.
+    The file is UTF-8 text with one lowercase token per line; '#' starts a
+    comment.
     """
-    if path is None:
-        env = os.environ.get(STOPWORDS_ENV_VAR)
-        if env:
-            path = env
     if path is None:
         text = resources.files("tsnmf.data").joinpath("stopwords_en.txt").read_text()
     else:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8: {exc}") from None
     words = set()
     for line in text.splitlines():
         word = line.split("#", 1)[0].strip().lower()
@@ -124,38 +118,21 @@ def load_stopwords(path=None) -> frozenset[str]:
     return frozenset(words)
 
 
-_STOPWORDS_CACHE: dict[str, frozenset[str]] = {}
+@cache
+def _bundled_stopwords() -> frozenset[str]:
+    return load_stopwords()
 
 
-def default_stopwords() -> frozenset[str]:
-    """Stopwords from TSNMF_STOPWORDS when set, else the bundled list; cached per path."""
-    key = os.environ.get(STOPWORDS_ENV_VAR) or ""
-    if key not in _STOPWORDS_CACHE:
-        _STOPWORDS_CACHE[key] = load_stopwords(key or None)
-    return _STOPWORDS_CACHE[key]
-
-
-def tokenize(
-    text: str,
-    stopwords: frozenset[str] | None = None,
-    normalizer: Callable[[str], str] | None = None,
-) -> list[str]:
+def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
     """Split text into lowercase alphabetic tokens, dropping short ones and stopwords.
 
-    ``normalizer`` is applied to each token before the length and stopword
-    filters (the hook where a stemmer or lemmatizer would go).
+    Tokens are lowercased one by one: lowercasing the text first would let
+    U+0130 and U+212A, which lowercase to ASCII letters, into the matches.
     """
     if stopwords is None:
-        stopwords = default_stopwords()
-    tokens = []
-    for raw in _WORD_RE.findall(text):
-        token = raw.lower()
-        if normalizer is not None:
-            token = normalizer(token)
-        if len(token) < MIN_TOKEN_LEN or token in stopwords:
-            continue
-        tokens.append(token)
-    return tokens
+        stopwords = _bundled_stopwords()
+    tokens = map(str.lower, _WORD_RE.findall(text))
+    return [t for t in tokens if len(t) >= MIN_TOKEN_LEN and t not in stopwords]
 
 
 def filter_documents(
@@ -250,13 +227,18 @@ def tfidf_encode(
 def read_corpus_jsonl(path) -> list[RawDocument]:
     """Parse a JSON-lines corpus file.
 
-    Each line must be an object with string fields ``id`` and ``text`` and
-    an array of strings ``labels``.  Errors name the offending line number.
+    Lines are UTF-8 and end at a line feed.  Each must be an object with
+    string fields ``id`` and ``text`` and an array of strings ``labels``.
+    Errors name the offending line number.
     """
     docs = []
     seen_ids = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: not UTF-8: {exc}") from None
             if not line.strip():
                 continue
             try:
@@ -294,12 +276,11 @@ def ingest(
     vocab_cap: int = DEFAULT_VOCAB_CAP,
     min_chars: int = DEFAULT_MIN_CHARS,
     stopwords: frozenset[str] | None = None,
-    normalizer: Callable[[str], str] | None = None,
 ) -> IngestResult:
     """Run the full preprocessing pipeline on an in-memory corpus."""
     corpus = list(corpus)
     kept = filter_documents(corpus, min_chars=min_chars)
-    tokenized = [tokenize(doc.text, stopwords=stopwords, normalizer=normalizer) for doc in kept]
+    tokenized = [tokenize(doc.text, stopwords=stopwords) for doc in kept]
     vocab = build_vocabulary(tokenized, cap=vocab_cap)
     tdm = tfidf_encode(tokenized, vocab, doc_ids=[doc.id for doc in kept])
     stats = {

@@ -46,8 +46,8 @@ def make_planted_instance(
         raise ValueError(
             f"need n_docs >= d >= 1 and n_terms >= d, got n_docs={n_docs}, n_terms={n_terms}, d={d}"
         )
-    if noise_level < 0.0:
-        raise ValueError(f"noise_level must be >= 0, got {noise_level}")
+    if not (noise_level >= 0.0 and np.isfinite(noise_level)):
+        raise ValueError(f"noise_level must be finite and >= 0, got {noise_level}")
     rng = np.random.default_rng(seed)
 
     W_bin = np.zeros((n_docs, d), dtype=np.float64)

@@ -123,16 +123,19 @@ class TestIngest:
         assert rc == 0
         assert "wheat" not in read_dataset(out).vocabulary.terms
 
-    def test_stopword_env_var(self, tmp_path, monkeypatch):
+    def test_stopwords_environment_variable_is_not_read(self, tmp_path, monkeypatch):
         corpus = _small_corpus(tmp_path)
         stop = tmp_path / "stop.txt"
         stop.write_text("corn\n")
+        argv = ["ingest", "--corpus", str(corpus), "--min-chars", "100", "--out"]
+        assert main([*argv, str(tmp_path / "plain")]) == 0
         monkeypatch.setenv("TSNMF_STOPWORDS", str(stop))
-        out = tmp_path / "data"
-        rc = main(["ingest", "--corpus", str(corpus), "--min-chars", "100", "--out", str(out)])
-        assert rc == 0
-        terms = read_dataset(out).vocabulary.terms
-        assert "corn" not in terms and "wheat" in terms
+        assert main([*argv, str(tmp_path / "env")]) == 0
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "env").iterdir())
+        for name in names:
+            assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        assert "corn" in read_dataset(tmp_path / "env").vocabulary.terms
 
 
 class TestFit:
@@ -436,6 +439,7 @@ def _drop_last_column(text):
 # each factor corruption is run against the command that reads that factor:
 # evaluate reads only W.csv, top-terms only H.csv, and both read model.json
 FACTOR_CORRUPTIONS = {
+    "empty": lambda text: "",
     "not_a_number": _first_entry("x"),
     "nan": _first_entry("nan"),
     "inf": _first_entry("inf"),
@@ -467,6 +471,67 @@ def test_corrupt_model_file_exits_2_naming_it(tmp_path, capsys, corruption, comm
     capsys.readouterr()
     assert main(argv + (["--out", str(tmp_path / "rep")] if command == "evaluate" else [])) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("fit", "--epsilon", "inf"), ("fit", "--rel-tol", "inf"), ("fit", "--rel-tol", "nan"),
+     ("evaluate", "--threshold", "nan"), ("evaluate", "--threshold", "-inf"),
+     ("synth", "--noise", "nan"), ("synth", "--noise", "inf")],
+)
+def test_non_finite_setting_exits_2_naming_it(tmp_path, capsys, command, flag, value):
+    # JSON has no token for NaN or Inf, so model.json, report.json or meta.json could not hold one
+    data = _synth_dataset(tmp_path)
+    model_dir = tmp_path / "model"
+    if command == "evaluate":
+        assert main(["fit", "--data", str(data), "--out", str(model_dir)]) == 0
+        argv = ["evaluate", "--model", str(model_dir), "--data", str(data)]
+    elif command == "synth":
+        argv = ["synth", "--docs", "20", "--terms", "30", "--topics", "3"]
+    else:
+        argv = ["fit", "--data", str(data)]
+    capsys.readouterr()
+    assert main([*argv, f"{flag}={value}", "--out", str(tmp_path / "out")]) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _not_utf8_stopwords(tmp_path):
+    stop = tmp_path / "stop.txt"
+    stop.write_bytes(b"the\n\xffnd\n")
+    argv = ["ingest", "--corpus", str(_small_corpus(tmp_path)), "--stopwords", str(stop)]
+    return argv + ["--min-chars", "100", "--out", str(tmp_path / "out")], str(stop)
+
+
+def _not_utf8_corpus_line(tmp_path):
+    corpus = _small_corpus(tmp_path)
+    lines = corpus.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b"corn exports", b"corn \xe9xports")
+    corpus.write_bytes(b"\n".join(lines))
+    argv = ["ingest", "--corpus", str(corpus), "--min-chars", "100", "--out", str(tmp_path / "out")]
+    return argv, f"{corpus}: line 2:"
+
+
+def _not_utf8_factor(tmp_path):
+    data = _synth_dataset(tmp_path)
+    model_dir = tmp_path / "model"
+    assert main(["fit", "--data", str(data), "--out", str(model_dir)]) == 0
+    path = model_dir / "W.csv"
+    path.write_bytes(b"\xff" + path.read_bytes())
+    argv = ["evaluate", "--model", str(model_dir), "--data", str(data), "--out", str(tmp_path / "out")]
+    return argv, str(path)
+
+
+@pytest.mark.parametrize(
+    "make", [_not_utf8_stopwords, _not_utf8_corpus_line, _not_utf8_factor],
+    ids=["stopwords", "corpus_line", "W_csv"],
+)
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, make):
+    argv, named = make(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_and_top_terms_never_densify_the_data(tmp_path):
@@ -536,7 +601,8 @@ class TestTopTerms:
         assert len(lines) == 1 + 3  # header + one row per topic
 
 
-# wrongly typed values, which must not be coerced, and repeated grid values
+# wrongly typed values, which must not be coerced, repeated grid values, and
+# non-finite numbers, which JSON can parse but model.json and report.json cannot hold
 BAD_SWEEP_VALUES = {
     "seeds_float": ("seeds", [1.7]),
     "seeds_string": ("seeds", ["3"]),
@@ -552,6 +618,9 @@ BAD_SWEEP_VALUES = {
     "rel_tol_string": ("rel_tol", "1e-4"),
     "epsilon_bool": ("epsilon", True),
     "threshold_null": ("threshold", None),
+    "threshold_nan": ("threshold", float("nan")),
+    "rel_tol_inf": ("rel_tol", float("inf")),
+    "epsilon_inf": ("epsilon", float("inf")),
     "weighted_int": ("weighted", 1),
     "rates_repeated": ("rates", [0.3, 0.3]),
     "rates_repeated_int_float": ("rates", [0, 0.0]),

@@ -12,11 +12,11 @@ from tsnmf.evaluation import (
     hungarian_match,
     jaccard_match,
     max_normalize_columns,
-    read_report,
     score_report,
     top_terms,
     write_report,
 )
+from tsnmf.matrix import read_json
 from tsnmf.preprocessing import Vocabulary
 from tsnmf.supervision import LabelTable
 
@@ -264,7 +264,7 @@ class TestReportIO:
         W = np.eye(3)
         report = score_report(W, _truth(np.eye(3)), coverage=0.5)
         write_report(tmp_path, report, labels=("l0", "l1", "l2"))
-        payload = read_report(tmp_path)
+        payload = read_json(tmp_path / "report.json")
         assert payload["resolved_count"] == 3
         assert payload["coverage"] == 0.5
         csv_lines = (tmp_path / "report.csv").read_text().strip().splitlines()

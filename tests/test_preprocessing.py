@@ -36,15 +36,10 @@ class TestTokenize:
     def test_splits_on_nonalphabetic(self):
         assert tokenize("corn/wheat+soy") == ["corn", "wheat", "soy"]
 
-    def test_normalizer_hook(self):
-        assert tokenize("running runs", normalizer=lambda t: t.rstrip("s")) == [
-            "running",
-            "run",
-        ]
-
-    def test_normalizer_output_goes_through_filters(self):
-        # normalizing down to a stopword or short token removes it
-        assert tokenize("theory", normalizer=lambda t: "the") == []
+    def test_lowercases_each_token_after_matching(self):
+        # U+212A KELVIN SIGN and U+0130 lowercase to ASCII letters, but are not
+        # matched; lowercasing the text first would give "kelvin" and "i", "stanbul"
+        assert tokenize("\u212aelvin \u0130stanbul") == ["elvin", "stanbul"]
 
 
 class TestLoadStopwords:
@@ -57,12 +52,6 @@ class TestLoadStopwords:
         path = tmp_path / "stop.txt"
         path.write_text("# comment\nfoo\nBAR\n")
         assert load_stopwords(path) == frozenset({"foo", "bar"})
-
-    def test_env_var_override(self, tmp_path, monkeypatch):
-        path = tmp_path / "stop.txt"
-        path.write_text("zzz\n")
-        monkeypatch.setenv("TSNMF_STOPWORDS", str(path))
-        assert load_stopwords() == frozenset({"zzz"})
 
 
 class TestFilterDocuments:
