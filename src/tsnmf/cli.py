@@ -63,8 +63,10 @@ def cmd_ingest(args) -> int:
         docs = read_corpus_jsonl(args.corpus)
     except (OSError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
+    if args.stopwords == "":
+        return _fail("--stopwords: empty file name", EXIT_INPUT)
     stopwords = None
-    if args.stopwords:
+    if args.stopwords is not None:
         try:
             stopwords = load_stopwords(args.stopwords)
         except (OSError, ValueError) as exc:

@@ -7,9 +7,11 @@ corpus and settings always produce the same matrix, bit for bit.
 
 Weighting is raw term count times smoothed inverse document frequency,
 ``idf(j) = ln((1 + n) / (1 + df_j)) + 1``, followed by row-wise L2
-normalization.  Tokens are lowercased ASCII-alphabetic runs; anything
-shorter than three characters or on the stopword list is dropped.
-``stopwords`` replaces the bundled list (``ingest --stopwords FILE``).
+normalization.  Tokens are maximal runs of ASCII letters, lowercased;
+every other character, non-ASCII ones included, separates tokens before
+anything is lowercased.  Tokens shorter than three characters or on the
+stopword list are dropped.  ``stopwords`` replaces the bundled list
+(``ingest --stopwords FILE``).
 
 The matrix is built and returned in CSR form; no documents x terms array
 is ever allocated.  Row norms are taken over dense blocks of about
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
@@ -41,7 +42,8 @@ DEFAULT_MIN_CHARS = 250
 DEFAULT_VOCAB_CAP = 2000
 TFIDF_BLOCK_BYTES = 4 << 20  # dense row block used for the row norms
 
-_WORD_RE = re.compile(r"[a-zA-Z]+")
+# byte -> byte: ASCII letters to lowercase, every other byte to a space
+_TOKEN_TABLE = bytes(b | 0x20 if 65 <= b <= 90 or 97 <= b <= 122 else 32 for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -126,12 +128,13 @@ def _bundled_stopwords() -> frozenset[str]:
 def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
     """Split text into lowercase alphabetic tokens, dropping short ones and stopwords.
 
-    Tokens are lowercased one by one: lowercasing the text first would let
-    U+0130 and U+212A, which lowercase to ASCII letters, into the matches.
+    Tokens are maximal runs of ASCII letters.  Each non-ASCII character is
+    encoded as ``?`` and so separates tokens before anything is lowercased:
+    U+0130 and U+212A, which lowercase to ASCII letters, never join a token.
     """
     if stopwords is None:
         stopwords = _bundled_stopwords()
-    tokens = map(str.lower, _WORD_RE.findall(text))
+    tokens = text.encode("ascii", "replace").translate(_TOKEN_TABLE).decode("ascii").split()
     return [t for t in tokens if len(t) >= MIN_TOKEN_LEN and t not in stopwords]
 
 
@@ -154,13 +157,12 @@ def build_vocabulary(
     """
     if cap < 1:
         raise ValueError(f"vocabulary cap must be >= 1, got {cap}")
-    df: Counter[str] = Counter()
-    for tokens in tokenized:
-        df.update(set(tokens))
+    df = Counter(chain.from_iterable(map(set, tokenized)))
     if not df:
         raise EmptyVocabularyError("no tokens survive the filters; vocabulary is empty")
-    ranked = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Vocabulary(terms=tuple(term for term, _ in ranked[:cap]))
+    # a stable sort by descending df over the terms in ascending order
+    ranked = sorted(sorted(df), key=df.__getitem__, reverse=True)
+    return Vocabulary(terms=tuple(ranked[:cap]))
 
 
 def tfidf_encode(

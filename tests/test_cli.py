@@ -123,6 +123,16 @@ class TestIngest:
         assert rc == 0
         assert "wheat" not in read_dataset(out).vocabulary.terms
 
+    def test_empty_stopwords_name_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        corpus = _small_corpus(tmp_path)
+        out = tmp_path / "data"
+        capsys.readouterr()
+        rc = main(["ingest", "--corpus", str(corpus), "--min-chars", "100",
+                   "--stopwords", "", "--out", str(out)])
+        assert rc == 2
+        assert "--stopwords" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stopwords_environment_variable_is_not_read(self, tmp_path, monkeypatch):
         corpus = _small_corpus(tmp_path)
         stop = tmp_path / "stop.txt"

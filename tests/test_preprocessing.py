@@ -2,6 +2,12 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +48,37 @@ class TestTokenize:
         assert tokenize("\u212aelvin \u0130stanbul") == ["elvin", "stanbul"]
 
 
+def _regex_tokenize(text, stopwords):
+    """The regular-expression tokenizer tokenize replaced, kept as the oracle."""
+    tokens = (t.lower() for t in re.findall("[a-zA-Z]+", text))
+    return [t for t in tokens if len(t) >= preprocessing.MIN_TOKEN_LEN and t not in stopwords]
+
+
+# ASCII letters, digits and punctuation; ASCII controls str.split treats as
+# whitespace; characters that lowercase or casefold to ASCII letters (U+0130,
+# U+212A, U+017F, U+00DF); a Latin-1 letter; Unicode whitespace (U+00A0,
+# U+0085); a lone surrogate; an astral character
+_TOKENIZER_ALPHABET = (
+    "abcxyzABCXYZ019 .,;-'\t\n\v\f\x1c\x1d\x1e\x1f\x7f"
+    "\u0130\u212a\u017f\u00df\u00e9\u00a0\u0085\udc80\U0001f600"
+)
+
+
+def test_tokenize_matches_the_regex_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    custom = frozenset({"abc", "xyz", "kelvin"})
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(st.text(alphabet=_TOKENIZER_ALPHABET, max_size=80))
+    def check(text):
+        assert tokenize(text) == _regex_tokenize(text, load_stopwords())
+        assert tokenize(text, stopwords=custom) == _regex_tokenize(text, custom)
+        assert tokenize(text, stopwords=frozenset()) == _regex_tokenize(text, frozenset())
+
+    check()
+
+
 class TestLoadStopwords:
     def test_default_list_size(self):
         words = load_stopwords()
@@ -72,6 +109,14 @@ class TestFilterDocuments:
         assert [d.id for d in filter_documents(docs)] == ["0", "1", "2", "3", "4"]
 
 
+def _counter_ranking(tokenized):
+    """The per-document Counter loop and (-df, term) sort build_vocabulary replaced."""
+    df = Counter()
+    for tokens in tokenized:
+        df.update(set(tokens))
+    return tuple(term for term, _ in sorted(df.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
 class TestBuildVocabulary:
     def test_document_frequency_order(self):
         docs = [["cat"], ["cat", "dog"], ["cat", "dog"], ["bird"]]
@@ -99,6 +144,27 @@ class TestBuildVocabulary:
         vocab = build_vocabulary([["one", "two", "three"]], cap=3)
         for j, term in enumerate(vocab.terms):
             assert vocab.index[term] == j
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5, 40])
+    @pytest.mark.parametrize(
+        "docs",
+        [
+            # df 3: "cat"; df 2: "ant", "bee", "emu" (a tie straddling caps 2 and 3); df 1: the rest
+            [["cat", "bee", "emu", "cat"], ["ant", "cat", "cat"], ["cat", "ant", "bee", "emu"],
+             ["yak", "fox", "fox", "fox"], ["dog"]],
+            # a single document with repeats: every df is 1, the order is lexicographic
+            [["pear", "fig", "pear", "apple", "fig", "kiwi"]],
+        ],
+        ids=["ties_across_the_cap", "single_document"],
+    )
+    def test_ranking_matches_the_counter_oracle(self, docs, cap):
+        assert build_vocabulary(docs, cap=cap).terms == _counter_ranking(docs)[:cap]
+
+    def test_ranking_matches_the_counter_oracle_on_zipf_documents(self):
+        docs = _zipf_tokens(5, 300, n_words=500)
+        ranked = _counter_ranking(docs)
+        for cap in (1, 17, 250, len(ranked)):
+            assert build_vocabulary(docs, cap=cap).terms == ranked[:cap]
 
 
 class TestTfidfEncode:
@@ -296,3 +362,32 @@ def test_ingest_and_fit_are_byte_reproducible(tmp_path):
         files = sorted(data.glob("matrix*")) + [model / f for f in ("W.csv", "H.csv", "trace.csv")]
         runs.append({p.name: p.read_bytes() for p in files})
     assert len(runs[0]) == 6 and runs[0] == runs[1]
+
+
+def test_ingest_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Set iteration order feeds the document-frequency count; the dataset must not show it."""
+    docs = _zipf_tokens(9, 80, n_words=400)
+    extras = ["İstanbul", "Kelvin", "naïve café", "straße", "ſtop",
+              "東京", "\U0001f600grain", "Zürich über", "Wheat-CORN"]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"d{i}",
+                    "text": " ".join(tokens + [extras[i // 2 % len(extras)]] * (i % 2)),
+                    "labels": [f"l{i % 3}"]}, ensure_ascii=i % 4 == 1) + "\n"
+        for i, tokens in enumerate(docs)
+    ), encoding="utf-8")
+    src = str(Path(preprocessing.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / f"data{hash_seed}"
+        env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=hash_seed)
+        subprocess.run([sys.executable, "-m", "tsnmf.cli", "ingest", "--corpus", str(corpus),
+                        "--min-chars", "0", "--out", str(out)],
+                       check=True, env=env, stdout=subprocess.DEVNULL)
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(runs[0]) == ["matrix.data.npy", "matrix.indices.npy", "matrix.indptr.npy",
+                               "meta.json"]
+    assert runs[0] == runs[1]
+    vocabulary = json.loads(runs[0]["meta.json"])["vocabulary"]
+    assert "stanbul" in vocabulary and "elvin" in vocabulary and "istanbul" not in vocabulary
