@@ -9,11 +9,13 @@ directory, ``fit`` writes a model directory, ``evaluate`` and
 path, which lives in ``tsnmf.experiment``; this module only maps its
 errors to exit codes.
 
-Exit codes are a stable contract: 0 success, 2 input or shape error,
-3 empty-data error, 4 numerical failure.  Every command catches its own
-read errors, so an ``OSError`` that reaches ``main`` comes from writing an
-output path (an ``--out`` that names a file where a directory goes, or a
-directory where a file goes) and also exits 2.
+Exit codes are a stable contract, all of it in ``main``: 0 success, 2 input
+or shape error, 3 empty-data error, 4 numerical failure.  An empty string
+for any flag (each names a file) exits 2 naming the flag.  The commands
+raise, and ``main`` maps ``NumericalFailureError`` to 4,
+``EmptyVocabularyError`` to 3, and ``OSError``, ``TsnmfError``,
+``ValueError`` and ``KeyError`` to 2; a write error's message starts with
+``cannot write output:``, which ``matrix.write_file`` adds.
 """
 
 from __future__ import annotations
@@ -59,31 +61,14 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_ingest(args) -> int:
-    try:
-        docs = read_corpus_jsonl(args.corpus)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    if args.stopwords == "":
-        return _fail("--stopwords: empty file name", EXIT_INPUT)
-    stopwords = None
-    if args.stopwords is not None:
-        try:
-            stopwords = load_stopwords(args.stopwords)
-        except (OSError, ValueError) as exc:
-            return _fail(str(exc), EXIT_INPUT)
-    try:
-        result = ingest(
-            docs,
-            vocab_cap=args.vocab_cap,
-            min_chars=args.min_chars,
-            stopwords=stopwords,
-        )
-    except EmptyVocabularyError as exc:
-        return _fail(str(exc), EXIT_EMPTY)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    if result.stats["kept_docs"] == 0:
-        return _fail("no documents survive the minimum-length filter", EXIT_EMPTY)
+    docs = read_corpus_jsonl(args.corpus)
+    stopwords = None if args.stopwords is None else load_stopwords(args.stopwords)
+    result = ingest(
+        docs,
+        vocab_cap=args.vocab_cap,
+        min_chars=args.min_chars,
+        stopwords=stopwords,
+    )
     write_ingest_result(args.out, result)
     s = result.stats
     print(
@@ -95,23 +80,21 @@ def cmd_ingest(args) -> int:
 
 def cmd_fit(args) -> int:
     out = Path(args.out)
+    dataset = read_dataset(args.data)
+    V = read_matrix(args.data, dataset)
+    d = topic_count(dataset, args.topics)
+    supervised, rate, seed = supervise(dataset, args.rate, args.seed, args.supervision)
+    config = fit_config(args, d, seed)
     try:
-        dataset = read_dataset(args.data)
-        V = read_matrix(args.data, dataset)
-        d = topic_count(dataset, args.topics)
-        supervised, rate, seed = supervise(dataset, args.rate, args.seed, args.supervision)
-        config = fit_config(args, d, seed)
         mask, model, trace = fit_supervised(dataset, V, supervised, config)
     except NumericalFailureError as exc:
         if exc.losses:
             partial = FitTrace(losses=tuple(exc.losses), stop_reason="numerical_failure")
             write_trace_csv(out / "trace.csv", partial)
-        return _fail(f"{exc} (iteration {exc.iteration})", EXIT_NUMERICAL)
-    except (OSError, TsnmfError, ValueError, KeyError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+        raise
     save_model(out, model, trace, config)
     write_supervision(out, dataset, supervised, rate, seed)
-    if args.mask_out:
+    if args.mask_out is not None:
         write_dense_csv(mask.matrix, args.mask_out)
     print(
         f"fit d={d} stopped after {trace.iterations} iterations "
@@ -121,12 +104,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        dataset = read_dataset(args.data)
-        W = read_factor(args.model, "W")
-        report = score(dataset, W, recorded_rows(dataset, args.model), args.threshold)
-    except (OSError, TsnmfError, ValueError, KeyError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    dataset = read_dataset(args.data)
+    W = read_factor(args.model, "W")
+    report = score(dataset, W, recorded_rows(dataset, args.model), args.threshold)
     write_report(args.out, report, labels=dataset.label_table.labels)
     print(
         f"resolved {report.resolved_count}/{len(report.matching.pairs)} topics "
@@ -136,12 +116,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_top_terms(args) -> int:
-    try:
-        dataset = read_dataset(args.data)
-        tables = top_terms(read_factor(args.model, "H"), dataset.vocabulary, args.terms)
-    except (OSError, TsnmfError, ValueError, KeyError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    if args.out:
+    dataset = read_dataset(args.data)
+    tables = top_terms(read_factor(args.model, "H"), dataset.vocabulary, args.terms)
+    if args.out is not None:
         width = len(tables[0]) if tables else 0
         header = ["topic"] + [f"term{k + 1}" for k in range(width)]
         write_csv(args.out, [header, *([j, *terms] for j, terms in enumerate(tables))])
@@ -152,14 +129,8 @@ def cmd_top_terms(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = SweepConfig.from_json(args.config)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    try:
-        result = run_sweep(cfg)
-    except (OSError, TsnmfError, ValueError, KeyError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    cfg = SweepConfig.from_json(args.config)
+    result = run_sweep(cfg)
     ok = sum(1 for c in result.cells if c.status == "ok")
     print(f"sweep finished: {ok}/{len(result.cells)} cells ok -> {cfg.out}")
     if result.all_failed:
@@ -168,16 +139,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        inst = make_planted_instance(
-            n_docs=args.docs,
-            n_terms=args.terms,
-            d=args.topics,
-            noise_level=args.noise,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    inst = make_planted_instance(
+        n_docs=args.docs,
+        n_terms=args.terms,
+        d=args.topics,
+        noise_level=args.noise,
+        seed=args.seed,
+    )
     stats = {
         "synthetic": True,
         "docs": args.docs,
@@ -215,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighted", action="store_true", help="use error-weighted updates")
     p.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
     p.add_argument("--rel-tol", type=float, default=FitConfig.rel_tol)
-    p.add_argument("--epsilon", type=float, default=FitConfig.epsilon)
-    p.add_argument("--acol-q", type=int, default=FitConfig.acol_q)
     p.add_argument("--mask-out", help="also export the mask as dense CSV")
     p.add_argument("--out", required=True, help="model output directory")
     p.set_defaults(func=cmd_fit)
@@ -253,10 +219,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for name, value in vars(args).items():
+        if value == "":
+            return _fail(f"--{name.replace('_', '-')}: empty file name", EXIT_INPUT)
     try:
         return args.func(args)
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}", EXIT_INPUT)
+    except NumericalFailureError as exc:
+        return _fail(f"{exc} (iteration {exc.iteration})", EXIT_NUMERICAL)
+    except EmptyVocabularyError as exc:
+        return _fail(str(exc), EXIT_EMPTY)
+    except (OSError, TsnmfError, ValueError, KeyError) as exc:
+        return _fail(str(exc), EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -53,12 +53,12 @@ _NUMBER = ((int, float), "a number")
 # "rates" and "seeds" lists; numbers are read as floats
 _SWEEP_TYPES = {
     **dict.fromkeys(("data", "out"), (str, "a path string")),
-    **dict.fromkeys(("rates", "rel_tol", "epsilon", "threshold"), _NUMBER),
-    **dict.fromkeys(("seeds", "topics", "max_iter", "acol_q"), _INTEGER),
+    **dict.fromkeys(("rates", "rel_tol", "threshold"), _NUMBER),
+    **dict.fromkeys(("seeds", "topics", "max_iter"), _INTEGER),
     "weighted": (bool, "true or false"),
 }
 # FitConfig fields that fit's arguments and a SweepConfig both carry
-_FIT_KNOBS = ("max_iter", "rel_tol", "epsilon", "weighted", "acol_q")
+_FIT_KNOBS = ("max_iter", "rel_tol", "weighted")
 
 SWEEP_COLUMNS = (
     "rate",
@@ -182,8 +182,6 @@ class SweepConfig:
     weighted: bool = False
     max_iter: int = FitConfig.max_iter
     rel_tol: float = FitConfig.rel_tol
-    epsilon: float = FitConfig.epsilon
-    acol_q: int = FitConfig.acol_q
     threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):

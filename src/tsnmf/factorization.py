@@ -44,8 +44,8 @@ against.  CSR products sum in a different order than BLAS, so the two
 paths agree to rounding, not bitwise.  scipy is imported only on that
 branch, so dense fits and ``import tsnmf`` never load it.
 
-Epsilon is added to every update denominator to keep ratios finite; the
-monotonicity guarantee therefore holds up to a 1e-10 relative slack
+``EPSILON`` is added to every update denominator to keep ratios finite;
+the monotonicity guarantee therefore holds up to a 1e-10 relative slack
 (``MONOTONE_SLACK``).  A fit that is exact up to epsilon jitters at the
 rounding floor of ``V - WH``, so a stop is labeled ``loss_increased`` only
 for a rise beyond that slack plus ``ROUNDING_FLOOR * sum e||V||^2``.
@@ -78,6 +78,10 @@ STOP_MAX_ITER = "max_iter"
 OBJECTIVE_MASKED = "masked_sse"
 OBJECTIVE_ROW_WEIGHTED = "row_weighted_sse"
 
+# fit's update denominator guard; the public update_* steps take theirs as an argument
+EPSILON = 1e-9
+# init_model averages this many distinct rows of V into each row of H (all, if V has fewer)
+ACOL_Q = 5
 MONOTONE_SLACK = 1e-10
 # A rise of at most this fraction of sum e||V||^2 beyond MONOTONE_SLACK is rounding: a fit
 # exact up to epsilon settles near 1e-20 of it, where losses differ by parts in 1e6.
@@ -95,15 +99,13 @@ SPARSE_DENSITY_MAX = 0.1
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for one factorization run."""
+    """Knobs for one factorization run; ``EPSILON`` and ``ACOL_Q`` are fixed."""
 
     d: int
     max_iter: int = 200
     rel_tol: float = 1e-4
-    epsilon: float = 1e-9
     seed: int = 0
     weighted: bool = False
-    acol_q: int = 5
 
     def __post_init__(self):
         if self.d < 1:
@@ -113,10 +115,6 @@ class FitConfig:
         # a non-finite value would be written to model.json as a token JSON lacks
         if not (self.rel_tol > 0.0 and np.isfinite(self.rel_tol)):
             raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
-        if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.acol_q < 1:
-            raise ValueError(f"acol_q must be >= 1, got {self.acol_q}")
 
 
 @dataclass(frozen=True)
@@ -292,7 +290,7 @@ def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
 def init_model(V, L, config: FitConfig) -> FactorModel:
     """Seeded initialization.
 
-    Each row of H starts as the mean of ``acol_q`` distinct random rows of
+    Each row of H starts as the mean of ``ACOL_Q`` distinct random rows of
     V (random-Acol style, oriented so topics average documents); W starts
     uniform on [0, 1) with masked entries zeroed.  Draw order is H first,
     then W, from one PCG64 generator.
@@ -304,7 +302,7 @@ def init_model(V, L, config: FitConfig) -> FactorModel:
     if L.shape != (n, d):
         raise ShapeError(f"mask shape {L.shape}, expected ({n}, {d})")
     rng = np.random.default_rng(config.seed)
-    q = min(config.acol_q, n)
+    q = min(ACOL_Q, n)
     H0 = np.empty((d, t), dtype=np.float64)
     for r in range(d):
         picks = rng.choice(n, size=q, replace=False)
@@ -359,7 +357,6 @@ def fit(
         E = build_error_weights(V.shape[0], np.flatnonzero(~L.all(axis=1))).row_weight
     model = init_model(V, L, config)
     Ve, W, H, L, e = _step_inputs(V, model.W, model.H, L, E)
-    eps = config.epsilon
     sum_ev2 = float(np.vdot(Ve, V))
     Vs = _sparse_operand(Ve)  # Ve itself on dense data
 
@@ -374,9 +371,9 @@ def fit(
     stop_reason = STOP_MAX_ITER
     for iteration in range(1, config.max_iter + 1):
         try:
-            H_next = _h_step(Vs, WL, H, G, eps)
+            H_next = _h_step(Vs, WL, H, G, EPSILON)
             VeHt, HHt = Vs @ H_next.T, H_next @ H_next.T
-            W_next = _w_step(W, WL, L, e, VeHt, HHt, eps)
+            W_next = _w_step(W, WL, L, e, VeHt, HHt, EPSILON)
         except NumericalFailureError as exc:
             raise NumericalFailureError(str(exc), iteration=iteration, losses=losses) from exc
 
@@ -403,10 +400,10 @@ def save_model(outdir, model: FactorModel, trace: FitTrace, config: FitConfig) -
         "t": int(model.H.shape[1]),
         "max_iter": config.max_iter,
         "rel_tol": config.rel_tol,
-        "epsilon": config.epsilon,
+        "epsilon": EPSILON,
         "seed": config.seed,
         "weighted": config.weighted,
-        "acol_q": config.acol_q,
+        "acol_q": ACOL_Q,
         "iterations": trace.iterations,
         "stop_reason": trace.stop_reason,
         "objective": trace.objective,

@@ -14,8 +14,9 @@ parse, is ragged or is empty raises a ``ValueError`` naming it.
 Artifacts: every file the package writes goes through ``write_file``: a
 temporary ``.<name>.<pid>.tmp`` beside the target, renamed into place by
 ``os.replace`` (no fsync), so a killed process leaves each artifact whole
-or absent.  ``write_json`` and ``write_csv`` fix the one JSON layout and
-the one CSV dialect; ``read_json`` names the file in every error.
+or absent, and any ``OSError`` it raises says ``cannot write output``.
+``write_json`` and ``write_csv`` fix the one JSON layout and the one CSV
+dialect; ``read_json`` names the file in every error.
 """
 
 from __future__ import annotations
@@ -88,21 +89,26 @@ def write_file(path, content: str | bytes | Callable[[BinaryIO], object]) -> Non
     to the open binary file (no in-memory copy of a large array).  The bytes
     go to ``.<name>.<pid>.tmp`` beside ``path``, which ``os.replace`` renames
     into place; on any failure the temporary file is removed and ``path``
-    keeps its old bytes.  The mode is the one ``open(path, "w")`` gives.
+    keeps its old bytes.  The mode is the one ``open(path, "w")`` gives.  An
+    ``OSError`` is raised again as one whose message starts with
+    ``cannot write output: <path>:``; any other exception passes through.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            if callable(content):
-                content(fh)
-            else:
-                fh.write(content.encode() if isinstance(content, str) else content)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "wb") as fh:
+                if callable(content):
+                    content(fh)
+                else:
+                    fh.write(content.encode() if isinstance(content, str) else content)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write output: {path}: {exc}") from exc
 
 
 def write_json(path, obj) -> None:

@@ -123,16 +123,6 @@ class TestIngest:
         assert rc == 0
         assert "wheat" not in read_dataset(out).vocabulary.terms
 
-    def test_empty_stopwords_name_exits_2_and_writes_nothing(self, tmp_path, capsys):
-        corpus = _small_corpus(tmp_path)
-        out = tmp_path / "data"
-        capsys.readouterr()
-        rc = main(["ingest", "--corpus", str(corpus), "--min-chars", "100",
-                   "--stopwords", "", "--out", str(out)])
-        assert rc == 2
-        assert "--stopwords" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_stopwords_environment_variable_is_not_read(self, tmp_path, monkeypatch):
         corpus = _small_corpus(tmp_path)
         stop = tmp_path / "stop.txt"
@@ -485,7 +475,7 @@ def test_corrupt_model_file_exits_2_naming_it(tmp_path, capsys, corruption, comm
 
 @pytest.mark.parametrize(
     "command, flag, value",
-    [("fit", "--epsilon", "inf"), ("fit", "--rel-tol", "inf"), ("fit", "--rel-tol", "nan"),
+    [("fit", "--rel-tol", "inf"), ("fit", "--rel-tol", "nan"),
      ("evaluate", "--threshold", "nan"), ("evaluate", "--threshold", "-inf"),
      ("synth", "--noise", "nan"), ("synth", "--noise", "inf")],
 )
@@ -611,8 +601,9 @@ class TestTopTerms:
         assert len(lines) == 1 + 3  # header + one row per topic
 
 
-# wrongly typed values, which must not be coerced, repeated grid values, and
-# non-finite numbers, which JSON can parse but model.json and report.json cannot hold
+# wrongly typed values, which must not be coerced, repeated grid values,
+# non-finite numbers, which JSON can parse but model.json and report.json cannot
+# hold, and the fixed settings epsilon and acol_q, which are no sweep keys
 BAD_SWEEP_VALUES = {
     "seeds_float": ("seeds", [1.7]),
     "seeds_string": ("seeds", ["3"]),
@@ -636,6 +627,7 @@ BAD_SWEEP_VALUES = {
     "rates_repeated_int_float": ("rates", [0, 0.0]),
     "seeds_repeated": ("seeds", [1, 2, 1]),
 }
+FIXED_SETTINGS = {"epsilon", "acol_q"}
 
 
 class TestSweep:
@@ -705,7 +697,9 @@ class TestSweep:
         data = _synth_dataset(tmp_path)
         cfg = self._config(tmp_path, data, **{key: value})
         assert main(["sweep", "--config", str(cfg)]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        assert ("unknown sweep config keys" in err) == (key in FIXED_SETTINGS)
         assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
@@ -800,6 +794,65 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
     if command != "top-terms":
         assert blocked.read_text() == "keep me\n"
     assert not list(tmp_path.rglob("*.tmp"))  # the failed write removed its temporary file
+
+
+# every flag that takes a string; each names a file
+STRING_FLAGS = [
+    ("ingest", "--corpus"), ("ingest", "--stopwords"), ("ingest", "--out"),
+    ("fit", "--data"), ("fit", "--supervision"), ("fit", "--mask-out"), ("fit", "--out"),
+    ("evaluate", "--model"), ("evaluate", "--data"), ("evaluate", "--out"),
+    ("top-terms", "--model"), ("top-terms", "--data"), ("top-terms", "--out"),
+    ("sweep", "--config"),
+    ("synth", "--out"),
+]
+
+
+def _every_string_flag(inputs):
+    """A valid argv for each command that sets every string flag; outputs go under inputs/out."""
+    inputs.mkdir()
+    data = _synth_dataset(inputs)
+    model = inputs / "model"
+    assert main(["fit", "--data", str(data), "--out", str(model)]) == 0
+    (inputs / "stop.txt").write_text("wheat\n")
+    (inputs / "sup.json").write_text(json.dumps({"rate": 0.5}))
+    out = inputs / "out"
+    sweep = {"data": str(data), "out": str(out / "sweep"), "rates": [0.5], "seeds": [1]}
+    (inputs / "sweep.json").write_text(json.dumps(sweep))
+    argv = {
+        "ingest": ["--corpus", _small_corpus(inputs), "--stopwords", inputs / "stop.txt",
+                   "--min-chars", "100", "--out", out / "data"],
+        "fit": ["--data", data, "--supervision", inputs / "sup.json",
+                "--mask-out", out / "mask.csv", "--out", out / "model"],
+        "evaluate": ["--model", model, "--data", data, "--out", out / "report"],
+        "top-terms": ["--model", model, "--data", data, "--out", out / "top_terms.csv"],
+        "sweep": ["--config", inputs / "sweep.json"],
+        "synth": ["--docs", "20", "--terms", "30", "--topics", "3", "--out", out / "synth"],
+    }
+    return {command: [command, *map(str, args)] for command, args in argv.items()}
+
+
+def test_every_string_flag_argv_is_valid(tmp_path, capsys):
+    argvs = _every_string_flag(tmp_path / "inputs")
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for command, subparser in commands.items():
+        # an option of one value and no type takes a string
+        strings = [a.option_strings[0] for a in subparser._actions if a.nargs is None and a.type is None]
+        assert [(command, flag) for flag in strings] == [c for c in STRING_FLAGS if c[0] == command]
+        assert main(argvs[command]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", STRING_FLAGS)
+def test_empty_file_name_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys, command, flag):
+    argv = _every_string_flag(tmp_path / "inputs")[command]
+    argv[argv.index(flag) + 1] = ""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"error: {flag}: empty file name" in capsys.readouterr().err
+    assert not list(work.iterdir())
+    assert not (tmp_path / "inputs" / "out").exists()
 
 
 ARTIFACT_READERS = {

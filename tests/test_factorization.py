@@ -13,6 +13,8 @@ import pytest
 from tsnmf import factorization
 from tsnmf.errors import NumericalFailureError, ShapeError
 from tsnmf.factorization import (
+    ACOL_Q,
+    EPSILON,
     LOSS_GUARD,
     MONOTONE_SLACK,
     ROUNDING_FLOOR,
@@ -221,10 +223,11 @@ class TestInitModel:
         assert not np.array_equal(a.W, c.W)
 
     def test_acol_q_clamped_to_row_count(self):
-        V = np.random.default_rng(13).random((3, 5))
-        L = np.ones((3, 2))
-        model = init_model(V, L, FitConfig(d=2, seed=0, acol_q=50))
-        assert model.H.shape == (2, 5)
+        n = ACOL_Q - 2
+        V = np.random.default_rng(13).random((n, 5))
+        model = init_model(V, np.ones((n, 2)), FitConfig(d=2, seed=0))
+        # fewer rows than ACOL_Q: every row of H is the mean of all rows of V
+        np.testing.assert_allclose(model.H, np.tile(V.mean(axis=0), (2, 1)), rtol=1e-15)
 
 
 class TestFitConfig:
@@ -234,8 +237,6 @@ class TestFitConfig:
             {"d": 0},
             {"d": 2, "max_iter": 0},
             {"d": 2, "rel_tol": 0.0},
-            {"d": 2, "epsilon": 0.0},
-            {"d": 2, "acol_q": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -423,11 +424,11 @@ def _iterates_and_explicit_losses(V, L, E, cfg):
     losses = [explicit(W, H)]
     for _ in range(cfg.max_iter):
         if cfg.weighted:
-            H = update_h_weighted(V, W, H, L, E, cfg.epsilon)
-            W = update_w_weighted(V, W, H, L, E, cfg.epsilon)
+            H = update_h_weighted(V, W, H, L, E, EPSILON)
+            W = update_w_weighted(V, W, H, L, E, EPSILON)
         else:
-            H = update_h(V, W, H, L, cfg.epsilon)
-            W = update_w(V, W, H, L, cfg.epsilon)
+            H = update_h(V, W, H, L, EPSILON)
+            W = update_w(V, W, H, L, EPSILON)
         losses.append(explicit(W, H))
     return W, H, np.array(losses)
 
@@ -489,6 +490,16 @@ class TestModelIO:
         assert header["stop_reason"] == trace.stop_reason
         assert header["final_loss"] == trace.final_loss
         assert header["seed"] == 9
+
+    def test_header_records_the_fixed_epsilon_and_acol_q(self, tmp_path):
+        V, L = _random_instance(np.random.default_rng(25), n=10, t=8, d=2)
+        cfg = FitConfig(d=2, seed=4, max_iter=5)
+        for out in ("a", "b"):
+            save_model(tmp_path / out, *fit(V, L, cfg), cfg)
+        text = (tmp_path / "a" / "model.json").read_text()
+        assert text == (tmp_path / "b" / "model.json").read_text()
+        assert '"epsilon": 1e-09,' in text and '"acol_q": 5,' in text
+        assert (EPSILON, ACOL_Q) == (1e-9, 5)
 
     def test_trace_csv_has_iteration_rows(self, tmp_path):
         rng = np.random.default_rng(24)

@@ -127,6 +127,15 @@ class TestDenseFromCsr:
         np.testing.assert_array_equal(back, np.zeros((2, 3)))
 
 
+# the exception each kind of failed write raises
+WRITE_FAILURES = {
+    "write": TypeError,
+    "replace": OSError,
+    "interrupt": KeyboardInterrupt,
+    "interrupt_mid_write": KeyboardInterrupt,
+}
+
+
 class TestWriteFile:
     def test_creates_directories_and_replaces_old_bytes(self, tmp_path):
         path = tmp_path / "a" / "b" / "out.txt"
@@ -139,13 +148,18 @@ class TestWriteFile:
         write_file(tmp_path / "t.csv", "caf\u00e9\n")
         assert (tmp_path / "t.csv").read_bytes() == "caf\u00e9\n".encode("utf-8")
 
-    @pytest.mark.parametrize("failure", ["write", "replace", "interrupt"])
+    @pytest.mark.parametrize("failure", sorted(WRITE_FAILURES))
     def test_failed_write_keeps_old_bytes_and_no_temp_file(self, tmp_path, monkeypatch, failure):
         path = tmp_path / "out.csv"
         path.write_text("old\n")
         content = "new\n"
         if failure == "write":
             content = 12345  # neither str nor bytes: fails once the temp file is open
+        elif failure == "interrupt_mid_write":
+
+            def content(fh):
+                fh.write(b"ne")
+                raise KeyboardInterrupt
         else:
             error = OSError("no space left") if failure == "replace" else KeyboardInterrupt()
 
@@ -154,10 +168,27 @@ class TestWriteFile:
                 raise error
 
             monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises((TypeError, OSError, KeyboardInterrupt)):
+        raised = WRITE_FAILURES[failure]
+        with pytest.raises(raised) as info:
             write_file(path, content)
+        assert type(info.value) is raised  # only an OSError is rewrapped
+        if raised is OSError:
+            assert str(info.value) == f"cannot write output: {path}: no space left"
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("blocked", ["parent_is_a_file", "target_is_a_directory"])
+    def test_unwritable_path_raises_oserror_naming_it(self, tmp_path, blocked):
+        if blocked == "parent_is_a_file":
+            (tmp_path / "a").write_text("keep me\n")
+            path = tmp_path / "a" / "out.csv"
+        else:
+            path = tmp_path / "out.csv"
+            path.mkdir()
+        with pytest.raises(OSError) as info:
+            write_file(path, "new\n")
+        assert str(info.value).startswith(f"cannot write output: {path}: ")
+        assert not list(tmp_path.rglob("*.tmp"))
 
     @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
     def test_mode_equals_plain_open(self, tmp_path, umask):
@@ -271,3 +302,27 @@ def test_write_file_is_the_only_write_site():
         for function, _ in _write_sites(path.read_text())
     ]
     assert sites == [("matrix.py", "write_file")]
+
+
+def test_cli_maps_errors_to_exit_codes_in_main_only():
+    """One exit-code map in ``cli.main``; ``cmd_fit`` alone catches, to write its partial trace."""
+    source = (Path(tsnmf.__file__).parent / "cli.py").read_text()
+    handlers = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ExceptHandler):
+            handlers.append((function, ast.unparse(node.type), node.body[-1]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    assert [(function, caught) for function, caught, _ in handlers] == [
+        ("cmd_fit", "NumericalFailureError"),
+        ("main", "NumericalFailureError"),
+        ("main", "EmptyVocabularyError"),
+        ("main", "(OSError, TsnmfError, ValueError, KeyError)"),
+    ]
+    last = handlers[0][2]
+    assert isinstance(last, ast.Raise) and last.exc is None  # re-raised to main unchanged
