@@ -28,10 +28,12 @@ from .dataio import read_dataset, read_matrix, write_ingest_result, write_plante
 from .errors import EmptyVocabularyError, NumericalFailureError, TsnmfError
 from .evaluation import DEFAULT_THRESHOLD, top_terms, write_report
 from .experiment import (
+    FIT_FILES,
     SweepConfig,
     fit_config,
     fit_supervised,
     recorded_rows,
+    remove_run,
     run_sweep,
     score,
     supervise,
@@ -88,6 +90,7 @@ def cmd_fit(args) -> int:
     try:
         mask, model, trace = fit_supervised(dataset, V, supervised, config)
     except NumericalFailureError as exc:
+        remove_run(out, FIT_FILES)
         if exc.losses:
             partial = FitTrace(losses=tuple(exc.losses), stop_reason="numerical_failure")
             write_trace_csv(out / "trace.csv", partial)

@@ -20,7 +20,8 @@ from the dense planted matrix with ``csr_parts``.
 The ingest and synth commands write this layout.  Reading is split by
 use: ``read_dataset`` reads ``meta.json`` alone, which is all evaluate and
 top-terms need, and ``read_matrix`` checks the three matrix files and
-builds the dense V, for fit and sweep.  Every load failure, from a missing
+gives fit and sweep V: a scipy CSR array of the parts when sparse enough
+for the fit's CSR path, else dense.  Every load failure, from a missing
 file to an entry out of range, raises ``OSError`` or ``ValueError`` naming
 the file.
 """
@@ -32,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .factorization import csr_operand
 from .matrix import csr_parts, dense_from_csr, read_json, write_file, write_json
 from .preprocessing import IngestResult, Vocabulary
 from .supervision import LabelTable
@@ -49,8 +51,12 @@ def _write_matrix(out: Path, indptr, indices, data) -> None:
         write_file(out / name, lambda fh: np.lib.format.write_array(fh, array, allow_pickle=False))
 
 
-def read_matrix(datadir, dataset: Dataset) -> np.ndarray:
-    """The dense V of ``dataset``, from its directory's CSR files once every check passes."""
+def read_matrix(datadir, dataset: Dataset):
+    """The V of ``dataset``, from its directory's CSR files once every check passes.
+
+    A scipy CSR array of the checked parts when ``csr_operand`` gives one (at
+    most ``SPARSE_DENSITY_MAX`` of V stored, and scipy imports), else the dense array.
+    """
     datadir = Path(datadir)
     n_rows, n_cols = dataset.n_docs, len(dataset.vocabulary)
     kinds = {"indptr": np.integer, "indices": np.integer, "data": np.floating}
@@ -68,8 +74,9 @@ def read_matrix(datadir, dataset: Dataset) -> np.ndarray:
                 f"got {a.dtype} with shape {a.shape}"
             )
         arrays[part] = a
-    indptr = arrays["indptr"].astype(np.int64, copy=False)  # unsigned differences would wrap
-    indices, data = arrays["indices"], arrays["data"]
+    # unsigned differences would wrap; scipy takes the values as float64
+    indptr, indices = (arrays[part].astype(np.int64, copy=False) for part in ("indptr", "indices"))
+    data = arrays["data"].astype(np.float64, copy=False)
 
     def check(ok, part: str, message: str) -> None:
         if not ok:
@@ -93,11 +100,12 @@ def read_matrix(datadir, dataset: Dataset) -> np.ndarray:
     # flat positions row * n_cols + col must strictly increase: columns sorted
     # within each row and no duplicate entries
     flat = np.repeat(np.arange(n_rows, dtype=np.int64) * n_cols, counts)
-    flat += indices.astype(np.int64, copy=False)
+    flat += indices
     check(np.all(np.diff(flat) > 0), "indices", "columns must strictly increase within each row")
     # NaN and Inf pass: the fit reports non-finite input as a numerical failure
     check(not np.any(data <= 0.0), "data", "stored values must be > 0")
-    return dense_from_csr(indptr, indices, data, (n_rows, n_cols))
+    V = csr_operand(len(data), (n_rows, n_cols), lambda: (indptr, indices, data))
+    return dense_from_csr(indptr, indices, data, (n_rows, n_cols)) if V is None else V
 
 
 @dataclass(frozen=True)

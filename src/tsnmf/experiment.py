@@ -5,8 +5,9 @@ the labeled rows or map a spec's ids to rows), fit (mask, error weights,
 ``factorization.fit``), record (``supervision.json``; no other module of
 the package reads or writes it) and score (coverage, truth matrix, ``score_report``).  A
 sweep runs that path over a grid of (supervision rate, seed) cells against
-one dataset; a failing cell is recorded in its row without stopping the
-sweep.  Output files under the sweep directory:
+one dataset, read and scored against once; a failing cell is recorded in
+its row without stopping the sweep, its directory emptied of an earlier
+run.  Output files under the sweep directory:
 
     sweep.csv           one row per (rate, seed) cell, deterministic
     sweep_summary.csv   mean and stddev per rate over seeds
@@ -47,6 +48,9 @@ from .supervision import (
 )
 
 SUPERVISION_FILENAME = "supervision.json"
+# what a fit leaves in its directory, and a sweep cell, which also scores the fit
+FIT_FILES = ("model.json", "W.csv", "H.csv", "trace.csv", SUPERVISION_FILENAME)
+CELL_FILES = (*FIT_FILES, "report.json", "report.csv")
 _INTEGER = (int, "an integer")
 _NUMBER = ((int, float), "a number")
 # (types, description) of each sweep config value, or of each entry of the
@@ -162,11 +166,21 @@ def recorded_rows(dataset: Dataset, modeldir) -> set[int] | None:
     return _rows_of(dataset, _read_supervision(path).get("supervised_ids", []), path)
 
 
-def score(dataset: Dataset, W, supervised, threshold: float) -> EvaluationReport:
-    """Score the fitted ``W`` against the labels; no coverage when ``supervised`` is None."""
+def remove_run(outdir, names) -> None:
+    """Delete the files ``names`` an earlier run left in ``outdir``, so it never mixes two runs."""
+    if Path(outdir).is_dir():
+        for name in names:
+            (Path(outdir) / name).unlink(missing_ok=True)
+
+
+def score(dataset: Dataset, W, supervised, threshold: float, truth=None) -> EvaluationReport:
+    """Score the fitted ``W`` against the labels' ``truth`` matrix, built here unless given.
+
+    No coverage when ``supervised`` is None.
+    """
     table = dataset.label_table
     coverage = None if supervised is None else topic_coverage(table, supervised)
-    truth = TruthMatrix.from_label_table(table)
+    truth = TruthMatrix.from_label_table(table) if truth is None else truth
     return score_report(W, truth, threshold=threshold, coverage=coverage)
 
 
@@ -213,6 +227,8 @@ class SweepConfig:
                     _check_type(path, f"{key}[{i}]", item, kinds, what)
             elif key != "topics" or value is not None:
                 _check_type(path, key, value, kinds, what)
+            if value == "":  # "." would pass for a directory, as an empty flag would
+                raise ValueError(f"{path}: '{key}': empty file name")
             if kinds == _NUMBER[0]:
                 raw[key] = tuple(map(float, value)) if key == "rates" else float(value)
         raw["seeds"] = tuple(raw["seeds"])
@@ -249,17 +265,21 @@ class SweepResult:
 def run_cell(
     dataset: Dataset,
     V,
+    truth: TruthMatrix,
     rate: float,
     seed: int,
     config: FitConfig,
     threshold: float,
     outdir,
 ) -> SweepCell:
-    """Supervise, fit, record and score one cell; its artifacts go to ``outdir``."""
+    """Supervise, fit, record and score one cell with the sweep's ``V`` and ``truth``.
+
+    Its artifacts go to ``outdir``.
+    """
     start = time.perf_counter()
     supervised, rate, seed = supervise(dataset, rate, seed)
     _mask, model, trace = fit_supervised(dataset, V, supervised, config)
-    report = score(dataset, model.W, supervised, threshold)
+    report = score(dataset, model.W, supervised, threshold, truth)
     save_model(outdir, model, trace, config)
     write_supervision(outdir, dataset, supervised, rate, seed)
     write_report(outdir, report, labels=dataset.label_table.labels)
@@ -280,6 +300,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Execute every (rate, seed) cell in order and write the sweep CSVs."""
     dataset = read_dataset(cfg.data)
     V = read_matrix(cfg.data, dataset)
+    truth = TruthMatrix.from_label_table(dataset.label_table)
     d = topic_count(dataset, cfg.topics)
     out = Path(cfg.out)
     cells = []
@@ -288,9 +309,10 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             cell_dir = out / "cells" / f"rate_{rate}" / f"seed_{seed}"
             config = fit_config(cfg, d, seed)
             try:
-                cell = run_cell(dataset, V, rate, seed, config, cfg.threshold, cell_dir)
+                cell = run_cell(dataset, V, truth, rate, seed, config, cfg.threshold, cell_dir)
             except Exception as exc:
                 cell = SweepCell(rate=rate, seed=seed, status=f"error: {exc}")
+                remove_run(cell_dir, CELL_FILES)
             cells.append(cell)
 
     result = SweepResult(cells=tuple(cells), summary=_summarize(cells))

@@ -34,15 +34,16 @@ products, with ``sum e||V||^2`` and ``Ve`` computed once per fit.  Near an
 exact fit the identity cancels badly, so whenever its value is at most
 ``LOSS_GUARD * sum e||V||^2`` the explicit residual is recorded instead.
 
-Sparse data: when at most ``SPARSE_DENSITY_MAX`` of ``Ve``'s entries are
-non-zero and ``scipy.sparse`` imports, ``fit`` builds a CSR copy of ``Ve``
-once, from its non-zeros, and evaluates the two data products ``Ve H^T``
-and ``WL^T Ve`` with it.  Everything else stays dense: validation,
-initialization, ``sum e||V||^2``, the guarded explicit residual and the
-public ``update_*`` steps, which are the reference the CSR path is tested
-against.  CSR products sum in a different order than BLAS, so the two
-paths agree to rounding, not bitwise.  scipy is imported only on that
-branch, so dense fits and ``import tsnmf`` never load it.
+Sparse data: ``fit`` keeps a scipy sparse V, such as ``dataio.read_matrix``
+gives, in CSR form to the last iteration, and converts a dense V with at
+most ``SPARSE_DENSITY_MAX`` of its entries non-zero once when
+``scipy.sparse`` imports.  Checks, ``Ve`` and ``sum e||V||^2`` use the
+stored values, ``init_model`` densifies only the rows it averages, and the
+explicit residual densifies ``RESIDUAL_BLOCK_BYTES`` of rows at a time.
+The dense path and the public ``update_*`` steps are the reference; CSR
+sums run in another order than BLAS, so the paths agree to rounding, not
+bitwise.  scipy is imported only on that branch, so dense fits and
+``import tsnmf`` never load it.
 
 ``EPSILON`` is added to every update denominator to keep ratios finite;
 the monotonicity guarantee therefore holds up to a 1e-10 relative slack
@@ -91,10 +92,12 @@ ROUNDING_FLOOR = 1e-14
 # nears exact.  Just above 1e-4 its relative error measured up to 7e-12,
 # inside MONOTONE_SLACK; near 1e-6 it measured 7e-11 to 3e-10.
 LOSS_GUARD = 1e-4
-# At or below this share of non-zero entries fit evaluates its data products
-# with a CSR copy of the data.  Measured at 1500x2000 with d = 10 and 20, one
+# At or below this share of non-zero entries V is read and fitted as CSR
+# (``csr_operand``), not densified.  Measured at 1500x2000 with d = 10 and 20, one
 # BLAS thread: CSR is 2.2x faster at 10 % density, level at 20 %, slower at 30 %.
 SPARSE_DENSITY_MAX = 0.1
+# The explicit residual of a CSR V densifies at most this many bytes of rows at a time.
+RESIDUAL_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -142,8 +145,13 @@ class FitTrace:
         return self.losses[-1]
 
 
+def _is_sparse(V) -> bool:
+    """Whether ``V`` is a scipy sparse array, asked without importing scipy."""
+    return hasattr(V, "tocsr")
+
+
 def _conform(V, W, H, L):
-    V = np.asarray(V, dtype=np.float64)
+    V = V.tocsr() if _is_sparse(V) else np.asarray(V, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
     L = np.asarray(L, dtype=np.float64)
@@ -183,13 +191,20 @@ def loss_tsw(V, W, H, L, E) -> float:
 def _row_weighted_sse(V, W, H, L, E) -> float:
     """sum_i E_i * ||row i residual||^2 — the objective the weighted updates descend.
 
-    With ``E`` None this is the plain masked loss, ``loss_ts``.
+    With ``E`` None this is the plain masked loss, ``loss_ts``.  A dense ``V``
+    is one block of rows; a CSR ``V`` is densified ``RESIDUAL_BLOCK_BYTES`` of
+    rows at a time, and gives the dense bits when that is one block.
     """
     V, W, H, L = _conform(V, W, H, L)
-    R = V - (W * L) @ H
-    if E is None:
-        return float(np.sum(R * R))
-    return float(np.sum(_row_weights_column(E, V.shape[0]) * R * R))
+    e = None if E is None else _row_weights_column(E, V.shape[0])
+    sparse = _is_sparse(V)
+    rows = max(1, RESIDUAL_BLOCK_BYTES // (8 * V.shape[1] or 1) if sparse else V.shape[0])
+    WL, total = W * L, 0.0
+    for start in range(0, V.shape[0], rows):
+        block = slice(start, start + rows)
+        R = (V[block].toarray() if sparse else V[block]) - WL[block] @ H
+        total += float(np.sum(R * R if e is None else e[block] * R * R))
+    return total
 
 
 def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
@@ -209,10 +224,13 @@ def _gram(WL: np.ndarray, e: np.ndarray | None) -> np.ndarray:
     return S.T @ S
 
 
-def _h_step(Ve, WL, H, G, epsilon: float) -> np.ndarray:
-    """H o (WL^T Ve) / (G H + epsilon); zero entries stay zero."""
+def _h_step(Ve, WL, H, G, epsilon: float, VeT=None) -> np.ndarray:
+    """H o (WL^T Ve) / (G H + epsilon); zero entries stay zero.
+
+    A CSR ``Ve``'s transpose ``VeT``, made once, gives scipy's (VeT WL)^T for WL^T Ve.
+    """
     with np.errstate(all="ignore"):
-        out = H * ((WL.T @ Ve) / (G @ H + epsilon))
+        out = H * ((WL.T @ Ve if VeT is None else (VeT @ WL).T) / (G @ H + epsilon))
     return _check_finite(out, "H update")
 
 
@@ -231,27 +249,49 @@ def _w_step(W, WL, L, e, VeHt, HHt, epsilon: float) -> np.ndarray:
     return np.where(L == 0.0, 0.0, out)
 
 
-def _sparse_operand(Ve: np.ndarray):
-    """A scipy CSR copy of ``Ve`` when it is sparse enough and scipy imports, else ``Ve``.
+def csr_operand(nnz: int, shape: tuple[int, int], parts):
+    """A scipy CSR array of the ``parts()`` (indptr, indices, data) of a matrix, or None.
 
-    Built from ``csr_parts``, in about half the time ``csr_array(Ve)`` takes.
-    NaN and Inf count as non-zero, so non-finite data still reaches the
-    finiteness checks.
+    None, without calling ``parts``, when more than ``SPARSE_DENSITY_MAX``
+    of the ``shape``'s entries are among the ``nnz`` stored, or scipy does
+    not import: the fit takes its dense path then.
     """
-    if np.count_nonzero(Ve) > SPARSE_DENSITY_MAX * Ve.size:
-        return Ve
+    if nnz > SPARSE_DENSITY_MAX * shape[0] * shape[1]:
+        return None
     try:
         from scipy.sparse import csr_array
     except ImportError:
-        return Ve
-    indptr, indices, data = csr_parts(Ve)
-    return csr_array((data, indices, indptr), shape=Ve.shape)
+        return None
+    indptr, indices, data = parts()
+    return csr_array((data, indices, indptr), shape=shape)
+
+
+def _sparse_operand(V):
+    """``fit``'s V: a sparse V as float64 CSR, a dense one as float64, CSR if sparse enough.
+
+    A dense ``V`` becomes CSR through ``csr_operand``, built from
+    ``csr_parts`` in about half the time ``csr_array(V)`` takes.  NaN and
+    Inf count as non-zero, so non-finite data still reaches the checks.
+    """
+    if _is_sparse(V):
+        V = V.tocsr().astype(np.float64, copy=False)
+        V.sum_duplicates()  # in place; nothing to do on canonical CSR such as read_matrix's
+        return V
+    V = np.asarray(V, dtype=np.float64)
+    Vs = None if V.ndim != 2 else csr_operand(np.count_nonzero(V), V.shape, lambda: csr_parts(V))
+    return V if Vs is None else Vs
 
 
 def _step_inputs(V, W, H, L, E):
+    """(Ve, W, H, L, e): V with each row scaled by its weight (V itself for E None)."""
     V, W, H, L = _conform(V, W, H, L)
-    e = None if E is None else _row_weights_column(E, V.shape[0])
-    return (V if e is None else V * e), W, H, L, e
+    if E is None:
+        return V, W, H, L, None
+    e = _row_weights_column(E, V.shape[0])
+    if not _is_sparse(V):
+        return V * e, W, H, L, e
+    scaled = V.data * np.repeat(e[:, 0], np.diff(V.indptr))  # CSR: the stored values, per row
+    return type(V)((scaled, V.indices, V.indptr), shape=V.shape), W, H, L, e
 
 
 def update_h(V, W, H, L, epsilon: float) -> np.ndarray:
@@ -293,9 +333,11 @@ def init_model(V, L, config: FitConfig) -> FactorModel:
     Each row of H starts as the mean of ``ACOL_Q`` distinct random rows of
     V (random-Acol style, oriented so topics average documents); W starts
     uniform on [0, 1) with masked entries zeroed.  Draw order is H first,
-    then W, from one PCG64 generator.
+    then W, from one PCG64 generator.  A CSR ``V`` densifies only the
+    picked rows, so H comes out bitwise as from the dense V.
     """
-    V = np.asarray(V, dtype=np.float64)
+    sparse = _is_sparse(V)
+    V = V if sparse else np.asarray(V, dtype=np.float64)
     L = np.asarray(L, dtype=np.float64)
     n, t = V.shape
     d = config.d
@@ -303,10 +345,12 @@ def init_model(V, L, config: FitConfig) -> FactorModel:
         raise ShapeError(f"mask shape {L.shape}, expected ({n}, {d})")
     rng = np.random.default_rng(config.seed)
     q = min(ACOL_Q, n)
+    picks = [rng.choice(n, size=q, replace=False) for _ in range(d)]
+    if sparse:  # densify the picked rows alone, in one call: scipy indexing costs per call
+        V, picks = V[np.concatenate(picks)].toarray(), np.arange(d * q).reshape(d, q)
     H0 = np.empty((d, t), dtype=np.float64)
     for r in range(d):
-        picks = rng.choice(n, size=q, replace=False)
-        H0[r, :] = V[picks, :].mean(axis=0)
+        H0[r, :] = V[picks[r], :].mean(axis=0)
     W0 = rng.random((n, d))
     W0[L == 0.0] = 0.0
     return FactorModel(W=W0, H=H0)
@@ -343,12 +387,15 @@ def fit(
     When ``config.weighted`` is set, the weighted update rules run with
     ``row_weights`` (by default ``build_error_weights`` over the rows the
     mask constrains) and the trace records the row-weighted squared error.
+
+    ``V`` is a dense array or a scipy sparse array, which takes the CSR path.
     """
-    V = np.asarray(V, dtype=np.float64)
+    V = _sparse_operand(V)
     L = np.asarray(L, dtype=np.float64)
     if V.ndim != 2 or L.ndim != 2:
         raise ShapeError(f"V and mask must be 2-D, got {V.ndim}-D and {L.ndim}-D")
-    require_nonnegative(V, "V")
+    sparse = _is_sparse(V)
+    require_nonnegative(V.data if sparse else V, "V")
     if not np.isin(L, (0.0, 1.0)).all():
         raise ValueError("mask entries must be exactly 0 or 1")
 
@@ -357,8 +404,8 @@ def fit(
         E = build_error_weights(V.shape[0], np.flatnonzero(~L.all(axis=1))).row_weight
     model = init_model(V, L, config)
     Ve, W, H, L, e = _step_inputs(V, model.W, model.H, L, E)
-    sum_ev2 = float(np.vdot(Ve, V))
-    Vs = _sparse_operand(Ve)  # Ve itself on dense data
+    sum_ev2 = float(np.vdot(Ve.data, V.data) if sparse else np.vdot(Ve, V))
+    VeT = Ve.T if sparse else None
 
     def loss(W, H, WL, G, VeHt, HHt):
         cheap = sum_ev2 - 2.0 * float(np.vdot(WL, VeHt)) + float(np.vdot(G, HHt))
@@ -367,12 +414,12 @@ def fit(
 
     WL = W * L
     G = _gram(WL, e)
-    losses = [loss(W, H, WL, G, Vs @ H.T, H @ H.T)]
+    losses = [loss(W, H, WL, G, Ve @ H.T, H @ H.T)]
     stop_reason = STOP_MAX_ITER
     for iteration in range(1, config.max_iter + 1):
         try:
-            H_next = _h_step(Vs, WL, H, G, EPSILON)
-            VeHt, HHt = Vs @ H_next.T, H_next @ H_next.T
+            H_next = _h_step(Ve, WL, H, G, EPSILON, VeT)
+            VeHt, HHt = Ve @ H_next.T, H_next @ H_next.T
             W_next = _w_step(W, WL, L, e, VeHt, HHt, EPSILON)
         except NumericalFailureError as exc:
             raise NumericalFailureError(str(exc), iteration=iteration, losses=losses) from exc

@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsnmf import factorization
+from tsnmf import dataio
 from tsnmf.cli import build_parser, main
 from tsnmf.dataio import MATRIX_FILENAMES, read_dataset, read_matrix, write_planted_instance
-from tsnmf.evaluation import score_report
-from tsnmf.experiment import SweepConfig, fit_config
+from tsnmf.evaluation import TruthMatrix, score_report
+from tsnmf.experiment import SweepConfig, fit_config, fit_supervised
 from tsnmf.factorization import FactorModel, FitConfig, FitTrace, fit, read_factor, save_model
 from tsnmf.matrix import csr_parts, read_dense_csv, read_json
 from tsnmf.synthetic import make_planted_instance
@@ -57,6 +57,25 @@ def _write_dataset(out, V):
     }
     (out / "meta.json").write_text(json.dumps(meta))
     return out
+
+
+def _sparse_dataset(tmp_path, n_docs=60, n_words=300):
+    """Ingest documents of 6-11 distinct words out of ``n_words``: about 3 % dense."""
+    rng = np.random.default_rng(0)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    words = [f"x{a}{b}" for a in letters for b in letters][:n_words]
+    corpus = tmp_path / "sparse.jsonl"
+    _write_corpus(corpus, [
+        {"id": f"d{i}", "labels": [f"l{i % 3}"],
+         "text": " ".join(words[k] for k in rng.choice(n_words, rng.integers(6, 12), replace=False))}
+        for i in range(n_docs)
+    ])
+    out = tmp_path / "sparse_data"
+    assert main(["ingest", "--corpus", str(corpus), "--min-chars", "0", "--out", str(out)]) == 0
+    return out
+
+
+needs_scipy = pytest.mark.skipif(find_spec("scipy") is None, reason="the CSR path needs scipy")
 
 
 def _synth_dataset(tmp_path, docs=30, terms=40, topics=3, seed=1):
@@ -242,16 +261,29 @@ class TestFit:
         assert rc == 4
         assert (model_dir / "trace.csv").exists()
 
-    @pytest.mark.skipif(find_spec("scipy") is None, reason="the CSR path needs scipy")
+    def test_numerical_failure_removes_the_earlier_run(self, tmp_path):
+        data = _synth_dataset(tmp_path)
+        model_dir = tmp_path / "model"
+        args = ["fit", "--data", str(data), "--rate", "0.5", "--out", str(model_dir)]
+        assert main(args) == 0
+        assert len(list(model_dir.iterdir())) == 5
+        _rewrite(data, "data", _set(0, np.inf))
+        with np.errstate(invalid="ignore"):
+            assert main(args) == 4
+        # the trace of the failed run alone: no model.json, W, H or supervision of the first
+        assert [p.name for p in model_dir.iterdir()] == ["trace.csv"]
+        assert (model_dir / "trace.csv").read_text().splitlines()[1] in ("0,inf", "0,nan")
+
+    @needs_scipy
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
     def test_non_finite_sparse_data_exits_4(self, tmp_path, bad):
         V = np.zeros((20, 30))
         V[np.arange(20), np.arange(20)] = 1.0
         V[3, 3] = bad
         data = _write_dataset(tmp_path / "data", V)
-        # 3 % dense: the fit takes the CSR products
+        # 3 % dense: read_matrix gives the CSR operand, and the fit takes the CSR path
         V = read_matrix(data, read_dataset(data))
-        assert not isinstance(factorization._sparse_operand(V), np.ndarray)
+        assert V.format == "csr" and V.nnz == 20
         model_dir = tmp_path / "model"
         with np.errstate(invalid="ignore"):
             rc = main(["fit", "--data", str(data), "--topics", "2", "--out", str(model_dir)])
@@ -534,6 +566,42 @@ def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, make):
     assert not (tmp_path / "out").exists()
 
 
+@needs_scipy
+def test_fit_and_sweep_never_densify_sparse_data(tmp_path, monkeypatch):
+    data = _sparse_dataset(tmp_path)
+    V = read_matrix(data, read_dataset(data))
+    assert V.format == "csr" and V.nnz <= 0.05 * V.shape[0] * V.shape[1]
+
+    def refuse(*args):
+        raise AssertionError("a sparse dataset was densified")
+
+    monkeypatch.setattr(dataio, "dense_from_csr", refuse)
+    assert main(["fit", "--data", str(data), "--rate", "0.3", "--out", str(tmp_path / "m")]) == 0
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"data": str(data), "out": str(tmp_path / "sweep"),
+                                  "rates": [0.0, 0.3], "seeds": [1], "weighted": True}))
+    assert main(["sweep", "--config", str(config)]) == 0
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["ok", "ok"]
+
+
+@needs_scipy
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_csr_operand_writes_the_dense_fit_bytes(tmp_path, weighted):
+    data = _sparse_dataset(tmp_path)
+    dataset = read_dataset(data)
+    V = read_matrix(data, dataset)
+    dense = V.toarray()
+    assert V.format == "csr"
+    config = FitConfig(d=3, seed=4, max_iter=60, rel_tol=1e-9, weighted=weighted)
+    supervised = {i for i in range(0, 60, 4)}
+    for name, operand in (("csr", V), ("dense", dense)):
+        _, model, trace = fit_supervised(dataset, operand, supervised, config)
+        save_model(tmp_path / name, model, trace, config)
+    for name in ("model.json", "W.csv", "H.csv", "trace.csv"):
+        assert (tmp_path / "csr" / name).read_bytes() == (tmp_path / "dense" / name).read_bytes()
+
+
 def test_evaluate_and_top_terms_never_densify_the_data(tmp_path):
     data = _synth_dataset(tmp_path)
     model_dir = tmp_path / "model"
@@ -718,6 +786,49 @@ class TestSweep:
                 assert (model / name).read_bytes() == (cell / name).read_bytes(), (rate, name)
             for name in ("report.json", "report.csv"):
                 assert (report / name).read_bytes() == (cell / name).read_bytes(), (rate, name)
+
+    @pytest.mark.parametrize("key", ["data", "out"])
+    def test_empty_path_exits_2_naming_the_key(self, tmp_path, monkeypatch, capsys, key):
+        data = _synth_dataset(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        cfg = self._config(tmp_path, data)
+        cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), **{key: ""})))
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert f"'{key}': empty file name" in capsys.readouterr().err
+        assert not list(work.iterdir()) and not (tmp_path / "sweep").exists()
+
+    def test_failing_cell_removes_the_earlier_run(self, tmp_path):
+        data = _synth_dataset(tmp_path)
+        cfg = self._config(tmp_path, data, rates=[0.0, 0.5])
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        cells = [tmp_path / "sweep" / "cells" / f"rate_{r}" / "seed_1" for r in (0.0, 0.5)]
+        assert all(len(list(cell.iterdir())) == 7 for cell in cells)
+        _rewrite(data, "data", _set(0, np.inf))
+        with np.errstate(invalid="ignore"):
+            assert main(["sweep", "--config", str(cfg)]) == 1  # every cell failed
+        assert all(not list(cell.iterdir()) for cell in cells)
+
+    def test_truth_matrix_built_once_per_sweep(self, tmp_path, monkeypatch):
+        data = _synth_dataset(tmp_path)
+        cfg = self._config(tmp_path, data, rates=[0.0, 0.5], seeds=[1, 2])
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        before = {p: p.read_bytes() for p in (tmp_path / "sweep" / "cells").rglob("*")
+                  if p.is_file()}
+        built = []
+        from_label_table = TruthMatrix.from_label_table
+
+        def counted(cls, table):
+            built.append(table)
+            return from_label_table(table)
+
+        monkeypatch.setattr(TruthMatrix, "from_label_table", classmethod(counted))
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert len(built) == 1
+        after = {p: p.read_bytes() for p in (tmp_path / "sweep" / "cells").rglob("*") if p.is_file()}
+        assert len(before) == 4 * 7 and after == before
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         data = _synth_dataset(tmp_path)

@@ -553,8 +553,11 @@ def _assert_close_to_dense(sparse, dense):
 class TestSparsePath:
     """The CSR products against the dense path, which is the reference."""
 
+    @pytest.mark.parametrize("form", ["dense", "csr"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
-    def test_matches_dense_path_on_tfidf_like_data(self, monkeypatch, weighted):
+    def test_matches_dense_path_on_tfidf_like_data(self, monkeypatch, weighted, form):
+        from scipy.sparse import csr_array
+
         for seed in range(4):
             V = _tfidf_like(seed)
             assert not isinstance(_sparse_operand(V), np.ndarray)
@@ -563,8 +566,56 @@ class TestSparsePath:
             L = build_mask(table, supervised, 60, 5).matrix
             E = build_error_weights(60, supervised).row_weight if weighted else None
             cfg = FitConfig(d=5, seed=seed, max_iter=80, rel_tol=1e-9, weighted=weighted)
-            _assert_close_to_dense(fit(V, L, cfg, row_weights=E),
+            operand = V if form == "dense" else csr_array(V)
+            _assert_close_to_dense(fit(operand, L, cfg, row_weights=E),
                                    _dense_fit(monkeypatch, V, L, cfg, row_weights=E))
+
+    def test_csr_input_takes_the_path_a_sparse_dense_input_takes(self):
+        from scipy.sparse import csr_array
+
+        V = _tfidf_like(3)
+        V[7] = 0.0
+        L = np.ones((60, 4))
+        L[:15] = np.eye(4)[np.arange(15) % 4]
+        cfg = FitConfig(d=4, seed=3, max_iter=40, rel_tol=1e-12, weighted=True)
+        E = build_error_weights(60, range(15)).row_weight
+        model, trace = fit(V, L, cfg, row_weights=E)
+        # a CSR whose rows run backwards and store their first entry as two exact halves
+        A = csr_array(V)
+        data, indices, indptr = [], [], [0]
+        for a, b in zip(A.indptr[:-1], A.indptr[1:]):
+            cols, vals = list(A.indices[a:b][::-1]), list(A.data[a:b][::-1])
+            if cols:
+                vals[0] /= 2.0
+                cols.append(cols[0])
+                vals.append(vals[0])
+            indices += cols
+            data += vals
+            indptr.append(len(indices))
+        messy = csr_array((data, indices, indptr), shape=V.shape)
+        assert not messy.has_canonical_format
+        for operand in (A, A.tocsc(), messy):
+            again, again_trace = fit(operand, L, cfg, row_weights=E)
+            assert again.W.tobytes() == model.W.tobytes() and again.H.tobytes() == model.H.tobytes()
+            assert again_trace == trace
+        with pytest.raises(ValueError, match="non-negative"):
+            fit(csr_array(-V), L, cfg, row_weights=E)
+
+    def test_init_model_densifies_only_the_picked_rows_bitwise(self):
+        from scipy.sparse import csr_array
+
+        for seed in range(5):
+            V = _tfidf_like(seed, n=30, t=50, density=0.08)
+            L = np.ones((30, 7))
+            cfg = FitConfig(d=7, seed=seed)
+            dense, sparse = init_model(V, L, cfg), init_model(csr_array(V), L, cfg)
+            assert dense.H.tobytes() == sparse.H.tobytes()
+            assert dense.W.tobytes() == sparse.W.tobytes()
+            # each H row is the plain mean of ACOL_Q distinct rows, as the draw order gives them
+            rng = np.random.default_rng(seed)
+            for r in range(7):
+                rows = V[rng.choice(30, size=ACOL_Q, replace=False), :]
+                assert dense.H[r].tobytes() == rows.mean(axis=0).tobytes()
 
     def test_unit_weights_reproduce_plain_fit_bitwise(self):
         V = _tfidf_like(5)
@@ -612,6 +663,31 @@ class TestSparsePath:
             assert short.losses == trace.losses[: k + 1]
             assert short.final_loss == _row_weighted_sse(V, model.W, model.H, L, E_fit)
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_row_blocked_residual_matches_the_dense_residual(self, monkeypatch, weighted):
+        from scipy.sparse import csr_array
+
+        V = _sparse_planted(1e-8, 2)
+        L = np.ones((40, 3))
+        E = np.where(np.arange(40) < 10, 4.0, 1.0) if weighted else None
+        cfg = FitConfig(d=3, seed=2, max_iter=200, rel_tol=1e-15, weighted=weighted)
+        whole = fit(csr_array(V), L, cfg, row_weights=E)[1].losses
+        # blocks of 7 rows: six blocks for the 40 rows, the last one short
+        monkeypatch.setattr(factorization, "RESIDUAL_BLOCK_BYTES", 7 * 8 * V.shape[1] + 5)
+        _, trace = fit(csr_array(V), L, cfg, row_weights=E)
+        losses = np.array(trace.losses)
+        scale = float(np.vdot(V if E is None else V * E[:, None], V))
+        under = np.flatnonzero(losses < 0.9 * LOSS_GUARD * scale)
+        assert len(under) >= 50, "fit never reached the guarded region"
+        assert (losses[1:] <= losses[:-1] * (1 + MONOTONE_SLACK)).all()
+        k = min(len(whole), len(losses))
+        np.testing.assert_allclose(losses[:k], whole[:k], rtol=1e-12, atol=0.0)
+        for k in under[:: len(under) // 3]:
+            model, short = fit(csr_array(V), L, dataclasses.replace(cfg, max_iter=int(k)),
+                               row_weights=E)
+            explicit = _row_weighted_sse(V, model.W, model.H, L, E)
+            np.testing.assert_allclose(short.final_loss, explicit, rtol=1e-12, atol=0.0)
+
     def test_operand_is_csr_of_the_data(self):
         V = _tfidf_like(7)
         V[3] = 0.0
@@ -622,7 +698,7 @@ class TestSparsePath:
         assert _sparse_operand(dense) is dense
 
 
-def test_dense_fits_and_cli_import_never_load_scipy():
+def test_dense_fits_and_cli_import_never_load_scipy(tmp_path):
     code = (
         "import sys\n"
         "import tsnmf.cli\n"
@@ -631,7 +707,13 @@ def test_dense_fits_and_cli_import_never_load_scipy():
         "inst = make_planted_instance(30, 40, 3, seed=1)\n"
         "fit(inst.V, [[1.0] * 3] * 30, FitConfig(d=3, seed=0, max_iter=5))\n"
         "assert 'scipy' not in sys.modules, 'a dense fit loaded scipy'\n"
+        "from tsnmf.cli import main\n"
+        "for argv in (['synth', '--docs', '30', '--terms', '40', '--topics', '3', '--out', sys.argv[1]],\n"
+        "             ['fit', '--data', sys.argv[1], '--max-iter', '5', '--out', sys.argv[2]]):\n"
+        "    assert main(argv) == 0\n"
+        "assert 'scipy' not in sys.modules, 'reading a dense dataset loaded scipy'\n"
     )
     src = str(Path(factorization.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "data"), str(tmp_path / "model")],
+                   check=True, env=env, stdout=subprocess.DEVNULL)
