@@ -29,11 +29,12 @@ from .errors import EmptyVocabularyError, NumericalFailureError, TsnmfError
 from .evaluation import DEFAULT_THRESHOLD, top_terms, write_report
 from .experiment import (
     FIT_FILES,
+    REPORT_FILES,
     SweepConfig,
     fit_config,
     fit_supervised,
+    one_run,
     recorded_rows,
-    remove_run,
     run_sweep,
     score,
     supervise,
@@ -88,17 +89,17 @@ def cmd_fit(args) -> int:
     supervised, rate, seed = supervise(dataset, args.rate, args.seed, args.supervision)
     config = fit_config(args, d, seed)
     try:
-        mask, model, trace = fit_supervised(dataset, V, supervised, config)
+        with one_run(out, FIT_FILES):
+            mask, model, trace = fit_supervised(dataset, V, supervised, config)
+            save_model(out, model, trace, config)
+            write_supervision(out, dataset, supervised, rate, seed)
+            if args.mask_out is not None:
+                write_dense_csv(mask.matrix, args.mask_out)
     except NumericalFailureError as exc:
-        remove_run(out, FIT_FILES)
         if exc.losses:
             partial = FitTrace(losses=tuple(exc.losses), stop_reason="numerical_failure")
             write_trace_csv(out / "trace.csv", partial)
         raise
-    save_model(out, model, trace, config)
-    write_supervision(out, dataset, supervised, rate, seed)
-    if args.mask_out is not None:
-        write_dense_csv(mask.matrix, args.mask_out)
     print(
         f"fit d={d} stopped after {trace.iterations} iterations "
         f"({trace.stop_reason}), final loss {trace.final_loss!r}"
@@ -110,7 +111,8 @@ def cmd_evaluate(args) -> int:
     dataset = read_dataset(args.data)
     W = read_factor(args.model, "W")
     report = score(dataset, W, recorded_rows(dataset, args.model), args.threshold)
-    write_report(args.out, report, labels=dataset.label_table.labels)
+    with one_run(args.out, REPORT_FILES):
+        write_report(args.out, report, labels=dataset.label_table.labels)
     print(
         f"resolved {report.resolved_count}/{len(report.matching.pairs)} topics "
         f"(threshold {report.threshold}), mean similarity {report.mean_similarity:.4f}"

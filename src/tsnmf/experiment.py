@@ -25,6 +25,7 @@ each sweep CSV either complete or absent.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,7 +51,8 @@ from .supervision import (
 SUPERVISION_FILENAME = "supervision.json"
 # what a fit leaves in its directory, and a sweep cell, which also scores the fit
 FIT_FILES = ("model.json", "W.csv", "H.csv", "trace.csv", SUPERVISION_FILENAME)
-CELL_FILES = (*FIT_FILES, "report.json", "report.csv")
+REPORT_FILES = ("report.json", "report.csv")
+CELL_FILES = (*FIT_FILES, *REPORT_FILES)
 _INTEGER = (int, "an integer")
 _NUMBER = ((int, float), "a number")
 # (types, description) of each sweep config value, or of each entry of the
@@ -166,11 +168,19 @@ def recorded_rows(dataset: Dataset, modeldir) -> set[int] | None:
     return _rows_of(dataset, _read_supervision(path).get("supervised_ids", []), path)
 
 
-def remove_run(outdir, names) -> None:
-    """Delete the files ``names`` an earlier run left in ``outdir``, so it never mixes two runs."""
-    if Path(outdir).is_dir():
-        for name in names:
-            (Path(outdir) / name).unlink(missing_ok=True)
+@contextmanager
+def one_run(outdir, names):
+    """If the block raises, delete the files ``names`` from ``outdir``, then re-raise.
+
+    A failed run leaves neither its own files nor an earlier run's there.
+    """
+    try:
+        yield
+    except Exception:
+        if Path(outdir).is_dir():
+            for name in names:
+                (Path(outdir) / name).unlink(missing_ok=True)
+        raise
 
 
 def score(dataset: Dataset, W, supervised, threshold: float, truth=None) -> EvaluationReport:
@@ -302,17 +312,19 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     V = read_matrix(cfg.data, dataset)
     truth = TruthMatrix.from_label_table(dataset.label_table)
     d = topic_count(dataset, cfg.topics)
+    # built before any cell runs, so a bad setting runs no cell and exits 2
+    configs = {seed: fit_config(cfg, d, seed) for seed in cfg.seeds}
     out = Path(cfg.out)
     cells = []
     for rate in cfg.rates:
         for seed in cfg.seeds:
             cell_dir = out / "cells" / f"rate_{rate}" / f"seed_{seed}"
-            config = fit_config(cfg, d, seed)
             try:
-                cell = run_cell(dataset, V, truth, rate, seed, config, cfg.threshold, cell_dir)
+                with one_run(cell_dir, CELL_FILES):
+                    cell = run_cell(dataset, V, truth, rate, seed, configs[seed],
+                                    cfg.threshold, cell_dir)
             except Exception as exc:
                 cell = SweepCell(rate=rate, seed=seed, status=f"error: {exc}")
-                remove_run(cell_dir, CELL_FILES)
             cells.append(cell)
 
     result = SweepResult(cells=tuple(cells), summary=_summarize(cells))

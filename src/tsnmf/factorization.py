@@ -17,8 +17,7 @@ records the row-weighted squared error
     sum_i e_i * || V_i - ((W o mask) H)_i ||^2
 
 because that is the quantity the weighted updates decrease monotonically
-(weights enter the update ratios linearly).  ``loss_tsw`` with the weight
-matrix inside the Frobenius norm is also provided for reporting.
+(weights enter the update ratios linearly).
 
 The updates run in Gram form, with ``WL = W o mask``, ``Ve = V * e``
 (``V`` itself, not a copy, for the plain rule) and ``G = (WL * e)^T WL``:
@@ -62,7 +61,6 @@ import numpy as np
 from .errors import NumericalFailureError, ShapeError
 from .matrix import (
     csr_parts,
-    frobenius_sq,
     read_dense_csv,
     read_json,
     require_nonnegative,
@@ -115,6 +113,8 @@ class FitConfig:
             raise ValueError(f"topic count d must be >= 1, got {self.d}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # a non-finite value would be written to model.json as a token JSON lacks
         if not (self.rel_tol > 0.0 and np.isfinite(self.rel_tol)):
             raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
@@ -175,17 +175,6 @@ def _row_weights_column(E: np.ndarray, n: int) -> np.ndarray:
 def loss_ts(V, W, H, L) -> float:
     """Squared Frobenius error of the masked reconstruction."""
     return _row_weighted_sse(V, W, H, L, None)
-
-
-def loss_tsw(V, W, H, L, E) -> float:
-    """Squared Frobenius error with each residual row scaled by its weight.
-
-    ``E`` is one positive weight per document; the full weight matrix is
-    its broadcast across columns, so weights enter this value squared.
-    """
-    V, W, H, L = _conform(V, W, H, L)
-    e = _row_weights_column(E, V.shape[0])
-    return frobenius_sq((V - (W * L) @ H) * e)
 
 
 def _row_weighted_sse(V, W, H, L, E) -> float:

@@ -49,12 +49,6 @@ def require_nonnegative(a: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} must be non-negative, min entry is {a.min()!r}")
 
 
-def frobenius_sq(a) -> float:
-    """Sum of squared entries (squared Frobenius norm)."""
-    a = as_dense(a, "a")
-    return float(np.sum(a * a))
-
-
 def l2_normalize_rows(a) -> np.ndarray:
     """Scale each row to unit Euclidean norm; all-zero rows pass through unchanged."""
     a = as_dense(a, "a")

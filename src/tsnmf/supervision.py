@@ -106,6 +106,8 @@ def sample_supervised_set(n: int, rate: float, seed: int) -> set[int]:
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"supervision rate must be in [0, 1], got {rate}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     k = round(rate * n)
     if k == 0:
         return set()

@@ -14,6 +14,8 @@ import numpy as np
 from .evaluation import TruthMatrix
 from .supervision import LabelTable
 
+MAX_TOPICS_PER_DOC = 3
+
 
 @dataclass(frozen=True)
 class PlantedInstance:
@@ -32,11 +34,10 @@ def make_planted_instance(
     d: int,
     noise_level: float = 0.1,
     seed: int = 0,
-    max_topics_per_doc: int = 3,
 ) -> PlantedInstance:
     """Generate V = W_true @ H_true + noise with known labels.
 
-    Each document carries 1..max_topics_per_doc distinct topics (every
+    Each document carries 1..MAX_TOPICS_PER_DOC distinct topics (every
     topic is used by at least one document).  Each topic owns a disjoint
     slice of anchor terms over a light background, so topics are
     separable.  Noise is a dense non-negative matrix rescaled so its
@@ -52,7 +53,7 @@ def make_planted_instance(
 
     W_bin = np.zeros((n_docs, d), dtype=np.float64)
     for i in range(n_docs):
-        k = int(rng.integers(1, max_topics_per_doc + 1))
+        k = int(rng.integers(1, MAX_TOPICS_PER_DOC + 1))
         topics = rng.choice(d, size=min(k, d), replace=False)
         W_bin[i, topics] = 1.0
     # guarantee every topic appears somewhere

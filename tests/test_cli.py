@@ -14,11 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsnmf import dataio
+from tsnmf import dataio, matrix
 from tsnmf.cli import build_parser, main
 from tsnmf.dataio import MATRIX_FILENAMES, read_dataset, read_matrix, write_planted_instance
 from tsnmf.evaluation import TruthMatrix, score_report
-from tsnmf.experiment import SweepConfig, fit_config, fit_supervised
+from tsnmf.experiment import (
+    FIT_FILES,
+    REPORT_FILES,
+    SweepConfig,
+    fit_config,
+    fit_supervised,
+)
 from tsnmf.factorization import FactorModel, FitConfig, FitTrace, fit, read_factor, save_model
 from tsnmf.matrix import csr_parts, read_dense_csv, read_json
 from tsnmf.synthetic import make_planted_instance
@@ -905,6 +911,52 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
     if command != "top-terms":
         assert blocked.read_text() == "keep me\n"
     assert not list(tmp_path.rglob("*.tmp"))  # the failed write removed its temporary file
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_failed_write_removes_the_earlier_run(tmp_path, monkeypatch, capsys, command):
+    """A write that fails midway leaves neither the new run's files nor the earlier run's."""
+    data = _synth_dataset(tmp_path)
+    model, report = tmp_path / "model", tmp_path / "report"
+    fit_args = ["fit", "--data", str(data), "--rate", "0.5", "--out", str(model)]
+    evaluate_args = ["evaluate", "--model", str(model), "--data", str(data), "--out", str(report)]
+    assert main(fit_args + ["--seed", "1"]) == 0
+    assert main(evaluate_args) == 0
+    out, names, failing = {
+        "fit": (model, FIT_FILES, "H.csv"),  # after model.json and W.csv
+        "evaluate": (report, REPORT_FILES, "report.csv"),  # after report.json
+    }[command]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    if command == "evaluate":
+        assert main(fit_args + ["--seed", "2"]) == 0
+    write_file = matrix.write_file
+
+    def fail_at(path, content):
+        if Path(path).name == failing:
+            raise OSError(f"cannot write output: {path}: no space left on device")
+        write_file(path, content)
+
+    monkeypatch.setattr(matrix, "write_file", fail_at)
+    capsys.readouterr()
+    assert main({"fit": fit_args + ["--seed", "2"], "evaluate": evaluate_args}[command]) == 2
+    assert "no space left" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("rate", ["0", "0.5"])
+def test_negative_seed_exits_2_naming_it_on_fit_and_sweep(tmp_path, capsys, rate):
+    data = _synth_dataset(tmp_path)
+    model = tmp_path / "model"
+    assert main(["fit", "--data", str(data), "--rate", rate, "--seed", "-1", "--out", str(model)]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    config = tmp_path / "sweep.json"
+    sweep = tmp_path / "sweep"
+    config.write_text(json.dumps(
+        {"data": str(data), "out": str(sweep), "rates": [float(rate)], "seeds": [1, -1]}))
+    # every cell's settings are checked before the first cell runs
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not model.exists() and not sweep.exists()
 
 
 # every flag that takes a string; each names a file

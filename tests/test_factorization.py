@@ -25,7 +25,6 @@ from tsnmf.factorization import (
     fit,
     init_model,
     loss_ts,
-    loss_tsw,
     read_factor,
     save_model,
     update_h,
@@ -33,7 +32,7 @@ from tsnmf.factorization import (
     update_w,
     update_w_weighted,
 )
-from tsnmf.matrix import frobenius_sq, read_json
+from tsnmf.matrix import read_json
 from tsnmf.supervision import (
     build_error_weights,
     build_label_table,
@@ -68,7 +67,7 @@ class TestLosses:
         V = rng.random((3, 4))
         W = rng.random((3, 2))
         H = rng.random((2, 4))
-        assert loss_ts(V, W, H, np.zeros((3, 2))) == pytest.approx(frobenius_sq(V))
+        assert loss_ts(V, W, H, np.zeros((3, 2))) == pytest.approx(np.sum(V * V))
 
     def test_scalar_case(self):
         assert loss_ts([[4.0]], [[2.0]], [[1.0]], [[1.0]]) == 4.0
@@ -76,22 +75,6 @@ class TestLosses:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             loss_ts(np.ones((3, 4)), np.ones((2, 2)), np.ones((2, 4)), np.ones((2, 2)))
-
-    def test_weighted_with_unit_weights_equals_unweighted(self):
-        rng = np.random.default_rng(1)
-        V, L = _random_instance(rng)
-        n, d = L.shape
-        W = rng.random((n, d))
-        H = rng.random((d, V.shape[1]))
-        assert loss_tsw(V, W, H, L, np.ones(n)) == loss_ts(V, W, H, L)
-
-    def test_weighted_exact_factorization_is_zero(self):
-        eye = np.eye(2)
-        assert loss_tsw(eye, eye, eye, np.ones((2, 2)), np.array([3.0, 7.0])) == 0.0
-
-    def test_weighted_scalar_case(self):
-        # residual 2 scaled by weight 3, squared
-        assert loss_tsw([[4.0]], [[2.0]], [[1.0]], [[1.0]], np.array([3.0])) == 36.0
 
 
 class TestUpdateH:
@@ -237,6 +220,7 @@ class TestFitConfig:
             {"d": 0},
             {"d": 2, "max_iter": 0},
             {"d": 2, "rel_tol": 0.0},
+            {"d": 2, "seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -257,7 +241,7 @@ class TestFit:
         V = W_true @ H_true
         model, trace = fit(V, L, FitConfig(d=d, seed=0, max_iter=2000, rel_tol=1e-12))
         assert trace.final_loss <= trace.losses[0]
-        assert trace.final_loss <= 1e-6 * frobenius_sq(V)
+        assert trace.final_loss <= 1e-6 * np.sum(V * V)
 
     def test_mask_invariance_is_exact(self):
         rng = np.random.default_rng(15)
@@ -468,7 +452,7 @@ class TestGramForm:
         W, H, explicit = _iterates_and_explicit_losses(V, L, E, cfg)
         assert np.array_equal(model.W, W) and np.array_equal(model.H, H)
         losses = np.array(trace.losses)
-        scale = float(np.sum(E[:, None] * V * V)) if weighted else frobenius_sq(V)
+        scale = float(np.sum(E[:, None] * V * V)) if weighted else np.sum(V * V)
         # well under the guard the identity's value is under it too
         under = explicit < 0.9 * LOSS_GUARD * scale
         assert under.sum() >= 50, "fit never reached the guarded region"
@@ -653,7 +637,7 @@ class TestSparsePath:
         cfg = FitConfig(d=3, seed=2, max_iter=200, rel_tol=1e-15, weighted=weighted)
         _, trace = fit(V, L, cfg, row_weights=E_fit)
         losses = np.array(trace.losses)
-        scale = float(np.vdot(V * E[:, None], V)) if weighted else frobenius_sq(V)
+        scale = float(np.vdot(V * E[:, None], V)) if weighted else np.sum(V * V)
         under = np.flatnonzero(losses < 0.9 * LOSS_GUARD * scale)
         assert len(under) >= 50, "fit never reached the guarded region"
         assert (losses[1:] <= losses[:-1] * (1 + MONOTONE_SLACK)).all()

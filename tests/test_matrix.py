@@ -14,7 +14,6 @@ import tsnmf
 from tsnmf.matrix import (
     csr_parts,
     dense_from_csr,
-    frobenius_sq,
     l2_normalize_rows,
     read_dense_csv,
     read_json,
@@ -23,29 +22,6 @@ from tsnmf.matrix import (
     write_file,
     write_json,
 )
-
-
-class TestFrobeniusSq:
-    def test_zero_matrix(self):
-        assert frobenius_sq(np.zeros((3, 2))) == 0.0
-
-    def test_known_value(self):
-        assert frobenius_sq([[1, 2], [3, 4]]) == 30.0
-
-    def test_transpose_symmetry(self):
-        a = np.random.default_rng(2).random((4, 6))
-        assert frobenius_sq(a) == pytest.approx(frobenius_sq(a.T), rel=1e-15)
-
-    def test_zero_iff_equal(self):
-        a = np.random.default_rng(3).random((5, 5))
-        assert frobenius_sq(a - a) == 0.0
-        b = a.copy()
-        b[2, 3] += 1e-9
-        assert frobenius_sq(a - b) > 0.0
-
-    def test_equals_trace_of_gram(self):
-        a = np.random.default_rng(4).random((4, 5))
-        assert frobenius_sq(a) == pytest.approx(np.trace(a.T @ a), rel=1e-13)
 
 
 class TestL2NormalizeRows:

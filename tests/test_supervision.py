@@ -61,6 +61,11 @@ class TestSampleSupervisedSet:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             sample_supervised_set(10, 1.5, seed=0)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_rejects_negative_seed_naming_it(self, rate):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            sample_supervised_set(10, rate, seed=-1)
+
 
 class TestBuildMask:
     def test_supervised_row_is_indicator(self):
