@@ -7,7 +7,9 @@ directory, ``fit`` writes a model directory, ``evaluate`` and
 ``evaluate`` reads the model's W and ``top-terms`` its H.  ``fit``,
 ``evaluate`` and the sweep share one supervise -> fit -> record -> score
 path, which lives in ``tsnmf.experiment``; this module only maps its
-errors to exit codes.
+errors to exit codes.  ``fit --supervision`` takes a supervision record,
+such as a model's ``supervision.json``, as the list of supervised ids.
+``evaluate`` counts a topic resolved above the fixed ``RESOLVED_THRESHOLD``.
 
 Exit codes are a stable contract, all of it in ``main``: 0 success, 2 input
 or shape error, 3 empty-data error, 4 numerical failure.  An empty string
@@ -26,7 +28,7 @@ from pathlib import Path
 
 from .dataio import read_dataset, read_matrix, write_ingest_result, write_planted_instance
 from .errors import EmptyVocabularyError, NumericalFailureError, TsnmfError
-from .evaluation import DEFAULT_THRESHOLD, top_terms, write_report
+from .evaluation import RESOLVED_THRESHOLD, top_terms, write_report
 from .experiment import (
     FIT_FILES,
     REPORT_FILES,
@@ -42,7 +44,7 @@ from .experiment import (
     write_supervision,
 )
 from .factorization import FitConfig, FitTrace, read_factor, save_model, write_trace_csv
-from .matrix import write_csv, write_dense_csv
+from .matrix import write_csv
 from .preprocessing import (
     DEFAULT_MIN_CHARS,
     DEFAULT_VOCAB_CAP,
@@ -90,11 +92,9 @@ def cmd_fit(args) -> int:
     config = fit_config(args, d, seed)
     try:
         with one_run(out, FIT_FILES):
-            mask, model, trace = fit_supervised(dataset, V, supervised, config)
+            model, trace = fit_supervised(dataset, V, supervised, config)
             save_model(out, model, trace, config)
             write_supervision(out, dataset, supervised, rate, seed)
-            if args.mask_out is not None:
-                write_dense_csv(mask.matrix, args.mask_out)
     except NumericalFailureError as exc:
         if exc.losses:
             partial = FitTrace(losses=tuple(exc.losses), stop_reason="numerical_failure")
@@ -110,12 +110,12 @@ def cmd_fit(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset = read_dataset(args.data)
     W = read_factor(args.model, "W")
-    report = score(dataset, W, recorded_rows(dataset, args.model), args.threshold)
+    report = score(dataset, W, recorded_rows(dataset, args.model))
     with one_run(args.out, REPORT_FILES):
         write_report(args.out, report, labels=dataset.label_table.labels)
     print(
         f"resolved {report.resolved_count}/{len(report.matching.pairs)} topics "
-        f"(threshold {report.threshold}), mean similarity {report.mean_similarity:.4f}"
+        f"(threshold {RESOLVED_THRESHOLD}), mean similarity {report.mean_similarity:.4f}"
     )
     return EXIT_OK
 
@@ -184,18 +184,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topics", type=int, default=None, help="topic count (default: label count)")
     p.add_argument("--rate", type=float, default=0.0, help="supervision rate in [0, 1]")
     p.add_argument("--seed", type=int, default=FitConfig.seed)
-    p.add_argument("--supervision", help="JSON spec with 'rate' or 'supervised_ids'")
+    p.add_argument("--supervision", help="supervision record: 'supervised_ids', optional 'seed'")
     p.add_argument("--weighted", action="store_true", help="use error-weighted updates")
     p.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
     p.add_argument("--rel-tol", type=float, default=FitConfig.rel_tol)
-    p.add_argument("--mask-out", help="also export the mask as dense CSV")
     p.add_argument("--out", required=True, help="model output directory")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("evaluate", help="score a model against the dataset labels")
     p.add_argument("--model", required=True, help="model directory")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", required=True, help="report output directory")
     p.set_defaults(func=cmd_evaluate)
 

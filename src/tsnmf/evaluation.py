@@ -4,7 +4,7 @@ A fitted W and a binary truth matrix are compared column-wise (topic-wise)
 with the weighted Jaccard similarity, sum of entrywise minima over sum of
 entrywise maxima.  An optimal one-to-one topic-to-label assignment is then
 found with an in-repo Kuhn-Munkres solver, and topics whose matched
-similarity clears a threshold count as resolved.
+similarity is above the fixed ``RESOLVED_THRESHOLD`` count as resolved.
 
 Weighted Jaccard is scale-sensitive, so W columns are max-normalized
 (each column divided by its maximum, zero columns left alone) before
@@ -20,12 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import as_dense, write_csv, write_json
+from .matrix import as_dense, write_json
 from .preprocessing import Vocabulary
 from .supervision import LabelTable
 
 # A matched topic whose similarity is above this counts as resolved.
-DEFAULT_THRESHOLD = 0.1
+RESOLVED_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ class EvaluationReport:
     total_similarity: float
     mean_similarity: float
     resolved_count: int
-    threshold: float
     coverage: float | None = None
 
 
@@ -201,7 +200,6 @@ def hungarian_match(similarity) -> Matching:
 def score_report(
     model_W,
     truth: TruthMatrix,
-    threshold: float = DEFAULT_THRESHOLD,
     coverage: float | None = None,
 ) -> EvaluationReport:
     """Match topics to labels and summarize the similarities.
@@ -209,10 +207,8 @@ def score_report(
     ``model_W`` is the fitted documents x topics matrix (or a FactorModel;
     its W is used).  Columns are max-normalized before scoring.  A matched
     topic counts as resolved when its similarity is strictly above
-    ``threshold``, which must be finite.
+    ``RESOLVED_THRESHOLD``.
     """
-    if not np.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
     W = getattr(model_W, "W", model_W)
     W = as_dense(W, "W")
     if W.shape[0] != truth.matrix.shape[0]:
@@ -223,13 +219,12 @@ def score_report(
     matching = hungarian_match(S)
     total = matching.total_similarity
     mean = total / len(matching.pairs) if matching.pairs else 0.0
-    resolved = sum(1 for _, _, sim in matching.pairs if sim > threshold)
+    resolved = sum(1 for _, _, sim in matching.pairs if sim > RESOLVED_THRESHOLD)
     return EvaluationReport(
         matching=matching,
         total_similarity=total,
         mean_similarity=mean,
         resolved_count=resolved,
-        threshold=threshold,
         coverage=coverage,
     )
 
@@ -250,8 +245,7 @@ def top_terms(H, vocab: Vocabulary, m: int) -> list[list[str]]:
 
 
 def write_report(outdir, report: EvaluationReport, labels: Sequence[str]) -> None:
-    """Write report.json and report.csv (one row per matched pair) under ``outdir``."""
-    out = Path(outdir)
+    """Write report.json under ``outdir``; it records ``RESOLVED_THRESHOLD`` as "threshold"."""
     pairs = [
         {
             "topic": i,
@@ -268,9 +262,7 @@ def write_report(outdir, report: EvaluationReport, labels: Sequence[str]) -> Non
         "total_similarity": report.total_similarity,
         "mean_similarity": report.mean_similarity,
         "resolved_count": report.resolved_count,
-        "threshold": report.threshold,
+        "threshold": RESOLVED_THRESHOLD,
         "coverage": report.coverage,
     }
-    write_json(out / "report.json", payload)
-    columns = ("topic", "label_index", "label", "similarity")
-    write_csv(out / "report.csv", [columns, *([row[k] for k in columns] for row in pairs)])
+    write_json(Path(outdir) / "report.json", payload)

@@ -1,8 +1,8 @@
 """The supervision pipeline and the supervision-rate sweep harness.
 
 ``fit``, ``evaluate`` and every sweep cell take one path: supervise (sample
-the labeled rows or map a spec's ids to rows), fit (mask, error weights,
-``factorization.fit``), record (``supervision.json``; no other module of
+the labeled rows, or map the ids of a supervision record to rows), fit (mask,
+error weights, ``factorization.fit``), record (``supervision.json``; no other module of
 the package reads or writes it) and score (coverage, truth matrix, ``score_report``).  A
 sweep runs that path over a grid of (supervision rate, seed) cells against
 one dataset, read and scored against once; a failing cell is recorded in
@@ -25,6 +25,7 @@ each sweep CSV either complete or absent.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,13 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import Dataset, read_dataset, read_matrix
-from .evaluation import (
-    DEFAULT_THRESHOLD,
-    EvaluationReport,
-    TruthMatrix,
-    score_report,
-    write_report,
-)
+from .evaluation import EvaluationReport, TruthMatrix, score_report, write_report
 from .factorization import FitConfig, fit, save_model
 from .matrix import read_json, write_csv, write_json
 from .supervision import (
@@ -51,7 +46,7 @@ from .supervision import (
 SUPERVISION_FILENAME = "supervision.json"
 # what a fit leaves in its directory, and a sweep cell, which also scores the fit
 FIT_FILES = ("model.json", "W.csv", "H.csv", "trace.csv", SUPERVISION_FILENAME)
-REPORT_FILES = ("report.json", "report.csv")
+REPORT_FILES = ("report.json",)
 CELL_FILES = (*FIT_FILES, *REPORT_FILES)
 _INTEGER = (int, "an integer")
 _NUMBER = ((int, float), "a number")
@@ -59,7 +54,7 @@ _NUMBER = ((int, float), "a number")
 # "rates" and "seeds" lists; numbers are read as floats
 _SWEEP_TYPES = {
     **dict.fromkeys(("data", "out"), (str, "a path string")),
-    **dict.fromkeys(("rates", "rel_tol", "threshold"), _NUMBER),
+    **dict.fromkeys(("rates", "rel_tol"), _NUMBER),
     **dict.fromkeys(("seeds", "topics", "max_iter"), _INTEGER),
     "weighted": (bool, "true or false"),
 }
@@ -87,21 +82,20 @@ def _check_type(path, key, value, kinds, what) -> None:
         raise ValueError(f"{path}: '{key}' must be {what}, got {value!r}")
 
 
-def _read_supervision(path) -> dict:
-    """Load a supervision spec or record: a JSON object with a list of id strings."""
+def _read_supervision(dataset: Dataset, path) -> tuple[dict, set[int]]:
+    """A supervision spec or record, and the rows of its list of distinct document ids."""
     info = read_json(path)
-    ids = info.get("supervised_ids", [])
+    ids = info.get("supervised_ids")
     if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
         raise ValueError(f"{path}: 'supervised_ids' must be a list of document id strings")
-    return info
-
-
-def _rows_of(dataset: Dataset, ids, path) -> set[int]:
     row = {doc_id: i for i, doc_id in enumerate(dataset.doc_ids)}
     missing = [x for x in ids if x not in row]
     if missing:
         raise ValueError(f"{path}: supervised_ids not in dataset: {missing[:5]}")
-    return {row[x] for x in ids}
+    repeated = [x for x, count in Counter(ids).items() if count > 1]
+    if repeated:
+        raise ValueError(f"{path}: supervised_ids repeated: {repeated[:5]}")
+    return info, {row[x] for x in ids}
 
 
 def topic_count(dataset: Dataset, topics: int | None) -> int:
@@ -123,35 +117,36 @@ def fit_config(settings, d: int, seed: int) -> FitConfig:
 def supervise(
     dataset: Dataset, rate: float, seed: int, spec=None
 ) -> tuple[set[int], float | None, int]:
-    """The supervised rows of a fit, and the rate (None for explicit ids) and seed.
+    """The supervised rows of a fit, and the rate and seed to record with them.
 
     Sampled rows skip documents without labels, which cannot be supervised.
-    A supervision ``spec`` file's seed, and its ids or else its rate, win.
+    A supervision ``spec`` file is a supervision record: its ids are the rows,
+    its seed (if any) wins, and its rate, which selects nothing, is recorded
+    again, so a fit given its own ``supervision.json`` writes the same bytes.
     """
-    if spec is not None:
-        info = _read_supervision(spec)
-        if "rate" not in info and "supervised_ids" not in info:
-            raise ValueError(f"{spec}: supervision spec needs 'rate' or 'supervised_ids'")
-        for key, (kinds, what) in (("rate", _NUMBER), ("seed", _INTEGER)):
-            _check_type(spec, key, info.get(key, 0), kinds, what)
-        seed = info.get("seed", seed)
-        if "supervised_ids" in info:
-            return _rows_of(dataset, info["supervised_ids"], spec), None, seed
-        rate = float(info["rate"])
-    supervised = sample_supervised_set(dataset.n_docs, rate, seed)
-    return {i for i in supervised if dataset.label_table.doc_labels[i]}, rate, seed
+    if spec is None:
+        supervised = sample_supervised_set(dataset.n_docs, rate, seed)
+        return {i for i in supervised if dataset.label_table.doc_labels[i]}, rate, seed
+    info, rows = _read_supervision(dataset, spec)
+    seed = info.get("seed", seed)
+    _check_type(spec, "seed", seed, *_INTEGER)
+    rate = info.get("rate")
+    if rate is not None:
+        _check_type(spec, "rate", rate, *_NUMBER)
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"{spec}: 'rate' must be in [0, 1], got {rate!r}")
+    return rows, rate, seed
 
 
 def fit_supervised(dataset: Dataset, V, supervised: set[int], config: FitConfig):
-    """Fit ``V``, W masked to the ``supervised`` rows' labels; returns (mask, model, trace).
+    """Fit ``V``, W masked to the ``supervised`` rows' labels; returns (model, trace).
 
     A weighted fit weights those rows by n / |supervised|.
     """
     n = dataset.n_docs
     mask = build_mask(dataset.label_table, supervised, n, config.d)
     weights = build_error_weights(n, supervised).row_weight if config.weighted else None
-    model, trace = fit(V, mask.matrix, config, row_weights=weights)
-    return mask, model, trace
+    return fit(V, mask.matrix, config, row_weights=weights)
 
 
 def write_supervision(outdir, dataset: Dataset, supervised, rate, seed) -> None:
@@ -165,7 +160,7 @@ def recorded_rows(dataset: Dataset, modeldir) -> set[int] | None:
     path = Path(modeldir) / SUPERVISION_FILENAME
     if not path.exists():
         return None
-    return _rows_of(dataset, _read_supervision(path).get("supervised_ids", []), path)
+    return _read_supervision(dataset, path)[1]
 
 
 @contextmanager
@@ -183,7 +178,7 @@ def one_run(outdir, names):
         raise
 
 
-def score(dataset: Dataset, W, supervised, threshold: float, truth=None) -> EvaluationReport:
+def score(dataset: Dataset, W, supervised, truth=None) -> EvaluationReport:
     """Score the fitted ``W`` against the labels' ``truth`` matrix, built here unless given.
 
     No coverage when ``supervised`` is None.
@@ -191,7 +186,7 @@ def score(dataset: Dataset, W, supervised, threshold: float, truth=None) -> Eval
     table = dataset.label_table
     coverage = None if supervised is None else topic_coverage(table, supervised)
     truth = TruthMatrix.from_label_table(table) if truth is None else truth
-    return score_report(W, truth, threshold=threshold, coverage=coverage)
+    return score_report(W, truth, coverage=coverage)
 
 
 @dataclass(frozen=True)
@@ -206,7 +201,6 @@ class SweepConfig:
     weighted: bool = False
     max_iter: int = FitConfig.max_iter
     rel_tol: float = FitConfig.rel_tol
-    threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):
         for key in ("rates", "seeds"):
@@ -216,9 +210,6 @@ class SweepConfig:
         for r in self.rates:
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"supervision rate {r} outside [0, 1]")
-        # checked here, not in each cell, so a bad value runs no cell and exits 2
-        if not np.isfinite(self.threshold):
-            raise ValueError(f"threshold must be finite, got {self.threshold}")
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
@@ -279,7 +270,6 @@ def run_cell(
     rate: float,
     seed: int,
     config: FitConfig,
-    threshold: float,
     outdir,
 ) -> SweepCell:
     """Supervise, fit, record and score one cell with the sweep's ``V`` and ``truth``.
@@ -288,8 +278,8 @@ def run_cell(
     """
     start = time.perf_counter()
     supervised, rate, seed = supervise(dataset, rate, seed)
-    _mask, model, trace = fit_supervised(dataset, V, supervised, config)
-    report = score(dataset, model.W, supervised, threshold, truth)
+    model, trace = fit_supervised(dataset, V, supervised, config)
+    report = score(dataset, model.W, supervised, truth)
     save_model(outdir, model, trace, config)
     write_supervision(outdir, dataset, supervised, rate, seed)
     write_report(outdir, report, labels=dataset.label_table.labels)
@@ -321,8 +311,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             cell_dir = out / "cells" / f"rate_{rate}" / f"seed_{seed}"
             try:
                 with one_run(cell_dir, CELL_FILES):
-                    cell = run_cell(dataset, V, truth, rate, seed, configs[seed],
-                                    cfg.threshold, cell_dir)
+                    cell = run_cell(dataset, V, truth, rate, seed, configs[seed], cell_dir)
             except Exception as exc:
                 cell = SweepCell(rate=rate, seed=seed, status=f"error: {exc}")
             cells.append(cell)

@@ -74,9 +74,6 @@ STOP_CONVERGED = "converged"
 STOP_LOSS_INCREASED = "loss_increased"
 STOP_MAX_ITER = "max_iter"
 
-OBJECTIVE_MASKED = "masked_sse"
-OBJECTIVE_ROW_WEIGHTED = "row_weighted_sse"
-
 # fit's update denominator guard; the public update_* steps take theirs as an argument
 EPSILON = 1e-9
 # init_model averages this many distinct rows of V into each row of H (all, if V has fewer)
@@ -134,7 +131,6 @@ class FitTrace:
 
     losses: tuple[float, ...]
     stop_reason: str
-    objective: str = OBJECTIVE_MASKED
 
     @property
     def iterations(self) -> int:
@@ -422,9 +418,7 @@ def fit(
             stop_reason = reason
             break
 
-    objective = OBJECTIVE_ROW_WEIGHTED if config.weighted else OBJECTIVE_MASKED
-    trace = FitTrace(losses=tuple(losses), stop_reason=stop_reason, objective=objective)
-    return FactorModel(W=W, H=H), trace
+    return FactorModel(W=W, H=H), FitTrace(losses=tuple(losses), stop_reason=stop_reason)
 
 
 def save_model(outdir, model: FactorModel, trace: FitTrace, config: FitConfig) -> None:
@@ -442,7 +436,7 @@ def save_model(outdir, model: FactorModel, trace: FitTrace, config: FitConfig) -
         "acol_q": ACOL_Q,
         "iterations": trace.iterations,
         "stop_reason": trace.stop_reason,
-        "objective": trace.objective,
+        "objective": "row_weighted_sse" if config.weighted else "masked_sse",
         "final_loss": trace.final_loss,
     }
     write_json(out / "model.json", header)

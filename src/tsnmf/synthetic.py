@@ -49,6 +49,8 @@ def make_planted_instance(
         )
     if not (noise_level >= 0.0 and np.isfinite(noise_level)):
         raise ValueError(f"noise_level must be finite and >= 0, got {noise_level}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     W_bin = np.zeros((n_docs, d), dtype=np.float64)

@@ -1,7 +1,6 @@
 """Command-line contract tests: stages, file handoffs, exit codes."""
 
 import csv
-import inspect
 import json
 import os
 import signal
@@ -17,8 +16,9 @@ import pytest
 from tsnmf import dataio, matrix
 from tsnmf.cli import build_parser, main
 from tsnmf.dataio import MATRIX_FILENAMES, read_dataset, read_matrix, write_planted_instance
-from tsnmf.evaluation import TruthMatrix, score_report
+from tsnmf.evaluation import TruthMatrix
 from tsnmf.experiment import (
+    CELL_FILES,
     FIT_FILES,
     REPORT_FILES,
     SweepConfig,
@@ -195,15 +195,25 @@ class TestFit:
         losses = np.array([float(r.split(",")[1]) for r in rows])
         assert (losses[1:] <= losses[:-1] * (1 + 1e-10)).all()
 
-    def test_supervision_spec_file_with_rate_and_seed(self, tmp_path):
+    def test_supervision_record_replays_a_sampled_fit(self, tmp_path):
+        data = _synth_dataset(tmp_path)
+        m1, m2 = tmp_path / "m1", tmp_path / "m2"
+        args = ["fit", "--data", str(data), "--weighted", "--max-iter", "30"]
+        assert main([*args, "--rate", "0.4", "--seed", "3", "--out", str(m1)]) == 0
+        # the record's ids and seed give the fit; its rate is recorded again
+        assert main([*args, "--supervision", str(m1 / "supervision.json"), "--out", str(m2)]) == 0
+        assert json.loads((m1 / "supervision.json").read_text())["rate"] == 0.4
+        for name in FIT_FILES:
+            assert (m1 / name).read_bytes() == (m2 / name).read_bytes(), name
+
+    def test_rate_only_spec_exits_2_naming_supervised_ids(self, tmp_path, capsys):
         data = _synth_dataset(tmp_path)
         spec = tmp_path / "sup.json"
         spec.write_text(json.dumps({"rate": 0.5, "seed": 9}))
-        m_spec, m_flags = tmp_path / "ms", tmp_path / "mf"
-        # the spec file and equivalent flags must produce identical models
-        assert main(["fit", "--data", str(data), "--supervision", str(spec), "--out", str(m_spec)]) == 0
-        assert main(["fit", "--data", str(data), "--rate", "0.5", "--seed", "9", "--out", str(m_flags)]) == 0
-        assert (m_spec / "W.csv").read_bytes() == (m_flags / "W.csv").read_bytes()
+        model_dir = tmp_path / "model"
+        assert main(["fit", "--data", str(data), "--supervision", str(spec), "--out", str(model_dir)]) == 2
+        assert "'supervised_ids'" in capsys.readouterr().err
+        assert not model_dir.exists()
 
     def test_supervision_spec_file_with_explicit_ids(self, tmp_path):
         data = _synth_dataset(tmp_path)
@@ -217,21 +227,6 @@ class TestFit:
         assert rc == 0
         info = json.loads((model_dir / "supervision.json").read_text())
         assert info["supervised_ids"] == sorted(dataset.doc_ids[:5])
-
-    def test_mask_export(self, tmp_path):
-        data = _synth_dataset(tmp_path)
-        mask_path = tmp_path / "mask.csv"
-        rc = main(
-            [
-                "fit", "--data", str(data), "--rate", "0.5", "--mask-out", str(mask_path),
-                "--out", str(tmp_path / "model"),
-            ]
-        )
-        assert rc == 0
-        from tsnmf.matrix import read_dense_csv
-
-        mask = read_dense_csv(mask_path)
-        assert np.isin(mask, (0.0, 1.0)).all()
 
     def test_weighted_flag(self, tmp_path):
         data = _synth_dataset(tmp_path)
@@ -297,7 +292,10 @@ class TestFit:
         assert (model_dir / "trace.csv").exists()
 
     @pytest.mark.parametrize(
-        "spec", [{"supervised_ids": 5}, {"rate": 0.2, "seed": None}], ids=["ids_int", "seed_null"]
+        "spec",
+        [{"supervised_ids": 5}, {"supervised_ids": [], "seed": None},
+         {"supervised_ids": [], "rate": "0.5"}, {"supervised_ids": [], "rate": float("nan")}],
+        ids=["ids_int", "seed_null", "rate_string", "rate_nan"],
     )
     def test_malformed_supervision_spec_exits_2(self, tmp_path, capsys, spec):
         data = _synth_dataset(tmp_path)
@@ -334,20 +332,9 @@ class TestEvaluate:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "resolved 3/3" in out
-
-    def test_threshold_flag_monotone(self, tmp_path):
-        data = _synth_dataset(tmp_path)
-        model_dir = tmp_path / "model"
-        assert main(["fit", "--data", str(data), "--rate", "0.5", "--out", str(model_dir)]) == 0
-        rep1, rep2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["evaluate", "--model", str(model_dir), "--data", str(data), "--out", str(rep1)]) == 0
-        assert main(
-            ["evaluate", "--model", str(model_dir), "--data", str(data), "--threshold", "0.5", "--out", str(rep2)]
-        ) == 0
-        low = json.loads((rep1 / "report.json").read_text())
-        high = json.loads((rep2 / "report.json").read_text())
-        assert high["resolved_count"] <= low["resolved_count"]
+        assert "resolved 3/3 topics (threshold 0.1)" in out
+        assert [p.name for p in (tmp_path / "rep").iterdir()] == ["report.json"]
+        assert json.loads((tmp_path / "rep" / "report.json").read_text())["threshold"] == 0.1
 
     def test_row_mismatch_exits_2(self, tmp_path):
         data = _synth_dataset(tmp_path, docs=30)
@@ -374,6 +361,22 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "supervision.json" in err
         assert "ghost" in err or "ghost" not in content  # a missing id is named
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_repeated_supervised_id_exits_2_naming_it(self, tmp_path, capsys, command):
+        data = _synth_dataset(tmp_path)
+        model_dir = tmp_path / "model"
+        assert main(["fit", "--data", str(data), "--rate", "0.5", "--out", str(model_dir)]) == 0
+        path = model_dir / "supervision.json"
+        path.write_text(json.dumps({"supervised_ids": ["doc00", "doc01", "doc00"]}))
+        out = tmp_path / "out"
+        argv = {"fit": ["fit", "--supervision", str(path)],
+                "evaluate": ["evaluate", "--model", str(model_dir)]}
+        capsys.readouterr()
+        assert main([*argv[command], "--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "supervised_ids repeated: ['doc00']" in err
+        assert not out.exists()
 
     def test_coverage_recorded_from_supervision_info(self, tmp_path):
         data = _synth_dataset(tmp_path)
@@ -514,20 +517,14 @@ def test_corrupt_model_file_exits_2_naming_it(tmp_path, capsys, corruption, comm
 @pytest.mark.parametrize(
     "command, flag, value",
     [("fit", "--rel-tol", "inf"), ("fit", "--rel-tol", "nan"),
-     ("evaluate", "--threshold", "nan"), ("evaluate", "--threshold", "-inf"),
      ("synth", "--noise", "nan"), ("synth", "--noise", "inf")],
 )
 def test_non_finite_setting_exits_2_naming_it(tmp_path, capsys, command, flag, value):
-    # JSON has no token for NaN or Inf, so model.json, report.json or meta.json could not hold one
-    data = _synth_dataset(tmp_path)
-    model_dir = tmp_path / "model"
-    if command == "evaluate":
-        assert main(["fit", "--data", str(data), "--out", str(model_dir)]) == 0
-        argv = ["evaluate", "--model", str(model_dir), "--data", str(data)]
-    elif command == "synth":
+    # JSON has no token for NaN or Inf, so model.json or meta.json could not hold one
+    if command == "synth":
         argv = ["synth", "--docs", "20", "--terms", "30", "--topics", "3"]
     else:
-        argv = ["fit", "--data", str(data)]
+        argv = ["fit", "--data", str(_synth_dataset(tmp_path))]
     capsys.readouterr()
     assert main([*argv, f"{flag}={value}", "--out", str(tmp_path / "out")]) == 2
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
@@ -602,7 +599,7 @@ def test_csr_operand_writes_the_dense_fit_bytes(tmp_path, weighted):
     config = FitConfig(d=3, seed=4, max_iter=60, rel_tol=1e-9, weighted=weighted)
     supervised = {i for i in range(0, 60, 4)}
     for name, operand in (("csr", V), ("dense", dense)):
-        _, model, trace = fit_supervised(dataset, operand, supervised, config)
+        model, trace = fit_supervised(dataset, operand, supervised, config)
         save_model(tmp_path / name, model, trace, config)
     for name in ("model.json", "W.csv", "H.csv", "trace.csv"):
         assert (tmp_path / "csr" / name).read_bytes() == (tmp_path / "dense" / name).read_bytes()
@@ -677,7 +674,7 @@ class TestTopTerms:
 
 # wrongly typed values, which must not be coerced, repeated grid values,
 # non-finite numbers, which JSON can parse but model.json and report.json cannot
-# hold, and the fixed settings epsilon and acol_q, which are no sweep keys
+# hold, and the fixed settings epsilon, acol_q and threshold, which are no sweep keys
 BAD_SWEEP_VALUES = {
     "seeds_float": ("seeds", [1.7]),
     "seeds_string": ("seeds", ["3"]),
@@ -701,7 +698,7 @@ BAD_SWEEP_VALUES = {
     "rates_repeated_int_float": ("rates", [0, 0.0]),
     "seeds_repeated": ("seeds", [1, 2, 1]),
 }
-FIXED_SETTINGS = {"epsilon", "acol_q"}
+FIXED_SETTINGS = {"epsilon", "acol_q", "threshold"}
 
 
 class TestSweep:
@@ -762,8 +759,7 @@ class TestSweep:
         cfg = self._config(tmp_path, data, rates=[0.5], seeds=[1])
         assert main(["sweep", "--config", str(cfg)]) == 0
         cell = tmp_path / "sweep" / "cells" / "rate_0.5" / "seed_1"
-        for name in ("model.json", "W.csv", "H.csv", "trace.csv", "report.json", "report.csv"):
-            assert (cell / name).exists()
+        assert sorted(p.name for p in cell.iterdir()) == sorted(CELL_FILES)
 
     @pytest.mark.parametrize("case", sorted(BAD_SWEEP_VALUES))
     def test_bad_config_value_exits_2_naming_key(self, tmp_path, capsys, case):
@@ -790,8 +786,7 @@ class TestSweep:
             assert main(["evaluate", "--model", str(model), "--data", str(data), "--out", str(report)]) == 0
             for name in ("model.json", "W.csv", "H.csv", "trace.csv", "supervision.json"):
                 assert (model / name).read_bytes() == (cell / name).read_bytes(), (rate, name)
-            for name in ("report.json", "report.csv"):
-                assert (report / name).read_bytes() == (cell / name).read_bytes(), (rate, name)
+            assert (report / "report.json").read_bytes() == (cell / "report.json").read_bytes(), rate
 
     @pytest.mark.parametrize("key", ["data", "out"])
     def test_empty_path_exits_2_naming_the_key(self, tmp_path, monkeypatch, capsys, key):
@@ -811,7 +806,7 @@ class TestSweep:
         cfg = self._config(tmp_path, data, rates=[0.0, 0.5])
         assert main(["sweep", "--config", str(cfg)]) == 0
         cells = [tmp_path / "sweep" / "cells" / f"rate_{r}" / "seed_1" for r in (0.0, 0.5)]
-        assert all(len(list(cell.iterdir())) == 7 for cell in cells)
+        assert all(len(list(cell.iterdir())) == 6 for cell in cells)
         _rewrite(data, "data", _set(0, np.inf))
         with np.errstate(invalid="ignore"):
             assert main(["sweep", "--config", str(cfg)]) == 1  # every cell failed
@@ -834,7 +829,7 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg)]) == 0
         assert len(built) == 1
         after = {p: p.read_bytes() for p in (tmp_path / "sweep" / "cells").rglob("*") if p.is_file()}
-        assert len(before) == 4 * 7 and after == before
+        assert len(before) == 4 * 6 and after == before
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         data = _synth_dataset(tmp_path)
@@ -848,9 +843,6 @@ def test_fit_and_scoring_defaults_have_one_home():
     assert fit_config(args, 3, args.seed) == FitConfig(d=3, seed=0)
     sweep = SweepConfig(data="d", out="s", rates=(0.5,), seeds=(1,))
     assert fit_config(sweep, 3, 1) == FitConfig(d=3, seed=1)
-    evaluate = build_parser().parse_args(["evaluate", "--model", "m", "--data", "d", "--out", "r"])
-    score_default = inspect.signature(score_report).parameters["threshold"].default
-    assert evaluate.threshold == sweep.threshold == score_default
 
 
 def _drop_labels(data):
@@ -924,7 +916,7 @@ def test_failed_write_removes_the_earlier_run(tmp_path, monkeypatch, capsys, com
     assert main(evaluate_args) == 0
     out, names, failing = {
         "fit": (model, FIT_FILES, "H.csv"),  # after model.json and W.csv
-        "evaluate": (report, REPORT_FILES, "report.csv"),  # after report.json
+        "evaluate": (report, REPORT_FILES, "report.json"),
     }[command]
     assert sorted(p.name for p in out.iterdir()) == sorted(names)
     if command == "evaluate":
@@ -962,7 +954,7 @@ def test_negative_seed_exits_2_naming_it_on_fit_and_sweep(tmp_path, capsys, rate
 # every flag that takes a string; each names a file
 STRING_FLAGS = [
     ("ingest", "--corpus"), ("ingest", "--stopwords"), ("ingest", "--out"),
-    ("fit", "--data"), ("fit", "--supervision"), ("fit", "--mask-out"), ("fit", "--out"),
+    ("fit", "--data"), ("fit", "--supervision"), ("fit", "--out"),
     ("evaluate", "--model"), ("evaluate", "--data"), ("evaluate", "--out"),
     ("top-terms", "--model"), ("top-terms", "--data"), ("top-terms", "--out"),
     ("sweep", "--config"),
@@ -977,15 +969,14 @@ def _every_string_flag(inputs):
     model = inputs / "model"
     assert main(["fit", "--data", str(data), "--out", str(model)]) == 0
     (inputs / "stop.txt").write_text("wheat\n")
-    (inputs / "sup.json").write_text(json.dumps({"rate": 0.5}))
+    (inputs / "sup.json").write_text(json.dumps({"supervised_ids": ["doc00"]}))
     out = inputs / "out"
     sweep = {"data": str(data), "out": str(out / "sweep"), "rates": [0.5], "seeds": [1]}
     (inputs / "sweep.json").write_text(json.dumps(sweep))
     argv = {
         "ingest": ["--corpus", _small_corpus(inputs), "--stopwords", inputs / "stop.txt",
                    "--min-chars", "100", "--out", out / "data"],
-        "fit": ["--data", data, "--supervision", inputs / "sup.json",
-                "--mask-out", out / "mask.csv", "--out", out / "model"],
+        "fit": ["--data", data, "--supervision", inputs / "sup.json", "--out", out / "model"],
         "evaluate": ["--model", model, "--data", data, "--out", out / "report"],
         "top-terms": ["--model", model, "--data", data, "--out", out / "top_terms.csv"],
         "sweep": ["--config", inputs / "sweep.json"],
@@ -1025,7 +1016,7 @@ ARTIFACT_READERS = {
     "W.csv": read_dense_csv,
     "H.csv": read_dense_csv,
     **dict.fromkeys(
-        ("trace.csv", "report.csv", "sweep.csv", "sweep_summary.csv", "sweep_timing.csv"), None
+        ("trace.csv", "sweep.csv", "sweep_summary.csv", "sweep_timing.csv"), None
     ),
 }
 
@@ -1047,7 +1038,7 @@ def test_killed_sweep_leaves_each_artifact_whole_or_absent(tmp_path):
     try:
         deadline = time.monotonic() + 60
         while (proc.poll() is None and time.monotonic() < deadline
-               and len(list(out.rglob("report.csv"))) < 5):
+               and len(list(out.rglob("report.json"))) < 5):
             time.sleep(0.005)
         proc.send_signal(signal.SIGKILL)
         assert proc.wait(timeout=30) == -signal.SIGKILL  # killed mid-run, not finished
@@ -1091,3 +1082,10 @@ class TestSynth:
     def test_rejects_bad_shape(self, tmp_path):
         rc = main(["synth", "--docs", "2", "--terms", "5", "--topics", "4", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        argv = ["synth", "--docs", "3", "--terms", "3", "--topics", "1", "--seed", "-1"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()

@@ -7,6 +7,7 @@ import pytest
 
 from tsnmf.errors import ShapeError
 from tsnmf.evaluation import (
+    RESOLVED_THRESHOLD,
     TruthMatrix,
     cross_similarity,
     hungarian_match,
@@ -203,12 +204,12 @@ class TestScoreReport:
         assert base.total_similarity == pytest.approx(permuted.total_similarity)
         assert base.resolved_count == permuted.resolved_count
 
-    def test_threshold_is_strict_and_monotone(self):
-        W = np.array([[0.1, 0.0], [0.0, 1.0]])
-        truth = _truth(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        low = score_report(W, truth, threshold=0.1)
-        high = score_report(W, truth, threshold=0.9)
-        assert low.resolved_count >= high.resolved_count
+    def test_threshold_is_strict(self):
+        truth = _truth(np.eye(10)[:, :1])
+        at = score_report(np.ones((10, 1)), truth)  # Jaccard 1/10
+        above = score_report(np.r_[np.ones(9), 0.0][:, None], truth)  # Jaccard 1/9
+        assert at.matching.pairs[0][2] == RESOLVED_THRESHOLD == 0.1
+        assert (at.resolved_count, above.resolved_count) == (0, 1)
 
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeError, match="documents"):
@@ -260,20 +261,15 @@ class TestTopTerms:
 
 
 class TestReportIO:
-    def test_json_and_csv_round_trip(self, tmp_path):
+    def test_json_round_trip(self, tmp_path):
         W = np.eye(3)
         report = score_report(W, _truth(np.eye(3)), coverage=0.5)
         write_report(tmp_path, report, labels=("l0", "l1", "l2"))
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
         payload = read_json(tmp_path / "report.json")
         assert payload["resolved_count"] == 3
         assert payload["coverage"] == 0.5
-        csv_lines = (tmp_path / "report.csv").read_text().strip().splitlines()
-        assert csv_lines[0] == "topic,label_index,label,similarity"
-        assert len(csv_lines) == 1 + len(payload["pairs"])
-        # CSV rows carry the same pair data as the JSON
-        for line, pair in zip(csv_lines[1:], payload["pairs"]):
-            topic, label_index, label, sim = line.split(",")
-            assert int(topic) == pair["topic"]
-            assert int(label_index) == pair["label_index"]
-            assert label == pair["label"]
-            assert float(sim) == pair["similarity"]
+        assert payload["threshold"] == RESOLVED_THRESHOLD
+        pairs = [(p["topic"], p["label_index"], p["similarity"]) for p in payload["pairs"]]
+        assert pairs == list(report.matching.pairs)
+        assert [p["label"] for p in payload["pairs"]] == ["l0", "l1", "l2"]

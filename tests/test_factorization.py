@@ -268,12 +268,13 @@ class TestFit:
             losses = np.array(trace.losses)
             assert (losses[1:] <= losses[:-1] * (1 + 1e-10)).all()
 
-    def test_weighted_flag_uses_row_weighted_objective(self):
+    def test_weighted_flag_uses_row_weighted_objective(self, tmp_path):
         rng = np.random.default_rng(18)
         V, L = _random_instance(rng)
-        e = np.ones(V.shape[0]) * 1.0
-        _, trace = fit(V, L, FitConfig(d=L.shape[1], seed=4, weighted=True), row_weights=e)
-        assert trace.objective == "row_weighted_sse"
+        for weighted, objective in ((True, "row_weighted_sse"), (False, "masked_sse")):
+            cfg = FitConfig(d=L.shape[1], seed=4, weighted=weighted)
+            save_model(tmp_path, *fit(V, L, cfg), cfg)
+            assert read_json(tmp_path / "model.json")["objective"] == objective
 
     def test_weighted_defaults_derive_from_mask(self):
         rng = np.random.default_rng(19)
