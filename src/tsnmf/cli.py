@@ -48,6 +48,7 @@ from .matrix import write_csv
 from .preprocessing import (
     DEFAULT_MIN_CHARS,
     DEFAULT_VOCAB_CAP,
+    check_settings,
     ingest,
     load_stopwords,
     read_corpus_jsonl,
@@ -66,6 +67,7 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_ingest(args) -> int:
+    check_settings(args.vocab_cap, args.min_chars)
     docs = read_corpus_jsonl(args.corpus)
     stopwords = None if args.stopwords is None else load_stopwords(args.stopwords)
     result = ingest(

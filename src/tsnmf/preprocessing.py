@@ -9,9 +9,15 @@ Weighting is raw term count times smoothed inverse document frequency,
 ``idf(j) = ln((1 + n) / (1 + df_j)) + 1``, followed by row-wise L2
 normalization.  Tokens are maximal runs of ASCII letters, lowercased;
 every other character, non-ASCII ones included, separates tokens before
-anything is lowercased.  Tokens shorter than three characters or on the
+anything is lowercased.  Terms shorter than three characters or on the
 stopword list are dropped.  ``stopwords`` replaces the bundled list
 (``ingest --stopwords FILE``).
+
+Every token is coded once: ``tokenize`` maps each token of a document to
+an integer through one dict and drops the document's strings, so no token
+string outlives its document.  The length and stopword filters act once
+per distinct term, and one sort of the (document, code) pairs gives the
+counts that document frequency and TF-IDF read.
 
 The matrix is built and returned in CSR form; no documents x terms array
 is ever allocated.  Row norms are taken over dense blocks of about
@@ -24,23 +30,23 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import EmptyVocabularyError
-from .matrix import dense_from_csr, l2_normalize_rows
+from .matrix import dense_from_csr
 
 MIN_TOKEN_LEN = 3
 DEFAULT_MIN_CHARS = 250
 DEFAULT_VOCAB_CAP = 2000
-TFIDF_BLOCK_BYTES = 4 << 20  # dense row block used for the row norms
+TFIDF_BLOCK_BYTES = 1 << 20  # dense row block used for the row norms
 
 # byte -> byte: ASCII letters to lowercase, every other byte to a space
 _TOKEN_TABLE = bytes(b | 0x20 if 65 <= b <= 90 or 97 <= b <= 122 else 32 for b in range(256))
@@ -125,39 +131,77 @@ def _bundled_stopwords() -> frozenset[str]:
     return load_stopwords()
 
 
-def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
-    """Split text into lowercase alphabetic tokens, dropping short ones and stopwords.
+@dataclass(frozen=True)
+class TokenCounts:
+    """Per-document counts of the kept terms, each term coded as an integer.
+
+    ``terms`` maps code to term in order of first appearance, filtered terms
+    included.  ``rows``, ``codes`` and ``counts`` (int64) list every (document,
+    kept term) pair, sorted by row, then code.  ``len`` is the kept token count.
+    """
+
+    terms: tuple[str, ...]
+    rows: np.ndarray
+    codes: np.ndarray
+    counts: np.ndarray
+    n_docs: int
+
+    def __len__(self) -> int:
+        return int(self.counts.sum())
+
+
+def check_settings(vocab_cap: int, min_chars: int) -> None:
+    """Reject an out-of-range ingest setting; cheap enough to run before any reading."""
+    if min_chars < 0:
+        raise ValueError(f"min_chars must be >= 0, got {min_chars}")
+    if vocab_cap < 1:
+        raise ValueError(f"vocabulary cap must be >= 1, got {vocab_cap}")
+
+
+def tokenize(texts: Iterable[str], stopwords: frozenset[str] | None = None) -> TokenCounts:
+    """Code every token of ``texts`` once and count each (document, kept term) pair.
 
     Tokens are maximal runs of ASCII letters.  Each non-ASCII character is
     encoded as ``?`` and so separates tokens before anything is lowercased:
     U+0130 and U+212A, which lowercase to ASCII letters, never join a token.
+    A document's token strings are dropped once it is coded; the length and
+    stopword filters act once per distinct term.
     """
     if stopwords is None:
         stopwords = _bundled_stopwords()
-    tokens = text.encode("ascii", "replace").translate(_TOKEN_TABLE).decode("ascii").split()
-    return [t for t in tokens if len(t) >= MIN_TOKEN_LEN and t not in stopwords]
+    code = defaultdict()
+    code.default_factory = code.__len__  # an unseen token takes the next code, in C
+    codes, lengths = [], []
+    for text in texts:
+        tokens = text.encode("ascii", "replace").translate(_TOKEN_TABLE).decode("ascii").split()
+        lengths.append(len(tokens))
+        codes += map(code.__getitem__, tokens)
+    t = len(code)
+    keep = np.fromiter((len(w) >= MIN_TOKEN_LEN and w not in stopwords for w in code),
+                       dtype=bool, count=t)
+    token_codes = np.fromiter(codes, dtype=np.int64, count=len(codes))
+    token_rows = np.repeat(np.arange(len(lengths)), np.array(lengths, dtype=np.int64))
+    kept = keep[token_codes]
+    pairs, counts = np.unique(token_rows[kept] * t + token_codes[kept], return_counts=True)
+    rows, pair_codes = np.divmod(pairs, t)
+    return TokenCounts(tuple(code), rows, pair_codes, counts, n_docs=len(lengths))
 
 
 def filter_documents(
     corpus: Sequence[RawDocument], min_chars: int = DEFAULT_MIN_CHARS
 ) -> list[RawDocument]:
     """Keep documents whose raw text has at least ``min_chars`` characters."""
-    if min_chars < 0:
-        raise ValueError(f"min_chars must be >= 0, got {min_chars}")
     return [doc for doc in corpus if len(doc.text) >= min_chars]
 
 
-def build_vocabulary(
-    tokenized: Sequence[Sequence[str]], cap: int = DEFAULT_VOCAB_CAP
-) -> Vocabulary:
-    """Select the ``cap`` most document-frequent tokens.
+def build_vocabulary(tokens: TokenCounts, cap: int = DEFAULT_VOCAB_CAP) -> Vocabulary:
+    """Select the ``cap`` most document-frequent terms.
 
     Ties in document frequency break lexicographically ascending.  Raises
-    EmptyVocabularyError when no token survives.
+    EmptyVocabularyError when no term survives the filters.
     """
-    if cap < 1:
-        raise ValueError(f"vocabulary cap must be >= 1, got {cap}")
-    df = Counter(chain.from_iterable(map(set, tokenized)))
+    df = np.bincount(tokens.codes, minlength=len(tokens.terms)).tolist()
+    df = {term: d for term, d in zip(tokens.terms, df) if d}
     if not df:
         raise EmptyVocabularyError("no tokens survive the filters; vocabulary is empty")
     # a stable sort by descending df over the terms in ascending order
@@ -166,19 +210,19 @@ def build_vocabulary(
 
 
 def tfidf_encode(
-    tokenized: Sequence[Sequence[str]],
+    tokens: TokenCounts,
     vocab: Vocabulary,
     doc_ids: Sequence[str] | None = None,
 ) -> TermDocumentMatrix:
-    """Encode tokenized documents as a row-normalized TF-IDF matrix.
+    """Encode counted documents as a row-normalized TF-IDF matrix.
 
-    Out-of-vocabulary tokens contribute nothing; documents with no
-    in-vocabulary tokens come out as zero rows and are listed in
+    Out-of-vocabulary terms contribute nothing; documents with no
+    in-vocabulary terms come out as zero rows and are listed in
     ``zero_rows`` so callers can report them.
     """
     if len(vocab) == 0:
         raise EmptyVocabularyError("cannot encode with an empty vocabulary")
-    n = len(tokenized)
+    n = tokens.n_docs
     t = len(vocab)
     if doc_ids is None:
         doc_ids = tuple(str(i) for i in range(n))
@@ -187,34 +231,30 @@ def tfidf_encode(
         if len(doc_ids) != n:
             raise ValueError(f"{len(doc_ids)} doc_ids for {n} documents")
 
-    # one vocabulary lookup per token, -1 out of vocabulary
-    lengths = np.fromiter(map(len, tokenized), dtype=np.int64, count=n)
-    ids = np.fromiter(
-        map(vocab.index.get, chain.from_iterable(tokenized), repeat(-1)),
-        dtype=np.int64,
-        count=int(lengths.sum()),
-    )
-    token_rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    keep = ids >= 0
-    # sorted flat positions: row-major order, so columns ascend within each row
-    flat, counts = np.unique(token_rows[keep] * t + ids[keep], return_counts=True)
-    rows, indices = np.divmod(flat, t)
+    # one vocabulary lookup per distinct term, -1 out of vocabulary
+    columns = np.fromiter(map(vocab.index.get, tokens.terms, repeat(-1)),
+                          dtype=np.int64, count=len(tokens.terms))[tokens.codes]
+    keep = columns >= 0
+    # row-major order of the pairs, so columns ascend within each row
+    flat = tokens.rows[keep] * t + columns[keep]
+    order = np.argsort(flat)
+    rows, indices = np.divmod(flat[order], t)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
 
     df = np.bincount(indices, minlength=t).astype(np.float64)
     idf = np.array([math.log((1.0 + n) / (1.0 + d)) + 1.0 for d in df])
-    weighted = counts.astype(np.float64) * idf[indices]
-    # normalize over dense row blocks: a row sum over the sparse entries alone
+    weighted = tokens.counts[keep][order].astype(np.float64) * idf[indices]
+    # row norms over dense row blocks: a sum over the stored entries alone
     # would add in a different order than the dense formula and change the bits
     data = np.empty_like(weighted)
     step = max(1, TFIDF_BLOCK_BYTES // (8 * t))
     for start in range(0, n, step):
         lo, hi = indptr[start], indptr[min(start + step, n)]
-        at = (rows[lo:hi] - start, indices[lo:hi])
-        block = np.zeros((min(step, n - start), t), dtype=np.float64)
-        block[at] = weighted[lo:hi]
-        data[lo:hi] = l2_normalize_rows(block)[at]
+        local = rows[lo:hi] - start
+        squares = np.zeros((min(step, n - start), t), dtype=np.float64)
+        squares[local, indices[lo:hi]] = np.square(weighted[lo:hi])
+        data[lo:hi] = weighted[lo:hi] / np.sqrt(squares.sum(axis=1))[local]
     zero_rows = tuple(int(i) for i in np.flatnonzero(np.diff(indptr) == 0))
     return TermDocumentMatrix(
         indptr=indptr,
@@ -280,11 +320,12 @@ def ingest(
     stopwords: frozenset[str] | None = None,
 ) -> IngestResult:
     """Run the full preprocessing pipeline on an in-memory corpus."""
+    check_settings(vocab_cap, min_chars)
     corpus = list(corpus)
     kept = filter_documents(corpus, min_chars=min_chars)
-    tokenized = [tokenize(doc.text, stopwords=stopwords) for doc in kept]
-    vocab = build_vocabulary(tokenized, cap=vocab_cap)
-    tdm = tfidf_encode(tokenized, vocab, doc_ids=[doc.id for doc in kept])
+    tokens = tokenize((doc.text for doc in kept), stopwords=stopwords)
+    vocab = build_vocabulary(tokens, cap=vocab_cap)
+    tdm = tfidf_encode(tokens, vocab, doc_ids=[doc.id for doc in kept])
     stats = {
         "input_docs": len(corpus),
         "kept_docs": len(kept),

@@ -118,6 +118,21 @@ class TestIngest:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("--vocab-cap=0", "vocabulary cap must be >= 1, got 0"),
+         ("--min-chars=-1", "min_chars must be >= 0, got -1")],
+    )
+    def test_bad_setting_exits_2_before_reading_the_corpus(self, tmp_path, capsys, setting, message):
+        # line 1 is invalid JSON: naming it would show that the corpus was read first
+        path = tmp_path / "bad.jsonl"
+        path.write_text("not json\n")
+        rc = main(["ingest", "--corpus", str(path), setting, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "line 1" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_filter_dropping_everything_exits_3(self, tmp_path):
         corpus = _small_corpus(tmp_path)
         rc = main(

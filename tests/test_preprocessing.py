@@ -8,6 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from importlib.util import find_spec
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from tsnmf.errors import EmptyVocabularyError
 from tsnmf.matrix import csr_parts, l2_normalize_rows
 from tsnmf.preprocessing import (
     RawDocument,
+    Vocabulary,
     build_vocabulary,
     filter_documents,
     ingest,
@@ -30,27 +32,48 @@ from tsnmf.preprocessing import (
 )
 
 
+def _kept(text, stopwords=None):
+    """One document through tokenize: its kept terms in order of first appearance, with counts."""
+    tokens = tokenize([text], stopwords=stopwords)
+    return dict(zip((tokens.terms[c] for c in tokens.codes), tokens.counts.tolist()))
+
+
+def _counted(tokenized):
+    """Token lists through tokenize, no stopwords: each token is one run of lowercase letters."""
+    return tokenize([" ".join(tokens) for tokens in tokenized], stopwords=frozenset())
+
+
 class TestTokenize:
     def test_stopwords_and_case(self):
-        assert tokenize("The Bank of Japan bought") == ["bank", "japan", "bought"]
+        assert _kept("The Bank of Japan bought") == {"bank": 1, "japan": 1, "bought": 1}
+        # len counts the kept tokens, repeats included
+        assert len(tokenize(["The Bank of the BANK", "bank of Japan"])) == 4
 
     def test_empty_input(self):
-        assert tokenize("") == []
+        assert _kept("") == {}
 
     def test_digits_punctuation_and_short_tokens(self):
-        assert tokenize("EC-102,350 to") == []
+        assert _kept("EC-102,350 to") == {}
 
     def test_splits_on_nonalphabetic(self):
-        assert tokenize("corn/wheat+soy") == ["corn", "wheat", "soy"]
+        assert _kept("corn/wheat+soy") == {"corn": 1, "wheat": 1, "soy": 1}
 
     def test_lowercases_each_token_after_matching(self):
         # U+212A KELVIN SIGN and U+0130 lowercase to ASCII letters, but are not
         # matched; lowercasing the text first would give "kelvin" and "i", "stanbul"
-        assert tokenize("\u212aelvin \u0130stanbul") == ["elvin", "stanbul"]
+        assert _kept("\u212aelvin \u0130stanbul") == {"elvin": 1, "stanbul": 1}
+
+    def test_pairs_sorted_by_row_then_code(self):
+        tokens = tokenize(["wheat corn wheat", "", "the of", "corn soy CORN wheat"])
+        # filtered terms keep their codes but have no pairs
+        assert tokens.terms == ("wheat", "corn", "the", "of", "soy") and tokens.n_docs == 4
+        np.testing.assert_array_equal(tokens.rows, [0, 0, 3, 3, 3])
+        np.testing.assert_array_equal(tokens.codes, [0, 1, 0, 1, 4])
+        np.testing.assert_array_equal(tokens.counts, [2, 1, 1, 2, 1])
 
 
 def _regex_tokenize(text, stopwords):
-    """The regular-expression tokenizer tokenize replaced, kept as the oracle."""
+    """The regular-expression tokenizer, kept as the oracle of tokenize and ingest."""
     tokens = (t.lower() for t in re.findall("[a-zA-Z]+", text))
     return [t for t in tokens if len(t) >= preprocessing.MIN_TOKEN_LEN and t not in stopwords]
 
@@ -73,9 +96,10 @@ def test_tokenize_matches_the_regex_oracle():
     @hypothesis.settings(max_examples=400, deadline=None)
     @hypothesis.given(st.text(alphabet=_TOKENIZER_ALPHABET, max_size=80))
     def check(text):
-        assert tokenize(text) == _regex_tokenize(text, load_stopwords())
-        assert tokenize(text, stopwords=custom) == _regex_tokenize(text, custom)
-        assert tokenize(text, stopwords=frozenset()) == _regex_tokenize(text, frozenset())
+        for stopwords in (load_stopwords(), custom, frozenset()):
+            expected = Counter(_regex_tokenize(text, stopwords))
+            kept = _kept(text, stopwords=stopwords)
+            assert kept == expected and list(kept) == list(dict.fromkeys(expected))
 
     check()
 
@@ -111,7 +135,7 @@ class TestFilterDocuments:
 
 
 def _counter_ranking(tokenized):
-    """The per-document Counter loop and (-df, term) sort build_vocabulary replaced."""
+    """A per-document Counter loop and (-df, term) sort: the oracle of build_vocabulary."""
     df = Counter()
     for tokens in tokenized:
         df.update(set(tokens))
@@ -121,28 +145,28 @@ def _counter_ranking(tokenized):
 class TestBuildVocabulary:
     def test_document_frequency_order(self):
         docs = [["cat"], ["cat", "dog"], ["cat", "dog"], ["bird"]]
-        vocab = build_vocabulary(docs, cap=1)
+        vocab = build_vocabulary(_counted(docs), cap=1)
         assert vocab.terms == ("cat",)
 
     def test_cap_larger_than_vocab(self):
-        vocab = build_vocabulary([["cat", "dog"]], cap=100)
+        vocab = build_vocabulary(_counted([["cat", "dog"]]), cap=100)
         assert set(vocab.terms) == {"cat", "dog"}
 
     def test_lexicographic_tie_break(self):
-        vocab = build_vocabulary([["beta", "alpha"]], cap=1)
+        vocab = build_vocabulary(_counted([["beta", "alpha"]]), cap=1)
         assert vocab.terms == ("alpha",)
 
     def test_repeats_within_doc_count_once(self):
         # document frequency, not raw frequency, drives the order
         docs = [["dog", "dog", "dog"], ["cat"], ["cat"]]
-        assert build_vocabulary(docs, cap=1).terms == ("cat",)
+        assert build_vocabulary(_counted(docs), cap=1).terms == ("cat",)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyVocabularyError):
-            build_vocabulary([[], []], cap=10)
+            build_vocabulary(_counted([[], []]), cap=10)
 
     def test_index_matches_terms(self):
-        vocab = build_vocabulary([["one", "two", "three"]], cap=3)
+        vocab = build_vocabulary(_counted([["one", "two", "three"]]), cap=3)
         for j, term in enumerate(vocab.terms):
             assert vocab.index[term] == j
 
@@ -159,33 +183,33 @@ class TestBuildVocabulary:
         ids=["ties_across_the_cap", "single_document"],
     )
     def test_ranking_matches_the_counter_oracle(self, docs, cap):
-        assert build_vocabulary(docs, cap=cap).terms == _counter_ranking(docs)[:cap]
+        assert build_vocabulary(_counted(docs), cap=cap).terms == _counter_ranking(docs)[:cap]
 
     def test_ranking_matches_the_counter_oracle_on_zipf_documents(self):
         docs = _zipf_tokens(5, 300, n_words=500)
         ranked = _counter_ranking(docs)
         for cap in (1, 17, 250, len(ranked)):
-            assert build_vocabulary(docs, cap=cap).terms == ranked[:cap]
+            assert build_vocabulary(_counted(docs), cap=cap).terms == ranked[:cap]
 
 
 class TestTfidfEncode:
     def test_single_nonzero_normalizes_to_one(self):
-        vocab = build_vocabulary([["apple", "apple"], ["berry"]], cap=2)
-        tdm = tfidf_encode([["apple", "apple"]], vocab)
+        vocab = build_vocabulary(_counted([["apple", "apple"], ["berry"]]), cap=2)
+        tdm = tfidf_encode(_counted([["apple", "apple"]]), vocab)
         row = tdm.matrix[0]
         assert row[vocab.index["apple"]] == pytest.approx(1.0)
         assert row[vocab.index["berry"]] == 0.0
 
     def test_no_vocab_terms_gives_zero_row(self):
-        vocab = build_vocabulary([["apple"]], cap=1)
-        tdm = tfidf_encode([["zebra"], ["apple"]], vocab)
+        vocab = build_vocabulary(_counted([["apple"]]), cap=1)
+        tdm = tfidf_encode(_counted([["zebra"], ["apple"]]), vocab)
         np.testing.assert_array_equal(tdm.matrix[0], 0.0)
         assert tdm.zero_rows == (0,)
 
     def test_hand_computed_weights(self):
         docs = [["apple", "berry"], ["apple"]]
-        vocab = build_vocabulary(docs, cap=2)
-        tdm = tfidf_encode(docs, vocab)
+        vocab = build_vocabulary(_counted(docs), cap=2)
+        tdm = tfidf_encode(_counted(docs), vocab)
         n = 2
         idf_apple = math.log((1 + n) / (1 + 2)) + 1.0
         idf_berry = math.log((1 + n) / (1 + 1)) + 1.0
@@ -196,9 +220,9 @@ class TestTfidfEncode:
         np.testing.assert_allclose(np.linalg.norm(tdm.matrix, axis=1), 1.0, atol=1e-12)
 
     def test_rejects_mismatched_doc_ids(self):
-        vocab = build_vocabulary([["apple"]], cap=1)
+        vocab = build_vocabulary(_counted([["apple"]]), cap=1)
         with pytest.raises(ValueError, match="doc_ids"):
-            tfidf_encode([["apple"]], vocab, doc_ids=["a", "b"])
+            tfidf_encode(_counted([["apple"]]), vocab, doc_ids=["a", "b"])
 
 
 def _corpus():
@@ -240,6 +264,81 @@ class TestIngest:
             frozenset({"grain", "trade"}),
             frozenset(),
         )
+
+
+def _oracle_corpus(seed, min_chars):
+    """A seeded corpus for the ingest oracle, with every case the tokenizer and filters meet.
+
+    Seventy words get fixed document frequencies over 100 documents; ranks
+    1-2, 7-8 and 60-61 tie, straddling caps 1, 7 and 60.  Words come in mixed
+    case between stopwords, one- and two-letter tokens, digits and non-ASCII
+    text, some of which splits into kept terms of low frequency.  Six long
+    documents keep no token at all, and three fall short of ``min_chars``.
+    """
+    rng = np.random.default_rng(seed)
+    words = ["q" + a + b for a in _LETTERS[:7] for b in _LETTERS[:10]]
+    dfs = [90, 90, 80, 79, 78, 77, 70, 70, *range(68, 17, -1), 15, 15, *range(12, 3, -1)]
+    docs = [[] for _ in range(100)]
+    for word, df in zip(words, dfs):
+        for i in rng.choice(len(docs), size=df, replace=False):
+            docs[i] += [word.upper() if rng.random() < 0.2 else word.title()] * rng.integers(1, 4)
+    for i in range(0, len(docs), 9):  # kept terms from non-ASCII text: stanbul, elvin, top, ...
+        docs[i] += ["\u0130stanbul", "\u212aelvin", "\u017ftop", "stra\u00dfe", "caf\u00e9"]
+    docs += [[] for _ in range(6)]
+    filtered = ["the", "and", "of", "The", "AND", "ab", "Q", "x", "42",
+                "\u6771\u4eac", "na\u00efve", "\u0130t", "\u017fo"]
+    texts = []
+    for tokens in docs:
+        tokens = tokens + [str(w) for w in rng.choice(filtered, size=12)]
+        rng.shuffle(tokens)
+        texts.append(" ".join(tokens) + " of the" * (min_chars // 7 + 1))
+    texts += ["Qbb qcc", "the ab", "\u0130 Qbb"]  # short documents
+    order = rng.permutation(len(texts))
+    return [RawDocument(id=f"d{k}", text=texts[k], labels=frozenset({f"l{k % 3}"})) for k in order]
+
+
+class TestIngestOracle:
+    """ingest against the regular-expression tokenizer, the Counter ranking and the dense formula."""
+
+    MIN_CHARS = 40
+
+    @pytest.mark.parametrize("cap", [1, 7, 60])
+    def test_bitwise_equal_to_the_oracles(self, monkeypatch, cap):
+        corpus = _oracle_corpus(cap, self.MIN_CHARS)
+        kept = [doc for doc in corpus if len(doc.text) >= self.MIN_CHARS]
+        stop = load_stopwords()
+        tokenized = [_regex_tokenize(doc.text, stop) for doc in kept]
+        ranked = _counter_ranking(tokenized)
+        df = Counter(chain.from_iterable(map(set, tokenized)))
+        assert df[ranked[cap - 1]] == df[ranked[cap]]  # a tie straddles the cap
+        vocab = Vocabulary(terms=ranked[:cap])
+        oracle = _dense_tfidf(tokenized, vocab)
+        zero_rows = tuple(int(i) for i in np.flatnonzero(~oracle.any(axis=1)))
+        assert len(kept) < len(corpus) and zero_rows
+
+        monkeypatch.setattr(preprocessing, "TFIDF_BLOCK_BYTES", 8 * cap * 3)  # three rows a block
+        result = ingest(corpus, vocab_cap=cap, min_chars=self.MIN_CHARS)
+        tdm = result.tdm
+        assert tdm.vocabulary.terms == vocab.terms
+        assert tdm.doc_ids == tuple(doc.id for doc in kept)
+        for ours, theirs in zip((tdm.indptr, tdm.indices, tdm.data), csr_parts(oracle)):
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        assert tdm.zero_rows == zero_rows
+        assert result.stats == {
+            "input_docs": len(corpus),
+            "kept_docs": len(kept),
+            "dropped_short": len(corpus) - len(kept),
+            "min_chars": self.MIN_CHARS,
+            "vocab_cap": cap,
+            "vocab_size": cap,
+            "zero_rows": len(zero_rows),
+        }
+
+    def test_only_stopwords_and_short_tokens_raise(self):
+        corpus = [RawDocument(id=f"d{i}", text="The and OF ab x \u0130t is 42 " * (i + 1))
+                  for i in range(4)]
+        with pytest.raises(EmptyVocabularyError):
+            ingest(corpus, vocab_cap=10, min_chars=0)
 
 
 class TestReadCorpusJsonl:
@@ -319,9 +418,9 @@ class TestTfidfBlocks:
         docs = _zipf_tokens(n * 100 + cap, n)
         # the vocabulary comes from a larger corpus: out-of-vocabulary tokens
         # and documents that come out as zero rows are both likely
-        vocab = build_vocabulary(docs + _zipf_tokens(cap, 30), cap=cap)
+        vocab = build_vocabulary(_counted(docs + _zipf_tokens(cap, 30)), cap=cap)
         monkeypatch.setattr(preprocessing, "TFIDF_BLOCK_BYTES", 8 * len(vocab) * self.BLOCK_ROWS)
-        tdm = tfidf_encode(docs, vocab)
+        tdm = tfidf_encode(_counted(docs), vocab)
         oracle = _dense_tfidf(docs, vocab)
         assert tdm.shape == oracle.shape
         assert tdm.matrix.tobytes() == oracle.tobytes()
@@ -330,18 +429,19 @@ class TestTfidfBlocks:
         assert tdm.zero_rows == tuple(int(i) for i in np.flatnonzero(~oracle.any(axis=1)))
 
     def test_zero_rows_and_out_of_vocabulary_tokens(self):
-        vocab = build_vocabulary([["apple", "berry"]], cap=2)
+        vocab = build_vocabulary(_counted([["apple", "berry"]]), cap=2)
         docs = [["zebra"], [], ["apple", "zebra", "apple"], ["berry", "yak"]]
-        tdm = tfidf_encode(docs, vocab)
+        tdm = tfidf_encode(_counted(docs), vocab)
         assert tdm.zero_rows == (0, 1)
         assert tdm.matrix.tobytes() == _dense_tfidf(docs, vocab).tobytes()
         np.testing.assert_array_equal(tdm.indptr, [0, 0, 0, 1, 2])
 
     def test_default_block_size_on_a_larger_corpus(self):
         docs = _zipf_tokens(11, 400, n_words=2000)
-        vocab = build_vocabulary(docs, cap=1500)
+        vocab = build_vocabulary(_counted(docs), cap=1500)
         assert 8 * len(vocab) * len(docs) > preprocessing.TFIDF_BLOCK_BYTES  # several blocks
-        assert tfidf_encode(docs, vocab).matrix.tobytes() == _dense_tfidf(docs, vocab).tobytes()
+        tdm = tfidf_encode(_counted(docs), vocab)
+        assert tdm.matrix.tobytes() == _dense_tfidf(docs, vocab).tobytes()
 
 
 def test_ingest_and_fit_are_byte_reproducible(tmp_path):
@@ -368,7 +468,7 @@ def test_ingest_and_fit_are_byte_reproducible(tmp_path):
 
 
 def test_ingest_bytes_do_not_depend_on_the_hash_seed(tmp_path):
-    """Set iteration order feeds the document-frequency count; the dataset must not show it."""
+    """String hashing orders sets and dicts differently per seed; the dataset must not show it."""
     docs = _zipf_tokens(9, 80, n_words=400)
     extras = ["İstanbul", "Kelvin", "naïve café", "straße", "ſtop",
               "東京", "\U0001f600grain", "Zürich über", "Wheat-CORN"]
