@@ -29,6 +29,7 @@ the file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -170,28 +171,31 @@ def write_planted_instance(outdir, inst: PlantedInstance, stats: dict | None = N
 
 
 def _read_meta(path: Path) -> dict:
-    """Load ``meta.json`` and check the type of every field the reader uses."""
+    """Load ``meta.json`` and check every field the reader uses, one pass per check."""
     meta = read_json(path)
-
-    def strings(value) -> bool:
-        return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
     for key in ("doc_ids", "vocabulary", "labels"):
-        if not strings(meta.get(key)):
+        value = meta.get(key)
+        if not isinstance(value, list) or not set(map(type, value)) <= {str}:
             raise ValueError(f"{path}: '{key}' must be a list of strings")
     doc_labels = meta.get("doc_labels")
-    if not isinstance(doc_labels, list) or not all(strings(x) for x in doc_labels):
+    if (
+        not isinstance(doc_labels, list)
+        or not set(map(type, doc_labels)) <= {list}
+        or not set(map(type, chain.from_iterable(doc_labels))) <= {str}
+    ):
         raise ValueError(f"{path}: 'doc_labels' must be a list of lists of strings")
-    seen = set()
-    for doc_id in meta["doc_ids"]:
-        if doc_id in seen:
-            raise ValueError(f"{path}: doc_id {doc_id!r} appears more than once")
-        seen.add(doc_id)
-    if len(doc_labels) != len(meta["doc_ids"]):
+    doc_ids = meta["doc_ids"]
+    if len(set(doc_ids)) != len(doc_ids):
+        seen = set()
+        for doc_id in doc_ids:  # name the first repeat
+            if doc_id in seen:
+                raise ValueError(f"{path}: doc_id {doc_id!r} appears more than once")
+            seen.add(doc_id)
+    if len(doc_labels) != len(doc_ids):
         raise ValueError(
-            f"{path}: {len(doc_labels)} 'doc_labels' entries for {len(meta['doc_ids'])} doc_ids"
+            f"{path}: {len(doc_labels)} 'doc_labels' entries for {len(doc_ids)} doc_ids"
         )
-    unknown = sorted({x for names in doc_labels for x in names} - set(meta["labels"]))
+    unknown = sorted(set(chain.from_iterable(doc_labels)).difference(meta["labels"]))
     if unknown:
         raise ValueError(f"{path}: 'doc_labels' names labels not in 'labels': {unknown[:5]}")
     return meta
@@ -203,9 +207,7 @@ def read_dataset(datadir) -> Dataset:
     meta = _read_meta(path)
     labels = tuple(meta["labels"])
     index = {name: j for j, name in enumerate(labels)}
-    doc_labels = tuple(
-        frozenset(index[name] for name in names) for names in meta["doc_labels"]
-    )
+    doc_labels = tuple(frozenset(map(index.__getitem__, names)) for names in meta["doc_labels"])
     try:
         table = LabelTable(labels=labels, doc_labels=doc_labels)
     except ValueError as exc:

@@ -14,6 +14,7 @@ scoring against the binary truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -48,10 +49,12 @@ class TruthMatrix:
 
     @classmethod
     def from_label_table(cls, table: LabelTable) -> "TruthMatrix":
-        m = np.zeros((table.n_docs, table.n_labels), dtype=np.float64)
-        for i, idxs in enumerate(table.doc_labels):
-            for j in idxs:
-                m[i, j] = 1.0
+        n = table.n_docs
+        lengths = np.fromiter(map(len, table.doc_labels), dtype=np.int64, count=n)
+        columns = np.fromiter(chain.from_iterable(table.doc_labels), dtype=np.int64,
+                              count=int(lengths.sum()))
+        m = np.zeros((n, table.n_labels), dtype=np.float64)
+        m[np.repeat(np.arange(n), lengths), columns] = 1.0
         return cls(matrix=m, labels=table.labels)
 
 

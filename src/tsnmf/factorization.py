@@ -209,13 +209,10 @@ def _gram(WL: np.ndarray, e: np.ndarray | None) -> np.ndarray:
     return S.T @ S
 
 
-def _h_step(Ve, WL, H, G, epsilon: float, VeT=None) -> np.ndarray:
-    """H o (WL^T Ve) / (G H + epsilon); zero entries stay zero.
-
-    A CSR ``Ve``'s transpose ``VeT``, made once, gives scipy's (VeT WL)^T for WL^T Ve.
-    """
+def _h_step(Ve, WL, H, G, epsilon: float) -> np.ndarray:
+    """H o (WL^T Ve) / (G H + epsilon); zero entries stay zero."""
     with np.errstate(all="ignore"):
-        out = H * ((WL.T @ Ve if VeT is None else (VeT @ WL).T) / (G @ H + epsilon))
+        out = H * ((WL.T @ Ve) / (G @ H + epsilon))
     return _check_finite(out, "H update")
 
 
@@ -390,7 +387,6 @@ def fit(
     model = init_model(V, L, config)
     Ve, W, H, L, e = _step_inputs(V, model.W, model.H, L, E)
     sum_ev2 = float(np.vdot(Ve.data, V.data) if sparse else np.vdot(Ve, V))
-    VeT = Ve.T if sparse else None
 
     def loss(W, H, WL, G, VeHt, HHt):
         cheap = sum_ev2 - 2.0 * float(np.vdot(WL, VeHt)) + float(np.vdot(G, HHt))
@@ -403,7 +399,7 @@ def fit(
     stop_reason = STOP_MAX_ITER
     for iteration in range(1, config.max_iter + 1):
         try:
-            H_next = _h_step(Ve, WL, H, G, EPSILON, VeT)
+            H_next = _h_step(Ve, WL, H, G, EPSILON)
             VeHt, HHt = Ve @ H_next.T, H_next @ H_next.T
             W_next = _w_step(W, WL, L, e, VeHt, HHt, EPSILON)
         except NumericalFailureError as exc:

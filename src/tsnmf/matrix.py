@@ -49,14 +49,6 @@ def require_nonnegative(a: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} must be non-negative, min entry is {a.min()!r}")
 
 
-def l2_normalize_rows(a) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; all-zero rows pass through unchanged."""
-    a = as_dense(a, "a")
-    norms = np.sqrt(np.sum(a * a, axis=1, keepdims=True))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return a / safe
-
-
 def csr_parts(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR row pointers, column indices (both int64) and values of ``a``'s non-zeros.
 

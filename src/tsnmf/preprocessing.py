@@ -22,8 +22,8 @@ counts that document frequency and TF-IDF read.
 The matrix is built and returned in CSR form; no documents x terms array
 is ever allocated.  Row norms are taken over dense blocks of about
 ``TFIDF_BLOCK_BYTES``, so every value is bitwise the one the dense formula
-``l2_normalize_rows(counts * idf)`` gives.  ``TermDocumentMatrix.matrix``
-densifies on request.
+``X / sqrt(sum(X * X, axis=1))`` over ``X = counts * idf`` gives.
+``TermDocumentMatrix.matrix`` densifies on request.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
@@ -66,14 +66,15 @@ class Vocabulary:
     """Ordered term list with a term -> column lookup.
 
     Ordering is document frequency descending with lexicographic
-    tie-break, so it is reproducible across runs.
+    tie-break, so it is reproducible across runs.  The ``index`` lookup is
+    built on first use, so a vocabulary that is only listed never builds it.
     """
 
     terms: tuple[str, ...]
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.terms)})
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {t: i for i, t in enumerate(self.terms)}
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -212,7 +213,7 @@ def build_vocabulary(tokens: TokenCounts, cap: int = DEFAULT_VOCAB_CAP) -> Vocab
 def tfidf_encode(
     tokens: TokenCounts,
     vocab: Vocabulary,
-    doc_ids: Sequence[str] | None = None,
+    doc_ids: Sequence[str],
 ) -> TermDocumentMatrix:
     """Encode counted documents as a row-normalized TF-IDF matrix.
 
@@ -224,12 +225,9 @@ def tfidf_encode(
         raise EmptyVocabularyError("cannot encode with an empty vocabulary")
     n = tokens.n_docs
     t = len(vocab)
-    if doc_ids is None:
-        doc_ids = tuple(str(i) for i in range(n))
-    else:
-        doc_ids = tuple(doc_ids)
-        if len(doc_ids) != n:
-            raise ValueError(f"{len(doc_ids)} doc_ids for {n} documents")
+    doc_ids = tuple(doc_ids)
+    if len(doc_ids) != n:
+        raise ValueError(f"{len(doc_ids)} doc_ids for {n} documents")
 
     # one vocabulary lookup per distinct term, -1 out of vocabulary
     columns = np.fromiter(map(vocab.index.get, tokens.terms, repeat(-1)),

@@ -13,6 +13,7 @@ sweeps are reproducible for a given seed and numpy version.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,10 +38,12 @@ class LabelTable:
         if list(self.labels) != sorted(self.labels):
             raise ValueError("labels must be in lexicographic order")
         d = len(self.labels)
-        for i, idxs in enumerate(self.doc_labels):
-            for j in idxs:
-                if not 0 <= j < d:
-                    raise ValueError(f"document {i}: label index {j} out of range 0..{d - 1}")
+        valid = set(range(d))
+        if not valid.issuperset(chain.from_iterable(self.doc_labels)):
+            for i, idxs in enumerate(self.doc_labels):  # name the first bad document
+                for j in idxs:
+                    if j not in valid:
+                        raise ValueError(f"document {i}: label index {j} out of range 0..{d - 1}")
 
     @property
     def n_docs(self) -> int:

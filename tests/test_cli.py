@@ -449,17 +449,54 @@ def test_corrupt_matrix_exits_2_on_fit_and_sweep(tmp_path, capsys, corruption):
     assert not sweep_out.exists()  # the sweep reads V before its first cell
 
 
+def _first_doc_labels(meta, first):
+    return dict(meta, doc_labels=[first] + meta["doc_labels"][1:])
+
+
+STRINGS = "must be a list of strings"
+LISTS = "'doc_labels' must be a list of lists of strings"
+# corruption -> (the corrupted meta, the message every reader gives)
 META_CORRUPTIONS = {
-    "not_object": lambda meta: [1],
-    "doc_ids_int": lambda meta: dict(meta, doc_ids=5),
-    "vocabulary_ints": lambda meta: dict(meta, vocabulary=list(range(len(meta["vocabulary"])))),
-    "labels_int": lambda meta: dict(meta, labels=7),
-    "labels_missing": lambda meta: {k: v for k, v in meta.items() if k != "labels"},
-    "doc_labels_flat": lambda meta: dict(meta, doc_labels=[names[0] for names in meta["doc_labels"]]),
-    "doc_labels_short": lambda meta: dict(meta, doc_labels=meta["doc_labels"][:-1]),
-    "doc_labels_unknown": lambda meta: dict(meta, doc_labels=[["nope"]] * len(meta["doc_ids"])),
-    "labels_unsorted": lambda meta: dict(meta, labels=meta["labels"][::-1]),
-    "doc_ids_repeated": lambda meta: dict(meta, doc_ids=meta["doc_ids"][:1] + meta["doc_ids"][:-1]),
+    "not_object": (lambda meta: [1], "must be a JSON object"),
+    "doc_ids_int": (lambda meta: dict(meta, doc_ids=5), f"'doc_ids' {STRINGS}"),
+    "doc_ids_one_int": (
+        lambda meta: dict(meta, doc_ids=meta["doc_ids"][:-1] + [29]), f"'doc_ids' {STRINGS}"
+    ),
+    "vocabulary_ints": (
+        lambda meta: dict(meta, vocabulary=list(range(len(meta["vocabulary"])))),
+        f"'vocabulary' {STRINGS}",
+    ),
+    "vocabulary_one_int": (
+        lambda meta: dict(meta, vocabulary=meta["vocabulary"][:-1] + [0]),
+        f"'vocabulary' {STRINGS}",
+    ),
+    "labels_int": (lambda meta: dict(meta, labels=7), f"'labels' {STRINGS}"),
+    "labels_missing": (
+        lambda meta: {k: v for k, v in meta.items() if k != "labels"}, f"'labels' {STRINGS}"
+    ),
+    "doc_labels_flat": (
+        lambda meta: dict(meta, doc_labels=[names[0] for names in meta["doc_labels"]]), LISTS
+    ),
+    "doc_labels_one_string": (lambda meta: _first_doc_labels(meta, meta["labels"][0]), LISTS),
+    "doc_labels_one_number": (
+        lambda meta: _first_doc_labels(meta, meta["doc_labels"][0] + [1]), LISTS
+    ),
+    "doc_labels_short": (
+        lambda meta: dict(meta, doc_labels=meta["doc_labels"][:-1]),
+        "29 'doc_labels' entries for 30 doc_ids",
+    ),
+    "doc_labels_unknown": (
+        lambda meta: dict(meta, doc_labels=[["nope"]] * len(meta["doc_ids"])),
+        "'doc_labels' names labels not in 'labels': ['nope']",
+    ),
+    "labels_unsorted": (
+        lambda meta: dict(meta, labels=meta["labels"][::-1]),
+        "labels must be in lexicographic order",
+    ),
+    "doc_ids_repeated": (
+        lambda meta: dict(meta, doc_ids=meta["doc_ids"][:1] + meta["doc_ids"][:-1]),
+        "doc_id 'doc00' appears more than once",  # the first repeat
+    ),
 }
 
 
@@ -469,7 +506,8 @@ def test_malformed_meta_exits_2_on_fit_evaluate_and_top_terms(tmp_path, capsys, 
     model_dir = tmp_path / "model"
     assert main(["fit", "--data", str(data), "--rate", "0.5", "--out", str(model_dir)]) == 0
     meta_path = data / "meta.json"
-    meta_path.write_text(json.dumps(META_CORRUPTIONS[corruption](json.loads(meta_path.read_text()))))
+    corrupt, message = META_CORRUPTIONS[corruption]
+    meta_path.write_text(json.dumps(corrupt(json.loads(meta_path.read_text()))))
     capsys.readouterr()
     rcs = (
         main(["fit", "--data", str(data), "--out", str(tmp_path / "m2")]),
@@ -477,7 +515,8 @@ def test_malformed_meta_exits_2_on_fit_evaluate_and_top_terms(tmp_path, capsys, 
         main(["top-terms", "--model", str(model_dir), "--data", str(data)]),
     )
     assert rcs == (2, 2, 2)
-    assert capsys.readouterr().err.count("meta.json") == 3  # every message names the file
+    # every reader names the file and gives the same message
+    assert capsys.readouterr().err == f"error: {meta_path}: {message}\n" * 3
 
 
 def _first_entry(value):

@@ -131,3 +131,19 @@ class TestCsrMatrixFiles:
         (tmp_path / MATRIX_FILENAMES["indices"]).write_bytes(content)
         with pytest.raises(ValueError, match=r"matrix\.indices\.npy: not a readable \.npy array"):
             _read(tmp_path)
+
+
+class TestReadDataset:
+    def test_vocabulary_index_is_built_on_first_use(self, tmp_path):
+        _save_dataset(tmp_path, np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]))
+        ds = read_dataset(tmp_path)
+        assert "index" not in vars(ds.vocabulary)  # reading the dataset does not build it
+        assert ds.vocabulary.index == {"t0": 0, "t1": 1, "t2": 2}
+        assert ds.vocabulary.index is ds.vocabulary.index  # built once
+
+    def test_label_sets_are_label_indices(self, tmp_path):
+        labels = [["b"], [], ["a", "c"], ["c"]]
+        _write(tmp_path, csr_parts(np.eye(4)), list("wxyz"), list("pqrs"), labels, {})
+        table = read_dataset(tmp_path).label_table
+        assert table.labels == ("a", "b", "c")
+        assert table.doc_labels == (frozenset({1}), frozenset(), frozenset({0, 2}), frozenset({2}))

@@ -229,6 +229,24 @@ class TestTruthMatrix:
         np.testing.assert_array_equal(truth.matrix, [[1.0, 0.0], [1.0, 1.0]])
         assert truth.labels == ("a", "b")
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_from_label_table_matches_the_double_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(0, 30)), int(rng.integers(1, 9))
+        # label-set sizes 0..d, so empty sets are common
+        doc_labels = tuple(
+            frozenset(rng.choice(d, size=rng.integers(0, d + 1), replace=False).tolist())
+            for _ in range(n)
+        )
+        table = LabelTable(labels=tuple(f"l{j}" for j in range(d)), doc_labels=doc_labels)
+        oracle = np.zeros((n, d))
+        for i, idxs in enumerate(doc_labels):
+            for j in idxs:
+                oracle[i, j] = 1.0
+        truth = TruthMatrix.from_label_table(table)
+        assert truth.matrix.dtype == np.float64 and truth.matrix.shape == (n, d)
+        assert truth.matrix.tobytes() == oracle.tobytes()
+
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError, match="0 or 1"):
             TruthMatrix(matrix=np.full((2, 1), 0.5), labels=("a",))

@@ -14,7 +14,6 @@ import tsnmf
 from tsnmf.matrix import (
     csr_parts,
     dense_from_csr,
-    l2_normalize_rows,
     read_dense_csv,
     read_json,
     write_csv,
@@ -22,27 +21,6 @@ from tsnmf.matrix import (
     write_file,
     write_json,
 )
-
-
-class TestL2NormalizeRows:
-    def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize_rows([[3, 4]]), [[0.6, 0.8]], rtol=1e-15)
-
-    def test_zero_row_preserved(self):
-        np.testing.assert_array_equal(l2_normalize_rows([[0.0, 0.0]]), [[0.0, 0.0]])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(5)
-        a = rng.random((6, 8))
-        a[2] = 0.0
-        once = l2_normalize_rows(a)
-        twice = l2_normalize_rows(once)
-        np.testing.assert_allclose(twice, once, atol=1e-12)
-
-    def test_unit_norms(self):
-        a = np.random.default_rng(6).random((5, 7)) + 0.1
-        norms = np.linalg.norm(l2_normalize_rows(a), axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
 class TestDenseCsv:

@@ -18,7 +18,7 @@ from tsnmf import factorization, preprocessing
 from tsnmf.cli import main
 from tsnmf.dataio import read_dataset, read_matrix
 from tsnmf.errors import EmptyVocabularyError
-from tsnmf.matrix import csr_parts, l2_normalize_rows
+from tsnmf.matrix import csr_parts
 from tsnmf.preprocessing import (
     RawDocument,
     Vocabulary,
@@ -41,6 +41,10 @@ def _kept(text, stopwords=None):
 def _counted(tokenized):
     """Token lists through tokenize, no stopwords: each token is one run of lowercase letters."""
     return tokenize([" ".join(tokens) for tokens in tokenized], stopwords=frozenset())
+
+
+def _ids(tokenized):
+    return [f"d{i}" for i in range(len(tokenized))]
 
 
 class TestTokenize:
@@ -195,21 +199,21 @@ class TestBuildVocabulary:
 class TestTfidfEncode:
     def test_single_nonzero_normalizes_to_one(self):
         vocab = build_vocabulary(_counted([["apple", "apple"], ["berry"]]), cap=2)
-        tdm = tfidf_encode(_counted([["apple", "apple"]]), vocab)
+        tdm = tfidf_encode(_counted([["apple", "apple"]]), vocab, ["a"])
         row = tdm.matrix[0]
         assert row[vocab.index["apple"]] == pytest.approx(1.0)
         assert row[vocab.index["berry"]] == 0.0
 
     def test_no_vocab_terms_gives_zero_row(self):
         vocab = build_vocabulary(_counted([["apple"]]), cap=1)
-        tdm = tfidf_encode(_counted([["zebra"], ["apple"]]), vocab)
+        tdm = tfidf_encode(_counted([["zebra"], ["apple"]]), vocab, ["z", "a"])
         np.testing.assert_array_equal(tdm.matrix[0], 0.0)
         assert tdm.zero_rows == (0,)
 
     def test_hand_computed_weights(self):
         docs = [["apple", "berry"], ["apple"]]
         vocab = build_vocabulary(_counted(docs), cap=2)
-        tdm = tfidf_encode(_counted(docs), vocab)
+        tdm = tfidf_encode(_counted(docs), vocab, _ids(docs))
         n = 2
         idf_apple = math.log((1 + n) / (1 + 2)) + 1.0
         idf_berry = math.log((1 + n) / (1 + 1)) + 1.0
@@ -388,7 +392,9 @@ def _dense_tfidf(tokenized, vocab):
         for j in row_seen:
             df[j] += 1.0
     idf = np.array([math.log((1.0 + n) / (1.0 + d)) + 1.0 for d in df])
-    return l2_normalize_rows(counts * idf[np.newaxis, :])
+    weighted = counts * idf[np.newaxis, :]
+    norms = np.sqrt(np.sum(weighted * weighted, axis=1, keepdims=True))
+    return weighted / np.where(norms > 0.0, norms, 1.0)  # zero rows stay zero
 
 
 _LETTERS = "bcdfghjklmnpqrstvwxz"
@@ -420,7 +426,7 @@ class TestTfidfBlocks:
         # and documents that come out as zero rows are both likely
         vocab = build_vocabulary(_counted(docs + _zipf_tokens(cap, 30)), cap=cap)
         monkeypatch.setattr(preprocessing, "TFIDF_BLOCK_BYTES", 8 * len(vocab) * self.BLOCK_ROWS)
-        tdm = tfidf_encode(_counted(docs), vocab)
+        tdm = tfidf_encode(_counted(docs), vocab, _ids(docs))
         oracle = _dense_tfidf(docs, vocab)
         assert tdm.shape == oracle.shape
         assert tdm.matrix.tobytes() == oracle.tobytes()
@@ -431,7 +437,7 @@ class TestTfidfBlocks:
     def test_zero_rows_and_out_of_vocabulary_tokens(self):
         vocab = build_vocabulary(_counted([["apple", "berry"]]), cap=2)
         docs = [["zebra"], [], ["apple", "zebra", "apple"], ["berry", "yak"]]
-        tdm = tfidf_encode(_counted(docs), vocab)
+        tdm = tfidf_encode(_counted(docs), vocab, _ids(docs))
         assert tdm.zero_rows == (0, 1)
         assert tdm.matrix.tobytes() == _dense_tfidf(docs, vocab).tobytes()
         np.testing.assert_array_equal(tdm.indptr, [0, 0, 0, 1, 2])
@@ -440,7 +446,7 @@ class TestTfidfBlocks:
         docs = _zipf_tokens(11, 400, n_words=2000)
         vocab = build_vocabulary(_counted(docs), cap=1500)
         assert 8 * len(vocab) * len(docs) > preprocessing.TFIDF_BLOCK_BYTES  # several blocks
-        tdm = tfidf_encode(_counted(docs), vocab)
+        tdm = tfidf_encode(_counted(docs), vocab, _ids(docs))
         assert tdm.matrix.tobytes() == _dense_tfidf(docs, vocab).tobytes()
 
 

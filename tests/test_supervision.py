@@ -38,6 +38,12 @@ class TestLabelTable:
         with pytest.raises(ValueError, match="out of range"):
             LabelTable(labels=("a",), doc_labels=(frozenset({1}),))
 
+    @pytest.mark.parametrize("bad", [3, -1, 1.5])
+    def test_out_of_range_index_names_the_first_bad_document(self, bad):
+        doc_labels = [{0}, {1, 2}, set(), {2, bad}, {0, bad}]
+        with pytest.raises(ValueError, match=rf"^document 3: label index {bad} out of range 0\.\.2$"):
+            _table(doc_labels)
+
 
 class TestSampleSupervisedSet:
     def test_rate_zero_is_empty(self):
