@@ -22,27 +22,27 @@ because that is the quantity the weighted updates decrease monotonically
 The updates run in Gram form, with ``WL = W o mask``, ``Ve = V * e``
 (``V`` itself, not a copy, for the plain rule) and ``G = (WL * e)^T WL``:
 
-    H <- H o (WL^T Ve) / (G H + epsilon)
+    H <- H o (Ve^T WL)^T / (G H + epsilon)
     W <- W o (Ve H^T o mask) / ((WL (H H^T)) * e o mask + epsilon)
 
 W is pinned to exactly 0 where the mask is 0, and unit weights reproduce
-the plain rule bitwise.  An iteration forms two products with the n x t
-data and no n x t temporary: ``fit`` records the loss by the identity
-``sum e||V||^2 - 2 sum(WL o Ve H^T) + sum(G o H H^T)`` from the W step's
-products, with ``sum e||V||^2`` and ``Ve`` computed once per fit.  Near an
-exact fit the identity cancels badly, so whenever its value is at most
-``LOSS_GUARD * sum e||V||^2`` the explicit residual is recorded instead.
+the plain rule bitwise.  ``_problem`` builds ``Ve``, ``VeT``, the mask,
+``e`` and ``sum e||V||^2`` once, into the record the half-steps read.  An
+iteration forms two products with the n x t data and no n x t temporary:
+``fit`` records the loss by the identity ``sum e||V||^2 - 2 sum(WL o Ve
+H^T) + sum(G o H H^T)`` from the W step's products, and at or below
+``LOSS_GUARD * sum e||V||^2``, where that cancels, the explicit residual.
 
 Sparse data: ``fit`` keeps a scipy sparse V, such as ``dataio.read_matrix``
 gives, in CSR form to the last iteration, and converts a dense V with at
 most ``SPARSE_DENSITY_MAX`` of its entries non-zero once when
-``scipy.sparse`` imports.  Checks, ``Ve`` and ``sum e||V||^2`` use the
-stored values, ``init_model`` densifies only the rows it averages, and the
-explicit residual densifies ``RESIDUAL_BLOCK_BYTES`` of rows at a time.
-The dense path and the public ``update_*`` steps are the reference; CSR
-sums run in another order than BLAS, so the paths agree to rounding, not
-bitwise.  scipy is imported only on that branch, so dense fits and
-``import tsnmf`` never load it.
+``scipy.sparse`` imports.  ``VeT`` is then a CSC view, held so that scipy
+does not build it on every H step.  Checks, ``Ve`` and ``sum e||V||^2``
+use the stored values, ``init_model`` densifies only the rows it averages,
+and the explicit residual densifies ``RESIDUAL_BLOCK_BYTES`` of rows at a
+time.  ``update_*`` run ``fit``'s products on either form; the dense path
+is the reference, as CSR sums run in another order than BLAS and agree to
+rounding, not bitwise.  Dense fits and ``import tsnmf`` never load scipy.
 
 ``EPSILON`` is added to every update denominator to keep ratios finite;
 the monotonicity guarantee therefore holds up to a 1e-10 relative slack
@@ -165,6 +165,8 @@ def _row_weights_column(E: np.ndarray, n: int) -> np.ndarray:
     E = np.asarray(E, dtype=np.float64)
     if E.shape != (n,):
         raise ShapeError(f"row weights shape {E.shape}, expected ({n},)")
+    if not (np.isfinite(E) & (E >= 0.0)).all():  # a zero weight drops its row from the objective
+        raise ValueError(f"row weights must be finite and >= 0, got {E.min()} to {E.max()}")
     return E[:, np.newaxis]
 
 
@@ -209,14 +211,35 @@ def _gram(WL: np.ndarray, e: np.ndarray | None) -> np.ndarray:
     return S.T @ S
 
 
-def _h_step(Ve, WL, H, G, epsilon: float) -> np.ndarray:
-    """H o (WL^T Ve) / (G H + epsilon); zero entries stay zero."""
+@dataclass(frozen=True)
+class _Problem:
+    Ve: object  # V with each row scaled by its weight; V itself, not a copy, for the plain rule
+    VeT: object  # Ve.T, held: for a CSR Ve scipy would build this CSC view on every H step
+    L: np.ndarray
+    e: np.ndarray | None  # the weight column; None for the plain rule
+    sum_ev2: float  # sum e||V||^2
+
+
+def _problem(V, L, E) -> _Problem:
+    """One fit's constants from float64 ``V`` (ndarray or CSR), mask ``L`` and weights ``E``."""
+    e = None if E is None else _row_weights_column(E, V.shape[0])
+    if e is not None and _is_sparse(V):  # CSR: scale the stored values, per row
+        scaled = V.data * np.repeat(e[:, 0], np.diff(V.indptr))
+        Ve = type(V)((scaled, V.indices, V.indptr), shape=V.shape)
+    else:
+        Ve = V if e is None else V * e
+    sum_ev2 = float(np.vdot(Ve.data, V.data) if _is_sparse(V) else np.vdot(Ve, V))
+    return _Problem(Ve, Ve.T, L, e, sum_ev2)
+
+
+def _h_step(p: _Problem, WL, H, G, epsilon: float) -> np.ndarray:
+    """H o (WL^T Ve) / (G H + epsilon), WL^T Ve formed as (VeT WL)^T; zero entries stay zero."""
     with np.errstate(all="ignore"):
-        out = H * ((WL.T @ Ve) / (G @ H + epsilon))
+        out = H * ((p.VeT @ WL).T / (G @ H + epsilon))
     return _check_finite(out, "H update")
 
 
-def _w_step(W, WL, L, e, VeHt, HHt, epsilon: float) -> np.ndarray:
+def _w_step(p: _Problem, W, WL, VeHt, HHt, epsilon: float) -> np.ndarray:
     """W o (Ve H^T o L) / ((WL HH^T) * e o L + epsilon), exactly 0 where L is 0.
 
     At forbidden positions both the numerator and denominator vanish, so
@@ -224,11 +247,11 @@ def _w_step(W, WL, L, e, VeHt, HHt, epsilon: float) -> np.ndarray:
     """
     with np.errstate(all="ignore"):
         denom = WL @ HHt
-        if e is not None:
-            denom = denom * e
-        out = W * ((VeHt * L) / (denom * L + epsilon))
+        if p.e is not None:
+            denom = denom * p.e
+        out = W * ((VeHt * p.L) / (denom * p.L + epsilon))
     _check_finite(out, "W update")
-    return np.where(L == 0.0, 0.0, out)
+    return np.where(p.L == 0.0, 0.0, out)
 
 
 def csr_operand(nnz: int, shape: tuple[int, int], parts):
@@ -264,18 +287,6 @@ def _sparse_operand(V):
     return V if Vs is None else Vs
 
 
-def _step_inputs(V, W, H, L, E):
-    """(Ve, W, H, L, e): V with each row scaled by its weight (V itself for E None)."""
-    V, W, H, L = _conform(V, W, H, L)
-    if E is None:
-        return V, W, H, L, None
-    e = _row_weights_column(E, V.shape[0])
-    if not _is_sparse(V):
-        return V * e, W, H, L, e
-    scaled = V.data * np.repeat(e[:, 0], np.diff(V.indptr))  # CSR: the stored values, per row
-    return type(V)((scaled, V.indices, V.indptr), shape=V.shape), W, H, L, e
-
-
 def update_h(V, W, H, L, epsilon: float) -> np.ndarray:
     """One multiplicative step on H.
 
@@ -293,9 +304,10 @@ def update_w(V, W, H, L, epsilon: float) -> np.ndarray:
 
 def update_h_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     """Row-weighted multiplicative step on H; ``E`` of None or all ones is update_h."""
-    Ve, W, H, L, e = _step_inputs(V, W, H, L, E)
+    V, W, H, L = _conform(V, W, H, L)
+    p = _problem(V, L, E)
     WL = W * L
-    return _h_step(Ve, WL, H, _gram(WL, e), epsilon)
+    return _h_step(p, WL, H, _gram(WL, p.e), epsilon)
 
 
 def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
@@ -305,8 +317,9 @@ def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     row's ratios, so for row-constant weights this is numerically close to
     the unweighted step and identical to it when E is all ones.
     """
-    Ve, W, H, L, e = _step_inputs(V, W, H, L, E)
-    return _w_step(W, W * L, L, e, Ve @ H.T, H @ H.T, epsilon)
+    V, W, H, L = _conform(V, W, H, L)
+    p = _problem(V, L, E)
+    return _w_step(p, W, W * L, p.Ve @ H.T, H @ H.T, epsilon)
 
 
 def init_model(V, L, config: FitConfig) -> FactorModel:
@@ -315,24 +328,19 @@ def init_model(V, L, config: FitConfig) -> FactorModel:
     Each row of H starts as the mean of ``ACOL_Q`` distinct random rows of
     V (random-Acol style, oriented so topics average documents); W starts
     uniform on [0, 1) with masked entries zeroed.  Draw order is H first,
-    then W, from one PCG64 generator.  A CSR ``V`` densifies only the
-    picked rows, so H comes out bitwise as from the dense V.
+    then W, from one PCG64 generator.  The picked rows come in one gather,
+    densified alone for a CSR ``V``, so H is bitwise that of the dense V.
     """
-    sparse = _is_sparse(V)
-    V = V if sparse else np.asarray(V, dtype=np.float64)
     L = np.asarray(L, dtype=np.float64)
-    n, t = V.shape
+    n, t = np.shape(V)
     d = config.d
     if L.shape != (n, d):
         raise ShapeError(f"mask shape {L.shape}, expected ({n}, {d})")
     rng = np.random.default_rng(config.seed)
     q = min(ACOL_Q, n)
-    picks = [rng.choice(n, size=q, replace=False) for _ in range(d)]
-    if sparse:  # densify the picked rows alone, in one call: scipy indexing costs per call
-        V, picks = V[np.concatenate(picks)].toarray(), np.arange(d * q).reshape(d, q)
-    H0 = np.empty((d, t), dtype=np.float64)
-    for r in range(d):
-        H0[r, :] = V[picks[r], :].mean(axis=0)
+    rows = np.concatenate([rng.choice(n, size=q, replace=False) for _ in range(d)])
+    picked = V[rows].toarray() if _is_sparse(V) else np.asarray(V, dtype=np.float64)[rows]
+    H0 = picked.reshape(d, q, t).mean(axis=1)
     W0 = rng.random((n, d))
     W0[L == 0.0] = 0.0
     return FactorModel(W=W0, H=H0)
@@ -374,10 +382,9 @@ def fit(
     """
     V = _sparse_operand(V)
     L = np.asarray(L, dtype=np.float64)
-    if V.ndim != 2 or L.ndim != 2:
-        raise ShapeError(f"V and mask must be 2-D, got {V.ndim}-D and {L.ndim}-D")
-    sparse = _is_sparse(V)
-    require_nonnegative(V.data if sparse else V, "V")
+    if V.ndim != 2 or L.ndim != 2 or 0 in V.shape:
+        raise ShapeError(f"V and mask must be 2-D, V non-empty; got shapes {V.shape} and {L.shape}")
+    require_nonnegative(V.data if _is_sparse(V) else V, "V")
     if not np.isin(L, (0.0, 1.0)).all():
         raise ValueError("mask entries must be exactly 0 or 1")
 
@@ -385,31 +392,31 @@ def fit(
     if config.weighted and E is None:
         E = build_error_weights(V.shape[0], np.flatnonzero(~L.all(axis=1))).row_weight
     model = init_model(V, L, config)
-    Ve, W, H, L, e = _step_inputs(V, model.W, model.H, L, E)
-    sum_ev2 = float(np.vdot(Ve.data, V.data) if sparse else np.vdot(Ve, V))
+    p = _problem(V, L, E)
 
     def loss(W, H, WL, G, VeHt, HHt):
-        cheap = sum_ev2 - 2.0 * float(np.vdot(WL, VeHt)) + float(np.vdot(G, HHt))
+        cheap = p.sum_ev2 - 2.0 * float(np.vdot(WL, VeHt)) + float(np.vdot(G, HHt))
         # a NaN from non-finite data fails the comparison and is recomputed too
-        return cheap if cheap > LOSS_GUARD * sum_ev2 else _row_weighted_sse(V, W, H, L, E)
+        return cheap if cheap > LOSS_GUARD * p.sum_ev2 else _row_weighted_sse(V, W, H, L, E)
 
+    W, H = model.W, model.H
     WL = W * L
-    G = _gram(WL, e)
-    losses = [loss(W, H, WL, G, Ve @ H.T, H @ H.T)]
+    G = _gram(WL, p.e)
+    losses = [loss(W, H, WL, G, p.Ve @ H.T, H @ H.T)]
     stop_reason = STOP_MAX_ITER
     for iteration in range(1, config.max_iter + 1):
         try:
-            H_next = _h_step(Ve, WL, H, G, EPSILON)
-            VeHt, HHt = Ve @ H_next.T, H_next @ H_next.T
-            W_next = _w_step(W, WL, L, e, VeHt, HHt, EPSILON)
+            H_next = _h_step(p, WL, H, G, EPSILON)
+            VeHt, HHt = p.Ve @ H_next.T, H_next @ H_next.T
+            W_next = _w_step(p, W, WL, VeHt, HHt, EPSILON)
         except NumericalFailureError as exc:
             raise NumericalFailureError(str(exc), iteration=iteration, losses=losses) from exc
 
         W, H = W_next, H_next
         WL = W * L
-        G = _gram(WL, e)
+        G = _gram(WL, p.e)
         losses.append(loss(W, H, WL, G, VeHt, HHt))
-        reason = _stop_reason(losses[-2], losses[-1], config.rel_tol, sum_ev2)
+        reason = _stop_reason(losses[-2], losses[-1], config.rel_tol, p.sum_ev2)
         if reason is not None:
             stop_reason = reason
             break

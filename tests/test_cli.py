@@ -331,6 +331,15 @@ class TestFit:
         rc = main(["fit", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "m")])
         assert rc == 2
 
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0)], ids=["no_documents", "no_terms"])
+    def test_empty_matrix_exits_2_naming_its_shape(self, tmp_path, capsys, shape):
+        data = _write_dataset(tmp_path / "data", np.zeros(shape))
+        model_dir = tmp_path / "m"
+        rc = main(["fit", "--data", str(data), "--topics", "2", "--out", str(model_dir)])
+        assert rc == 2
+        assert str(shape) in capsys.readouterr().err
+        assert not model_dir.exists()
+
 
 class TestEvaluate:
     def test_perfect_planted_model_resolves_all(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from importlib.util import find_spec
@@ -292,6 +293,33 @@ class TestFit:
     def test_rejects_nonbinary_mask(self):
         with pytest.raises(ValueError, match="0 or 1"):
             fit(np.ones((2, 2)), np.full((2, 1), 0.5), FitConfig(d=1, seed=0))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0)], ids=["no_rows", "no_columns"])
+    def test_rejects_empty_v_naming_its_shape(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            fit(np.zeros(shape), np.ones((shape[0], 2)), FitConfig(d=2, seed=0))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("step", ["fit", "update_h_weighted"])
+    def test_rejects_non_finite_or_negative_row_weights(self, step, bad):
+        V, L = _random_instance(np.random.default_rng(27), n=8, t=6, d=2)
+        E = np.ones(8)
+        E[3] = bad
+        with pytest.raises(ValueError, match=f"row weights.*{bad}"):
+            if step == "fit":
+                fit(V, L, FitConfig(d=2, seed=0, weighted=True), row_weights=E)
+            else:
+                update_h_weighted(V, L, np.ones((2, 6)), L, E, EPS)
+
+    def test_zero_row_weight_drops_the_row_from_the_objective(self):
+        V, L = _random_instance(np.random.default_rng(28), n=8, t=6, d=2)
+        E = np.ones(8)
+        E[[2, 5]] = 0.0
+        model, trace = fit(V, L, FitConfig(d=2, seed=0, weighted=True), row_weights=E)
+        assert np.isfinite(trace.losses).all()
+        assert trace.final_loss == pytest.approx(
+            _row_weighted_sse(np.delete(V, [2, 5], 0), np.delete(model.W, [2, 5], 0), model.H,
+                              np.delete(L, [2, 5], 0), None), rel=1e-10)
 
     def test_numerical_failure_carries_iteration_and_trace(self):
         V = np.array([[np.inf, 1.0], [1.0, 1.0]])
@@ -585,6 +613,21 @@ class TestSparsePath:
             assert again_trace == trace
         with pytest.raises(ValueError, match="non-negative"):
             fit(csr_array(-V), L, cfg, row_weights=E)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_fit_replays_the_public_steps_on_csr_bitwise(self, weighted):
+        from scipy.sparse import csr_array
+
+        V = csr_array(_tfidf_like(8))
+        supervised = sample_supervised_set(60, 0.3, 8)
+        table = build_label_table([{"ab"[i % 2], "cd"[i % 3 % 2]} for i in range(60)])
+        L = build_mask(table, supervised, 60, 5).matrix
+        E = build_error_weights(60, supervised).row_weight
+        cfg = FitConfig(d=5, seed=8, max_iter=40, rel_tol=1e-15, weighted=weighted)
+        model, trace = fit(V, L, cfg, row_weights=E if weighted else None)
+        W, H, explicit = _iterates_and_explicit_losses(V, L, E, cfg)
+        assert model.W.tobytes() == W.tobytes() and model.H.tobytes() == H.tobytes()
+        np.testing.assert_allclose(trace.losses, explicit, rtol=1e-12, atol=0.0)
 
     def test_init_model_densifies_only_the_picked_rows_bitwise(self):
         from scipy.sparse import csr_array
