@@ -20,10 +20,10 @@ from the dense planted matrix with ``csr_parts``.
 The ingest and synth commands write this layout.  Reading is split by
 use: ``read_dataset`` reads ``meta.json`` alone, which is all evaluate and
 top-terms need, and ``read_matrix`` checks the three matrix files and
-gives fit and sweep V: a scipy CSR array of the parts when sparse enough
-for the fit's CSR path, else dense.  Every load failure, from a missing
-file to an entry out of range, raises ``OSError`` or ``ValueError`` naming
-the file.
+gives fit and sweep V in the one place its form is chosen: a scipy CSR
+array of the parts when sparse enough, else dense.  Every load failure,
+from a missing file to an entry out of range, raises ``OSError`` or
+``ValueError`` naming the file, and an empty V a ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .factorization import csr_operand
+from .errors import ShapeError
 from .matrix import csr_parts, dense_from_csr, read_json, write_file, write_json
 from .preprocessing import IngestResult, Vocabulary
 from .supervision import LabelTable
@@ -42,6 +42,10 @@ from .synthetic import PlantedInstance
 
 MATRIX_FILENAMES = {part: f"matrix.{part}.npy" for part in ("indptr", "indices", "data")}
 META_FILENAME = "meta.json"
+# At or below this share of stored entries ``read_matrix`` gives V as CSR, which the
+# fit multiplies as it is.  Measured at 1500x2000 with d = 10 and 20, one BLAS
+# thread: CSR is 2.2x faster at 10 % density, level at 20 %, slower at 30 %.
+SPARSE_DENSITY_MAX = 0.1
 
 
 def _write_matrix(out: Path, indptr, indices, data) -> None:
@@ -55,11 +59,13 @@ def _write_matrix(out: Path, indptr, indices, data) -> None:
 def read_matrix(datadir, dataset: Dataset):
     """The V of ``dataset``, from its directory's CSR files once every check passes.
 
-    A scipy CSR array of the checked parts when ``csr_operand`` gives one (at
-    most ``SPARSE_DENSITY_MAX`` of V stored, and scipy imports), else the dense array.
+    A scipy CSR array of the checked parts when at most ``SPARSE_DENSITY_MAX`` of V is
+    stored and scipy imports, else dense; ``ShapeError`` for an empty V, before any file.
     """
     datadir = Path(datadir)
     n_rows, n_cols = dataset.n_docs, len(dataset.vocabulary)
+    if 0 in (n_rows, n_cols):
+        raise ShapeError(f"{datadir}: V has shape {(n_rows, n_cols)}; a fit needs rows and columns")
     kinds = {"indptr": np.integer, "indices": np.integer, "data": np.floating}
     arrays = {}
     for part, name in MATRIX_FILENAMES.items():
@@ -105,8 +111,14 @@ def read_matrix(datadir, dataset: Dataset):
     check(np.all(np.diff(flat) > 0), "indices", "columns must strictly increase within each row")
     # NaN and Inf pass: the fit reports non-finite input as a numerical failure
     check(not np.any(data <= 0.0), "data", "stored values must be > 0")
-    V = csr_operand(len(data), (n_rows, n_cols), lambda: (indptr, indices, data))
-    return dense_from_csr(indptr, indices, data, (n_rows, n_cols)) if V is None else V
+    if len(data) <= SPARSE_DENSITY_MAX * n_rows * n_cols:
+        try:
+            from scipy.sparse import csr_array
+        except ImportError:
+            pass
+        else:
+            return csr_array((data, indices, indptr), shape=(n_rows, n_cols))
+    return dense_from_csr(indptr, indices, data, (n_rows, n_cols))
 
 
 @dataclass(frozen=True)

@@ -26,23 +26,22 @@ The updates run in Gram form, with ``WL = W o mask``, ``Ve = V * e``
     W <- W o (Ve H^T o mask) / ((WL (H H^T)) * e o mask + epsilon)
 
 W is pinned to exactly 0 where the mask is 0, and unit weights reproduce
-the plain rule bitwise.  ``_problem`` builds ``Ve``, ``VeT``, the mask,
-``e`` and ``sum e||V||^2`` once, into the record the half-steps read.  An
-iteration forms two products with the n x t data and no n x t temporary:
-``fit`` records the loss by the identity ``sum e||V||^2 - 2 sum(WL o Ve
-H^T) + sum(G o H H^T)`` from the W step's products, and at or below
-``LOSS_GUARD * sum e||V||^2``, where that cancels, the explicit residual.
+the plain rule bitwise.  ``_problem`` builds ``Ve``, its ``WL^T Ve``,
+the mask, ``e`` and ``sum e||V||^2`` once, into the record the half-steps
+read.  An iteration forms two products with the n x t data and no n x t
+temporary: ``fit`` records the loss by the identity ``sum e||V||^2 - 2
+sum(WL o Ve H^T) + sum(G o H H^T)`` from the W step's products, and at or
+below ``LOSS_GUARD * sum e||V||^2``, where that cancels, the explicit residual.
 
-Sparse data: ``fit`` keeps a scipy sparse V, such as ``dataio.read_matrix``
-gives, in CSR form to the last iteration, and converts a dense V with at
-most ``SPARSE_DENSITY_MAX`` of its entries non-zero once when
-``scipy.sparse`` imports.  ``VeT`` is then a CSC view, held so that scipy
-does not build it on every H step.  Checks, ``Ve`` and ``sum e||V||^2``
-use the stored values, ``init_model`` densifies only the rows it averages,
-and the explicit residual densifies ``RESIDUAL_BLOCK_BYTES`` of rows at a
-time.  ``update_*`` run ``fit``'s products on either form; the dense path
-is the reference, as CSR sums run in another order than BLAS and agree to
-rounding, not bitwise.  Dense fits and ``import tsnmf`` never load scipy.
+Sparse data: ``fit`` and ``update_*`` multiply V in the form given: a
+scipy sparse V, such as ``dataio.read_matrix`` gives, as CSR to the last
+iteration, with ``WL^T Ve`` formed as ``(Ve^T WL)^T`` and the CSC view
+``Ve^T`` held; a dense V dense, however many zeros it holds.  Checks,
+``Ve`` and ``sum e||V||^2`` use the stored values, ``init_model``
+densifies only the rows it averages, and the explicit residual densifies
+``RESIDUAL_BLOCK_BYTES`` of rows at a time.  The dense path is the
+reference: CSR sums run in another order than BLAS and agree to rounding,
+not bitwise.  Dense fits and ``import tsnmf`` never load scipy.
 
 ``EPSILON`` is added to every update denominator to keep ratios finite;
 the monotonicity guarantee therefore holds up to a 1e-10 relative slack
@@ -55,12 +54,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .errors import NumericalFailureError, ShapeError
 from .matrix import (
-    csr_parts,
     read_dense_csv,
     read_json,
     require_nonnegative,
@@ -87,10 +86,6 @@ ROUNDING_FLOOR = 1e-14
 # nears exact.  Just above 1e-4 its relative error measured up to 7e-12,
 # inside MONOTONE_SLACK; near 1e-6 it measured 7e-11 to 3e-10.
 LOSS_GUARD = 1e-4
-# At or below this share of non-zero entries V is read and fitted as CSR
-# (``csr_operand``), not densified.  Measured at 1500x2000 with d = 10 and 20, one
-# BLAS thread: CSR is 2.2x faster at 10 % density, level at 20 %, slower at 30 %.
-SPARSE_DENSITY_MAX = 0.1
 # The explicit residual of a CSR V densifies at most this many bytes of rows at a time.
 RESIDUAL_BLOCK_BYTES = 8 << 20
 
@@ -146,8 +141,19 @@ def _is_sparse(V) -> bool:
     return hasattr(V, "tocsr")
 
 
+def _operand(V):
+    """V as ``fit`` and ``update_*`` multiply it: float64, and canonical CSR if sparse."""
+    if not _is_sparse(V):
+        return np.asarray(V, dtype=np.float64)
+    V = V.tocsr().astype(np.float64, copy=False)
+    if not V.has_canonical_format:
+        V = V.copy()  # sum_duplicates works in place; the caller's array keeps its layout
+        V.sum_duplicates()
+    return V
+
+
 def _conform(V, W, H, L):
-    V = V.tocsr() if _is_sparse(V) else np.asarray(V, dtype=np.float64)
+    V = _operand(V)
     W = np.asarray(W, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
     L = np.asarray(L, dtype=np.float64)
@@ -214,7 +220,7 @@ def _gram(WL: np.ndarray, e: np.ndarray | None) -> np.ndarray:
 @dataclass(frozen=True)
 class _Problem:
     Ve: object  # V with each row scaled by its weight; V itself, not a copy, for the plain rule
-    VeT: object  # Ve.T, held: for a CSR Ve scipy would build this CSC view on every H step
+    WLtVe: Callable[[np.ndarray], np.ndarray]  # WL -> WL^T Ve, in the faster orientation for Ve
     L: np.ndarray
     e: np.ndarray | None  # the weight column; None for the plain rule
     sum_ev2: float  # sum e||V||^2
@@ -223,19 +229,21 @@ class _Problem:
 def _problem(V, L, E) -> _Problem:
     """One fit's constants from float64 ``V`` (ndarray or CSR), mask ``L`` and weights ``E``."""
     e = None if E is None else _row_weights_column(E, V.shape[0])
-    if e is not None and _is_sparse(V):  # CSR: scale the stored values, per row
+    if not _is_sparse(V):
+        Ve = V if e is None else V * e
+        return _Problem(Ve, lambda WL: WL.T @ Ve, L, e, float(np.vdot(Ve, V)))
+    Ve = V
+    if e is not None:  # scale the stored values, per row
         scaled = V.data * np.repeat(e[:, 0], np.diff(V.indptr))
         Ve = type(V)((scaled, V.indices, V.indptr), shape=V.shape)
-    else:
-        Ve = V if e is None else V * e
-    sum_ev2 = float(np.vdot(Ve.data, V.data) if _is_sparse(V) else np.vdot(Ve, V))
-    return _Problem(Ve, Ve.T, L, e, sum_ev2)
+    VeT = Ve.T  # held: scipy would build this CSC view on every H step
+    return _Problem(Ve, lambda WL: (VeT @ WL).T, L, e, float(np.vdot(Ve.data, V.data)))
 
 
 def _h_step(p: _Problem, WL, H, G, epsilon: float) -> np.ndarray:
-    """H o (WL^T Ve) / (G H + epsilon), WL^T Ve formed as (VeT WL)^T; zero entries stay zero."""
+    """H o (WL^T Ve) / (G H + epsilon); zero entries stay zero."""
     with np.errstate(all="ignore"):
-        out = H * ((p.VeT @ WL).T / (G @ H + epsilon))
+        out = H * (p.WLtVe(WL) / (G @ H + epsilon))
     return _check_finite(out, "H update")
 
 
@@ -252,39 +260,6 @@ def _w_step(p: _Problem, W, WL, VeHt, HHt, epsilon: float) -> np.ndarray:
         out = W * ((VeHt * p.L) / (denom * p.L + epsilon))
     _check_finite(out, "W update")
     return np.where(p.L == 0.0, 0.0, out)
-
-
-def csr_operand(nnz: int, shape: tuple[int, int], parts):
-    """A scipy CSR array of the ``parts()`` (indptr, indices, data) of a matrix, or None.
-
-    None, without calling ``parts``, when more than ``SPARSE_DENSITY_MAX``
-    of the ``shape``'s entries are among the ``nnz`` stored, or scipy does
-    not import: the fit takes its dense path then.
-    """
-    if nnz > SPARSE_DENSITY_MAX * shape[0] * shape[1]:
-        return None
-    try:
-        from scipy.sparse import csr_array
-    except ImportError:
-        return None
-    indptr, indices, data = parts()
-    return csr_array((data, indices, indptr), shape=shape)
-
-
-def _sparse_operand(V):
-    """``fit``'s V: a sparse V as float64 CSR, a dense one as float64, CSR if sparse enough.
-
-    A dense ``V`` becomes CSR through ``csr_operand``, built from
-    ``csr_parts`` in about half the time ``csr_array(V)`` takes.  NaN and
-    Inf count as non-zero, so non-finite data still reaches the checks.
-    """
-    if _is_sparse(V):
-        V = V.tocsr().astype(np.float64, copy=False)
-        V.sum_duplicates()  # in place; nothing to do on canonical CSR such as read_matrix's
-        return V
-    V = np.asarray(V, dtype=np.float64)
-    Vs = None if V.ndim != 2 else csr_operand(np.count_nonzero(V), V.shape, lambda: csr_parts(V))
-    return V if Vs is None else Vs
 
 
 def update_h(V, W, H, L, epsilon: float) -> np.ndarray:
@@ -378,9 +353,9 @@ def fit(
     ``row_weights`` (by default ``build_error_weights`` over the rows the
     mask constrains) and the trace records the row-weighted squared error.
 
-    ``V`` is a dense array or a scipy sparse array, which takes the CSR path.
+    ``V`` is multiplied in the form given: dense, or as CSR if scipy sparse.
     """
-    V = _sparse_operand(V)
+    V = _operand(V)
     L = np.asarray(L, dtype=np.float64)
     if V.ndim != 2 or L.ndim != 2 or 0 in V.shape:
         raise ShapeError(f"V and mask must be 2-D, V non-empty; got shapes {V.shape} and {L.shape}")

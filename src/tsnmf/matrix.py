@@ -3,10 +3,9 @@
 Matrices are plain ``numpy.ndarray`` values: 2-D, float64, row-major.
 The matrix functions are pure; inputs are never mutated.  The
 dataset matrix has its own on-disk form, kept in ``dataio``; ``csr_parts``
-gives the CSR arrays of a dense matrix for it and for the fit's one-time
-conversion of a sparse dense array, and ``dense_from_csr`` turns such
-arrays back into the dense matrix, which only a dataset too dense for the
-CSR path (or read without scipy) needs.
+gives the CSR arrays of a dense matrix for it, and ``dense_from_csr``
+turns such arrays back into the dense matrix, which only a dataset too
+dense for the CSR path (or read without scipy) needs.
 
 Dense CSV: one matrix row per line, comma-separated values.  Floats are
 written with ``repr`` and read back with ``numpy.loadtxt``, so files

@@ -339,6 +339,14 @@ class TestFit:
         assert rc == 2
         assert str(shape) in capsys.readouterr().err
         assert not model_dir.exists()
+        # a sweep stops where it reads V, before its first cell
+        sweep = tmp_path / "sweep"
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"data": str(data), "out": str(sweep), "rates": [0.0, 0.5],
+                                      "seeds": [1], "topics": 2}))
+        assert main(["sweep", "--config", str(config)]) == 2
+        assert str(shape) in capsys.readouterr().err
+        assert not (sweep / "sweep.csv").exists() and not (sweep / "cells").exists()
 
 
 class TestEvaluate:
@@ -649,23 +657,6 @@ def test_fit_and_sweep_never_densify_sparse_data(tmp_path, monkeypatch):
     assert main(["sweep", "--config", str(config)]) == 0
     rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
     assert [row.split(",")[2] for row in rows] == ["ok", "ok"]
-
-
-@needs_scipy
-@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
-def test_csr_operand_writes_the_dense_fit_bytes(tmp_path, weighted):
-    data = _sparse_dataset(tmp_path)
-    dataset = read_dataset(data)
-    V = read_matrix(data, dataset)
-    dense = V.toarray()
-    assert V.format == "csr"
-    config = FitConfig(d=3, seed=4, max_iter=60, rel_tol=1e-9, weighted=weighted)
-    supervised = {i for i in range(0, 60, 4)}
-    for name, operand in (("csr", V), ("dense", dense)):
-        model, trace = fit_supervised(dataset, operand, supervised, config)
-        save_model(tmp_path / name, model, trace, config)
-    for name in ("model.json", "W.csv", "H.csv", "trace.csv"):
-        assert (tmp_path / "csr" / name).read_bytes() == (tmp_path / "dense" / name).read_bytes()
 
 
 def test_evaluate_and_top_terms_never_densify_the_data(tmp_path):

@@ -1,12 +1,22 @@
 """Dataset directory tests: the CSR matrix files and their load checks."""
 
 import dataclasses
+import re
+import sys
 
 import numpy as np
 import pytest
 
 from tsnmf import dataio
-from tsnmf.dataio import MATRIX_FILENAMES, Dataset, _write, read_dataset, read_matrix
+from tsnmf.dataio import (
+    MATRIX_FILENAMES,
+    SPARSE_DENSITY_MAX,
+    Dataset,
+    _write,
+    read_dataset,
+    read_matrix,
+)
+from tsnmf.errors import ShapeError
 from tsnmf.experiment import SweepConfig, run_sweep
 from tsnmf.matrix import csr_parts
 
@@ -131,6 +141,36 @@ class TestCsrMatrixFiles:
         (tmp_path / MATRIX_FILENAMES["indices"]).write_bytes(content)
         with pytest.raises(ValueError, match=r"matrix\.indices\.npy: not a readable \.npy array"):
             _read(tmp_path)
+
+
+class TestOperandForm:
+    """``read_matrix`` is where V's form is chosen; fit multiplies the form it gets."""
+
+    @pytest.mark.parametrize("scipy_imports", [True, False], ids=["scipy", "scipy_blocked"])
+    def test_csr_up_to_the_density_cutoff_dense_above(self, tmp_path, monkeypatch, scipy_imports):
+        n, t = 10, 20
+        cutoff = SPARSE_DENSITY_MAX * n * t
+        assert cutoff == int(cutoff)
+        if scipy_imports:
+            pytest.importorskip("scipy.sparse")
+        else:
+            monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+        for stored in (int(cutoff), int(cutoff) + 1):
+            V = np.zeros(n * t)
+            V[:stored] = np.arange(1.0, stored + 1)
+            V = V.reshape(n, t)
+            got = _read(_save_dataset(tmp_path / str(stored), V))
+            csr = scipy_imports and stored <= cutoff
+            assert getattr(got, "format", None) == ("csr" if csr else None)
+            assert (got.toarray() if csr else got).tobytes() == V.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0)], ids=["no_documents", "no_terms"])
+    def test_empty_matrix_is_a_shape_error_naming_the_directory(self, tmp_path, shape):
+        data = _save_dataset(tmp_path / "data", np.zeros(shape))
+        for name in MATRIX_FILENAMES.values():
+            (data / name).unlink()  # raised before any matrix file is opened
+        with pytest.raises(ShapeError, match="^" + re.escape(f"{data}: V has shape {shape}")):
+            _read(data)
 
 
 class TestReadDataset:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from tsnmf import factorization
+from tsnmf.dataio import SPARSE_DENSITY_MAX
 from tsnmf.errors import NumericalFailureError, ShapeError
 from tsnmf.factorization import (
     ACOL_Q,
@@ -21,7 +22,6 @@ from tsnmf.factorization import (
     ROUNDING_FLOOR,
     FitConfig,
     _row_weighted_sse,
-    _sparse_operand,
     _stop_reason,
     fit,
     init_model,
@@ -573,7 +573,7 @@ class TestSparsePath:
 
         for seed in range(4):
             V = _tfidf_like(seed)
-            assert not isinstance(_sparse_operand(V), np.ndarray)
+            assert np.count_nonzero(V) <= SPARSE_DENSITY_MAX * V.size  # read_matrix gives CSR
             supervised = sample_supervised_set(60, 0.3, seed)
             table = build_label_table([{"ab"[i % 2], "cd"[i % 3 % 2]} for i in range(60)])
             L = build_mask(table, supervised, 60, 5).matrix
@@ -592,9 +592,9 @@ class TestSparsePath:
         L[:15] = np.eye(4)[np.arange(15) % 4]
         cfg = FitConfig(d=4, seed=3, max_iter=40, rel_tol=1e-12, weighted=True)
         E = build_error_weights(60, range(15)).row_weight
-        model, trace = fit(V, L, cfg, row_weights=E)
-        # a CSR whose rows run backwards and store their first entry as two exact halves
         A = csr_array(V)
+        model, trace = fit(A, L, cfg, row_weights=E)
+        # a CSR whose rows run backwards and store their first entry as two exact halves
         data, indices, indptr = [], [], [0]
         for a, b in zip(A.indptr[:-1], A.indptr[1:]):
             cols, vals = list(A.indices[a:b][::-1]), list(A.data[a:b][::-1])
@@ -607,10 +607,15 @@ class TestSparsePath:
             indptr.append(len(indices))
         messy = csr_array((data, indices, indptr), shape=V.shape)
         assert not messy.has_canonical_format
-        for operand in (A, A.tocsc(), messy):
+        for operand in (A.tocsc(), messy):
             again, again_trace = fit(operand, L, cfg, row_weights=E)
             assert again.W.tobytes() == model.W.tobytes() and again.H.tobytes() == model.H.tobytes()
             assert again_trace == trace
+        # the public steps take the operand fit takes
+        for step in (update_h_weighted, update_w_weighted):
+            canonical = step(A, model.W, model.H, L, E, EPSILON)
+            assert step(messy, model.W, model.H, L, E, EPSILON).tobytes() == canonical.tobytes()
+        assert not messy.has_canonical_format  # duplicates were summed in a copy
         with pytest.raises(ValueError, match="non-negative"):
             fit(csr_array(-V), L, cfg, row_weights=E)
 
@@ -646,7 +651,9 @@ class TestSparsePath:
                 assert dense.H[r].tobytes() == rows.mean(axis=0).tobytes()
 
     def test_unit_weights_reproduce_plain_fit_bitwise(self):
-        V = _tfidf_like(5)
+        from scipy.sparse import csr_array
+
+        V = csr_array(_tfidf_like(5))
         L = np.ones((60, 4))
         L[:20] = np.eye(4)[np.arange(20) % 4]
         plain = fit(V, L, FitConfig(d=4, seed=1, max_iter=50, rel_tol=1e-15))
@@ -666,20 +673,21 @@ class TestSparsePath:
         W, H, explicit = _iterates_and_explicit_losses(V, L, E, cfg)
         assert np.array_equal(model.W, W) and np.array_equal(model.H, H)
         np.testing.assert_allclose(trace.losses, explicit, rtol=1e-12, atol=0.0)
-        # above the cutoff scipy is never asked for either
-        monkeypatch.setattr(factorization, "SPARSE_DENSITY_MAX", 0.01)
-        again = fit(V, L, cfg, row_weights=E if weighted else None)
-        assert np.array_equal(again[0].W, W) and again[1].losses == trace.losses
+        # with scipy importable a dense V is multiplied dense all the same
+        again, again_trace = fit(V, L, cfg, row_weights=E if weighted else None)
+        assert again.W.tobytes() == W.tobytes() and again.H.tobytes() == H.tobytes()
+        assert again_trace == trace
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     def test_near_exact_fit_records_explicit_loss_under_guard(self, weighted):
+        from scipy.sparse import csr_array
+
         V = _sparse_planted(1e-8, 2)
-        assert not isinstance(_sparse_operand(V), np.ndarray)
         L = np.ones((40, 3))
         E = np.where(np.arange(40) < 10, 4.0, 1.0)
         E_fit = E if weighted else None
         cfg = FitConfig(d=3, seed=2, max_iter=200, rel_tol=1e-15, weighted=weighted)
-        _, trace = fit(V, L, cfg, row_weights=E_fit)
+        _, trace = fit(csr_array(V), L, cfg, row_weights=E_fit)
         losses = np.array(trace.losses)
         scale = float(np.vdot(V * E[:, None], V)) if weighted else np.sum(V * V)
         under = np.flatnonzero(losses < 0.9 * LOSS_GUARD * scale)
@@ -687,7 +695,8 @@ class TestSparsePath:
         assert (losses[1:] <= losses[:-1] * (1 + MONOTONE_SLACK)).all()
         # a fit stopped at iteration k records the explicit residual of its own iterates
         for k in under[:: len(under) // 3]:
-            model, short = fit(V, L, dataclasses.replace(cfg, max_iter=int(k)), row_weights=E_fit)
+            model, short = fit(csr_array(V), L, dataclasses.replace(cfg, max_iter=int(k)),
+                               row_weights=E_fit)
             assert short.losses == trace.losses[: k + 1]
             assert short.final_loss == _row_weighted_sse(V, model.W, model.H, L, E_fit)
 
@@ -715,15 +724,6 @@ class TestSparsePath:
                                row_weights=E)
             explicit = _row_weighted_sse(V, model.W, model.H, L, E)
             np.testing.assert_allclose(short.final_loss, explicit, rtol=1e-12, atol=0.0)
-
-    def test_operand_is_csr_of_the_data(self):
-        V = _tfidf_like(7)
-        V[3] = 0.0
-        Vs = _sparse_operand(V)
-        assert Vs.format == "csr" and Vs.shape == V.shape
-        assert Vs.toarray().tobytes() == V.tobytes()
-        dense = np.ones((4, 4))
-        assert _sparse_operand(dense) is dense
 
 
 def test_dense_fits_and_cli_import_never_load_scipy(tmp_path):

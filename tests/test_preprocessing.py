@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsnmf import factorization, preprocessing
+from tsnmf import dataio, preprocessing
 from tsnmf.cli import main
 from tsnmf.dataio import read_dataset, read_matrix
 from tsnmf.errors import EmptyVocabularyError
@@ -465,7 +465,7 @@ def test_ingest_and_fit_are_byte_reproducible(tmp_path):
         V = read_matrix(data, read_dataset(data))
         # sparse enough for the CSR path, which V takes from the files whenever scipy imports
         nnz = V.nnz if find_spec("scipy") else np.count_nonzero(V)
-        assert nnz <= factorization.SPARSE_DENSITY_MAX * V.shape[0] * V.shape[1]
+        assert nnz <= dataio.SPARSE_DENSITY_MAX * V.shape[0] * V.shape[1]
         assert main(["fit", "--data", str(data), "--rate", "0.3", "--max-iter", "30",
                      "--out", str(model)]) == 0
         files = sorted(data.glob("matrix*")) + [model / f for f in ("W.csv", "H.csv", "trace.csv")]

@@ -12,8 +12,6 @@ on a loss near 1e-20 of ``sum e||V||^2``, where ``V - WH`` cancels all but
 a few digits and successive values differ by parts in 1e6.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
@@ -22,13 +20,13 @@ pytest.importorskip("scipy.sparse")
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
-from tsnmf import factorization
-from tsnmf.factorization import MONOTONE_SLACK, ROUNDING_FLOOR, FitConfig, _sparse_operand, fit
+from tsnmf.factorization import MONOTONE_SLACK, ROUNDING_FLOOR, FitConfig, fit
 from tsnmf.supervision import LabelTable, build_error_weights, build_mask
 
-# the cutoff that sends every V down one path: all CSR, or all dense BLAS
-PATHS = {"csr": 1.0, "dense": -1.0}
+# fit multiplies V in the form it is given: CSR products, or dense BLAS
+PATHS = {"csr": csr_array, "dense": np.asarray}
 
 
 @st.composite
@@ -59,9 +57,7 @@ def problems(draw):
 @given(problem=problems(), path=st.sampled_from(sorted(PATHS)))
 def test_fit_invariants_on_sparse_data(problem, path):
     V, L, E, cfg = problem
-    with mock.patch.object(factorization, "SPARSE_DENSITY_MAX", PATHS[path]):
-        assert isinstance(_sparse_operand(V), np.ndarray) == (path == "dense")
-        model, trace = fit(V, L, cfg, row_weights=E)
+    model, trace = fit(PATHS[path](V), L, cfg, row_weights=E)
     assert (model.W[L == 0.0] == 0.0).all()
     assert model.W.min() >= 0.0 and model.H.min() >= 0.0
     losses = np.array(trace.losses)
