@@ -14,7 +14,6 @@ scoring against the binary truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -49,13 +48,8 @@ class TruthMatrix:
 
     @classmethod
     def from_label_table(cls, table: LabelTable) -> "TruthMatrix":
-        n = table.n_docs
-        lengths = np.fromiter(map(len, table.doc_labels), dtype=np.int64, count=n)
-        columns = np.fromiter(chain.from_iterable(table.doc_labels), dtype=np.int64,
-                              count=int(lengths.sum()))
-        m = np.zeros((n, table.n_labels), dtype=np.float64)
-        m[np.repeat(np.arange(n), lengths), columns] = 1.0
-        return cls(matrix=m, labels=table.labels)
+        """The table's read-only ``indicator``, not a copy of it."""
+        return cls(matrix=table.indicator, labels=table.labels)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 ``fit``, ``evaluate`` and every sweep cell take one path: supervise (sample
 the labeled rows, or map the ids of a supervision record to rows), fit (mask,
 error weights, ``factorization.fit``), record (``supervision.json``; no other module of
-the package reads or writes it) and score (coverage, truth matrix, ``score_report``).  A
-sweep runs that path over a grid of (supervision rate, seed) cells against
-one dataset, read and scored against once; a failing cell is recorded in
-its row without stopping the sweep, its directory emptied of an earlier
-run.  Output files under the sweep directory:
+the package reads or writes it) and score (coverage, truth matrix, ``score_report``);
+mask, coverage and truth matrix all read ``LabelTable.indicator``.  A sweep
+runs that path over a grid of (supervision rate, seed) cells against one
+dataset, read once, so the indicator is built once; a failing cell is
+recorded in its row without stopping the sweep, its directory emptied of
+an earlier run.  Output files under the sweep directory:
 
     sweep.csv           one row per (rate, seed) cell, deterministic
     sweep_summary.csv   mean and stddev per rate over seeds
@@ -178,15 +179,14 @@ def one_run(outdir, names):
         raise
 
 
-def score(dataset: Dataset, W, supervised, truth=None) -> EvaluationReport:
-    """Score the fitted ``W`` against the labels' ``truth`` matrix, built here unless given.
+def score(dataset: Dataset, W, supervised) -> EvaluationReport:
+    """Score the fitted ``W`` against the dataset's labels.
 
     No coverage when ``supervised`` is None.
     """
     table = dataset.label_table
     coverage = None if supervised is None else topic_coverage(table, supervised)
-    truth = TruthMatrix.from_label_table(table) if truth is None else truth
-    return score_report(W, truth, coverage=coverage)
+    return score_report(W, TruthMatrix.from_label_table(table), coverage=coverage)
 
 
 @dataclass(frozen=True)
@@ -264,22 +264,16 @@ class SweepResult:
 
 
 def run_cell(
-    dataset: Dataset,
-    V,
-    truth: TruthMatrix,
-    rate: float,
-    seed: int,
-    config: FitConfig,
-    outdir,
+    dataset: Dataset, V, rate: float, seed: int, config: FitConfig, outdir
 ) -> SweepCell:
-    """Supervise, fit, record and score one cell with the sweep's ``V`` and ``truth``.
+    """Supervise, fit, record and score one cell with the sweep's ``V``.
 
     Its artifacts go to ``outdir``.
     """
     start = time.perf_counter()
     supervised, rate, seed = supervise(dataset, rate, seed)
     model, trace = fit_supervised(dataset, V, supervised, config)
-    report = score(dataset, model.W, supervised, truth)
+    report = score(dataset, model.W, supervised)
     save_model(outdir, model, trace, config)
     write_supervision(outdir, dataset, supervised, rate, seed)
     write_report(outdir, report, labels=dataset.label_table.labels)
@@ -300,7 +294,6 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Execute every (rate, seed) cell in order and write the sweep CSVs."""
     dataset = read_dataset(cfg.data)
     V = read_matrix(cfg.data, dataset)
-    truth = TruthMatrix.from_label_table(dataset.label_table)
     d = topic_count(dataset, cfg.topics)
     # built before any cell runs, so a bad setting runs no cell and exits 2
     configs = {seed: fit_config(cfg, d, seed) for seed in cfg.seeds}
@@ -311,7 +304,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             cell_dir = out / "cells" / f"rate_{rate}" / f"seed_{seed}"
             try:
                 with one_run(cell_dir, CELL_FILES):
-                    cell = run_cell(dataset, V, truth, rate, seed, configs[seed], cell_dir)
+                    cell = run_cell(dataset, V, rate, seed, configs[seed], cell_dir)
             except Exception as exc:
                 cell = SweepCell(rate=rate, seed=seed, status=f"error: {exc}")
             cells.append(cell)

@@ -41,7 +41,8 @@ iteration, with ``WL^T Ve`` formed as ``(Ve^T WL)^T`` and the CSC view
 densifies only the rows it averages, and the explicit residual densifies
 ``RESIDUAL_BLOCK_BYTES`` of rows at a time.  The dense path is the
 reference: CSR sums run in another order than BLAS and agree to rounding,
-not bitwise.  Dense fits and ``import tsnmf`` never load scipy.
+not bitwise.  Each of those steps tests V's form where the two differ;
+the half-steps never do.  Dense fits and ``import tsnmf`` never load scipy.
 
 ``EPSILON`` is added to every update denominator to keep ratios finite;
 the monotonicity guarantee therefore holds up to a 1e-10 relative slack

@@ -13,6 +13,7 @@ sweeps are reproducible for a given seed and numpy version.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -53,6 +54,18 @@ class LabelTable:
     def n_labels(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def indicator(self) -> np.ndarray:
+        """Read-only n_docs x n_labels float64 array; (i, j) = 1 iff document i has label j."""
+        n = self.n_docs
+        lengths = np.fromiter(map(len, self.doc_labels), dtype=np.int64, count=n)
+        columns = np.fromiter(chain.from_iterable(self.doc_labels), dtype=np.int64,
+                              count=int(lengths.sum()))
+        m = np.zeros((n, self.n_labels), dtype=np.float64)
+        m[np.repeat(np.arange(n), lengths), columns] = 1.0
+        m.flags.writeable = False
+        return m
+
 
 def build_label_table(doc_label_names: Sequence[Iterable[str]]) -> LabelTable:
     """Build a LabelTable from per-document label-name sets."""
@@ -77,13 +90,11 @@ class SupervisionMask:
             raise ShapeError(f"mask must be 2-D, got ndim={m.ndim}")
         if not np.isin(m, (0.0, 1.0)).all():
             raise ValueError("mask entries must be exactly 0 or 1")
-        row_sums = m.sum(axis=1)
-        for i in self.supervised_rows:
-            if row_sums[i] < 1:
-                raise InvalidSupervisionError(f"supervised row {i} permits no topic")
-        unsupervised = np.ones(m.shape[0], dtype=bool)
-        unsupervised[list(self.supervised_rows)] = False
-        if not m[unsupervised].all():
+        rows = np.array(sorted(self.supervised_rows), dtype=np.int64)
+        closed = rows[m[rows].sum(axis=1) < 1]
+        if closed.size:
+            raise InvalidSupervisionError(f"supervised row {closed[0]} permits no topic")
+        if not np.delete(m, rows, axis=0).all():
             raise ValueError("unsupervised rows must be all ones")
 
 
@@ -123,29 +134,32 @@ def build_mask(
 ) -> SupervisionMask:
     """Construct the supervision mask for a labeled subset.
 
-    Supervised rows get a 1 exactly at their label columns; everything
-    else in the row is 0.  Unsupervised rows are all ones.  A supervised
-    document with no labels is a contract violation.
+    Supervised rows are the label table's indicator rows (a 1 exactly at
+    their label columns); unsupervised rows are all ones.  A supervised
+    document with no labels is a contract violation.  Errors name the
+    lowest offending document.
     """
     if labels.n_docs != n:
         raise ShapeError(f"label table covers {labels.n_docs} documents, expected {n}")
     if d < 1:
         raise ValueError(f"topic count must be >= 1, got {d}")
     supervised = frozenset(int(i) for i in supervised)
-    for i in supervised:
-        if not 0 <= i < n:
-            raise ValueError(f"supervised index {i} out of range 0..{n - 1}")
+    rows = np.array(sorted(supervised), dtype=np.int64)
+    outside = rows[(rows < 0) | (rows >= n)]
+    if outside.size:
+        raise ValueError(f"supervised index {outside[0]} out of range 0..{n - 1}")
+    carried = labels.indicator[rows]
+    empty = rows[~carried.any(axis=1)]
+    if empty.size:
+        raise InvalidSupervisionError(f"supervised document {empty[0]} has an empty label set")
+    beyond = rows[carried[:, d:].any(axis=1)]
+    if beyond.size:
+        i = beyond[0]
+        raise ShapeError(f"document {i} carries label index {max(labels.doc_labels[i])} "
+                         f"but the mask has only {d} topics")
     matrix = np.ones((n, d), dtype=np.float64)
-    for i in supervised:
-        idxs = labels.doc_labels[i]
-        if not idxs:
-            raise InvalidSupervisionError(f"supervised document {i} has an empty label set")
-        if max(idxs) >= d:
-            raise ShapeError(
-                f"document {i} carries label index {max(idxs)} but the mask has only {d} topics"
-            )
-        matrix[i, :] = 0.0
-        matrix[i, sorted(idxs)] = 1.0
+    matrix[rows] = 0.0
+    matrix[rows, : labels.n_labels] = carried[:, :d]  # both min(d, n_labels) wide
     return SupervisionMask(matrix=matrix, supervised_rows=supervised)
 
 
@@ -160,9 +174,5 @@ def build_error_weights(n: int, supervised: Iterable[int]) -> ErrorWeights:
 
 def topic_coverage(labels: LabelTable, supervised: Iterable[int]) -> float:
     """Fraction of all labels carried by at least one supervised document."""
-    if labels.n_labels == 0:
-        return 0.0
-    covered: set[int] = set()
-    for i in supervised:
-        covered.update(labels.doc_labels[i])
-    return len(covered) / labels.n_labels
+    covered = labels.indicator[np.fromiter(supervised, dtype=np.int64)].any(axis=0)
+    return int(covered.sum()) / labels.n_labels if labels.n_labels else 0.0

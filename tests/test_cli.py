@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from functools import cached_property
 from importlib.util import find_spec
 from pathlib import Path
 
@@ -16,7 +17,6 @@ import pytest
 from tsnmf import dataio, matrix
 from tsnmf.cli import build_parser, main
 from tsnmf.dataio import MATRIX_FILENAMES, read_dataset, read_matrix, write_planted_instance
-from tsnmf.evaluation import TruthMatrix
 from tsnmf.experiment import (
     CELL_FILES,
     FIT_FILES,
@@ -27,6 +27,7 @@ from tsnmf.experiment import (
 )
 from tsnmf.factorization import FactorModel, FitConfig, FitTrace, fit, read_factor, save_model
 from tsnmf.matrix import csr_parts, read_dense_csv, read_json
+from tsnmf.supervision import LabelTable
 from tsnmf.synthetic import make_planted_instance
 
 
@@ -866,20 +867,22 @@ class TestSweep:
             assert main(["sweep", "--config", str(cfg)]) == 1  # every cell failed
         assert all(not list(cell.iterdir()) for cell in cells)
 
-    def test_truth_matrix_built_once_per_sweep(self, tmp_path, monkeypatch):
+    def test_indicator_built_once_per_sweep(self, tmp_path, monkeypatch):
         data = _synth_dataset(tmp_path)
         cfg = self._config(tmp_path, data, rates=[0.0, 0.5], seeds=[1, 2])
         assert main(["sweep", "--config", str(cfg)]) == 0
         before = {p: p.read_bytes() for p in (tmp_path / "sweep" / "cells").rglob("*")
                   if p.is_file()}
         built = []
-        from_label_table = TruthMatrix.from_label_table
+        indicator = LabelTable.indicator.func
 
-        def counted(cls, table):
+        def counted(table):
             built.append(table)
-            return from_label_table(table)
+            return indicator(table)
 
-        monkeypatch.setattr(TruthMatrix, "from_label_table", classmethod(counted))
+        counted_property = cached_property(counted)
+        counted_property.__set_name__(LabelTable, "indicator")
+        monkeypatch.setattr(LabelTable, "indicator", counted_property)
         assert main(["sweep", "--config", str(cfg)]) == 0
         assert len(built) == 1
         after = {p: p.read_bytes() for p in (tmp_path / "sweep" / "cells").rglob("*") if p.is_file()}

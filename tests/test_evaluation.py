@@ -19,7 +19,7 @@ from tsnmf.evaluation import (
 )
 from tsnmf.matrix import read_json
 from tsnmf.preprocessing import Vocabulary
-from tsnmf.supervision import LabelTable
+from tsnmf.supervision import LabelTable, build_mask, topic_coverage
 
 
 def brute_force_best_total(S):
@@ -220,6 +220,16 @@ class TestScoreReport:
         assert report.coverage == 0.75
 
 
+def _random_label_table(rng, min_labels):
+    n, d = int(rng.integers(0, 30)), int(rng.integers(min_labels, 9))
+    # label-set sizes 0..d, so empty sets are common
+    doc_labels = tuple(
+        frozenset(rng.choice(d, size=rng.integers(0, d + 1), replace=False).tolist())
+        for _ in range(n)
+    )
+    return LabelTable(labels=tuple(f"l{j}" for j in range(d)), doc_labels=doc_labels)
+
+
 class TestTruthMatrix:
     def test_from_label_table(self):
         table = LabelTable(
@@ -232,13 +242,8 @@ class TestTruthMatrix:
     @pytest.mark.parametrize("seed", range(8))
     def test_from_label_table_matches_the_double_loop(self, seed):
         rng = np.random.default_rng(seed)
-        n, d = int(rng.integers(0, 30)), int(rng.integers(1, 9))
-        # label-set sizes 0..d, so empty sets are common
-        doc_labels = tuple(
-            frozenset(rng.choice(d, size=rng.integers(0, d + 1), replace=False).tolist())
-            for _ in range(n)
-        )
-        table = LabelTable(labels=tuple(f"l{j}" for j in range(d)), doc_labels=doc_labels)
+        table = _random_label_table(rng, min_labels=1)
+        n, d, doc_labels = table.n_docs, table.n_labels, table.doc_labels
         oracle = np.zeros((n, d))
         for i, idxs in enumerate(doc_labels):
             for j in idxs:
@@ -246,6 +251,34 @@ class TestTruthMatrix:
         truth = TruthMatrix.from_label_table(table)
         assert truth.matrix.dtype == np.float64 and truth.matrix.shape == (n, d)
         assert truth.matrix.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("topics", ["below", "equal", "above"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_build_mask_matches_the_row_loop(self, seed, topics):
+        rng = np.random.default_rng(seed)
+        table = _random_label_table(rng, min_labels=2)
+        n, doc_labels = table.n_docs, table.doc_labels
+        k = table.n_labels + {"below": -1, "equal": 0, "above": 2}[topics]
+        eligible = [i for i, idxs in enumerate(doc_labels) if idxs and max(idxs) < k]
+        supervised = {i for i in eligible if rng.random() < 0.6}
+        oracle = np.ones((n, k))
+        for i in supervised:
+            oracle[i] = 0.0
+            for j in doc_labels[i]:
+                oracle[i, j] = 1.0
+        mask = build_mask(table, supervised, n, k)
+        assert mask.matrix.dtype == np.float64 and mask.matrix.tobytes() == oracle.tobytes()
+        assert mask.supervised_rows == frozenset(supervised)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_topic_coverage_matches_the_set_union(self, seed):
+        rng = np.random.default_rng(seed)
+        table = _random_label_table(rng, min_labels=1)
+        for _ in range(5):
+            # any rows, empty label sets included
+            supervised = {i for i in range(table.n_docs) if rng.random() < rng.random()}
+            covered = set().union(*(table.doc_labels[i] for i in supervised))
+            assert topic_coverage(table, supervised) == len(covered) / table.n_labels
 
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError, match="0 or 1"):

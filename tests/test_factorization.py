@@ -474,6 +474,17 @@ class TestGramForm:
             np.testing.assert_allclose(trace.losses, explicit, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_fit_replays_the_public_steps_on_dense_bitwise(self, weighted):
+        V, L = _tfidf_like(6, n=40, t=30, density=0.08), np.ones((40, 3))
+        L[:10] = np.eye(3)[np.arange(10) % 3]
+        E = build_error_weights(40, range(10)).row_weight
+        cfg = FitConfig(d=3, seed=2, max_iter=40, rel_tol=1e-15, weighted=weighted)
+        model, trace = fit(V, L, cfg, row_weights=E if weighted else None)
+        W, H, explicit = _iterates_and_explicit_losses(V, L, E, cfg)
+        assert model.W.tobytes() == W.tobytes() and model.H.tobytes() == H.tobytes()
+        np.testing.assert_allclose(trace.losses, explicit, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     @pytest.mark.parametrize("noise_level", [1e-3, 1e-5, 1e-8])
     def test_near_exact_fit_records_explicit_loss_under_guard(self, noise_level, weighted):
         V, L, E, cfg = _planted_fit_setup(noise_level, 2, weighted)
@@ -547,13 +558,6 @@ def _sparse_planted(noise_level, seed, n=40, t=100, d=3, anchors=3):
     return V * (1.0 + noise_level * rng.random(V.shape))
 
 
-def _dense_fit(monkeypatch, *args, **kwargs):
-    """``fit`` with scipy.sparse unimportable, so the products run as dense BLAS."""
-    with monkeypatch.context() as m:
-        m.setitem(sys.modules, "scipy.sparse", None)
-        return fit(*args, **kwargs)
-
-
 def _assert_close_to_dense(sparse, dense):
     (ms, ts), (md, td) = sparse, dense
     for a, b in ((ms.W, md.W), (ms.H, md.H)):
@@ -566,9 +570,8 @@ def _assert_close_to_dense(sparse, dense):
 class TestSparsePath:
     """The CSR products against the dense path, which is the reference."""
 
-    @pytest.mark.parametrize("form", ["dense", "csr"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
-    def test_matches_dense_path_on_tfidf_like_data(self, monkeypatch, weighted, form):
+    def test_matches_dense_path_on_tfidf_like_data(self, weighted):
         from scipy.sparse import csr_array
 
         for seed in range(4):
@@ -579,9 +582,8 @@ class TestSparsePath:
             L = build_mask(table, supervised, 60, 5).matrix
             E = build_error_weights(60, supervised).row_weight if weighted else None
             cfg = FitConfig(d=5, seed=seed, max_iter=80, rel_tol=1e-9, weighted=weighted)
-            operand = V if form == "dense" else csr_array(V)
-            _assert_close_to_dense(fit(operand, L, cfg, row_weights=E),
-                                   _dense_fit(monkeypatch, V, L, cfg, row_weights=E))
+            _assert_close_to_dense(fit(csr_array(V), L, cfg, row_weights=E),
+                                   fit(V, L, cfg, row_weights=E))
 
     def test_csr_input_takes_the_path_a_sparse_dense_input_takes(self):
         from scipy.sparse import csr_array
@@ -662,21 +664,6 @@ class TestSparsePath:
         assert np.array_equal(plain[0].W, weighted[0].W)
         assert np.array_equal(plain[0].H, weighted[0].H)
         assert plain[1].losses == weighted[1].losses
-
-    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
-    def test_without_scipy_the_fit_is_the_dense_one(self, monkeypatch, weighted):
-        V, L = _tfidf_like(6, n=40, t=30, density=0.08), np.ones((40, 3))
-        L[:10] = np.eye(3)[np.arange(10) % 3]
-        E = build_error_weights(40, range(10)).row_weight
-        cfg = FitConfig(d=3, seed=2, max_iter=40, rel_tol=1e-15, weighted=weighted)
-        model, trace = _dense_fit(monkeypatch, V, L, cfg, row_weights=E if weighted else None)
-        W, H, explicit = _iterates_and_explicit_losses(V, L, E, cfg)
-        assert np.array_equal(model.W, W) and np.array_equal(model.H, H)
-        np.testing.assert_allclose(trace.losses, explicit, rtol=1e-12, atol=0.0)
-        # with scipy importable a dense V is multiplied dense all the same
-        again, again_trace = fit(V, L, cfg, row_weights=E if weighted else None)
-        assert again.W.tobytes() == W.tobytes() and again.H.tobytes() == H.tobytes()
-        assert again_trace == trace
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     def test_near_exact_fit_records_explicit_loss_under_guard(self, weighted):

@@ -1,5 +1,7 @@
 """Mask construction, error weighting, sampling, and coverage tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,13 @@ class TestLabelTable:
         doc_labels = [{0}, {1, 2}, set(), {2, bad}, {0, bad}]
         with pytest.raises(ValueError, match=rf"^document 3: label index {bad} out of range 0\.\.2$"):
             _table(doc_labels)
+
+    def test_indicator_is_built_once_and_read_only(self):
+        table = _table([{2}, set(), {0, 1}])
+        np.testing.assert_array_equal(table.indicator, [[0, 0, 1], [0, 0, 0], [1, 1, 0]])
+        assert table.indicator is table.indicator
+        with pytest.raises(ValueError, match="read-only"):
+            table.indicator[1, 0] = 1.0
 
 
 class TestSampleSupervisedSet:
@@ -98,6 +107,18 @@ class TestBuildMask:
         table = _table([{2}], n_labels=3)
         with pytest.raises(ShapeError, match="only 2 topics"):
             build_mask(table, {0}, n=1, d=2)
+
+    # frozenset({33, 2}) yields 33 first; the error names document 2 all the same
+    @pytest.mark.parametrize("error, doc_labels, supervised, message", [
+        (ValueError, [{0}] * 40, {41, -3, 40, -1}, "supervised index -3 out of range 0..39"),
+        (InvalidSupervisionError, [{0}] * 2 + [set()] * 38, {33, 2}, "supervised document 2 "),
+        (ShapeError, [{0}] * 2 + [{0, 3, 4}] * 38, {33, 2}, "document 2 carries label index 4 "),
+    ], ids=["index", "empty", "beyond"])
+    def test_errors_name_the_lowest_offending_document(self, error, doc_labels, supervised,
+                                                       message):
+        table = _table(doc_labels, n_labels=5)
+        with pytest.raises(error, match=re.escape(message)):
+            build_mask(table, supervised, n=40, d=3)
 
     def test_row_sums(self):
         rng = np.random.default_rng(11)
