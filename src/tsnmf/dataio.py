@@ -44,7 +44,7 @@ MATRIX_FILENAMES = {part: f"matrix.{part}.npy" for part in ("indptr", "indices",
 META_FILENAME = "meta.json"
 # At or below this share of stored entries ``read_matrix`` gives V as CSR, which the
 # fit multiplies as it is.  Measured at 1500x2000 with d = 10 and 20, one BLAS
-# thread: CSR is 2.2x faster at 10 % density, level at 20 %, slower at 30 %.
+# thread: CSR is 1.15-1.3x faster at 10 % density and 1.3-1.5x slower at 20 %.
 SPARSE_DENSITY_MAX = 0.1
 
 

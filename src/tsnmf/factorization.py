@@ -22,23 +22,25 @@ because that is the quantity the weighted updates decrease monotonically
 The updates run in Gram form, with ``WL = W o mask``, ``Ve = V * e``
 (``V`` itself, not a copy, for the plain rule) and ``G = (WL * e)^T WL``:
 
-    H <- H o (Ve^T WL)^T / (G H + epsilon)
-    W <- W o (Ve H^T o mask) / ((WL (H H^T)) * e o mask + epsilon)
+    H <- H o (WL^T Ve) / (G H + epsilon)
+    W <- W o (Ve H^T) / ((WL (H H^T)) * e + epsilon), then 0 where the mask is 0
 
-W is pinned to exactly 0 where the mask is 0, and unit weights reproduce
-the plain rule bitwise.  ``_problem`` builds ``Ve``, its ``WL^T Ve``,
-the mask, ``e`` and ``sum e||V||^2`` once, into the record the half-steps
-read.  An iteration forms two products with the n x t data and no n x t
-temporary: ``fit`` records the loss by the identity ``sum e||V||^2 - 2
-sum(WL o Ve H^T) + sum(G o H H^T)`` from the W step's products, and at or
-below ``LOSS_GUARD * sum e||V||^2``, where that cancels, the explicit residual.
+so ``fit`` passes W itself as WL, and unit weights reproduce the plain
+rule bitwise.  ``_problem`` builds the record the half-steps read, once
+per fit: both products' operands, ``Ve`` and ``Ve^T``, each product in its
+form's faster orientation (dense: ``WL^T Ve`` and ``(H Ve^T)^T``, with
+``Ve^T`` a C-contiguous copy, one more n x t array; CSR: ``(Ve^T WL)^T``,
+with ``Ve^T`` the CSC view, and ``Ve H^T``), ``e``, ``sqrt(e)``, the
+mask's zeros and ``sum e||V||^2``.  An iteration forms no n x t temporary:
+``fit`` records the loss by the identity ``sum e||V||^2 - 2 sum(WL o Ve
+H^T) + sum(G o H H^T)`` from the W step's products, and at or below
+``LOSS_GUARD * sum e||V||^2``, where that cancels, the explicit residual.
 
 Sparse data: ``fit`` and ``update_*`` multiply V in the form given: a
 scipy sparse V, such as ``dataio.read_matrix`` gives, as CSR to the last
-iteration, with ``WL^T Ve`` formed as ``(Ve^T WL)^T`` and the CSC view
-``Ve^T`` held; a dense V dense, however many zeros it holds.  Checks,
-``Ve`` and ``sum e||V||^2`` use the stored values, ``init_model``
-densifies only the rows it averages, and the explicit residual densifies
+iteration; a dense V dense, however many zeros it holds.  Checks, ``Ve``
+and ``sum e||V||^2`` use the stored values, ``init_model`` densifies only
+the rows it averages, and the explicit residual densifies
 ``RESIDUAL_BLOCK_BYTES`` of rows at a time.  The dense path is the
 reference: CSR sums run in another order than BLAS and agree to rounding,
 not bitwise.  Each of those steps tests V's form where the two differ;
@@ -54,6 +56,7 @@ for a rise beyond that slack plus ``ROUNDING_FLOOR * sum e||V||^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
@@ -207,23 +210,25 @@ def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def _gram(WL: np.ndarray, e: np.ndarray | None) -> np.ndarray:
+def _gram(WL: np.ndarray, sqrt_e: np.ndarray | None) -> np.ndarray:
     """G = (WL * e)^T WL, the d x d row-weighted Gram matrix of the masked W.
 
     Formed as S^T S with S = WL * sqrt(e) so both rules take numpy's syrk
     path for ``A.T @ A``; gemm differs in the last bits, and unit weights
     must reproduce the plain rule bitwise.
     """
-    S = WL if e is None else WL * np.sqrt(e)
+    S = WL if sqrt_e is None else WL * sqrt_e
     return S.T @ S
 
 
 @dataclass(frozen=True)
 class _Problem:
-    Ve: object  # V with each row scaled by its weight; V itself, not a copy, for the plain rule
+    VeT: Callable[[], object]  # Ve^T, held: a C-contiguous copy for dense V, the CSC view for CSR
     WLtVe: Callable[[np.ndarray], np.ndarray]  # WL -> WL^T Ve, in the faster orientation for Ve
-    L: np.ndarray
+    VeHt: Callable[[np.ndarray], np.ndarray]  # H -> Ve H^T, likewise
+    forbidden: np.ndarray  # L == 0, where the W step pins W to 0
     e: np.ndarray | None  # the weight column; None for the plain rule
+    sqrt_e: np.ndarray | None  # its square root, which _gram scales WL by
     sum_ev2: float  # sum e||V||^2
 
 
@@ -232,35 +237,46 @@ def _problem(V, L, E) -> _Problem:
     e = None if E is None else _row_weights_column(E, V.shape[0])
     if not _is_sparse(V):
         Ve = V if e is None else V * e
-        return _Problem(Ve, lambda WL: WL.T @ Ve, L, e, float(np.vdot(Ve, V)))
-    Ve = V
-    if e is not None:  # scale the stored values, per row
-        scaled = V.data * np.repeat(e[:, 0], np.diff(V.indptr))
-        Ve = type(V)((scaled, V.indices, V.indptr), shape=V.shape)
-    VeT = Ve.T  # held: scipy would build this CSC view on every H step
-    return _Problem(Ve, lambda WL: (VeT @ WL).T, L, e, float(np.vdot(Ve.data, V.data)))
+        # H Ve^T takes a faster gemm than Ve H^T; built on first use, so update_h_* never copies V
+        VeT = cache(lambda: np.ascontiguousarray(Ve.T))
+        WLtVe, VeHt, sum_ev2 = (lambda WL: WL.T @ Ve), (lambda H: (H @ VeT()).T), np.vdot(Ve, V)
+    else:
+        Ve = V
+        if e is not None:  # scale the stored values, per row
+            scaled = V.data * np.repeat(e[:, 0], np.diff(V.indptr))
+            Ve = type(V)((scaled, V.indices, V.indptr), shape=V.shape)
+        VeT = cache(lambda: Ve.T)  # held: scipy would build this CSC view on every H step
+        WLtVe, VeHt = (lambda WL: (VeT() @ WL).T), (lambda H: Ve @ H.T)
+        sum_ev2 = np.vdot(Ve.data, V.data)
+    sqrt_e = None if e is None else np.sqrt(e)
+    return _Problem(VeT, WLtVe, VeHt, L == 0.0, e, sqrt_e, float(sum_ev2))
 
 
 def _h_step(p: _Problem, WL, H, G, epsilon: float) -> np.ndarray:
     """H o (WL^T Ve) / (G H + epsilon); zero entries stay zero."""
     with np.errstate(all="ignore"):
-        out = H * (p.WLtVe(WL) / (G @ H + epsilon))
+        out = G @ H
+        out += epsilon
+        np.divide(p.WLtVe(WL), out, out=out)
+        out *= H
     return _check_finite(out, "H update")
 
 
 def _w_step(p: _Problem, W, WL, VeHt, HHt, epsilon: float) -> np.ndarray:
-    """W o (Ve H^T o L) / ((WL HH^T) * e o L + epsilon), exactly 0 where L is 0.
+    """W o (Ve H^T) / ((WL HH^T) * e + epsilon), pinned to exactly 0 where L is 0.
 
-    At forbidden positions both the numerator and denominator vanish, so
-    the value is pinned to 0 explicitly rather than left to 0/epsilon.
+    At forbidden positions W is 0, or is pinned there anyway, so the ratio
+    needs no mask; the finite check reads the pinned values.
     """
     with np.errstate(all="ignore"):
-        denom = WL @ HHt
+        out = WL @ HHt
         if p.e is not None:
-            denom = denom * p.e
-        out = W * ((VeHt * p.L) / (denom * p.L + epsilon))
-    _check_finite(out, "W update")
-    return np.where(p.L == 0.0, 0.0, out)
+            out *= p.e
+        out += epsilon
+        np.divide(VeHt, out, out=out)
+        out *= W
+    out[p.forbidden] = 0.0
+    return _check_finite(out, "W update")
 
 
 def update_h(V, W, H, L, epsilon: float) -> np.ndarray:
@@ -283,7 +299,7 @@ def update_h_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     V, W, H, L = _conform(V, W, H, L)
     p = _problem(V, L, E)
     WL = W * L
-    return _h_step(p, WL, H, _gram(WL, p.e), epsilon)
+    return _h_step(p, WL, H, _gram(WL, p.sqrt_e), epsilon)
 
 
 def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
@@ -295,7 +311,7 @@ def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     """
     V, W, H, L = _conform(V, W, H, L)
     p = _problem(V, L, E)
-    return _w_step(p, W, W * L, p.Ve @ H.T, H @ H.T, epsilon)
+    return _w_step(p, W, W * L, p.VeHt(H), H @ H.T, epsilon)
 
 
 def init_model(V, L, config: FitConfig) -> FactorModel:
@@ -370,28 +386,25 @@ def fit(
     model = init_model(V, L, config)
     p = _problem(V, L, E)
 
-    def loss(W, H, WL, G, VeHt, HHt):
-        cheap = p.sum_ev2 - 2.0 * float(np.vdot(WL, VeHt)) + float(np.vdot(G, HHt))
+    def loss(W, H, G, VeHt, HHt):
+        cheap = p.sum_ev2 - 2.0 * float(np.vdot(W, VeHt)) + float(np.vdot(G, HHt))
         # a NaN from non-finite data fails the comparison and is recomputed too
         return cheap if cheap > LOSS_GUARD * p.sum_ev2 else _row_weighted_sse(V, W, H, L, E)
 
+    # W is 0 wherever L is, from init_model and after every W step, so W o L is W itself
     W, H = model.W, model.H
-    WL = W * L
-    G = _gram(WL, p.e)
-    losses = [loss(W, H, WL, G, p.Ve @ H.T, H @ H.T)]
+    G = _gram(W, p.sqrt_e)
+    losses = [loss(W, H, G, p.VeHt(H), H @ H.T)]
     stop_reason = STOP_MAX_ITER
     for iteration in range(1, config.max_iter + 1):
         try:
-            H_next = _h_step(p, WL, H, G, EPSILON)
-            VeHt, HHt = p.Ve @ H_next.T, H_next @ H_next.T
-            W_next = _w_step(p, W, WL, VeHt, HHt, EPSILON)
+            H = _h_step(p, W, H, G, EPSILON)
+            VeHt, HHt = p.VeHt(H), H @ H.T
+            W = _w_step(p, W, W, VeHt, HHt, EPSILON)
         except NumericalFailureError as exc:
             raise NumericalFailureError(str(exc), iteration=iteration, losses=losses) from exc
-
-        W, H = W_next, H_next
-        WL = W * L
-        G = _gram(WL, p.e)
-        losses.append(loss(W, H, WL, G, VeHt, HHt))
+        G = _gram(W, p.sqrt_e)
+        losses.append(loss(W, H, G, VeHt, HHt))
         reason = _stop_reason(losses[-2], losses[-1], config.rel_tol, p.sum_ev2)
         if reason is not None:
             stop_reason = reason

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from importlib.util import find_spec
 from pathlib import Path
 
@@ -464,6 +465,39 @@ class TestGramForm:
             np.testing.assert_allclose(H1, H2, rtol=1e-12, atol=1e-12)
             assert (W1[L == 0.0] == 0.0).all()
 
+    # shapes where OpenBLAS takes the kernels the benchmark fits run, not the small-matrix ones
+    @pytest.mark.parametrize("n, t, d", [(150, 500, 10), (100, 2000, 20)])
+    def test_fit_matches_oracle_over_ten_iterations_at_benchmark_shapes(self, n, t, d):
+        inst = make_planted_instance(n, t, d, noise_level=0.1, seed=3)
+        supervised = sample_supervised_set(n, 0.2, 3)
+        L = build_mask(inst.label_table, supervised, n, d).matrix
+        E = build_error_weights(n, supervised).row_weight
+        cfg = FitConfig(d=d, seed=3, max_iter=10, rel_tol=1e-15, weighted=True)
+        model, trace = fit(inst.V, L, cfg, row_weights=E)
+        assert trace.iterations == 10
+        start = init_model(inst.V, L, cfg)
+        W, H = start.W, start.H
+        for _ in range(10):
+            H = _oracle_h(inst.V, W, H, L, E[:, None])
+            W = _oracle_w(inst.V, W, H, L, E[:, None])
+        np.testing.assert_allclose(model.W, W, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(model.H, H, rtol=1e-12, atol=0.0)
+        assert (model.W[L == 0.0] == 0.0).all()
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_near_exact_fit_at_benchmark_shape_records_explicit_loss_under_guard(self, weighted):
+        V, L, E, cfg = _planted_fit_setup(1e-8, 2, weighted, n=150, t=500, d=10)
+        model, trace = fit(V, L, cfg, row_weights=E if weighted else None)
+        W, H, explicit = _iterates_and_explicit_losses(V, L, E, cfg)
+        assert np.array_equal(model.W, W) and np.array_equal(model.H, H)
+        losses = np.array(trace.losses)
+        # sum e||V||^2 as fit forms it, so a loss at or under the guard was the explicit one
+        scale = np.vdot(V * E[:, None] if weighted else V, V)
+        under = losses <= LOSS_GUARD * scale
+        assert under.sum() >= 50, "fit never reached the guarded region"
+        assert np.array_equal(losses[under], explicit[under])
+        assert (losses[1:] <= losses[:-1] * (1 + MONOTONE_SLACK)).all()
+
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     def test_trace_matches_explicit_loss_on_noisy_data(self, weighted):
         for noise_level, seed in ((0.2, 1), (0.5, 2)):
@@ -499,6 +533,70 @@ class TestGramForm:
         assert np.array_equal(losses[under], explicit[under])
         np.testing.assert_allclose(losses, explicit, rtol=MONOTONE_SLACK, atol=0.0)
         assert (losses[1:] <= losses[:-1] * (1 + MONOTONE_SLACK)).all()
+
+
+def _operands(n, t, sparse):
+    V = _tfidf_like(7, n=n, t=t, density=0.01 if sparse else 1.0)
+    if sparse:
+        V = pytest.importorskip("scipy.sparse").csr_array(V)
+    L = np.ones((n, 5))
+    L[: n // 5] = np.eye(5)[np.arange(n // 5) % 5]
+    return V, L, build_error_weights(n, range(n // 5)).row_weight
+
+
+class TestProblemRecord:
+    """The per-fit record: the layout BLAS sees and the memory each form holds."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_fit_returns_c_contiguous_float64_factors(self, sparse, weighted):
+        V, L, E = _operands(60, 80, sparse)
+        model, _ = fit(V, L, FitConfig(d=5, seed=1, max_iter=3, weighted=weighted), row_weights=E)
+        for a in (model.W, model.H):
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_dense_record_holds_a_c_contiguous_copy_of_ve_transposed(self, weighted):
+        V, L, E = _operands(60, 80, sparse=False)
+        p = factorization._problem(V, L, E if weighted else None)
+        held = p.VeT()
+        assert held is p.VeT()  # built once per record
+        assert held.flags.c_contiguous and held.shape == (80, 60)
+        assert not np.shares_memory(held, V)
+        np.testing.assert_array_equal(held, (V * E[:, None] if weighted else V).T)
+
+    def test_csr_record_holds_no_dense_n_by_t_array(self):
+        n, t = 400, 1000
+        V, L, E = _operands(n, t, sparse=True)
+        H = np.random.default_rng(1).random((5, t))
+        tracemalloc.start()
+        try:
+            p = factorization._problem(V, L, E)
+            p.WLtVe(L)
+            p.VeHt(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * t // 4
+        assert p.VeT().format == "csc"
+        for field in dataclasses.fields(p):
+            assert np.shape(getattr(p, field.name)) != (n, t), field.name
+
+    def test_update_h_on_dense_v_allocates_no_transpose(self):
+        n, t = 400, 1000
+        V, L, _ = _operands(n, t, sparse=False)
+        rng = np.random.default_rng(2)
+        W, H = rng.random((n, 5)) * L, rng.random((5, t))
+        peaks = []
+        for step in (update_h, update_w):
+            tracemalloc.start()
+            try:
+                step(V, W, H, L, EPSILON)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the W step reads the held transpose, so one n x t copy is what tracemalloc sees
+        assert peaks[0] < 8 * n * t <= peaks[1]
 
 
 class TestModelIO:
