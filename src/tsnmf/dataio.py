@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ShapeError
 from .matrix import csr_parts, dense_from_csr, read_json, write_file, write_json
 from .preprocessing import IngestResult, Vocabulary
-from .supervision import LabelTable
+from .supervision import LabelTable, build_label_table
 from .synthetic import PlantedInstance
 
 MATRIX_FILENAMES = {part: f"matrix.{part}.npy" for part in ("indptr", "indices", "data")}
@@ -139,7 +139,7 @@ def _write(
     csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     doc_ids,
     vocab_terms,
-    doc_label_names,
+    table: LabelTable,
     stats: dict,
 ) -> None:
     out = Path(outdir)
@@ -147,8 +147,8 @@ def _write(
     meta = {
         "doc_ids": list(doc_ids),
         "vocabulary": list(vocab_terms),
-        "labels": sorted({name for labels in doc_label_names for name in labels}),
-        "doc_labels": [sorted(labels) for labels in doc_label_names],
+        "labels": list(table.labels),
+        "doc_labels": [sorted(table.labels[j] for j in idxs) for idxs in table.doc_labels],
         "stats": stats,
     }
     write_json(out / META_FILENAME, meta)
@@ -161,7 +161,7 @@ def write_ingest_result(outdir, result: IngestResult) -> None:
         (tdm.indptr, tdm.indices, tdm.data),
         tdm.doc_ids,
         tdm.vocabulary.terms,
-        result.doc_labels,
+        build_label_table(result.doc_labels),
         result.stats,
     )
 
@@ -173,12 +173,8 @@ def write_planted_instance(outdir, inst: PlantedInstance, stats: dict | None = N
     term_width = len(str(t - 1))
     doc_ids = [f"doc{i:0{id_width}d}" for i in range(n)]
     terms = [f"term{j:0{term_width}d}" for j in range(t)]
-    doc_label_names = [
-        sorted(inst.label_table.labels[j] for j in idxs)
-        for idxs in inst.label_table.doc_labels
-    ]
     _write(
-        outdir, csr_parts(inst.V), doc_ids, terms, doc_label_names, stats or {"synthetic": True}
+        outdir, csr_parts(inst.V), doc_ids, terms, inst.label_table, stats or {"synthetic": True}
     )
 
 

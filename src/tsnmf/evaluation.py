@@ -169,15 +169,9 @@ def hungarian_match(similarity) -> Matching:
     (topic, label) indices.
     """
     S = as_dense(similarity, "similarity")
-    if S.size and not np.isfinite(S).all():
+    if not np.isfinite(S).all():
         raise ValueError("similarity matrix contains non-finite entries")
     d, dt = S.shape
-    if d == 0 or dt == 0:
-        return Matching(
-            pairs=(),
-            unmatched_topics=tuple(range(d)),
-            unmatched_labels=tuple(range(dt)),
-        )
     if d <= dt:
         cols = _min_cost_assignment(-S)
         pairs = tuple((i, int(cols[i]), float(S[i, cols[i]])) for i in range(d))
@@ -233,7 +227,6 @@ def top_terms(H, vocab: Vocabulary, m: int) -> list[list[str]]:
         raise ShapeError(f"H has {H.shape[1]} columns for {len(vocab)} vocabulary terms")
     if m < 1:
         raise ValueError(f"term count must be >= 1, got {m}")
-    m = min(m, len(vocab))
     out = []
     for row in H:
         order = np.argsort(-row, kind="stable")[:m]

@@ -209,7 +209,7 @@ class SweepConfig:
                 raise ValueError(f"{key} must be non-empty and distinct, got {list(values)}")
         for r in self.rates:
             if not 0.0 <= r <= 1.0:
-                raise ValueError(f"supervision rate {r} outside [0, 1]")
+                raise ValueError(f"rates must lie in [0, 1], got {r}")
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":

@@ -40,7 +40,7 @@ Sparse data: ``fit`` and ``update_*`` multiply V in the form given: a
 scipy sparse V, such as ``dataio.read_matrix`` gives, as CSR to the last
 iteration; a dense V dense, however many zeros it holds.  Checks, ``Ve``
 and ``sum e||V||^2`` use the stored values, ``init_model`` densifies only
-the rows it averages, and the explicit residual densifies
+the rows it averages, and the explicit residual takes either form
 ``RESIDUAL_BLOCK_BYTES`` of rows at a time.  The dense path is the
 reference: CSR sums run in another order than BLAS and agree to rounding,
 not bitwise.  Each of those steps tests V's form where the two differ;
@@ -66,7 +66,6 @@ from .errors import NumericalFailureError, ShapeError
 from .matrix import (
     read_dense_csv,
     read_json,
-    require_nonnegative,
     write_csv,
     write_dense_csv,
     write_json,
@@ -90,7 +89,7 @@ ROUNDING_FLOOR = 1e-14
 # nears exact.  Just above 1e-4 its relative error measured up to 7e-12,
 # inside MONOTONE_SLACK; near 1e-6 it measured 7e-11 to 3e-10.
 LOSS_GUARD = 1e-4
-# The explicit residual of a CSR V densifies at most this many bytes of rows at a time.
+# The explicit residual takes at most this many bytes of V's rows at a time, densified if CSR.
 RESIDUAL_BLOCK_BYTES = 8 << 20
 
 
@@ -188,14 +187,14 @@ def loss_ts(V, W, H, L) -> float:
 def _row_weighted_sse(V, W, H, L, E) -> float:
     """sum_i E_i * ||row i residual||^2 — the objective the weighted updates descend.
 
-    With ``E`` None this is the plain masked loss, ``loss_ts``.  A dense ``V``
-    is one block of rows; a CSR ``V`` is densified ``RESIDUAL_BLOCK_BYTES`` of
-    rows at a time, and gives the dense bits when that is one block.
+    With ``E`` None this is the plain masked loss, ``loss_ts``.  ``V`` is taken
+    ``RESIDUAL_BLOCK_BYTES`` of rows at a time, densified if CSR, so a CSR ``V``
+    gives the dense bits.
     """
     V, W, H, L = _conform(V, W, H, L)
     e = None if E is None else _row_weights_column(E, V.shape[0])
     sparse = _is_sparse(V)
-    rows = max(1, RESIDUAL_BLOCK_BYTES // (8 * V.shape[1] or 1) if sparse else V.shape[0])
+    rows = max(1, RESIDUAL_BLOCK_BYTES // (8 * V.shape[1] or 1))
     WL, total = W * L, 0.0
     for start in range(0, V.shape[0], rows):
         block = slice(start, start + rows)
@@ -290,7 +289,7 @@ def update_h(V, W, H, L, epsilon: float) -> np.ndarray:
 
 
 def update_w(V, W, H, L, epsilon: float) -> np.ndarray:
-    """One multiplicative step on W; masked entries come out exactly zero."""
+    """One W step, masked entries exactly 0; each call copies a dense V^T, so loops use fit."""
     return update_w_weighted(V, W, H, L, None, epsilon)
 
 
@@ -308,6 +307,7 @@ def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     The weight of row i scales both the numerator and denominator of that
     row's ratios, so for row-constant weights this is numerically close to
     the unweighted step and identical to it when E is all ones.
+    On a dense V every call copies ``Ve^T`` (n x t); ``fit`` copies it once, so loops call ``fit``.
     """
     V, W, H, L = _conform(V, W, H, L)
     p = _problem(V, L, E)
@@ -368,7 +368,8 @@ def fit(
 
     When ``config.weighted`` is set, the weighted update rules run with
     ``row_weights`` (by default ``build_error_weights`` over the rows the
-    mask constrains) and the trace records the row-weighted squared error.
+    mask constrains) and the trace records the row-weighted squared error;
+    without it, ``row_weights`` is a ``ValueError``.
 
     ``V`` is multiplied in the form given: dense, or as CSR if scipy sparse.
     """
@@ -376,11 +377,15 @@ def fit(
     L = np.asarray(L, dtype=np.float64)
     if V.ndim != 2 or L.ndim != 2 or 0 in V.shape:
         raise ShapeError(f"V and mask must be 2-D, V non-empty; got shapes {V.shape} and {L.shape}")
-    require_nonnegative(V.data if _is_sparse(V) else V, "V")
+    lowest = (V.data if _is_sparse(V) else V).min(initial=0.0)
+    if lowest < 0.0:
+        raise ValueError(f"V must be non-negative, min entry is {lowest!r}")
     if not np.isin(L, (0.0, 1.0)).all():
         raise ValueError("mask entries must be exactly 0 or 1")
+    if row_weights is not None and not config.weighted:
+        raise ValueError("row_weights need config.weighted; the plain rule has no weights")
 
-    E = row_weights if config.weighted else None
+    E = row_weights
     if config.weighted and E is None:
         E = build_error_weights(V.shape[0], np.flatnonzero(~L.all(axis=1))).row_weight
     model = init_model(V, L, config)

@@ -43,11 +43,6 @@ def as_dense(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def require_nonnegative(a: np.ndarray, name: str = "matrix") -> None:
-    if a.size and a.min() < 0.0:
-        raise ValueError(f"{name} must be non-negative, min entry is {a.min()!r}")
-
-
 def csr_parts(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR row pointers, column indices (both int64) and values of ``a``'s non-zeros.
 

@@ -122,11 +122,8 @@ def sample_supervised_set(n: int, rate: float, seed: int) -> set[int]:
         raise ValueError(f"supervision rate must be in [0, 1], got {rate}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    k = round(rate * n)
-    if k == 0:
-        return set()
     rng = np.random.default_rng(seed)
-    return {int(i) for i in rng.choice(n, size=k, replace=False)}
+    return {int(i) for i in rng.choice(n, size=round(rate * n), replace=False)}
 
 
 def build_mask(

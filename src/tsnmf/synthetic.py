@@ -88,5 +88,5 @@ def make_planted_instance(
         frozenset(int(j) for j in np.where(W_bin[i] > 0)[0]) for i in range(n_docs)
     )
     table = LabelTable(labels=names, doc_labels=doc_labels)
-    truth = TruthMatrix(matrix=W_bin, labels=names)
+    truth = TruthMatrix.from_label_table(table)
     return PlantedInstance(V=V, W_true=W_true, H_true=H_true, truth=truth, label_table=table)

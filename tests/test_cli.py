@@ -112,12 +112,31 @@ class TestIngest:
         assert dataset.label_table.labels == ("grain", "metal", "trade")
         assert "ingested 3/3" in capsys.readouterr().out
 
-    def test_malformed_line_exits_2_and_names_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ('{"id": "a", "text": "x", "labels": []}\n{"id": "b", "labels": []}\n',
+             "line 2: missing field 'text'"),
+            ("[1, 2]\n", "line 1: expected a JSON object"),
+            ('{"id": 3, "text": "x", "labels": []}\n', "line 1: 'id' and 'text' must be strings"),
+            ('{"id": "a", "text": "x", "labels": [1]}\n',
+             "line 1: 'labels' must be an array of strings"),
+            ('{"id": "a", "text": "x", "labels": "grain"}\n',
+             "line 1: 'labels' must be an array of strings"),
+            # a blank line is skipped, and still counted
+            ('{"id": "a", "text": "x", "labels": []}\n \n{"id": "b", "labels": []}\n',
+             "line 3: missing field 'text'"),
+        ],
+        ids=["missing_text", "array", "id_number", "labels_numbers", "labels_string",
+             "after_blank_line"],
+    )
+    def test_malformed_line_exits_2_and_names_line(self, tmp_path, capsys, body, message):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"id": "a", "text": "x", "labels": []}\n{"id": "b", "labels": []}\n')
+        path.write_text(body)
         rc = main(["ingest", "--corpus", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "line 2" in capsys.readouterr().err
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "setting, message",
@@ -726,6 +745,18 @@ class TestTopTerms:
         lines = out_csv.read_text().strip().splitlines()
         assert len(lines) == 1 + 3  # header + one row per topic
 
+    def test_zero_terms_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        data = _synth_dataset(tmp_path)
+        model_dir = tmp_path / "model"
+        assert main(["fit", "--data", str(data), "--rate", "0", "--out", str(model_dir)]) == 0
+        capsys.readouterr()  # drain setup output
+        out_csv = tmp_path / "tt.csv"
+        rc = main(["top-terms", "--model", str(model_dir), "--data", str(data), "--terms", "0",
+                   "--out", str(out_csv)])
+        assert rc == 2
+        assert "term count must be >= 1, got 0" in capsys.readouterr().err
+        assert not out_csv.exists()
+
 
 # wrongly typed values, which must not be coerced, repeated grid values,
 # non-finite numbers, which JSON can parse but model.json and report.json cannot
@@ -738,6 +769,7 @@ BAD_SWEEP_VALUES = {
     "rates_bool": ("rates", [True]),
     "rates_string": ("rates", ["0.5"]),
     "rates_empty": ("rates", []),
+    "rates_out_of_range": ("rates", [1.5]),
     "topics_string": ("topics", "3"),
     "topics_float": ("topics", 2.0),
     "max_iter_float": ("max_iter", 2.5),
@@ -825,6 +857,21 @@ class TestSweep:
         err = capsys.readouterr().err
         assert key in err
         assert ("unknown sweep config keys" in err) == (key in FIXED_SETTINGS)
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("case", ["seeds_missing", "data_absent"])
+    def test_missing_seeds_or_data_directory_exits_2_naming_it(self, tmp_path, capsys, case):
+        if case == "seeds_missing":
+            cfg = self._config(tmp_path, _synth_dataset(tmp_path))
+            raw = json.loads(cfg.read_text())
+            del raw["seeds"]
+            cfg.write_text(json.dumps(raw))
+            message = "sweep config missing required key 'seeds'"
+        else:
+            cfg = self._config(tmp_path, tmp_path / "absent")
+            message = f"sweep data directory not found: {tmp_path / 'absent'}"
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])

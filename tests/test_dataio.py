@@ -19,11 +19,13 @@ from tsnmf.dataio import (
 from tsnmf.errors import ShapeError
 from tsnmf.experiment import SweepConfig, run_sweep
 from tsnmf.matrix import csr_parts
+from tsnmf.supervision import build_label_table
 
 
 def _save_dataset(path, V):
     n, t = V.shape
-    _write(path, csr_parts(V), [f"d{i}" for i in range(n)], [f"t{j}" for j in range(t)], [[]] * n, {})
+    _write(path, csr_parts(V), [f"d{i}" for i in range(n)], [f"t{j}" for j in range(t)],
+           build_label_table([[]] * n), {})
     return path
 
 
@@ -183,7 +185,8 @@ class TestReadDataset:
 
     def test_label_sets_are_label_indices(self, tmp_path):
         labels = [["b"], [], ["a", "c"], ["c"]]
-        _write(tmp_path, csr_parts(np.eye(4)), list("wxyz"), list("pqrs"), labels, {})
+        _write(tmp_path, csr_parts(np.eye(4)), list("wxyz"), list("pqrs"),
+               build_label_table(labels), {})
         table = read_dataset(tmp_path).label_table
         assert table.labels == ("a", "b", "c")
         assert table.doc_labels == (frozenset({1}), frozenset(), frozenset({0, 2}), frozenset({2}))

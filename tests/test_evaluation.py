@@ -157,6 +157,13 @@ class TestHungarianMatch:
         with pytest.raises(ValueError, match="non-finite"):
             hungarian_match(np.array([[np.nan]]))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_side_leaves_the_other_unmatched(self, shape):
+        m = hungarian_match(np.zeros(shape))
+        assert m.pairs == () and m.total_similarity == 0.0
+        assert m.unmatched_topics == tuple(range(shape[0]))
+        assert m.unmatched_labels == tuple(range(shape[1]))
+
 
 def _truth(matrix, labels=None):
     matrix = np.asarray(matrix, dtype=float)

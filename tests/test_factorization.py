@@ -295,6 +295,11 @@ class TestFit:
         with pytest.raises(ValueError, match="0 or 1"):
             fit(np.ones((2, 2)), np.full((2, 1), 0.5), FitConfig(d=1, seed=0))
 
+    def test_rejects_row_weights_for_the_plain_rule_naming_weighted(self):
+        V, L = _random_instance(np.random.default_rng(29), n=8, t=6, d=2)
+        with pytest.raises(ValueError, match="weighted"):
+            fit(V, L, FitConfig(d=2, seed=0), row_weights=np.ones(8))
+
     @pytest.mark.parametrize("shape", [(0, 4), (3, 0)], ids=["no_rows", "no_columns"])
     def test_rejects_empty_v_naming_its_shape(self, shape):
         with pytest.raises(ShapeError, match=re.escape(str(shape))):
@@ -551,7 +556,8 @@ class TestProblemRecord:
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     def test_fit_returns_c_contiguous_float64_factors(self, sparse, weighted):
         V, L, E = _operands(60, 80, sparse)
-        model, _ = fit(V, L, FitConfig(d=5, seed=1, max_iter=3, weighted=weighted), row_weights=E)
+        config = FitConfig(d=5, seed=1, max_iter=3, weighted=weighted)
+        model, _ = fit(V, L, config, row_weights=E if weighted else None)
         for a in (model.W, model.H):
             assert a.dtype == np.float64 and a.flags.c_contiguous
 
@@ -785,18 +791,20 @@ class TestSparsePath:
             assert short.losses == trace.losses[: k + 1]
             assert short.final_loss == _row_weighted_sse(V, model.W, model.H, L, E_fit)
 
+    @pytest.mark.parametrize("form", ["dense", "csr"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
-    def test_row_blocked_residual_matches_the_dense_residual(self, monkeypatch, weighted):
+    def test_row_blocked_residual_matches_the_dense_residual(self, monkeypatch, weighted, form):
         from scipy.sparse import csr_array
 
         V = _sparse_planted(1e-8, 2)
+        A = csr_array(V) if form == "csr" else V
         L = np.ones((40, 3))
         E = np.where(np.arange(40) < 10, 4.0, 1.0) if weighted else None
         cfg = FitConfig(d=3, seed=2, max_iter=200, rel_tol=1e-15, weighted=weighted)
-        whole = fit(csr_array(V), L, cfg, row_weights=E)[1].losses
+        whole = fit(A, L, cfg, row_weights=E)[1].losses
         # blocks of 7 rows: six blocks for the 40 rows, the last one short
         monkeypatch.setattr(factorization, "RESIDUAL_BLOCK_BYTES", 7 * 8 * V.shape[1] + 5)
-        _, trace = fit(csr_array(V), L, cfg, row_weights=E)
+        _, trace = fit(A, L, cfg, row_weights=E)
         losses = np.array(trace.losses)
         scale = float(np.vdot(V if E is None else V * E[:, None], V))
         under = np.flatnonzero(losses < 0.9 * LOSS_GUARD * scale)
@@ -805,8 +813,7 @@ class TestSparsePath:
         k = min(len(whole), len(losses))
         np.testing.assert_allclose(losses[:k], whole[:k], rtol=1e-12, atol=0.0)
         for k in under[:: len(under) // 3]:
-            model, short = fit(csr_array(V), L, dataclasses.replace(cfg, max_iter=int(k)),
-                               row_weights=E)
+            model, short = fit(A, L, dataclasses.replace(cfg, max_iter=int(k)), row_weights=E)
             explicit = _row_weighted_sse(V, model.W, model.H, L, E)
             np.testing.assert_allclose(short.final_loss, explicit, rtol=1e-12, atol=0.0)
 

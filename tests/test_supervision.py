@@ -58,6 +58,9 @@ class TestSampleSupervisedSet:
     def test_rate_zero_is_empty(self):
         assert sample_supervised_set(10, 0.0, seed=1) == set()
 
+    def test_no_documents_is_empty(self):
+        assert sample_supervised_set(0, 0.5, seed=1) == set()
+
     def test_rate_one_is_everything(self):
         assert sample_supervised_set(10, 1.0, seed=1) == set(range(10))
 
