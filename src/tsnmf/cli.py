@@ -15,8 +15,9 @@ Exit codes are a stable contract, all of it in ``main``: 0 success, 2 input
 or shape error, 3 empty-data error, 4 numerical failure.  An empty string
 for any flag (each names a file) exits 2 naming the flag.  The commands
 raise, and ``main`` maps ``NumericalFailureError`` to 4,
-``EmptyVocabularyError`` to 3, and ``OSError``, ``TsnmfError``,
-``ValueError`` and ``KeyError`` to 2; a write error's message starts with
+``EmptyVocabularyError`` to 3 and the rest of ``errors.INPUT_ERRORS`` to 2;
+any other exception is a defect, in ``fit`` as in a sweep cell, and exits 1
+with its traceback.  A write error's message starts with
 ``cannot write output:``, which ``matrix.write_file`` adds.
 """
 
@@ -24,10 +25,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .dataio import read_dataset, read_matrix, write_ingest_result, write_planted_instance
-from .errors import EmptyVocabularyError, NumericalFailureError, TsnmfError
+from .errors import INPUT_ERRORS, EmptyVocabularyError, NumericalFailureError
 from .evaluation import RESOLVED_THRESHOLD, top_terms, write_report
 from .experiment import (
     FIT_FILES,
@@ -43,7 +43,7 @@ from .experiment import (
     topic_count,
     write_supervision,
 )
-from .factorization import FitConfig, FitTrace, read_factor, save_model, write_trace_csv
+from .factorization import FitConfig, read_factor, save_model
 from .matrix import write_csv
 from .preprocessing import (
     DEFAULT_MIN_CHARS,
@@ -86,22 +86,15 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    out = Path(args.out)
     dataset = read_dataset(args.data)
     V = read_matrix(args.data, dataset)
     d = topic_count(dataset, args.topics)
     supervised, rate, seed = supervise(dataset, args.rate, args.seed, args.supervision)
     config = fit_config(args, d, seed)
-    try:
-        with one_run(out, FIT_FILES):
-            model, trace = fit_supervised(dataset, V, supervised, config)
-            save_model(out, model, trace, config)
-            write_supervision(out, dataset, supervised, rate, seed)
-    except NumericalFailureError as exc:
-        if exc.losses:
-            partial = FitTrace(losses=tuple(exc.losses), stop_reason="numerical_failure")
-            write_trace_csv(out / "trace.csv", partial)
-        raise
+    with one_run(args.out, FIT_FILES):
+        model, trace = fit_supervised(dataset, V, supervised, config)
+        save_model(args.out, model, trace, config)
+        write_supervision(args.out, dataset, supervised, rate, seed)
     print(
         f"fit d={d} stopped after {trace.iterations} iterations "
         f"({trace.stop_reason}), final loss {trace.final_loss!r}"
@@ -140,7 +133,7 @@ def cmd_sweep(args) -> int:
     result = run_sweep(cfg)
     ok = sum(1 for c in result.cells if c.status == "ok")
     print(f"sweep finished: {ok}/{len(result.cells)} cells ok -> {cfg.out}")
-    if result.all_failed:
+    if ok == 0:
         return _fail("all sweep cells failed", 1)
     return EXIT_OK
 
@@ -233,7 +226,7 @@ def main(argv=None) -> int:
         return _fail(f"{exc} (iteration {exc.iteration})", EXIT_NUMERICAL)
     except EmptyVocabularyError as exc:
         return _fail(str(exc), EXIT_EMPTY)
-    except (OSError, TsnmfError, ValueError, KeyError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail(str(exc), EXIT_INPUT)
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
@@ -73,7 +74,7 @@ def read_matrix(datadir, dataset: Dataset):
         with open(path, "rb") as fh:
             try:
                 a = np.lib.format.read_array(fh, allow_pickle=False)
-            except ValueError as exc:
+            except (ValueError, TokenError) as exc:  # numpy retries a bad header through tokenize
                 raise ValueError(f"{path}: not a readable .npy array: {exc}") from None
         if a.ndim != 1 or not np.issubdtype(a.dtype, kinds[part]):
             raise ValueError(
@@ -192,16 +193,17 @@ def _read_meta(path: Path) -> dict:
         or not set(map(type, chain.from_iterable(doc_labels))) <= {str}
     ):
         raise ValueError(f"{path}: 'doc_labels' must be a list of lists of strings")
-    doc_ids = meta["doc_ids"]
-    if len(set(doc_ids)) != len(doc_ids):
-        seen = set()
-        for doc_id in doc_ids:  # name the first repeat
-            if doc_id in seen:
-                raise ValueError(f"{path}: doc_id {doc_id!r} appears more than once")
-            seen.add(doc_id)
-    if len(doc_labels) != len(doc_ids):
+    for key, entry in (("doc_ids", "doc_id"), ("vocabulary", "vocabulary term")):
+        values = meta[key]
+        if len(set(values)) != len(values):
+            seen = set()
+            for value in values:  # name the first repeat
+                if value in seen:
+                    raise ValueError(f"{path}: {entry} {value!r} appears more than once")
+                seen.add(value)
+    if len(doc_labels) != len(meta["doc_ids"]):
         raise ValueError(
-            f"{path}: {len(doc_labels)} 'doc_labels' entries for {len(doc_ids)} doc_ids"
+            f"{path}: {len(doc_labels)} 'doc_labels' entries for {len(meta['doc_ids'])} doc_ids"
         )
     unknown = sorted(set(chain.from_iterable(doc_labels)).difference(meta["labels"]))
     if unknown:

@@ -34,3 +34,7 @@ class NumericalFailureError(TsnmfError, RuntimeError):
         super().__init__(message)
         self.iteration = iteration
         self.losses = list(losses) if losses is not None else []
+
+
+# a run's failures, not its defects: cli.main exits 2 on them and a sweep cell records them
+INPUT_ERRORS = (OSError, TsnmfError, ValueError, KeyError)

@@ -6,9 +6,9 @@ error weights, ``factorization.fit``), record (``supervision.json``; no other mo
 the package reads or writes it) and score (coverage, truth matrix, ``score_report``);
 mask, coverage and truth matrix all read ``LabelTable.indicator``.  A sweep
 runs that path over a grid of (supervision rate, seed) cells against one
-dataset, read once, so the indicator is built once; a failing cell is
-recorded in its row without stopping the sweep, its directory emptied of
-an earlier run.  Output files under the sweep directory:
+dataset, read once, so the indicator is built once.  A cell fails as ``fit``
+does, through ``one_run``: one of ``errors.INPUT_ERRORS`` is recorded in its
+row, and any other exception ends the sweep.  Files under the sweep directory:
 
     sweep.csv           one row per (rate, seed) cell, deterministic
     sweep_summary.csv   mean and stddev per rate over seeds
@@ -35,7 +35,8 @@ import numpy as np
 
 from .dataio import Dataset, read_dataset, read_matrix
 from .evaluation import EvaluationReport, TruthMatrix, score_report, write_report
-from .factorization import FitConfig, fit, save_model
+from .errors import INPUT_ERRORS, NumericalFailureError
+from .factorization import FitConfig, fit, save_model, write_trace_csv
 from .matrix import read_json, write_csv, write_json
 from .supervision import (
     build_error_weights,
@@ -168,14 +169,17 @@ def recorded_rows(dataset: Dataset, modeldir) -> set[int] | None:
 def one_run(outdir, names):
     """If the block raises, delete the files ``names`` from ``outdir``, then re-raise.
 
-    A failed run leaves neither its own files nor an earlier run's there.
+    A failed run leaves neither its own files nor an earlier run's there; a
+    ``NumericalFailureError`` that carries losses then leaves them as ``trace.csv``.
     """
     try:
         yield
-    except Exception:
+    except Exception as exc:
         if Path(outdir).is_dir():
             for name in names:
                 (Path(outdir) / name).unlink(missing_ok=True)
+        if isinstance(exc, NumericalFailureError) and exc.losses:
+            write_trace_csv(Path(outdir) / "trace.csv", exc.losses)
         raise
 
 
@@ -258,10 +262,6 @@ class SweepResult:
     cells: tuple[SweepCell, ...]
     summary: dict = field(default_factory=dict)
 
-    @property
-    def all_failed(self) -> bool:
-        return all(cell.status != "ok" for cell in self.cells)
-
 
 def run_cell(
     dataset: Dataset, V, rate: float, seed: int, config: FitConfig, outdir
@@ -305,7 +305,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             try:
                 with one_run(cell_dir, CELL_FILES):
                     cell = run_cell(dataset, V, rate, seed, configs[seed], cell_dir)
-            except Exception as exc:
+            except INPUT_ERRORS as exc:
                 cell = SweepCell(rate=rate, seed=seed, status=f"error: {exc}")
             cells.append(cell)
 

@@ -439,11 +439,11 @@ def save_model(outdir, model: FactorModel, trace: FitTrace, config: FitConfig) -
     write_json(out / "model.json", header)
     write_dense_csv(model.W, out / "W.csv")
     write_dense_csv(model.H, out / "H.csv")
-    write_trace_csv(out / "trace.csv", trace)
+    write_trace_csv(out / "trace.csv", trace.losses)
 
 
-def write_trace_csv(path, trace: FitTrace) -> None:
-    write_csv(path, [("iteration", "loss"), *enumerate(trace.losses)])
+def write_trace_csv(path, losses) -> None:
+    write_csv(path, [("iteration", "loss"), *enumerate(losses)])
 
 
 def read_factor(modeldir, name: str) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsnmf import dataio, matrix
+from tsnmf import dataio, experiment, matrix
 from tsnmf.cli import build_parser, main
 from tsnmf.dataio import MATRIX_FILENAMES, read_dataset, read_matrix, write_planted_instance
 from tsnmf.experiment import (
@@ -466,6 +466,10 @@ CORRUPTIONS = {
     "unsorted_columns": lambda data: _rewrite(data, "indices", _set([0, 1], [1, 0])),
     "zero_value": lambda data: _rewrite(data, "data", _set(3, 0.0)),
     "row_count": lambda data: _rewrite(data, "indptr", lambda a: np.append(a, a[-1])),
+    # numpy retries a header that fails to parse through its tokenizer, which raises its own error
+    "header_brace": lambda data: (data / MATRIX_FILENAMES["indptr"]).write_bytes(
+        (data / MATRIX_FILENAMES["indptr"]).read_bytes().replace(b"}", b"(", 1)
+    ),
 }
 
 
@@ -533,6 +537,10 @@ META_CORRUPTIONS = {
     "doc_ids_repeated": (
         lambda meta: dict(meta, doc_ids=meta["doc_ids"][:1] + meta["doc_ids"][:-1]),
         "doc_id 'doc00' appears more than once",  # the first repeat
+    ),
+    "vocabulary_repeated": (
+        lambda meta: dict(meta, vocabulary=meta["vocabulary"][:1] + meta["vocabulary"][:-1]),
+        "vocabulary term 'term00' appears more than once",
     ),
 }
 
@@ -603,6 +611,108 @@ def test_corrupt_model_file_exits_2_naming_it(tmp_path, capsys, corruption, comm
     capsys.readouterr()
     assert main(argv + (["--out", str(tmp_path / "rep")] if command == "evaluate" else [])) == 2
     assert str(path) in capsys.readouterr().err
+
+
+# Each artifact a command reads, the commands that read it, and seeded corruptions of it:
+# truncations, flips of 1-3 bytes and, for JSON, each top-level key deleted or set to an odd
+# value (and each list's first entry set to one).  Every command runs in a fresh directory.
+FUZZ_ARTIFACTS = {
+    "meta.json": ("data/meta.json", ("fit", "evaluate", "top-terms", "sweep")),
+    **{name: (f"data/{name}", ("fit", "sweep")) for name in MATRIX_FILENAMES.values()},
+    "model.json": ("model/model.json", ("evaluate", "top-terms")),
+    "W.csv": ("model/W.csv", ("evaluate",)),
+    "H.csv": ("model/H.csv", ("top-terms",)),
+    "supervision.json": ("model/supervision.json", ("evaluate", "fit --supervision")),
+    "sweep config": ("sweep.json", ("sweep",)),
+}
+FUZZ_FLIPS = 10
+ODD_VALUES = (None, True, -1, 0.5, "x", [], {})
+# what a command that fails may leave: a numerical failure's trace, and a sweep whose
+# cells all failed its tables beside each cell's trace
+LEFT_ON_FAILURE = {
+    4: {"trace.csv"},
+    1: {"sweep.csv", "sweep_summary.csv", "sweep_timing.csv", "trace.csv"},
+}
+
+
+def _corruptions(name, blob):
+    rng = np.random.default_rng(sum(name.encode()))
+    for size in sorted({0, 1, len(blob) // 4, len(blob) // 2, len(blob) - 1}):
+        yield f"truncated to {size}", blob[:size]
+    for k in range(FUZZ_FLIPS):
+        flipped = bytearray(blob)
+        for pos in rng.choice(len(blob), size=rng.integers(1, 4), replace=False):
+            flipped[pos] ^= int(rng.integers(1, 256))
+        yield f"flip {k}", bytes(flipped)
+    if name.endswith(".npy"):
+        yield "header brace", blob.replace(b"}", b"(", 1)
+    if name.endswith(".json") or name == "sweep config":
+        obj = json.loads(blob)
+        for key, value in obj.items():
+            edits = [("deleted", {k: v for k, v in obj.items() if k != key})]
+            edits += [(f"= {odd!r}", dict(obj, **{key: odd})) for odd in ODD_VALUES]
+            if isinstance(value, list) and value:
+                edits += [(f"[0] = {odd!r}", dict(obj, **{key: [odd, *value[1:]]}))
+                          for odd in ODD_VALUES]
+            for edit, changed in edits:
+                yield f"{key} {edit}", json.dumps(changed).encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A 30x40x4 dataset, a model fitted to it and a two-cell sweep config over it."""
+    base = tmp_path_factory.mktemp("fuzz_base")
+    _synth_dataset(base, topics=4)
+    assert main(["fit", "--data", str(base / "data"), "--rate", "0.5", "--max-iter", "5",
+                 "--out", str(base / "model")]) == 0
+    config = {"data": str(base / "data"), "out": "sweep", "rates": [0.0, 0.5], "seeds": [1],
+              "max_iter": 5}
+    (base / "sweep.json").write_text(json.dumps(config))
+    return base
+
+
+def _fuzz_argv(base, command):
+    data, model = str(base / "data"), str(base / "model")
+    return {
+        "fit": ["fit", "--data", data, "--rate", "0.5", "--max-iter", "5", "--out", "out"],
+        "fit --supervision": ["fit", "--data", data, "--supervision",
+                              f"{model}/supervision.json", "--max-iter", "5", "--out", "out"],
+        "evaluate": ["evaluate", "--model", model, "--data", data, "--out", "out"],
+        "top-terms": ["top-terms", "--model", model, "--data", data, "--out", "out.csv"],
+        "sweep": ["sweep", "--config", str(base / "sweep.json")],
+    }[command]
+
+
+@pytest.mark.parametrize("artifact", list(FUZZ_ARTIFACTS))
+def test_corrupt_artifacts_keep_the_exit_code_contract(fuzz_base, tmp_path, monkeypatch, artifact):
+    name, commands = FUZZ_ARTIFACTS[artifact]
+    path = fuzz_base / name
+    original = path.read_bytes()
+    runs = 0
+    try:
+        for case, blob in _corruptions(artifact, original):
+            path.write_bytes(blob)
+            for command in commands:
+                work = tmp_path / str(runs)
+                work.mkdir()
+                monkeypatch.chdir(work)
+                runs += 1
+                try:
+                    with np.errstate(all="ignore"):
+                        rc = main(_fuzz_argv(fuzz_base, command))
+                except Exception as exc:  # an escape from main is the defect looked for
+                    pytest.fail(f"{artifact}, {case}: {command} raised {exc!r}")
+                what = f"{artifact}, {case}: {command} exited {rc}"
+                assert rc in (0, 2, 3, 4) or (command, rc) == ("sweep", 1), what
+                if rc == 0:
+                    continue
+                left = [p for p in work.rglob("*") if p.is_file()]
+                assert {p.name for p in left} <= LEFT_ON_FAILURE.get(rc, set()), what
+                for table in (p for p in left if p.name == "sweep.csv"):
+                    rows = table.read_text().splitlines()[1:]
+                    assert all(row.split(",")[2].startswith("error") for row in rows), what
+    finally:
+        path.write_bytes(original)
 
 
 @pytest.mark.parametrize(
@@ -912,7 +1022,24 @@ class TestSweep:
         _rewrite(data, "data", _set(0, np.inf))
         with np.errstate(invalid="ignore"):
             assert main(["sweep", "--config", str(cfg)]) == 1  # every cell failed
-        assert all(not list(cell.iterdir()) for cell in cells)
+        # the trace of the failed run alone, as a failed fit leaves it
+        for cell in cells:
+            assert [p.name for p in cell.iterdir()] == ["trace.csv"]
+            assert (cell / "trace.csv").read_text().splitlines()[1] in ("0,inf", "0,nan")
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_defect_ends_fit_and_sweep_with_its_traceback(self, tmp_path, monkeypatch, command):
+        data = _synth_dataset(tmp_path)
+        argv = {"fit": ["fit", "--data", str(data), "--out", str(tmp_path / "model")],
+                "sweep": ["sweep", "--config", str(self._config(tmp_path, data))]}[command]
+
+        def defect(*args, **kwargs):
+            raise TypeError("defect")
+
+        monkeypatch.setattr(experiment, "fit", defect)
+        with pytest.raises(TypeError, match="defect"):
+            main(argv)
+        assert not (tmp_path / "model").exists() and not (tmp_path / "sweep").exists()
 
     def test_indicator_built_once_per_sweep(self, tmp_path, monkeypatch):
         data = _synth_dataset(tmp_path)

@@ -291,6 +291,14 @@ class TestTruthMatrix:
         with pytest.raises(ValueError, match="0 or 1"):
             TruthMatrix(matrix=np.full((2, 1), 0.5), labels=("a",))
 
+    @pytest.mark.parametrize("matrix, message", [
+        (np.ones(2), "truth matrix must be 2-D, got ndim=1"),
+        (np.ones((2, 2)), "truth matrix has 2 columns for 1 labels"),
+    ], ids=["one_d", "column_count"])
+    def test_rejects_a_shape_other_than_docs_by_labels(self, matrix, message):
+        with pytest.raises(ShapeError, match=message):
+            TruthMatrix(matrix=matrix, labels=("a",))
+
 
 class TestTopTerms:
     def _vocab(self, *terms):

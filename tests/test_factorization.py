@@ -79,6 +79,24 @@ class TestLosses:
             loss_ts(np.ones((3, 4)), np.ones((2, 2)), np.ones((2, 4)), np.ones((2, 2)))
 
 
+# V is 3 x 4 and d = 2; each call gets one shape wrong
+@pytest.mark.parametrize("call, message", [
+    (lambda V: update_h(V, np.ones((3, 2)), np.ones((2, 4)), np.ones((3, 3)), EPS),
+     "W shape (3, 2) does not match mask shape (3, 3)"),
+    (lambda V: update_w(V, np.ones((3, 2)), np.ones((3, 4)), np.ones((3, 2)), EPS),
+     "H shape (3, 4), expected (2, 4)"),
+    (lambda V: update_h_weighted(V, np.ones((3, 2)), np.ones((2, 4)), np.ones((3, 2)),
+                                 np.ones(2), EPS),
+     "row weights shape (2,), expected (3,)"),
+    (lambda V: fit(V, np.ones((3, 3)), FitConfig(d=2, seed=0)), "mask shape (3, 3), expected (3, 2)"),
+    (lambda V: init_model(V, np.ones((2, 2)), FitConfig(d=2, seed=0)),
+     "mask shape (2, 2), expected (3, 2)"),
+], ids=["W_vs_mask", "H", "row_weights", "fit_mask", "init_model_mask"])
+def test_shape_errors_name_the_shapes(call, message):
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        call(np.ones((3, 4)))
+
+
 class TestUpdateH:
     def test_fixed_point_at_exact_factorization(self):
         rng = np.random.default_rng(2)

@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 import tsnmf
+from tsnmf import cli, errors, experiment
+from tsnmf.errors import ShapeError
 from tsnmf.matrix import (
+    as_dense,
     csr_parts,
     dense_from_csr,
     read_dense_csv,
@@ -64,6 +67,12 @@ class TestDenseCsv:
         write_dense_csv(a, tmp_path / "m.csv")
         expected = "\n".join(",".join(repr(float(v)) for v in row) for row in a) + "\n"
         assert (tmp_path / "m.csv").read_text() == expected
+
+
+@pytest.mark.parametrize("shape", [(3,), ()], ids=["one_d", "scalar"])
+def test_as_dense_rejects_other_than_2d_naming_the_array(shape):
+    with pytest.raises(ShapeError, match=rf"^W must be 2-D, got ndim={len(shape)}$"):
+        as_dense(np.ones(shape), "W")
 
 
 class TestDenseFromCsr:
@@ -259,8 +268,7 @@ def test_write_file_is_the_only_write_site():
 
 
 def test_cli_maps_errors_to_exit_codes_in_main_only():
-    """One exit-code map in ``cli.main``; ``cmd_fit`` alone catches, to write its partial trace."""
-    source = (Path(tsnmf.__file__).parent / "cli.py").read_text()
+    """One exit-code map in ``cli.main``; a sweep cell catches the errors it maps to exit 2."""
     handlers = []
 
     def visit(node, function):
@@ -271,12 +279,15 @@ def test_cli_maps_errors_to_exit_codes_in_main_only():
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
-    visit(ast.parse(source), "<module>")
+    for module in ("cli.py", "experiment.py"):
+        visit(ast.parse((Path(tsnmf.__file__).parent / module).read_text()), module)
     assert [(function, caught) for function, caught, _ in handlers] == [
-        ("cmd_fit", "NumericalFailureError"),
         ("main", "NumericalFailureError"),
         ("main", "EmptyVocabularyError"),
-        ("main", "(OSError, TsnmfError, ValueError, KeyError)"),
+        ("main", "INPUT_ERRORS"),
+        ("one_run", "Exception"),
+        ("run_sweep", "INPUT_ERRORS"),
     ]
-    last = handlers[0][2]
-    assert isinstance(last, ast.Raise) and last.exc is None  # re-raised to main unchanged
+    last = handlers[3][2]
+    assert isinstance(last, ast.Raise) and last.exc is None  # one_run cleans up and re-raises
+    assert cli.INPUT_ERRORS is experiment.INPUT_ERRORS is errors.INPUT_ERRORS

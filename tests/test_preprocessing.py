@@ -204,6 +204,10 @@ class TestTfidfEncode:
         assert row[vocab.index["apple"]] == pytest.approx(1.0)
         assert row[vocab.index["berry"]] == 0.0
 
+    def test_empty_vocabulary_raises(self):
+        with pytest.raises(EmptyVocabularyError, match="empty vocabulary"):
+            tfidf_encode(_counted([["apple"]]), Vocabulary(terms=()), ["a"])
+
     def test_no_vocab_terms_gives_zero_row(self):
         vocab = build_vocabulary(_counted([["apple"]]), cap=1)
         tdm = tfidf_encode(_counted([["zebra"], ["apple"]]), vocab, ["z", "a"])

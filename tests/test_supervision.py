@@ -7,7 +7,9 @@ import pytest
 
 from tsnmf.errors import InvalidSupervisionError, ShapeError
 from tsnmf.supervision import (
+    ErrorWeights,
     LabelTable,
+    SupervisionMask,
     build_error_weights,
     build_label_table,
     build_mask,
@@ -142,6 +144,24 @@ class TestBuildMask:
         mask = build_mask(table, {0}, n=1, d=4)
         np.testing.assert_array_equal(mask.matrix[0], [1.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("n, d, error, message", [
+        (3, 2, ShapeError, "label table covers 2 documents, expected 3"),
+        (2, 0, ValueError, "topic count must be >= 1, got 0"),
+    ], ids=["n_other_than_the_table", "no_topics"])
+    def test_rejects_bad_n_or_d(self, n, d, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build_mask(_table([{0}, {1}], n_labels=2), set(), n=n, d=d)
+
+    @pytest.mark.parametrize("matrix, supervised, error, message", [
+        (np.ones(2), set(), ShapeError, "mask must be 2-D, got ndim=1"),
+        (np.full((2, 2), 0.5), set(), ValueError, "mask entries must be exactly 0 or 1"),
+        (np.array([[1.0, 1.0], [0.0, 0.0]]), {1}, InvalidSupervisionError,
+         "supervised row 1 permits no topic"),
+    ], ids=["one_d", "not_binary", "closed_row"])
+    def test_constructor_rejects_malformed_masks(self, matrix, supervised, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            SupervisionMask(matrix=matrix, supervised_rows=frozenset(supervised))
+
     def test_constructor_rejects_constrained_unsupervised_row(self):
         from tsnmf.supervision import SupervisionMask
 
@@ -155,6 +175,14 @@ class TestBuildErrorWeights:
         w = build_error_weights(100, set(range(20)))
         assert w.row_weight[0] == 5.0
         assert w.row_weight[99] == 1.0
+
+    @pytest.mark.parametrize("weights, error, message", [
+        (np.ones((2, 2)), ShapeError, "row weights must be 1-D, got ndim=2"),
+        (np.array([1.0, 0.5]), ValueError, "row weights must be >= 1, min is "),
+    ], ids=["two_d", "below_one"])
+    def test_constructor_rejects_malformed_weights(self, weights, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            ErrorWeights(row_weight=weights)
 
     def test_empty_supervised_gives_ones(self):
         np.testing.assert_array_equal(build_error_weights(5, set()).row_weight, 1.0)
