@@ -75,7 +75,8 @@ def read_matrix(datadir, dataset: Dataset):
             try:
                 a = np.lib.format.read_array(fh, allow_pickle=False)
             except (ValueError, TokenError) as exc:  # numpy retries a bad header through tokenize
-                raise ValueError(f"{path}: not a readable .npy array: {exc}") from None
+                reason = "its header does not parse" if isinstance(exc, TokenError) else exc
+                raise ValueError(f"{path}: not a readable .npy array: {reason}") from None
         if a.ndim != 1 or not np.issubdtype(a.dtype, kinds[part]):
             raise ValueError(
                 f"{path}: expected a 1-D {kinds[part].__name__} array, "

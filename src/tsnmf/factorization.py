@@ -19,27 +19,28 @@ records the row-weighted squared error
 because that is the quantity the weighted updates decrease monotonically
 (weights enter the update ratios linearly).
 
-The updates run in Gram form, with ``WL = W o mask``, ``Ve = V * e``
-(``V`` itself, not a copy, for the plain rule) and ``G = (WL * e)^T WL``:
+The updates run in Gram form, with ``WL = W o mask``, ``e`` the weight
+column (ones for the plain rule) and ``G = (WL * e)^T WL``:
 
-    H <- H o (WL^T Ve) / (G H + epsilon)
-    W <- W o (Ve H^T) / ((WL (H H^T)) * e + epsilon), then 0 where the mask is 0
+    H <- H o ((WL * e)^T V) / (G H + epsilon)
+    W <- W o (e * (V H^T)) / ((WL (H H^T)) * e + epsilon), then 0 where the mask is 0
 
-so ``fit`` passes W itself as WL, and unit weights reproduce the plain
-rule bitwise.  ``_problem`` builds the record the half-steps read, once
-per fit: both products' operands, ``Ve`` and ``Ve^T``, each product in its
-form's faster orientation (dense: ``WL^T Ve`` and ``(H Ve^T)^T``, with
-``Ve^T`` a C-contiguous copy, one more n x t array; CSR: ``(Ve^T WL)^T``,
-with ``Ve^T`` the CSC view, and ``Ve H^T``), ``e``, ``sqrt(e)``, the
-mask's zeros and ``sum e||V||^2``.  An iteration forms no n x t temporary:
-``fit`` records the loss by the identity ``sum e||V||^2 - 2 sum(WL o Ve
-H^T) + sum(G o H H^T)`` from the W step's products, and at or below
-``LOSS_GUARD * sum e||V||^2``, where that cancels, the explicit residual.
+so ``fit`` passes W itself as WL.  The plain rule is the unit-weight case,
+bitwise, as multiplying by 1.0 is exact.  The weights scale a product's
+d-wide factor or result, never V.  ``_problem`` builds the record the
+half-steps read, once per fit: ``V^T`` (a C-contiguous copy for dense V,
+one more n x t array; the CSC view for CSR), each product in its form's
+faster orientation (dense: ``(WL * e)^T V`` and ``(H V^T)^T * e``; CSR:
+``(V^T (WL * e))^T`` and ``(V H^T) * e``), ``e``, ``sqrt(e)`` and the
+mask's zeros.  An iteration forms no n x t temporary: ``fit`` records the
+loss by the identity ``sum e||V||^2 - 2 sum(WL o e V H^T) + sum(G o HH^T)``
+from the W step's products, and at or below ``LOSS_GUARD * sum e||V||^2``,
+where that cancels, the explicit residual.
 
 Sparse data: ``fit`` and ``update_*`` multiply V in the form given: a
 scipy sparse V, such as ``dataio.read_matrix`` gives, as CSR to the last
-iteration; a dense V dense, however many zeros it holds.  Checks, ``Ve``
-and ``sum e||V||^2`` use the stored values, ``init_model`` densifies only
+iteration; a dense V dense, however many zeros it holds.  Checks and
+``sum e||V||^2`` use the stored values, ``init_model`` densifies only
 the rows it averages, and the explicit residual takes either form
 ``RESIDUAL_BLOCK_BYTES`` of rows at a time.  The dense path is the
 reference: CSR sums run in another order than BLAS and agree to rounding,
@@ -170,8 +171,9 @@ def _conform(V, W, H, L):
     return V, W, H, L
 
 
-def _row_weights_column(E: np.ndarray, n: int) -> np.ndarray:
-    E = np.asarray(E, dtype=np.float64)
+def _row_weights_column(E: np.ndarray | None, n: int) -> np.ndarray:
+    """``E`` as an (n, 1) float64 column; None gives the plain rule's unit weights."""
+    E = np.ones(n) if E is None else np.asarray(E, dtype=np.float64)
     if E.shape != (n,):
         raise ShapeError(f"row weights shape {E.shape}, expected ({n},)")
     if not (np.isfinite(E) & (E >= 0.0)).all():  # a zero weight drops its row from the objective
@@ -187,19 +189,19 @@ def loss_ts(V, W, H, L) -> float:
 def _row_weighted_sse(V, W, H, L, E) -> float:
     """sum_i E_i * ||row i residual||^2 — the objective the weighted updates descend.
 
-    With ``E`` None this is the plain masked loss, ``loss_ts``.  ``V`` is taken
-    ``RESIDUAL_BLOCK_BYTES`` of rows at a time, densified if CSR, so a CSR ``V``
-    gives the dense bits.
+    With ``E`` None, unit weights, this is the plain masked loss, ``loss_ts``.  ``V``
+    is taken ``RESIDUAL_BLOCK_BYTES`` of rows at a time, densified if CSR, so a CSR
+    ``V`` gives the dense bits.
     """
     V, W, H, L = _conform(V, W, H, L)
-    e = None if E is None else _row_weights_column(E, V.shape[0])
+    e = _row_weights_column(E, V.shape[0])
     sparse = _is_sparse(V)
     rows = max(1, RESIDUAL_BLOCK_BYTES // (8 * V.shape[1] or 1))
     WL, total = W * L, 0.0
     for start in range(0, V.shape[0], rows):
         block = slice(start, start + rows)
         R = (V[block].toarray() if sparse else V[block]) - WL[block] @ H
-        total += float(np.sum(R * R if e is None else e[block] * R * R))
+        total += float(np.sum(e[block] * R * R))
     return total
 
 
@@ -209,70 +211,61 @@ def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def _gram(WL: np.ndarray, sqrt_e: np.ndarray | None) -> np.ndarray:
+def _gram(WL: np.ndarray, sqrt_e: np.ndarray) -> np.ndarray:
     """G = (WL * e)^T WL, the d x d row-weighted Gram matrix of the masked W.
 
-    Formed as S^T S with S = WL * sqrt(e) so both rules take numpy's syrk
-    path for ``A.T @ A``; gemm differs in the last bits, and unit weights
-    must reproduce the plain rule bitwise.
+    Formed as S^T S with S = WL * sqrt(e), which numpy runs as syrk (``A.T @ A``);
+    the gemm of (WL * e)^T WL differs in the last bits, and unit weights must
+    keep the plain rule's bits.
     """
-    S = WL if sqrt_e is None else WL * sqrt_e
+    S = WL * sqrt_e
     return S.T @ S
 
 
 @dataclass(frozen=True)
 class _Problem:
-    VeT: Callable[[], object]  # Ve^T, held: a C-contiguous copy for dense V, the CSC view for CSR
-    WLtVe: Callable[[np.ndarray], np.ndarray]  # WL -> WL^T Ve, in the faster orientation for Ve
-    VeHt: Callable[[np.ndarray], np.ndarray]  # H -> Ve H^T, likewise
+    VT: Callable[[], object]  # V^T, held: a C-contiguous copy for dense V, the CSC view for CSR
+    WLetV: Callable[[np.ndarray], np.ndarray]  # WL -> (WL * e)^T V, in the faster orientation for V
+    eVHt: Callable[[np.ndarray], np.ndarray]  # H -> e * (V H^T), likewise
     forbidden: np.ndarray  # L == 0, where the W step pins W to 0
-    e: np.ndarray | None  # the weight column; None for the plain rule
-    sqrt_e: np.ndarray | None  # its square root, which _gram scales WL by
-    sum_ev2: float  # sum e||V||^2
+    e: np.ndarray  # the weight column; ones for the plain rule
+    sqrt_e: np.ndarray  # its square root, which _gram scales WL by
 
 
 def _problem(V, L, E) -> _Problem:
     """One fit's constants from float64 ``V`` (ndarray or CSR), mask ``L`` and weights ``E``."""
-    e = None if E is None else _row_weights_column(E, V.shape[0])
+    e = _row_weights_column(E, V.shape[0])
     if not _is_sparse(V):
-        Ve = V if e is None else V * e
-        # H Ve^T takes a faster gemm than Ve H^T; built on first use, so update_h_* never copies V
-        VeT = cache(lambda: np.ascontiguousarray(Ve.T))
-        WLtVe, VeHt, sum_ev2 = (lambda WL: WL.T @ Ve), (lambda H: (H @ VeT()).T), np.vdot(Ve, V)
+        # H V^T takes a faster gemm than V H^T; built on first use, so update_h_* never copies V
+        VT = cache(lambda: np.ascontiguousarray(V.T))
+        WLetV, eVHt = (lambda WL: (WL * e).T @ V), (lambda H: (H @ VT()).T * e)
     else:
-        Ve = V
-        if e is not None:  # scale the stored values, per row
-            scaled = V.data * np.repeat(e[:, 0], np.diff(V.indptr))
-            Ve = type(V)((scaled, V.indices, V.indptr), shape=V.shape)
-        VeT = cache(lambda: Ve.T)  # held: scipy would build this CSC view on every H step
-        WLtVe, VeHt = (lambda WL: (VeT() @ WL).T), (lambda H: Ve @ H.T)
-        sum_ev2 = np.vdot(Ve.data, V.data)
-    sqrt_e = None if e is None else np.sqrt(e)
-    return _Problem(VeT, WLtVe, VeHt, L == 0.0, e, sqrt_e, float(sum_ev2))
+        VT = cache(lambda: V.T)  # held: scipy would build this CSC view on every H step
+        WLetV, eVHt = (lambda WL: (VT() @ (WL * e)).T), (lambda H: (V @ H.T) * e)
+    return _Problem(VT, WLetV, eVHt, L == 0.0, e, np.sqrt(e))
 
 
-def _h_step(p: _Problem, WL, H, G, epsilon: float) -> np.ndarray:
-    """H o (WL^T Ve) / (G H + epsilon); zero entries stay zero."""
+def _h_step(H, G, WLetV, epsilon: float) -> np.ndarray:
+    """H o ((WL * e)^T V) / (G H + epsilon), given that numerator; zero entries stay zero."""
     with np.errstate(all="ignore"):
         out = G @ H
         out += epsilon
-        np.divide(p.WLtVe(WL), out, out=out)
+        np.divide(WLetV, out, out=out)
         out *= H
     return _check_finite(out, "H update")
 
 
-def _w_step(p: _Problem, W, WL, VeHt, HHt, epsilon: float) -> np.ndarray:
-    """W o (Ve H^T) / ((WL HH^T) * e + epsilon), pinned to exactly 0 where L is 0.
+def _w_step(p: _Problem, W, WL, eVHt, HHt, epsilon: float) -> np.ndarray:
+    """W o (e * (V H^T)) / ((WL HH^T) * e + epsilon), pinned to exactly 0 where L is 0.
 
     At forbidden positions W is 0, or is pinned there anyway, so the ratio
     needs no mask; the finite check reads the pinned values.
     """
     with np.errstate(all="ignore"):
         out = WL @ HHt
-        if p.e is not None:
-            out *= p.e
+        out *= p.e
         out += epsilon
-        np.divide(VeHt, out, out=out)
+        np.divide(eVHt, out, out=out)
         out *= W
     out[p.forbidden] = 0.0
     return _check_finite(out, "W update")
@@ -298,7 +291,7 @@ def update_h_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     V, W, H, L = _conform(V, W, H, L)
     p = _problem(V, L, E)
     WL = W * L
-    return _h_step(p, WL, H, _gram(WL, p.sqrt_e), epsilon)
+    return _h_step(H, _gram(WL, p.sqrt_e), p.WLetV(WL), epsilon)
 
 
 def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
@@ -307,11 +300,11 @@ def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     The weight of row i scales both the numerator and denominator of that
     row's ratios, so for row-constant weights this is numerically close to
     the unweighted step and identical to it when E is all ones.
-    On a dense V every call copies ``Ve^T`` (n x t); ``fit`` copies it once, so loops call ``fit``.
+    On a dense V every call copies ``V^T`` (n x t); ``fit`` copies it once, so loops call ``fit``.
     """
     V, W, H, L = _conform(V, W, H, L)
     p = _problem(V, L, E)
-    return _w_step(p, W, W * L, p.VeHt(H), H @ H.T, epsilon)
+    return _w_step(p, W, W * L, p.eVHt(H), H @ H.T, epsilon)
 
 
 def init_model(V, L, config: FitConfig) -> FactorModel:
@@ -377,9 +370,10 @@ def fit(
     L = np.asarray(L, dtype=np.float64)
     if V.ndim != 2 or L.ndim != 2 or 0 in V.shape:
         raise ShapeError(f"V and mask must be 2-D, V non-empty; got shapes {V.shape} and {L.shape}")
-    lowest = (V.data if _is_sparse(V) else V).min(initial=0.0)
+    values = V.data if _is_sparse(V) else V
+    lowest = values.min(initial=0.0)
     if lowest < 0.0:
-        raise ValueError(f"V must be non-negative, min entry is {lowest!r}")
+        raise ValueError(f"V must be non-negative, min entry is {lowest}")
     if not np.isin(L, (0.0, 1.0)).all():
         raise ValueError("mask entries must be exactly 0 or 1")
     if row_weights is not None and not config.weighted:
@@ -390,27 +384,30 @@ def fit(
         E = build_error_weights(V.shape[0], np.flatnonzero(~L.all(axis=1))).row_weight
     model = init_model(V, L, config)
     p = _problem(V, L, E)
+    # sum e||V||^2 of the stored values; taken before V^T is held, so its n x t temporary is gone
+    e = np.repeat(p.e[:, 0], np.diff(V.indptr)) if _is_sparse(V) else p.e
+    sum_ev2 = float(np.vdot(values * e, values))
 
-    def loss(W, H, G, VeHt, HHt):
-        cheap = p.sum_ev2 - 2.0 * float(np.vdot(W, VeHt)) + float(np.vdot(G, HHt))
+    def loss(W, H, G, eVHt, HHt):
+        cheap = sum_ev2 - 2.0 * float(np.vdot(W, eVHt)) + float(np.vdot(G, HHt))
         # a NaN from non-finite data fails the comparison and is recomputed too
-        return cheap if cheap > LOSS_GUARD * p.sum_ev2 else _row_weighted_sse(V, W, H, L, E)
+        return cheap if cheap > LOSS_GUARD * sum_ev2 else _row_weighted_sse(V, W, H, L, E)
 
     # W is 0 wherever L is, from init_model and after every W step, so W o L is W itself
     W, H = model.W, model.H
     G = _gram(W, p.sqrt_e)
-    losses = [loss(W, H, G, p.VeHt(H), H @ H.T)]
+    losses = [loss(W, H, G, p.eVHt(H), H @ H.T)]
     stop_reason = STOP_MAX_ITER
     for iteration in range(1, config.max_iter + 1):
         try:
-            H = _h_step(p, W, H, G, EPSILON)
-            VeHt, HHt = p.VeHt(H), H @ H.T
-            W = _w_step(p, W, W, VeHt, HHt, EPSILON)
+            H = _h_step(H, G, p.WLetV(W), EPSILON)
+            eVHt, HHt = p.eVHt(H), H @ H.T
+            W = _w_step(p, W, W, eVHt, HHt, EPSILON)
         except NumericalFailureError as exc:
             raise NumericalFailureError(str(exc), iteration=iteration, losses=losses) from exc
         G = _gram(W, p.sqrt_e)
-        losses.append(loss(W, H, G, VeHt, HHt))
-        reason = _stop_reason(losses[-2], losses[-1], config.rel_tol, p.sum_ev2)
+        losses.append(loss(W, H, G, eVHt, HHt))
+        reason = _stop_reason(losses[-2], losses[-1], config.rel_tol, sum_ev2)
         if reason is not None:
             stop_reason = reason
             break

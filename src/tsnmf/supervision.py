@@ -109,7 +109,7 @@ class ErrorWeights:
         if w.ndim != 1:
             raise ShapeError(f"row weights must be 1-D, got ndim={w.ndim}")
         if w.size and w.min() < 1.0:
-            raise ValueError(f"row weights must be >= 1, min is {w.min()!r}")
+            raise ValueError(f"row weights must be >= 1, min is {w.min()}")
 
 
 def sample_supervised_set(n: int, rate: float, seed: int) -> set[int]:

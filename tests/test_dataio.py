@@ -144,6 +144,15 @@ class TestCsrMatrixFiles:
         with pytest.raises(ValueError, match=r"matrix\.indices\.npy: not a readable \.npy array"):
             _read(tmp_path)
 
+    def test_header_that_does_not_parse_is_named_as_such(self, tmp_path):
+        _save_dataset(tmp_path, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        path = tmp_path / MATRIX_FILENAMES["indices"]
+        # numpy retries this header through its tokenizer, whose error must not be relayed
+        path.write_bytes(path.read_bytes().replace(b"}", b"(", 1))
+        message = f"{path}: not a readable .npy array: its header does not parse"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            _read(tmp_path)
+
 
 class TestOperandForm:
     """``read_matrix`` is where V's form is chosen; fit multiplies the form it gets."""

@@ -306,7 +306,8 @@ class TestFit:
         assert (losses[1:] <= losses[:-1] * (1 + 1e-10)).all()
 
     def test_rejects_negative_v(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        message = "V must be non-negative, min entry is -1.0"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             fit(np.array([[-1.0]]), np.ones((1, 1)), FitConfig(d=1, seed=0))
 
     def test_rejects_nonbinary_mask(self):
@@ -580,14 +581,27 @@ class TestProblemRecord:
             assert a.dtype == np.float64 and a.flags.c_contiguous
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
-    def test_dense_record_holds_a_c_contiguous_copy_of_ve_transposed(self, weighted):
+    def test_dense_record_holds_a_c_contiguous_copy_of_v_transposed(self, weighted):
         V, L, E = _operands(60, 80, sparse=False)
         p = factorization._problem(V, L, E if weighted else None)
-        held = p.VeT()
-        assert held is p.VeT()  # built once per record
+        held = p.VT()
+        assert held is p.VT()  # built once per record
         assert held.flags.c_contiguous and held.shape == (80, 60)
         assert not np.shares_memory(held, V)
-        np.testing.assert_array_equal(held, (V * E[:, None] if weighted else V).T)
+        assert held.tobytes() == V.T.tobytes()  # the weights never scale V
+
+    def test_weighted_dense_fit_holds_less_than_two_n_by_t_arrays(self):
+        n, t = 400, 1000
+        V, L, E = _operands(n, t, sparse=False)
+        config = FitConfig(d=5, seed=1, max_iter=3, weighted=True)
+        tracemalloc.start()
+        try:
+            fit(V, L, config, row_weights=E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the held V^T is one; sum e||V||^2's temporary is freed before it is built
+        assert peak < 2 * 8 * n * t
 
     def test_csr_record_holds_no_dense_n_by_t_array(self):
         n, t = 400, 1000
@@ -596,13 +610,13 @@ class TestProblemRecord:
         tracemalloc.start()
         try:
             p = factorization._problem(V, L, E)
-            p.WLtVe(L)
-            p.VeHt(H)
+            p.WLetV(L)
+            p.eVHt(H)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * t // 4
-        assert p.VeT().format == "csc"
+        assert p.VT().format == "csc"
         for field in dataclasses.fields(p):
             assert np.shape(getattr(p, field.name)) != (n, t), field.name
 

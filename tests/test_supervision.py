@@ -178,10 +178,10 @@ class TestBuildErrorWeights:
 
     @pytest.mark.parametrize("weights, error, message", [
         (np.ones((2, 2)), ShapeError, "row weights must be 1-D, got ndim=2"),
-        (np.array([1.0, 0.5]), ValueError, "row weights must be >= 1, min is "),
+        (np.array([1.0, 0.5]), ValueError, "row weights must be >= 1, min is 0.5"),
     ], ids=["two_d", "below_one"])
     def test_constructor_rejects_malformed_weights(self, weights, error, message):
-        with pytest.raises(error, match=re.escape(message)):
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
             ErrorWeights(row_weight=weights)
 
     def test_empty_supervised_gives_ones(self):
