@@ -1,23 +1,33 @@
 """The supervision pipeline and the supervision-rate sweep harness.
 
 ``fit``, ``evaluate`` and every sweep cell take one path: supervise (sample
-the labeled rows, or map the ids of a supervision record to rows), fit (mask,
-error weights, ``factorization.fit``), record (``supervision.json``; no other module of
-the package reads or writes it) and score (coverage, truth matrix, ``score_report``);
-mask, coverage and truth matrix all read ``LabelTable.indicator``.  A sweep
-runs that path over a grid of (supervision rate, seed) cells against one
-dataset, read once, so the indicator is built once.  A cell fails as ``fit``
-does, through ``one_run``: one of ``errors.INPUT_ERRORS`` is recorded in its
-row, and any other exception ends the sweep.  Files under the sweep directory:
+the labeled rows, or map the ids of a supervision record to rows), fit (mask
+and error weights, ``fit_problem``, then ``factorization.fit_batch``, of which
+``factorization.fit`` is the one-problem call), record (``supervision.json``;
+no other module of the package reads or writes it) and score (coverage, truth
+matrix, ``score_report``); mask, coverage and truth matrix all read
+``LabelTable.indicator``.  A sweep runs that path over a grid of (supervision
+rate, seed) cells against one dataset, read once, so the indicator is built
+once.  It takes the grid in batches of as many cells as keep the stacked W and
+H within a dense V's size, ``n t // (d (n + t))`` and at least one: it
+supervises a batch's cells, fits them in one ``fit_batch`` call, which copies
+a dense ``V^T`` once per batch, not once per fit, then records and scores each
+cell in order.  A cell fails as ``fit`` does, through ``one_run``: one of
+``errors.INPUT_ERRORS``, from its supervision, fit, record or score, is
+recorded in its row, and any other exception ends the sweep.  Files under the
+sweep directory:
 
     sweep.csv           one row per (rate, seed) cell, deterministic
     sweep_summary.csv   mean and stddev per rate over seeds
-    sweep_timing.csv    wall time per cell (kept apart so sweep.csv is
-                        byte-reproducible across runs)
+    sweep_timing.csv    wall time per cell: its own supervise, record and
+                        score time plus an equal share of its batch's fit
+                        time; 0 for a failed cell (kept apart so sweep.csv
+                        is byte-reproducible across runs)
     cells/rate_<r>/seed_<s>/   model and report artifacts per cell
 
 A cell holds the bytes ``fit`` and ``evaluate`` write with the same
-settings, so it can be re-inspected with the evaluate and top-terms commands.
+settings, bit for bit, so it can be re-inspected with the evaluate and
+top-terms commands.
 Every file is written whole through ``matrix.write_file`` (a temporary file
 renamed into place), so a sweep killed midway leaves each cell file and
 each sweep CSV either complete or absent.
@@ -36,7 +46,7 @@ import numpy as np
 from .dataio import Dataset, read_dataset, read_matrix
 from .evaluation import EvaluationReport, TruthMatrix, score_report, write_report
 from .errors import INPUT_ERRORS, NumericalFailureError
-from .factorization import FitConfig, fit, save_model, write_trace_csv
+from .factorization import FitConfig, fit, fit_batch, save_model, write_trace_csv
 from .matrix import read_json, write_csv, write_json
 from .supervision import (
     build_error_weights,
@@ -140,15 +150,20 @@ def supervise(
     return rows, rate, seed
 
 
-def fit_supervised(dataset: Dataset, V, supervised: set[int], config: FitConfig):
-    """Fit ``V``, W masked to the ``supervised`` rows' labels; returns (model, trace).
+def fit_problem(dataset: Dataset, supervised: set[int], config: FitConfig) -> tuple:
+    """The ``(mask, config, row_weights)`` of a fit, W masked to the ``supervised`` rows' labels.
 
     A weighted fit weights those rows by n / |supervised|.
     """
     n = dataset.n_docs
     mask = build_mask(dataset.label_table, supervised, n, config.d)
     weights = build_error_weights(n, supervised).row_weight if config.weighted else None
-    return fit(V, mask.matrix, config, row_weights=weights)
+    return mask.matrix, config, weights
+
+
+def fit_supervised(dataset: Dataset, V, supervised: set[int], config: FitConfig):
+    """Fit ``V`` to ``fit_problem``'s problem; returns (model, trace)."""
+    return fit(V, *fit_problem(dataset, supervised, config))
 
 
 def write_supervision(outdir, dataset: Dataset, supervised, rate, seed) -> None:
@@ -263,51 +278,95 @@ class SweepResult:
     summary: dict = field(default_factory=dict)
 
 
-def run_cell(
-    dataset: Dataset, V, rate: float, seed: int, config: FitConfig, outdir
-) -> SweepCell:
-    """Supervise, fit, record and score one cell with the sweep's ``V``.
+@dataclass(frozen=True)
+class CellPlan:
+    """A supervised sweep cell: its rows, the rate and seed to record, and its fit problem."""
 
-    Its artifacts go to ``outdir``.
+    rows: set[int]
+    rate: float | None
+    seed: int
+    problem: tuple  # (mask, config, row_weights), as fit_batch takes it
+
+    @classmethod
+    def supervise(cls, dataset: Dataset, rate: float, seed: int, config: FitConfig) -> "CellPlan":
+        rows, rate, seed = supervise(dataset, rate, seed)
+        return cls(rows, rate, seed, fit_problem(dataset, rows, config))
+
+
+def run_cell(dataset: Dataset, plan, outcome, outdir, spent: float) -> SweepCell:
+    """Record and score one fitted cell; its artifacts go to ``outdir``.
+
+    ``outcome`` is the cell's (model, trace), or the error its supervision or
+    fit ended with, which is raised here.  ``spent`` is the cell's time so far.
     """
     start = time.perf_counter()
-    supervised, rate, seed = supervise(dataset, rate, seed)
-    model, trace = fit_supervised(dataset, V, supervised, config)
-    report = score(dataset, model.W, supervised)
+    if isinstance(outcome, Exception):
+        raise outcome
+    model, trace = outcome
+    config = plan.problem[1]
+    report = score(dataset, model.W, plan.rows)
     save_model(outdir, model, trace, config)
-    write_supervision(outdir, dataset, supervised, rate, seed)
+    write_supervision(outdir, dataset, plan.rows, plan.rate, plan.seed)
     write_report(outdir, report, labels=dataset.label_table.labels)
     return SweepCell(
-        rate=rate,
-        seed=seed,
+        rate=plan.rate,
+        seed=plan.seed,
         status="ok",
         coverage=report.coverage,
         mean_similarity=report.mean_similarity,
         resolved_count=report.resolved_count,
         iterations=trace.iterations,
         final_loss=trace.final_loss,
-        wall_time_s=time.perf_counter() - start,
+        wall_time_s=spent + time.perf_counter() - start,
     )
 
 
+def run_batch(dataset: Dataset, V, grid, configs: dict, out: Path) -> list[SweepCell]:
+    """Run the (rate, seed) cells of ``grid`` with one ``fit_batch`` call.
+
+    Every cell is supervised first, the supervised ones are fitted together,
+    then each is recorded and scored in order.  A cell's wall time is its own
+    supervise, record and score time plus an equal share of the batch's fit time.
+    """
+    clock = time.perf_counter
+    plans, spent = [], []
+    for rate, seed in grid:
+        start = clock()
+        try:
+            plans.append(CellPlan.supervise(dataset, rate, seed, configs[seed]))
+        except INPUT_ERRORS as exc:
+            plans.append(exc)
+        spent.append(clock() - start)
+    ready = [plan for plan in plans if isinstance(plan, CellPlan)]
+    start = clock()
+    fits = iter(fit_batch(V, [plan.problem for plan in ready]))
+    share = (clock() - start) / max(1, len(ready))
+    cells = []
+    for (rate, seed), plan, own in zip(grid, plans, spent):
+        cell_dir = out / "cells" / f"rate_{rate}" / f"seed_{seed}"
+        outcome = next(fits) if isinstance(plan, CellPlan) else plan
+        try:
+            with one_run(cell_dir, CELL_FILES):
+                cells.append(run_cell(dataset, plan, outcome, cell_dir, own + share))
+        except INPUT_ERRORS as exc:
+            cells.append(SweepCell(rate=rate, seed=seed, status=f"error: {exc}"))
+    return cells
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Execute every (rate, seed) cell in order and write the sweep CSVs."""
+    """Execute every (rate, seed) cell in order, batch by batch, and write the sweep CSVs."""
     dataset = read_dataset(cfg.data)
     V = read_matrix(cfg.data, dataset)
     d = topic_count(dataset, cfg.topics)
     # built before any cell runs, so a bad setting runs no cell and exits 2
     configs = {seed: fit_config(cfg, d, seed) for seed in cfg.seeds}
     out = Path(cfg.out)
+    grid = [(rate, seed) for rate in cfg.rates for seed in cfg.seeds]
+    n, t = V.shape
+    size = max(1, n * t // (d * (n + t)))  # cells whose stacked W and H fit in a dense V's size
     cells = []
-    for rate in cfg.rates:
-        for seed in cfg.seeds:
-            cell_dir = out / "cells" / f"rate_{rate}" / f"seed_{seed}"
-            try:
-                with one_run(cell_dir, CELL_FILES):
-                    cell = run_cell(dataset, V, rate, seed, configs[seed], cell_dir)
-            except INPUT_ERRORS as exc:
-                cell = SweepCell(rate=rate, seed=seed, status=f"error: {exc}")
-            cells.append(cell)
+    for start in range(0, len(grid), size):
+        cells += run_batch(dataset, V, grid[start:start + size], configs, out)
 
     result = SweepResult(cells=tuple(cells), summary=_summarize(cells))
     for name, columns in (("sweep.csv", SWEEP_COLUMNS), ("sweep_timing.csv", TIMING_COLUMNS)):

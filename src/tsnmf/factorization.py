@@ -25,17 +25,28 @@ column (ones for the plain rule) and ``G = (WL * e)^T WL``:
     H <- H o ((WL * e)^T V) / (G H + epsilon)
     W <- W o (e * (V H^T)) / ((WL (H H^T)) * e + epsilon), then 0 where the mask is 0
 
-so ``fit`` passes W itself as WL.  The plain rule is the unit-weight case,
+so the fit passes W itself as WL.  The plain rule is the unit-weight case,
 bitwise, as multiplying by 1.0 is exact.  The weights scale a product's
-d-wide factor or result, never V.  ``_problem`` builds the record the
-half-steps read, once per fit: ``V^T`` (a C-contiguous copy for dense V,
-one more n x t array; the CSC view for CSR), each product in its form's
-faster orientation (dense: ``(WL * e)^T V`` and ``(H V^T)^T * e``; CSR:
-``(V^T (WL * e))^T`` and ``(V H^T) * e``), ``e``, ``sqrt(e)`` and the
-mask's zeros.  An iteration forms no n x t temporary: ``fit`` records the
-loss by the identity ``sum e||V||^2 - 2 sum(WL o e V H^T) + sum(G o HH^T)``
-from the W step's products, and at or below ``LOSS_GUARD * sum e||V||^2``,
-where that cancels, the explicit residual.
+d-wide factor or result, never V.
+
+One engine, ``fit_batch``, fits k problems that share V, each with its own
+mask, weights and ``FitConfig`` (one d for all), as a stack: W is (k, n, d),
+H is (k, d, t), and each step is one call on the whole stack.  ``np.matmul``
+makes one BLAS call per cell, the call a 2-D product makes, and a CSR product
+takes the cells' columns side by side, which scipy sums entry by entry in the
+same order, so each cell gets the bits of a fit on its own; one gemm over
+merged cells would not.  A cell leaves the stack when its own stop rule or
+finite check ends it.  ``fit`` is the one-problem call, and the public
+``update_*`` steps run the same half-steps on a stack of one.  ``_problem``
+builds the record the half-steps read, once per call: ``V^T`` (a C-contiguous
+copy for dense V, one more n x t array, so one per sweep batch; the CSC view
+for CSR), each product in its form's faster orientation (dense:
+``(WL * e)^T V`` and ``(H V^T)^T * e``; CSR: ``(V^T (WL * e))^T`` and
+``(V H^T) * e``), and ``e``, ``sqrt(e)`` and the mask's zeros at the stack's
+shape.  An iteration forms no n x t temporary: the loss is recorded by the
+identity ``sum e||V||^2 - 2 sum(WL o e V H^T) + sum(G o HH^T)`` from the W
+step's products, and at or below ``LOSS_GUARD * sum e||V||^2``, where that
+cancels, as the explicit residual.
 
 Sparse data: ``fit`` and ``update_*`` multiply V in the form given: a
 scipy sparse V, such as ``dataio.read_matrix`` gives, as CSR to the last
@@ -56,7 +67,7 @@ for a rise beyond that slack plus ``ROUNDING_FLOOR * sum e||V||^2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
 from typing import Callable
@@ -171,14 +182,14 @@ def _conform(V, W, H, L):
     return V, W, H, L
 
 
-def _row_weights_column(E: np.ndarray | None, n: int) -> np.ndarray:
-    """``E`` as an (n, 1) float64 column; None gives the plain rule's unit weights."""
+def _row_weights(E: np.ndarray | None, n: int) -> np.ndarray:
+    """``E`` as n float64 row weights; None gives the plain rule's unit weights."""
     E = np.ones(n) if E is None else np.asarray(E, dtype=np.float64)
     if E.shape != (n,):
         raise ShapeError(f"row weights shape {E.shape}, expected ({n},)")
     if not (np.isfinite(E) & (E >= 0.0)).all():  # a zero weight drops its row from the objective
         raise ValueError(f"row weights must be finite and >= 0, got {E.min()} to {E.max()}")
-    return E[:, np.newaxis]
+    return E
 
 
 def loss_ts(V, W, H, L) -> float:
@@ -194,7 +205,7 @@ def _row_weighted_sse(V, W, H, L, E) -> float:
     ``V`` gives the dense bits.
     """
     V, W, H, L = _conform(V, W, H, L)
-    e = _row_weights_column(E, V.shape[0])
+    e = _row_weights(E, V.shape[0])[:, np.newaxis]
     sparse = _is_sparse(V)
     rows = max(1, RESIDUAL_BLOCK_BYTES // (8 * V.shape[1] or 1))
     WL, total = W * L, 0.0
@@ -212,54 +223,80 @@ def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
 
 
 def _gram(WL: np.ndarray, sqrt_e: np.ndarray) -> np.ndarray:
-    """G = (WL * e)^T WL, the d x d row-weighted Gram matrix of the masked W.
+    """G = (WL * e)^T WL per cell, the d x d row-weighted Gram matrices of the masked W.
 
-    Formed as S^T S with S = WL * sqrt(e), which numpy runs as syrk (``A.T @ A``);
-    the gemm of (WL * e)^T WL differs in the last bits, and unit weights must
-    keep the plain rule's bits.
+    Formed as S^T S with S = WL * sqrt(e), which numpy runs as syrk (``A.T @ A``),
+    slice by slice; the gemm of (WL * e)^T WL differs in the last bits, and unit
+    weights must keep the plain rule's bits.
     """
     S = WL * sqrt_e
-    return S.T @ S
+    return S.transpose(0, 2, 1) @ S
+
+
+def _sparse_product(A, X: np.ndarray) -> np.ndarray:
+    """A X per cell of the stack X (k, m, d), as one product of the cells side by side."""
+    k, m, d = X.shape
+    return (A @ X.transpose(1, 0, 2).reshape(m, k * d)).reshape(A.shape[0], k, d).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
 class _Problem:
+    """The constants of a stack of k fits that share V, which the half-steps read."""
+
     VT: Callable[[], object]  # V^T, held: a C-contiguous copy for dense V, the CSC view for CSR
-    WLetV: Callable[[np.ndarray], np.ndarray]  # WL -> (WL * e)^T V, in the faster orientation for V
-    eVHt: Callable[[np.ndarray], np.ndarray]  # H -> e * (V H^T), likewise
+    XtV: Callable[[np.ndarray], np.ndarray]  # X (k, n, d) -> X^T V per cell, in V's faster form
+    VHt: Callable[[np.ndarray], np.ndarray]  # H (k, d, t) -> V H^T per cell, likewise
     forbidden: np.ndarray  # L == 0, where the W step pins W to 0
-    e: np.ndarray  # the weight column; ones for the plain rule
-    sqrt_e: np.ndarray  # its square root, which _gram scales WL by
+    # each cell's row weights, ones for the plain rule, at the stack's (k, n, d) shape:
+    # numpy multiplies two arrays of one shape faster than it broadcasts an (n, 1) column
+    e: np.ndarray
+    sqrt_e: np.ndarray  # their square roots, which _gram scales WL by
+
+    def WLetV(self, WL: np.ndarray) -> np.ndarray:
+        """(WL * e)^T V, cell by cell."""
+        return self.XtV(WL * self.e)
+
+    def eVHt(self, H: np.ndarray) -> np.ndarray:
+        """e * (V H^T), cell by cell."""
+        return self.VHt(H) * self.e
+
+    def take(self, keep) -> "_Problem":
+        """The record of the cells that the boolean ``keep`` selects."""
+        return replace(self, forbidden=self.forbidden[keep], e=self.e[keep],
+                       sqrt_e=self.sqrt_e[keep])
 
 
-def _problem(V, L, E) -> _Problem:
-    """One fit's constants from float64 ``V`` (ndarray or CSR), mask ``L`` and weights ``E``."""
-    e = _row_weights_column(E, V.shape[0])
+def _problem(V, L: np.ndarray, E: np.ndarray) -> _Problem:
+    """The record of float64 ``V`` (dense or CSR), masks ``L`` (k, n, d), weights ``E`` (k, n)."""
+    e = np.repeat(E[:, :, np.newaxis], L.shape[2], axis=2)
     if not _is_sparse(V):
         # H V^T takes a faster gemm than V H^T; built on first use, so update_h_* never copies V
         VT = cache(lambda: np.ascontiguousarray(V.T))
-        WLetV, eVHt = (lambda WL: (WL * e).T @ V), (lambda H: (H @ VT()).T * e)
+        XtV, VHt = (lambda X: X.transpose(0, 2, 1) @ V), (lambda H: (H @ VT()).transpose(0, 2, 1))
     else:
         VT = cache(lambda: V.T)  # held: scipy would build this CSC view on every H step
-        WLetV, eVHt = (lambda WL: (VT() @ (WL * e)).T), (lambda H: (V @ H.T) * e)
-    return _Problem(VT, WLetV, eVHt, L == 0.0, e, np.sqrt(e))
+        XtV, VHt = (
+            (lambda X: _sparse_product(VT(), X).transpose(0, 2, 1)),
+            (lambda H: _sparse_product(V, H.transpose(0, 2, 1))),
+        )
+    return _Problem(VT, XtV, VHt, L == 0.0, e, np.sqrt(e))
 
 
 def _h_step(H, G, WLetV, epsilon: float) -> np.ndarray:
-    """H o ((WL * e)^T V) / (G H + epsilon), given that numerator; zero entries stay zero."""
+    """H o ((WL * e)^T V) / (G H + epsilon) per cell, given that numerator; zeros stay zero."""
     with np.errstate(all="ignore"):
         out = G @ H
         out += epsilon
         np.divide(WLetV, out, out=out)
         out *= H
-    return _check_finite(out, "H update")
+    return out
 
 
 def _w_step(p: _Problem, W, WL, eVHt, HHt, epsilon: float) -> np.ndarray:
-    """W o (e * (V H^T)) / ((WL HH^T) * e + epsilon), pinned to exactly 0 where L is 0.
+    """W o (e * (V H^T)) / ((WL HH^T) * e + epsilon) per cell, pinned to exactly 0 where L is 0.
 
     At forbidden positions W is 0, or is pinned there anyway, so the ratio
-    needs no mask; the finite check reads the pinned values.
+    needs no mask.
     """
     with np.errstate(all="ignore"):
         out = WL @ HHt
@@ -268,7 +305,14 @@ def _w_step(p: _Problem, W, WL, eVHt, HHt, epsilon: float) -> np.ndarray:
         np.divide(eVHt, out, out=out)
         out *= W
     out[p.forbidden] = 0.0
-    return _check_finite(out, "W update")
+    return out
+
+
+def _one_cell(V, W, H, L, E):
+    """W, H and L as a stack of one cell, conformed to ``V``, and the record of that cell."""
+    V, W, H, L = _conform(V, W, H, L)
+    W, H, L = W[np.newaxis], H[np.newaxis], L[np.newaxis]
+    return W, H, L, _problem(V, L, _row_weights(E, V.shape[0])[np.newaxis])
 
 
 def update_h(V, W, H, L, epsilon: float) -> np.ndarray:
@@ -288,10 +332,9 @@ def update_w(V, W, H, L, epsilon: float) -> np.ndarray:
 
 def update_h_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     """Row-weighted multiplicative step on H; ``E`` of None or all ones is update_h."""
-    V, W, H, L = _conform(V, W, H, L)
-    p = _problem(V, L, E)
+    W, H, L, p = _one_cell(V, W, H, L, E)
     WL = W * L
-    return _h_step(H, _gram(WL, p.sqrt_e), p.WLetV(WL), epsilon)
+    return _check_finite(_h_step(H, _gram(WL, p.sqrt_e), p.WLetV(WL), epsilon)[0], "H update")
 
 
 def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
@@ -302,9 +345,9 @@ def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     the unweighted step and identical to it when E is all ones.
     On a dense V every call copies ``V^T`` (n x t); ``fit`` copies it once, so loops call ``fit``.
     """
-    V, W, H, L = _conform(V, W, H, L)
-    p = _problem(V, L, E)
-    return _w_step(p, W, W * L, p.eVHt(H), H @ H.T, epsilon)
+    W, H, L, p = _one_cell(V, W, H, L, E)
+    HHt = H @ H.transpose(0, 2, 1)
+    return _check_finite(_w_step(p, W, W * L, p.eVHt(H), HHt, epsilon)[0], "W update")
 
 
 def init_model(V, L, config: FitConfig) -> FactorModel:
@@ -365,54 +408,104 @@ def fit(
     without it, ``row_weights`` is a ``ValueError``.
 
     ``V`` is multiplied in the form given: dense, or as CSR if scipy sparse.
+    This is ``fit_batch`` of one problem.
     """
-    V = _operand(V)
+    (outcome,) = fit_batch(V, [(L, config, row_weights)])
+    if isinstance(outcome, NumericalFailureError):
+        raise outcome
+    return outcome
+
+
+def _cell(V, L, config: FitConfig, E) -> tuple:
+    """One problem's checked mask, its config, its checked row weights and its seeded start."""
     L = np.asarray(L, dtype=np.float64)
     if V.ndim != 2 or L.ndim != 2 or 0 in V.shape:
         raise ShapeError(f"V and mask must be 2-D, V non-empty; got shapes {V.shape} and {L.shape}")
+    if not np.isin(L, (0.0, 1.0)).all():
+        raise ValueError("mask entries must be exactly 0 or 1")
+    if E is not None and not config.weighted:
+        raise ValueError("row_weights need config.weighted; the plain rule has no weights")
+    if config.weighted and E is None:
+        E = build_error_weights(V.shape[0], np.flatnonzero(~L.all(axis=1))).row_weight
+    model = init_model(V, L, config)
+    return L, config, _row_weights(E, V.shape[0]), model
+
+
+def fit_batch(V, problems) -> list:
+    """Fit problems that share ``V``, each an ``(L, config, row_weights)`` triple as ``fit`` takes.
+
+    Returns, per problem in order, its ``(model, trace)``, bitwise that of
+    ``fit``, or the ``NumericalFailureError`` it failed with, which carries its
+    losses; a problem ``fit`` would reject raises here.  The problems need one
+    topic count; they run as one stack, as the module docstring says.
+    """
+    V = _operand(V)
     values = V.data if _is_sparse(V) else V
     lowest = values.min(initial=0.0)
     if lowest < 0.0:
         raise ValueError(f"V must be non-negative, min entry is {lowest}")
-    if not np.isin(L, (0.0, 1.0)).all():
-        raise ValueError("mask entries must be exactly 0 or 1")
-    if row_weights is not None and not config.weighted:
-        raise ValueError("row_weights need config.weighted; the plain rule has no weights")
-
-    E = row_weights
-    if config.weighted and E is None:
-        E = build_error_weights(V.shape[0], np.flatnonzero(~L.all(axis=1))).row_weight
-    model = init_model(V, L, config)
-    p = _problem(V, L, E)
+    cells = [_cell(V, *problem) for problem in problems]
+    if not cells:
+        return []
+    masks, configs, weights, models = zip(*cells)
+    topics = sorted({config.d for config in configs})
+    if len(topics) > 1:
+        raise ShapeError(f"one batch fits one topic count, got {topics}")
     # sum e||V||^2 of the stored values; taken before V^T is held, so its n x t temporary is gone
-    e = np.repeat(p.e[:, 0], np.diff(V.indptr)) if _is_sparse(V) else p.e
-    sum_ev2 = float(np.vdot(values * e, values))
+    sum_ev2 = []
+    for E in weights:
+        e = np.repeat(E, np.diff(V.indptr)) if _is_sparse(V) else E[:, np.newaxis]
+        sum_ev2.append(float(np.vdot(values * e, values)))
+    p = _problem(V, np.stack(masks), np.stack(weights))
 
-    def loss(W, H, G, eVHt, HHt):
-        cheap = sum_ev2 - 2.0 * float(np.vdot(W, eVHt)) + float(np.vdot(G, HHt))
+    def loss(c, W, H, G, eVHt, HHt):
+        cheap = sum_ev2[c] - 2.0 * float(np.vdot(W, eVHt)) + float(np.vdot(G, HHt))
         # a NaN from non-finite data fails the comparison and is recomputed too
-        return cheap if cheap > LOSS_GUARD * sum_ev2 else _row_weighted_sse(V, W, H, L, E)
+        if cheap > LOSS_GUARD * sum_ev2[c]:
+            return cheap
+        return _row_weighted_sse(V, W, H, masks[c], weights[c])
 
     # W is 0 wherever L is, from init_model and after every W step, so W o L is W itself
-    W, H = model.W, model.H
+    W = np.stack([model.W for model in models])
+    H = np.stack([model.H for model in models])
     G = _gram(W, p.sqrt_e)
-    losses = [loss(W, H, G, p.eVHt(H), H @ H.T)]
-    stop_reason = STOP_MAX_ITER
-    for iteration in range(1, config.max_iter + 1):
-        try:
-            H = _h_step(H, G, p.WLetV(W), EPSILON)
-            eVHt, HHt = p.eVHt(H), H @ H.T
-            W = _w_step(p, W, W, eVHt, HHt, EPSILON)
-        except NumericalFailureError as exc:
-            raise NumericalFailureError(str(exc), iteration=iteration, losses=losses) from exc
-        G = _gram(W, p.sqrt_e)
-        losses.append(loss(W, H, G, eVHt, HHt))
-        reason = _stop_reason(losses[-2], losses[-1], config.rel_tol, sum_ev2)
-        if reason is not None:
-            stop_reason = reason
-            break
+    eVHt, HHt = p.eVHt(H), H @ H.transpose(0, 2, 1)
+    losses = [[loss(c, W[c], H[c], G[c], eVHt[c], HHt[c])] for c in range(len(cells))]
+    outcomes: list = [None] * len(cells)
+    live = np.arange(len(cells))  # the problem at each position of the stack
 
-    return FactorModel(W=W, H=H), FitTrace(losses=tuple(losses), stop_reason=stop_reason)
+    def fail(ok, iteration, what):
+        for c in live[~ok]:
+            outcomes[c] = NumericalFailureError(
+                f"{what} produced NaN or Inf entries", iteration=iteration, losses=losses[c])
+
+    iteration = 0
+    while live.size:  # each cell leaves by its max_iter
+        iteration += 1
+        H = _h_step(H, G, p.WLetV(W), EPSILON)
+        ok = np.isfinite(H).all(axis=(1, 2))
+        if not ok.all():
+            fail(ok, iteration, "H update")
+            live, p, W, H = live[ok], p.take(ok), W[ok], H[ok]
+        eVHt, HHt = p.eVHt(H), H @ H.transpose(0, 2, 1)
+        W = _w_step(p, W, W, eVHt, HHt, EPSILON)
+        ok = np.isfinite(W).all(axis=(1, 2))
+        if not ok.all():
+            fail(ok, iteration, "W update")
+            live, p, W, H, eVHt, HHt = live[ok], p.take(ok), W[ok], H[ok], eVHt[ok], HHt[ok]
+        G = _gram(W, p.sqrt_e)
+        for j, c in enumerate(live):
+            losses[c].append(loss(c, W[j], H[j], G[j], eVHt[j], HHt[j]))
+            reason = _stop_reason(losses[c][-2], losses[c][-1], configs[c].rel_tol, sum_ev2[c])
+            if reason is None and iteration == configs[c].max_iter:
+                reason = STOP_MAX_ITER
+            if reason is not None:
+                model = FactorModel(W=W[j].copy(), H=H[j].copy())
+                outcomes[c] = model, FitTrace(losses=tuple(losses[c]), stop_reason=reason)
+        ok = np.array([outcomes[c] is None for c in live], dtype=bool)
+        if not ok.all():
+            live, p, W, H, G = live[ok], p.take(ok), W[ok], H[ok], G[ok]
+    return outcomes
 
 
 def save_model(outdir, model: FactorModel, trace: FitTrace, config: FitConfig) -> None:

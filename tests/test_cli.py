@@ -937,10 +937,11 @@ class TestSweep:
         assert statuses[0.0] == "ok"
         assert statuses[1.0].startswith("error")
 
-    def test_all_cells_failing_is_nonzero_exit(self, tmp_path):
+    def test_all_cells_failing_is_nonzero_exit(self, tmp_path, capsys):
         data = _synth_dataset(tmp_path)
         cfg = self._config(tmp_path, data, topics=2, rates=[0.5, 1.0])
-        assert main(["sweep", "--config", str(cfg)]) != 0
+        assert main(["sweep", "--config", str(cfg)]) == 1  # no cell reached the fit
+        assert "all sweep cells failed" in capsys.readouterr().err
 
     def test_summary_and_timing_files_written(self, tmp_path):
         data = _synth_dataset(tmp_path)
@@ -1000,6 +1001,34 @@ class TestSweep:
                 assert (model / name).read_bytes() == (cell / name).read_bytes(), (rate, name)
             assert (report / "report.json").read_bytes() == (cell / "report.json").read_bytes(), rate
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_cells_of_several_batches_write_the_fit_and_evaluate_bytes(self, tmp_path, monkeypatch,
+                                                                         weighted):
+        data = _synth_dataset(tmp_path)  # 30 x 40 x 3: a batch holds 30 * 40 // (3 * 70) = 5 cells
+        rates, seeds = [0.0, 0.2, 0.5, 1.0], [1, 2]
+        batches, fit_batch = [], experiment.fit_batch
+
+        def counted(V, problems):
+            batches.append(len(problems))
+            return fit_batch(V, problems)
+
+        monkeypatch.setattr(experiment, "fit_batch", counted)
+        cfg = self._config(tmp_path, data, rates=rates, seeds=seeds, weighted=weighted)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert batches == [5, 3]
+        for rate in rates:
+            for seed in seeds:
+                cell = tmp_path / "sweep" / "cells" / f"rate_{rate}" / f"seed_{seed}"
+                model, report = tmp_path / f"m{rate}_{seed}", tmp_path / f"r{rate}_{seed}"
+                fit_args = ["fit", "--data", str(data), "--rate", str(rate), "--seed", str(seed),
+                            "--max-iter", "30", *["--weighted"] * weighted, "--out", str(model)]
+                assert main(fit_args) == 0
+                assert main(["evaluate", "--model", str(model), "--data", str(data),
+                             "--out", str(report)]) == 0
+                for name in FIT_FILES:
+                    assert (model / name).read_bytes() == (cell / name).read_bytes(), (rate, seed, name)
+                assert (report / "report.json").read_bytes() == (cell / "report.json").read_bytes()
+
     @pytest.mark.parametrize("key", ["data", "out"])
     def test_empty_path_exits_2_naming_the_key(self, tmp_path, monkeypatch, capsys, key):
         data = _synth_dataset(tmp_path)
@@ -1036,7 +1065,8 @@ class TestSweep:
         def defect(*args, **kwargs):
             raise TypeError("defect")
 
-        monkeypatch.setattr(experiment, "fit", defect)
+        # fit takes one problem through fit; a sweep fits its cells through fit_batch
+        monkeypatch.setattr(experiment, {"fit": "fit", "sweep": "fit_batch"}[command], defect)
         with pytest.raises(TypeError, match="defect"):
             main(argv)
         assert not (tmp_path / "model").exists() and not (tmp_path / "sweep").exists()

@@ -25,6 +25,7 @@ from tsnmf.factorization import (
     _row_weighted_sse,
     _stop_reason,
     fit,
+    fit_batch,
     init_model,
     loss_ts,
     read_factor,
@@ -583,7 +584,7 @@ class TestProblemRecord:
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     def test_dense_record_holds_a_c_contiguous_copy_of_v_transposed(self, weighted):
         V, L, E = _operands(60, 80, sparse=False)
-        p = factorization._problem(V, L, E if weighted else None)
+        p = factorization._problem(V, L[np.newaxis], (E if weighted else np.ones(60))[np.newaxis])
         held = p.VT()
         assert held is p.VT()  # built once per record
         assert held.flags.c_contiguous and held.shape == (80, 60)
@@ -609,16 +610,16 @@ class TestProblemRecord:
         H = np.random.default_rng(1).random((5, t))
         tracemalloc.start()
         try:
-            p = factorization._problem(V, L, E)
-            p.WLetV(L)
-            p.eVHt(H)
+            p = factorization._problem(V, L[np.newaxis], E[np.newaxis])
+            p.WLetV(L[np.newaxis])
+            p.eVHt(H[np.newaxis])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * t // 4
         assert p.VT().format == "csc"
         for field in dataclasses.fields(p):
-            assert np.shape(getattr(p, field.name)) != (n, t), field.name
+            assert np.shape(getattr(p, field.name))[-2:] != (n, t), field.name
 
     def test_update_h_on_dense_v_allocates_no_transpose(self):
         n, t = 400, 1000
@@ -635,6 +636,99 @@ class TestProblemRecord:
                 tracemalloc.stop()
         # the W step reads the held transpose, so one n x t copy is what tracemalloc sees
         assert peaks[0] < 8 * n * t <= peaks[1]
+
+
+def _assert_batch_is_lone_fits(V, problems):
+    """fit_batch's outcome of each problem, bitwise that of a lone fit; returns the outcomes."""
+    outcomes = fit_batch(V, problems)
+    assert len(outcomes) == len(problems)
+    for (L, config, E), outcome in zip(problems, outcomes):
+        try:
+            model, trace = fit(V, L, config, row_weights=E)
+        except NumericalFailureError as exc:
+            assert isinstance(outcome, NumericalFailureError)
+            assert (str(outcome), outcome.iteration) == (str(exc), exc.iteration)
+            assert np.array(outcome.losses).tobytes() == np.array(exc.losses).tobytes()
+            continue
+        assert outcome[0].W.tobytes() == model.W.tobytes()
+        assert outcome[0].H.tobytes() == model.H.tobytes()
+        assert np.array(outcome[1].losses).tobytes() == np.array(trace.losses).tobytes()
+        assert outcome[1].stop_reason == trace.stop_reason
+    return outcomes
+
+
+def _batch_problems(n, d, weighted, rng):
+    """Five problems on one (n, d): masks of a growing share of rows, seeds, stop rules and weights."""
+    problems = []
+    for k, (rel_tol, max_iter) in enumerate([(1e-4, 60), (1e-6, 40), (1e-12, 25), (1e-3, 60),
+                                             (1e-5, 60)]):
+        L = np.ones((n, d))
+        rows = rng.choice(n, size=n * k // 5, replace=False)
+        L[rows] = np.eye(d)[rng.integers(0, d, len(rows))]
+        # the last weighted problem takes fit's default weights
+        E = build_error_weights(n, rows).row_weight if weighted and k < 4 else None
+        problems.append((L, FitConfig(d=d, seed=k, max_iter=max_iter, rel_tol=rel_tol,
+                                      weighted=weighted), E))
+    return problems
+
+
+class TestFitBatch:
+    """One engine call over k problems that share V gives each problem's lone fit, bitwise."""
+
+    @pytest.mark.parametrize("form", ["dense", "csr"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_cells_are_bitwise_their_lone_fits(self, form, weighted):
+        V = _tfidf_like(4, n=60, t=80, density=0.05)
+        if form == "csr":
+            V = pytest.importorskip("scipy.sparse").csr_array(V)
+        outcomes = _assert_batch_is_lone_fits(V, _batch_problems(60, 5, weighted,
+                                                                 np.random.default_rng(1)))
+        assert len({trace.iterations for _, trace in outcomes}) > 1  # cells left at different turns
+
+    @pytest.mark.parametrize("form", ["dense", "csr"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_one_topic_and_fewer_rows_than_acol_q(self, form, weighted):
+        n = ACOL_Q - 2
+        V = np.random.default_rng(2).random((n, 11))
+        V[V < 0.5] = 0.0
+        if form == "csr":
+            V = pytest.importorskip("scipy.sparse").csr_array(V)
+        _assert_batch_is_lone_fits(V, _batch_problems(n, 1, weighted, np.random.default_rng(3)))
+
+    def test_cells_leave_the_stack_as_they_stop(self):
+        rng = np.random.default_rng(0)
+        V = np.outer(rng.random(3), rng.random(7))
+        # a rank-one V: each seed reaches a loss that no step lowers at its own iteration
+        problems = [(np.ones((3, 1)), FitConfig(d=1, seed=seed, rel_tol=1e-300), None)
+                    for seed in (1, 5, 7)]
+        outcomes = _assert_batch_is_lone_fits(V, problems)
+        assert [trace.iterations for _, trace in outcomes] == [4, 5, 6]
+        assert {trace.stop_reason for _, trace in outcomes} == {"converged"}
+
+    def test_a_failing_cell_keeps_its_losses_and_leaves_the_others_bitwise(self):
+        V = np.random.default_rng(3).random((12, 9))
+        L = np.ones((12, 3))
+        overflow_all, overflow_one = np.full(12, 1e308), np.ones(12)
+        overflow_one[0] = 1e308
+        cells = [(0, np.full(12, 2.0)), (2, overflow_all), (3, None), (1, overflow_one),
+                 (4, np.full(12, 3.0))]
+        problems = [(L, FitConfig(d=3, seed=seed, max_iter=30, weighted=True), E)
+                    for seed, E in cells]
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = _assert_batch_is_lone_fits(V, problems)
+        failed = {k: outcome for k, outcome in enumerate(outcomes)
+                  if isinstance(outcome, NumericalFailureError)}
+        assert sorted(failed) == [1, 3]
+        assert [str(failed[k]).split()[0] for k in (1, 3)] == ["H", "W"]
+        assert all(exc.iteration == 1 and len(exc.losses) == 1 for exc in failed.values())
+        assert all(outcomes[k][1].iterations == 30 for k in (0, 2, 4))
+
+    def test_empty_batch_and_mixed_topic_counts(self):
+        V = np.ones((4, 3))
+        assert fit_batch(V, []) == []
+        problems = [(np.ones((4, d)), FitConfig(d=d), None) for d in (1, 2)]
+        with pytest.raises(ShapeError, match=re.escape("one topic count, got [1, 2]")):
+            fit_batch(V, problems)
 
 
 class TestModelIO:

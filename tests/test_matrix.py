@@ -286,7 +286,8 @@ def test_cli_maps_errors_to_exit_codes_in_main_only():
         ("main", "EmptyVocabularyError"),
         ("main", "INPUT_ERRORS"),
         ("one_run", "Exception"),
-        ("run_sweep", "INPUT_ERRORS"),
+        ("run_batch", "INPUT_ERRORS"),  # a cell's supervision, kept for its turn
+        ("run_batch", "INPUT_ERRORS"),  # a cell's record and score, or the error it kept
     ]
     last = handlers[3][2]
     assert isinstance(last, ast.Raise) and last.exc is None  # one_run cleans up and re-raises
