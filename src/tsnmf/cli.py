@@ -5,10 +5,14 @@ directory, ``fit`` writes a model directory, ``evaluate`` and
 ``top-terms`` read both, and ``sweep`` runs fit + evaluate over a
 (rate, seed) grid.  Only ``fit`` and ``sweep`` read the dataset matrix;
 ``evaluate`` reads the model's W and ``top-terms`` its H.  ``fit``,
-``evaluate`` and the sweep share one supervise -> fit -> record -> score
-path, which lives in ``tsnmf.experiment``; this module only maps its
+``evaluate`` and the sweep share one plan -> fit -> record -> score path,
+which lives in ``tsnmf.experiment``: ``fit`` checks its settings, then, as
+a sweep cell does, plans the fit with ``plan_fit``, fits the plan's problem,
+saves the model and records the supervision inside ``one_run``, so a failed
+supervision leaves no model file either; this module only maps the path's
 errors to exit codes.  ``fit --supervision`` takes a supervision record,
-such as a model's ``supervision.json``, as the list of supervised ids.
+such as a model's ``supervision.json``, as the list of supervised ids and,
+if it records one, the seed, which replaces ``--seed`` once that is checked.
 ``evaluate`` counts a topic resolved above the fixed ``RESOLVED_THRESHOLD``.
 
 Exit codes are a stable contract, all of it in ``main``: 0 success, 2 input
@@ -34,16 +38,15 @@ from .experiment import (
     REPORT_FILES,
     SweepConfig,
     fit_config,
-    fit_supervised,
     one_run,
+    plan_fit,
     recorded_rows,
     run_sweep,
     score,
-    supervise,
     topic_count,
     write_supervision,
 )
-from .factorization import FitConfig, read_factor, save_model
+from .factorization import FitConfig, fit, read_factor, save_model
 from .matrix import write_csv
 from .preprocessing import (
     DEFAULT_MIN_CHARS,
@@ -88,15 +91,14 @@ def cmd_ingest(args) -> int:
 def cmd_fit(args) -> int:
     dataset = read_dataset(args.data)
     V = read_matrix(args.data, dataset)
-    d = topic_count(dataset, args.topics)
-    supervised, rate, seed = supervise(dataset, args.rate, args.seed, args.supervision)
-    config = fit_config(args, d, seed)
+    config = fit_config(args, topic_count(dataset, args.topics), args.seed)
     with one_run(args.out, FIT_FILES):
-        model, trace = fit_supervised(dataset, V, supervised, config)
-        save_model(args.out, model, trace, config)
-        write_supervision(args.out, dataset, supervised, rate, seed)
+        plan = plan_fit(dataset, args.rate, config, args.supervision)
+        model, trace = fit(V, *plan.problem)
+        save_model(args.out, model, trace, plan.config)
+        write_supervision(args.out, dataset, plan)
     print(
-        f"fit d={d} stopped after {trace.iterations} iterations "
+        f"fit d={config.d} stopped after {trace.iterations} iterations "
         f"({trace.stop_reason}), final loss {trace.final_loss!r}"
     )
     return EXIT_OK

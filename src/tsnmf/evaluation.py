@@ -26,6 +26,8 @@ from .supervision import LabelTable
 
 # A matched topic whose similarity is above this counts as resolved.
 RESOLVED_THRESHOLD = 0.1
+# the file write_report writes under a report directory
+REPORT_FILENAME = "report.json"
 
 
 @dataclass(frozen=True)
@@ -255,4 +257,4 @@ def write_report(outdir, report: EvaluationReport, labels: Sequence[str]) -> Non
         "threshold": RESOLVED_THRESHOLD,
         "coverage": report.coverage,
     }
-    write_json(Path(outdir) / "report.json", payload)
+    write_json(Path(outdir) / REPORT_FILENAME, payload)

@@ -1,18 +1,19 @@
 """The supervision pipeline and the supervision-rate sweep harness.
 
-``fit``, ``evaluate`` and every sweep cell take one path: supervise (sample
-the labeled rows, or map the ids of a supervision record to rows), fit (mask
-and error weights, ``fit_problem``, then ``factorization.fit_batch``, of which
+``fit``, ``evaluate`` and every sweep cell take one path: plan (``plan_fit``
+samples the labeled rows, or maps the ids of a supervision record to rows and
+takes its seed, then builds the mask and error weights into a ``FitPlan``),
+fit (the plan's problem, through ``factorization.fit_batch``, of which
 ``factorization.fit`` is the one-problem call), record (``supervision.json``;
 no other module of the package reads or writes it) and score (coverage, truth
 matrix, ``score_report``); mask, coverage and truth matrix all read
 ``LabelTable.indicator``.  A sweep runs that path over a grid of (supervision
 rate, seed) cells against one dataset, read once, so the indicator is built
 once.  It takes the grid in batches of as many cells as keep the stacked W and
-H within a dense V's size, ``n t // (d (n + t))`` and at least one: it
-supervises a batch's cells, fits them in one ``fit_batch`` call, which copies
-a dense ``V^T`` once per batch, not once per fit, then records and scores each
-cell in order.  A cell fails as ``fit`` does, through ``one_run``: one of
+H within a dense V's size, ``n t // (d (n + t))`` and at least one: it plans
+a batch's cells, fits them in one ``fit_batch`` call, which copies a dense
+``V^T`` once per batch, not once per fit, then records and scores each cell
+in order.  A cell fails as ``fit`` does, through ``one_run``: one of
 ``errors.INPUT_ERRORS``, from its supervision, fit, record or score, is
 recorded in its row, and any other exception ends the sweep.  Files under the
 sweep directory:
@@ -38,15 +39,15 @@ from __future__ import annotations
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import Dataset, read_dataset, read_matrix
-from .evaluation import EvaluationReport, TruthMatrix, score_report, write_report
+from .evaluation import REPORT_FILENAME, EvaluationReport, TruthMatrix, score_report, write_report
 from .errors import INPUT_ERRORS, NumericalFailureError
-from .factorization import FitConfig, fit, fit_batch, save_model, write_trace_csv
+from .factorization import MODEL_FILES, FitConfig, fit_batch, save_model, write_trace_csv
 from .matrix import read_json, write_csv, write_json
 from .supervision import (
     build_error_weights,
@@ -57,8 +58,8 @@ from .supervision import (
 
 SUPERVISION_FILENAME = "supervision.json"
 # what a fit leaves in its directory, and a sweep cell, which also scores the fit
-FIT_FILES = ("model.json", "W.csv", "H.csv", "trace.csv", SUPERVISION_FILENAME)
-REPORT_FILES = ("report.json",)
+FIT_FILES = (*MODEL_FILES, SUPERVISION_FILENAME)
+REPORT_FILES = (REPORT_FILENAME,)
 CELL_FILES = (*FIT_FILES, *REPORT_FILES)
 _INTEGER = (int, "an integer")
 _NUMBER = ((int, float), "a number")
@@ -126,49 +127,51 @@ def fit_config(settings, d: int, seed: int) -> FitConfig:
     return FitConfig(d=d, seed=seed, **{key: getattr(settings, key) for key in _FIT_KNOBS})
 
 
-def supervise(
-    dataset: Dataset, rate: float, seed: int, spec=None
-) -> tuple[set[int], float | None, int]:
-    """The supervised rows of a fit, and the rate and seed to record with them.
+@dataclass(frozen=True)
+class FitPlan:
+    """A supervised fit: its rows, the rate to record and its problem, whose seed is recorded."""
+
+    rows: set[int]
+    rate: float | None
+    problem: tuple  # (mask, config, row_weights), as fit and fit_batch take it
+
+    @property
+    def config(self) -> FitConfig:
+        return self.problem[1]
+
+
+def plan_fit(dataset: Dataset, rate: float, config: FitConfig, spec=None) -> FitPlan:
+    """The plan of a fit of ``dataset`` with ``config``, supervised at ``rate`` or by ``spec``.
 
     Sampled rows skip documents without labels, which cannot be supervised.
     A supervision ``spec`` file is a supervision record: its ids are the rows,
-    its seed (if any) wins, and its rate, which selects nothing, is recorded
-    again, so a fit given its own ``supervision.json`` writes the same bytes.
+    its seed (if any) replaces the config's, and its rate, which selects
+    nothing, is recorded again, so a fit given its own ``supervision.json``
+    writes the same bytes.  W is masked to the rows' labels, and a weighted
+    fit weights those rows by n / |rows|.
     """
     if spec is None:
-        supervised = sample_supervised_set(dataset.n_docs, rate, seed)
-        return {i for i in supervised if dataset.label_table.doc_labels[i]}, rate, seed
-    info, rows = _read_supervision(dataset, spec)
-    seed = info.get("seed", seed)
-    _check_type(spec, "seed", seed, *_INTEGER)
-    rate = info.get("rate")
-    if rate is not None:
-        _check_type(spec, "rate", rate, *_NUMBER)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"{spec}: 'rate' must be in [0, 1], got {rate!r}")
-    return rows, rate, seed
-
-
-def fit_problem(dataset: Dataset, supervised: set[int], config: FitConfig) -> tuple:
-    """The ``(mask, config, row_weights)`` of a fit, W masked to the ``supervised`` rows' labels.
-
-    A weighted fit weights those rows by n / |supervised|.
-    """
+        sampled = sample_supervised_set(dataset.n_docs, rate, config.seed)
+        rows = {i for i in sampled if dataset.label_table.doc_labels[i]}
+    else:
+        info, rows = _read_supervision(dataset, spec)
+        seed = info.get("seed", config.seed)
+        _check_type(spec, "seed", seed, *_INTEGER)
+        config = replace(config, seed=seed)
+        rate = info.get("rate")
+        if rate is not None:
+            _check_type(spec, "rate", rate, *_NUMBER)
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{spec}: 'rate' must be in [0, 1], got {rate!r}")
     n = dataset.n_docs
-    mask = build_mask(dataset.label_table, supervised, n, config.d)
-    weights = build_error_weights(n, supervised).row_weight if config.weighted else None
-    return mask.matrix, config, weights
+    mask = build_mask(dataset.label_table, rows, n, config.d)
+    weights = build_error_weights(n, rows).row_weight if config.weighted else None
+    return FitPlan(rows, rate, (mask.matrix, config, weights))
 
 
-def fit_supervised(dataset: Dataset, V, supervised: set[int], config: FitConfig):
-    """Fit ``V`` to ``fit_problem``'s problem; returns (model, trace)."""
-    return fit(V, *fit_problem(dataset, supervised, config))
-
-
-def write_supervision(outdir, dataset: Dataset, supervised, rate, seed) -> None:
-    ids = sorted(dataset.doc_ids[i] for i in supervised)
-    info = {"rate": rate, "seed": seed, "supervised_ids": ids}
+def write_supervision(outdir, dataset: Dataset, plan: FitPlan) -> None:
+    ids = sorted(dataset.doc_ids[i] for i in plan.rows)
+    info = {"rate": plan.rate, "seed": plan.config.seed, "supervised_ids": ids}
     write_json(Path(outdir) / SUPERVISION_FILENAME, info)
 
 
@@ -194,7 +197,7 @@ def one_run(outdir, names):
             for name in names:
                 (Path(outdir) / name).unlink(missing_ok=True)
         if isinstance(exc, NumericalFailureError) and exc.losses:
-            write_trace_csv(Path(outdir) / "trace.csv", exc.losses)
+            write_trace_csv(outdir, exc.losses)
         raise
 
 
@@ -278,21 +281,6 @@ class SweepResult:
     summary: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class CellPlan:
-    """A supervised sweep cell: its rows, the rate and seed to record, and its fit problem."""
-
-    rows: set[int]
-    rate: float | None
-    seed: int
-    problem: tuple  # (mask, config, row_weights), as fit_batch takes it
-
-    @classmethod
-    def supervise(cls, dataset: Dataset, rate: float, seed: int, config: FitConfig) -> "CellPlan":
-        rows, rate, seed = supervise(dataset, rate, seed)
-        return cls(rows, rate, seed, fit_problem(dataset, rows, config))
-
-
 def run_cell(dataset: Dataset, plan, outcome, outdir, spent: float) -> SweepCell:
     """Record and score one fitted cell; its artifacts go to ``outdir``.
 
@@ -303,14 +291,13 @@ def run_cell(dataset: Dataset, plan, outcome, outdir, spent: float) -> SweepCell
     if isinstance(outcome, Exception):
         raise outcome
     model, trace = outcome
-    config = plan.problem[1]
     report = score(dataset, model.W, plan.rows)
-    save_model(outdir, model, trace, config)
-    write_supervision(outdir, dataset, plan.rows, plan.rate, plan.seed)
+    save_model(outdir, model, trace, plan.config)
+    write_supervision(outdir, dataset, plan)
     write_report(outdir, report, labels=dataset.label_table.labels)
     return SweepCell(
         rate=plan.rate,
-        seed=plan.seed,
+        seed=plan.config.seed,
         status="ok",
         coverage=report.coverage,
         mean_similarity=report.mean_similarity,
@@ -333,18 +320,18 @@ def run_batch(dataset: Dataset, V, grid, configs: dict, out: Path) -> list[Sweep
     for rate, seed in grid:
         start = clock()
         try:
-            plans.append(CellPlan.supervise(dataset, rate, seed, configs[seed]))
+            plans.append(plan_fit(dataset, rate, configs[seed]))
         except INPUT_ERRORS as exc:
             plans.append(exc)
         spent.append(clock() - start)
-    ready = [plan for plan in plans if isinstance(plan, CellPlan)]
+    ready = [plan for plan in plans if isinstance(plan, FitPlan)]
     start = clock()
     fits = iter(fit_batch(V, [plan.problem for plan in ready]))
     share = (clock() - start) / max(1, len(ready))
     cells = []
     for (rate, seed), plan, own in zip(grid, plans, spent):
         cell_dir = out / "cells" / f"rate_{rate}" / f"seed_{seed}"
-        outcome = next(fits) if isinstance(plan, CellPlan) else plan
+        outcome = next(fits) if isinstance(plan, FitPlan) else plan
         try:
             with one_run(cell_dir, CELL_FILES):
                 cells.append(run_cell(dataset, plan, outcome, cell_dir, own + share))

@@ -87,6 +87,8 @@ from .supervision import build_error_weights
 STOP_CONVERGED = "converged"
 STOP_LOSS_INCREASED = "loss_increased"
 STOP_MAX_ITER = "max_iter"
+# the files save_model writes under a model directory
+MODEL_FILES = ("model.json", "W.csv", "H.csv", "trace.csv")
 
 # fit's update denominator guard; the public update_* steps take theirs as an argument
 EPSILON = 1e-9
@@ -473,28 +475,22 @@ def fit_batch(V, problems) -> list:
     losses = [[loss(c, W[c], H[c], G[c], eVHt[c], HHt[c])] for c in range(len(cells))]
     outcomes: list = [None] * len(cells)
     live = np.arange(len(cells))  # the problem at each position of the stack
-
-    def fail(ok, iteration, what):
-        for c in live[~ok]:
-            outcomes[c] = NumericalFailureError(
-                f"{what} produced NaN or Inf entries", iteration=iteration, losses=losses[c])
-
     iteration = 0
     while live.size:  # each cell leaves by its max_iter
         iteration += 1
         H = _h_step(H, G, p.WLetV(W), EPSILON)
-        ok = np.isfinite(H).all(axis=(1, 2))
-        if not ok.all():
-            fail(ok, iteration, "H update")
-            live, p, W, H = live[ok], p.take(ok), W[ok], H[ok]
-        eVHt, HHt = p.eVHt(H), H @ H.transpose(0, 2, 1)
-        W = _w_step(p, W, W, eVHt, HHt, EPSILON)
-        ok = np.isfinite(W).all(axis=(1, 2))
-        if not ok.all():
-            fail(ok, iteration, "W update")
-            live, p, W, H, eVHt, HHt = live[ok], p.take(ok), W[ok], H[ok], eVHt[ok], HHt[ok]
-        G = _gram(W, p.sqrt_e)
+        # a cell whose H step failed takes its W step too, alone in its slices, and leaves below
+        with np.errstate(all="ignore"):
+            eVHt, HHt = p.eVHt(H), H @ H.transpose(0, 2, 1)
+            W = _w_step(p, W, W, eVHt, HHt, EPSILON)
+            G = _gram(W, p.sqrt_e)
+        finite_H, finite_W = np.isfinite(H).all(axis=(1, 2)), np.isfinite(W).all(axis=(1, 2))
         for j, c in enumerate(live):
+            if not (finite_H[j] and finite_W[j]):
+                what = "W update" if finite_H[j] else "H update"
+                outcomes[c] = NumericalFailureError(
+                    f"{what} produced NaN or Inf entries", iteration=iteration, losses=losses[c])
+                continue
             losses[c].append(loss(c, W[j], H[j], G[j], eVHt[j], HHt[j]))
             reason = _stop_reason(losses[c][-2], losses[c][-1], configs[c].rel_tol, sum_ev2[c])
             if reason is None and iteration == configs[c].max_iter:
@@ -529,11 +525,12 @@ def save_model(outdir, model: FactorModel, trace: FitTrace, config: FitConfig) -
     write_json(out / "model.json", header)
     write_dense_csv(model.W, out / "W.csv")
     write_dense_csv(model.H, out / "H.csv")
-    write_trace_csv(out / "trace.csv", trace.losses)
+    write_trace_csv(out, trace.losses)
 
 
-def write_trace_csv(path, losses) -> None:
-    write_csv(path, [("iteration", "loss"), *enumerate(losses)])
+def write_trace_csv(outdir, losses) -> None:
+    """Write trace.csv (``iteration,loss``) under ``outdir``."""
+    write_csv(Path(outdir) / "trace.csv", [("iteration", "loss"), *enumerate(losses)])
 
 
 def read_factor(modeldir, name: str) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsnmf import dataio, experiment, matrix
+from tsnmf import cli, dataio, experiment, matrix
 from tsnmf.cli import build_parser, main
 from tsnmf.dataio import MATRIX_FILENAMES, read_dataset, read_matrix, write_planted_instance
 from tsnmf.experiment import (
@@ -23,7 +23,6 @@ from tsnmf.experiment import (
     REPORT_FILES,
     SweepConfig,
     fit_config,
-    fit_supervised,
 )
 from tsnmf.factorization import FactorModel, FitConfig, FitTrace, fit, read_factor, save_model
 from tsnmf.matrix import csr_parts, read_dense_csv, read_json
@@ -249,6 +248,19 @@ class TestFit:
         assert main(["fit", "--data", str(data), "--supervision", str(spec), "--out", str(model_dir)]) == 2
         assert "'supervised_ids'" in capsys.readouterr().err
         assert not model_dir.exists()
+
+    def test_failed_supervision_removes_the_earlier_run(self, tmp_path, capsys):
+        data = _synth_dataset(tmp_path)
+        spec = tmp_path / "sup.json"
+        spec.write_text(json.dumps({"supervised_ids": ["doc00", "nodoc"]}))
+        model_dir = tmp_path / "model"
+        assert main(["fit", "--data", str(data), "--out", str(model_dir)]) == 0
+        assert sorted(p.name for p in model_dir.iterdir()) == sorted(FIT_FILES)
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data), "--supervision", str(spec), "--out", str(model_dir)]) == 2
+        assert "supervised_ids not in dataset: ['nodoc']" in capsys.readouterr().err
+        # as a sweep cell whose supervision fails, the model directory keeps no file of either run
+        assert list(model_dir.iterdir()) == []
 
     def test_supervision_spec_file_with_explicit_ids(self, tmp_path):
         data = _synth_dataset(tmp_path)
@@ -1065,8 +1077,9 @@ class TestSweep:
         def defect(*args, **kwargs):
             raise TypeError("defect")
 
-        # fit takes one problem through fit; a sweep fits its cells through fit_batch
-        monkeypatch.setattr(experiment, {"fit": "fit", "sweep": "fit_batch"}[command], defect)
+        # the fit command fits its one problem through fit; a sweep fits its cells through fit_batch
+        module, name = {"fit": (cli, "fit"), "sweep": (experiment, "fit_batch")}[command]
+        monkeypatch.setattr(module, name, defect)
         with pytest.raises(TypeError, match="defect"):
             main(argv)
         assert not (tmp_path / "model").exists() and not (tmp_path / "sweep").exists()
@@ -1196,11 +1209,15 @@ def test_failed_write_removes_the_earlier_run(tmp_path, monkeypatch, capsys, com
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("rate", ["0", "0.5"])
+@pytest.mark.parametrize("rate", ["0", "0.5", "record"])
 def test_negative_seed_exits_2_naming_it_on_fit_and_sweep(tmp_path, capsys, rate):
     data = _synth_dataset(tmp_path)
     model = tmp_path / "model"
-    assert main(["fit", "--data", str(data), "--rate", rate, "--seed", "-1", "--out", str(model)]) == 2
+    supervision = ["--rate", rate]
+    if rate == "record":  # a record's valid seed does not stand in for a bad --seed
+        (tmp_path / "sup.json").write_text(json.dumps({"seed": 3, "supervised_ids": ["doc00"]}))
+        supervision, rate = ["--supervision", str(tmp_path / "sup.json")], "0"
+    assert main(["fit", "--data", str(data), *supervision, "--seed", "-1", "--out", str(model)]) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
     config = tmp_path / "sweep.json"
     sweep = tmp_path / "sweep"
