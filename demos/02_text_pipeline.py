@@ -12,7 +12,6 @@ import numpy as np
 from tsnmf import (
     FitConfig,
     RawDocument,
-    TruthMatrix,
     build_error_weights,
     build_label_table,
     build_mask,
@@ -70,8 +69,7 @@ config = FitConfig(d=d, seed=0, weighted=True)
 model, trace = fit(V, mask.matrix, config, row_weights=weights.row_weight)
 print(f"converged: {trace.stop_reason} after {trace.iterations} iterations")
 
-truth = TruthMatrix.from_label_table(table)
-report = score_report(model, truth)
+report = score_report(model, table)
 print(f"resolved topics: {report.resolved_count}/{d}")
 for topic, label_idx, sim in report.matching.pairs:
     print(f"  topic {topic} -> {table.labels[label_idx]:9s} similarity {sim:.3f}")

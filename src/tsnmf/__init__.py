@@ -13,7 +13,7 @@ the demos use, plus ``make_planted_instance``; every other name is
 imported from its submodule.
 """
 
-from .evaluation import TruthMatrix, score_report, top_terms
+from .evaluation import score_report, top_terms
 from .factorization import FitConfig, fit, loss_ts, update_h, update_w
 from .preprocessing import RawDocument, ingest
 from .supervision import build_error_weights, build_label_table, build_mask, sample_supervised_set
@@ -22,7 +22,7 @@ from .synthetic import make_planted_instance
 __version__ = "0.1.0"
 
 __all__ = [
-    "TruthMatrix", "score_report", "top_terms",
+    "score_report", "top_terms",
     "FitConfig", "fit", "loss_ts", "update_h", "update_w",
     "RawDocument", "ingest",
     "build_error_weights", "build_label_table", "build_mask", "sample_supervised_set",

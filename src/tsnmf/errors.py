@@ -37,4 +37,4 @@ class NumericalFailureError(TsnmfError, RuntimeError):
 
 
 # a run's failures, not its defects: cli.main exits 2 on them and a sweep cell records them
-INPUT_ERRORS = (OSError, TsnmfError, ValueError, KeyError)
+INPUT_ERRORS = (OSError, TsnmfError, ValueError)

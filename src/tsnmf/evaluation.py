@@ -1,14 +1,16 @@
 """Scoring fitted factors against ground-truth document labels.
 
-A fitted W and a binary truth matrix are compared column-wise (topic-wise)
-with the weighted Jaccard similarity, sum of entrywise minima over sum of
-entrywise maxima.  An optimal one-to-one topic-to-label assignment is then
-found with an in-repo Kuhn-Munkres solver, and topics whose matched
-similarity is above the fixed ``RESOLVED_THRESHOLD`` count as resolved.
+A fitted W and the binary documents x labels indicator of a ``LabelTable``,
+the same labels that build the supervision mask, are compared column-wise
+(topic-wise) with the weighted Jaccard similarity, sum of entrywise minima
+over sum of entrywise maxima.  An optimal one-to-one topic-to-label
+assignment is then found with an in-repo Kuhn-Munkres solver, and topics
+whose matched similarity is above the fixed ``RESOLVED_THRESHOLD`` count as
+resolved.
 
 Weighted Jaccard is scale-sensitive, so W columns are max-normalized
 (each column divided by its maximum, zero columns left alone) before
-scoring against the binary truth.
+scoring against the binary indicator.
 """
 
 from __future__ import annotations
@@ -31,30 +33,6 @@ REPORT_FILENAME = "report.json"
 
 
 @dataclass(frozen=True)
-class TruthMatrix:
-    """Binary documents x labels matrix; entry (i, j) = 1 iff doc i has label j."""
-
-    matrix: np.ndarray
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2:
-            raise ShapeError(f"truth matrix must be 2-D, got ndim={m.ndim}")
-        if m.shape[1] != len(self.labels):
-            raise ShapeError(
-                f"truth matrix has {m.shape[1]} columns for {len(self.labels)} labels"
-            )
-        if not np.isin(m, (0.0, 1.0)).all():
-            raise ValueError("truth matrix entries must be exactly 0 or 1")
-
-    @classmethod
-    def from_label_table(cls, table: LabelTable) -> "TruthMatrix":
-        """The table's read-only ``indicator``, not a copy of it."""
-        return cls(matrix=table.indicator, labels=table.labels)
-
-
-@dataclass(frozen=True)
 class Matching:
     """One-to-one topic-to-label assignment with per-pair similarities."""
 
@@ -72,7 +50,6 @@ class EvaluationReport:
     """Matched similarities plus the headline numbers for one model."""
 
     matching: Matching
-    total_similarity: float
     mean_similarity: float
     resolved_count: int
     coverage: float | None = None
@@ -192,30 +169,25 @@ def hungarian_match(similarity) -> Matching:
 
 def score_report(
     model_W,
-    truth: TruthMatrix,
+    truth: LabelTable,
     coverage: float | None = None,
 ) -> EvaluationReport:
-    """Match topics to labels and summarize the similarities.
+    """Match topics to the labels of ``truth`` and summarize the similarities.
 
     ``model_W`` is the fitted documents x topics matrix (or a FactorModel;
-    its W is used).  Columns are max-normalized before scoring.  A matched
-    topic counts as resolved when its similarity is strictly above
-    ``RESOLVED_THRESHOLD``.
+    its W is used); it is scored against the table's ``indicator``.
+    Columns are max-normalized before scoring.  A matched topic counts as
+    resolved when its similarity is strictly above ``RESOLVED_THRESHOLD``.
     """
     W = getattr(model_W, "W", model_W)
     W = as_dense(W, "W")
-    if W.shape[0] != truth.matrix.shape[0]:
-        raise ShapeError(
-            f"model has {W.shape[0]} documents, truth has {truth.matrix.shape[0]}"
-        )
-    S = cross_similarity(max_normalize_columns(W), truth.matrix)
-    matching = hungarian_match(S)
-    total = matching.total_similarity
-    mean = total / len(matching.pairs) if matching.pairs else 0.0
+    if W.shape[0] != truth.n_docs:
+        raise ShapeError(f"model has {W.shape[0]} documents, truth has {truth.n_docs}")
+    matching = hungarian_match(cross_similarity(max_normalize_columns(W), truth.indicator))
+    mean = matching.total_similarity / len(matching.pairs) if matching.pairs else 0.0
     resolved = sum(1 for _, _, sim in matching.pairs if sim > RESOLVED_THRESHOLD)
     return EvaluationReport(
         matching=matching,
-        total_similarity=total,
         mean_similarity=mean,
         resolved_count=resolved,
         coverage=coverage,
@@ -251,7 +223,7 @@ def write_report(outdir, report: EvaluationReport, labels: Sequence[str]) -> Non
         "pairs": pairs,
         "unmatched_topics": list(report.matching.unmatched_topics),
         "unmatched_labels": list(report.matching.unmatched_labels),
-        "total_similarity": report.total_similarity,
+        "total_similarity": report.matching.total_similarity,
         "mean_similarity": report.mean_similarity,
         "resolved_count": report.resolved_count,
         "threshold": RESOLVED_THRESHOLD,

@@ -5,8 +5,8 @@ samples the labeled rows, or maps the ids of a supervision record to rows and
 takes its seed, then builds the mask and error weights into a ``FitPlan``),
 fit (the plan's problem, through ``factorization.fit_batch``, of which
 ``factorization.fit`` is the one-problem call), record (``supervision.json``;
-no other module of the package reads or writes it) and score (coverage, truth
-matrix, ``score_report``); mask, coverage and truth matrix all read
+no other module of the package reads or writes it) and score (coverage and
+``score_report`` against the label table); mask, coverage and score all read
 ``LabelTable.indicator``.  A sweep runs that path over a grid of (supervision
 rate, seed) cells against one dataset, read once, so the indicator is built
 once.  It takes the grid in batches of as many cells as keep the stacked W and
@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import Dataset, read_dataset, read_matrix
-from .evaluation import REPORT_FILENAME, EvaluationReport, TruthMatrix, score_report, write_report
+from .evaluation import REPORT_FILENAME, EvaluationReport, score_report, write_report
 from .errors import INPUT_ERRORS, NumericalFailureError
 from .factorization import MODEL_FILES, FitConfig, fit_batch, save_model, write_trace_csv
 from .matrix import read_json, write_csv, write_json
@@ -95,8 +95,13 @@ def _check_type(path, key, value, kinds, what) -> None:
         raise ValueError(f"{path}: '{key}' must be {what}, got {value!r}")
 
 
-def _read_supervision(dataset: Dataset, path) -> tuple[dict, set[int]]:
-    """A supervision spec or record, and the rows of its list of distinct document ids."""
+def _read_supervision(dataset: Dataset, path) -> tuple[set[int], int | None, float | None]:
+    """The rows, seed and rate of a supervision spec or record, each checked.
+
+    The rows are those of its list of distinct document ids; the seed is None
+    when the record has none, else an integer >= 0; the rate is None or a
+    number in [0, 1].  Every error names the file.
+    """
     info = read_json(path)
     ids = info.get("supervised_ids")
     if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
@@ -108,7 +113,17 @@ def _read_supervision(dataset: Dataset, path) -> tuple[dict, set[int]]:
     repeated = [x for x, count in Counter(ids).items() if count > 1]
     if repeated:
         raise ValueError(f"{path}: supervised_ids repeated: {repeated[:5]}")
-    return info, {row[x] for x in ids}
+    seed = info.get("seed")
+    if "seed" in info:
+        _check_type(path, "seed", seed, *_INTEGER)
+        if seed < 0:
+            raise ValueError(f"{path}: 'seed' must be >= 0, got {seed}")
+    rate = info.get("rate")
+    if rate is not None:
+        _check_type(path, "rate", rate, *_NUMBER)
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"{path}: 'rate' must be in [0, 1], got {rate!r}")
+    return {row[x] for x in ids}, seed, rate
 
 
 def topic_count(dataset: Dataset, topics: int | None) -> int:
@@ -154,15 +169,8 @@ def plan_fit(dataset: Dataset, rate: float, config: FitConfig, spec=None) -> Fit
         sampled = sample_supervised_set(dataset.n_docs, rate, config.seed)
         rows = {i for i in sampled if dataset.label_table.doc_labels[i]}
     else:
-        info, rows = _read_supervision(dataset, spec)
-        seed = info.get("seed", config.seed)
-        _check_type(spec, "seed", seed, *_INTEGER)
-        config = replace(config, seed=seed)
-        rate = info.get("rate")
-        if rate is not None:
-            _check_type(spec, "rate", rate, *_NUMBER)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{spec}: 'rate' must be in [0, 1], got {rate!r}")
+        rows, seed, rate = _read_supervision(dataset, spec)
+        config = replace(config, seed=config.seed if seed is None else seed)
     n = dataset.n_docs
     mask = build_mask(dataset.label_table, rows, n, config.d)
     weights = build_error_weights(n, rows).row_weight if config.weighted else None
@@ -180,7 +188,7 @@ def recorded_rows(dataset: Dataset, modeldir) -> set[int] | None:
     path = Path(modeldir) / SUPERVISION_FILENAME
     if not path.exists():
         return None
-    return _read_supervision(dataset, path)[1]
+    return _read_supervision(dataset, path)[0]
 
 
 @contextmanager
@@ -208,7 +216,7 @@ def score(dataset: Dataset, W, supervised) -> EvaluationReport:
     """
     table = dataset.label_table
     coverage = None if supervised is None else topic_coverage(table, supervised)
-    return score_report(W, TruthMatrix.from_label_table(table), coverage=coverage)
+    return score_report(W, table, coverage=coverage)
 
 
 @dataclass(frozen=True)

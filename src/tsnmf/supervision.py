@@ -26,8 +26,8 @@ from .errors import InvalidSupervisionError, ShapeError
 class LabelTable:
     """Distinct labels in lexicographic order plus per-document label indices.
 
-    The label order defines the topic columns 0..d-1 used by masks and
-    truth matrices.
+    The label order defines the topic columns 0..d-1 used by masks, and
+    the label columns that ``evaluation.score_report`` matches topics to.
     """
 
     labels: tuple[str, ...]

@@ -1,8 +1,9 @@
 """Planted-structure instance generator for experiments and tests.
 
 Builds a documents x terms matrix as a product of known non-negative
-factors plus additive noise, along with the binary document-topic truth
-needed to score recovery.  No external corpus required.
+factors plus additive noise, along with the label table whose indicator is
+the binary document-topic truth needed to score recovery.  No external
+corpus required.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import TruthMatrix
 from .supervision import LabelTable
 
 MAX_TOPICS_PER_DOC = 3
@@ -24,8 +24,12 @@ class PlantedInstance:
     V: np.ndarray
     W_true: np.ndarray
     H_true: np.ndarray
-    truth: TruthMatrix
     label_table: LabelTable
+
+    @property
+    def truth(self) -> LabelTable:
+        """The label table, which ``score_report`` scores against."""
+        return self.label_table
 
 
 def make_planted_instance(
@@ -74,13 +78,8 @@ def make_planted_instance(
 
     signal = W_true @ H_true
     noise = rng.random((n_docs, n_terms))
-    signal_norm = np.linalg.norm(signal)
-    noise_norm = np.linalg.norm(noise)
-    if noise_level > 0.0 and noise_norm > 0.0:
-        noise *= noise_level * signal_norm / noise_norm
-        V = signal + noise
-    else:
-        V = signal
+    noise *= noise_level * np.linalg.norm(signal) / np.linalg.norm(noise)
+    V = signal + noise
 
     width = len(str(d - 1))
     names = tuple(f"topic{j:0{width}d}" for j in range(d))
@@ -88,5 +87,4 @@ def make_planted_instance(
         frozenset(int(j) for j in np.where(W_bin[i] > 0)[0]) for i in range(n_docs)
     )
     table = LabelTable(labels=names, doc_labels=doc_labels)
-    truth = TruthMatrix.from_label_table(table)
-    return PlantedInstance(V=V, W_true=W_true, H_true=H_true, truth=truth, label_table=table)
+    return PlantedInstance(V=V, W_true=W_true, H_true=H_true, label_table=table)

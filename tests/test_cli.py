@@ -341,8 +341,11 @@ class TestFit:
     @pytest.mark.parametrize(
         "spec",
         [{"supervised_ids": 5}, {"supervised_ids": [], "seed": None},
-         {"supervised_ids": [], "rate": "0.5"}, {"supervised_ids": [], "rate": float("nan")}],
-        ids=["ids_int", "seed_null", "rate_string", "rate_nan"],
+         {"supervised_ids": [], "seed": -5}, {"supervised_ids": [], "seed": "x"},
+         {"supervised_ids": [], "seed": True}, {"supervised_ids": [], "rate": "0.5"},
+         {"supervised_ids": [], "rate": float("nan")}, {"supervised_ids": [], "rate": 7}],
+        ids=["ids_int", "seed_null", "seed_negative", "seed_string", "seed_bool",
+             "rate_string", "rate_nan", "rate_above_one"],
     )
     def test_malformed_supervision_spec_exits_2(self, tmp_path, capsys, spec):
         data = _synth_dataset(tmp_path)
@@ -351,6 +354,16 @@ class TestFit:
         rc = main(["fit", "--data", str(data), "--supervision", str(path), "--out", str(tmp_path / "m")])
         assert rc == 2
         assert "sup.json" in capsys.readouterr().err
+        # evaluate reads a model's record through the same checks
+        model_dir = tmp_path / "model"
+        assert main(["fit", "--data", str(data), "--out", str(model_dir)]) == 0
+        (model_dir / "supervision.json").write_text(json.dumps(spec))
+        capsys.readouterr()
+        report_dir = tmp_path / "report"
+        rc = main(["evaluate", "--model", str(model_dir), "--data", str(data), "--out", str(report_dir)])
+        assert rc == 2
+        assert "supervision.json" in capsys.readouterr().err
+        assert not report_dir.exists()
 
     def test_missing_supervision_spec_exits_2(self, tmp_path, capsys):
         data = _synth_dataset(tmp_path)
@@ -390,7 +403,7 @@ class TestEvaluate:
         model_dir = tmp_path / "model"
         cfg = FitConfig(d=3, seed=0, max_iter=1)
         trace = FitTrace(losses=(0.0,), stop_reason="converged")
-        save_model(model_dir, FactorModel(W=inst.truth.matrix, H=np.ones((3, 30))), trace, cfg)
+        save_model(model_dir, FactorModel(W=inst.label_table.indicator, H=np.ones((3, 30))), trace, cfg)
         rc = main(
             ["evaluate", "--model", str(model_dir), "--data", str(data), "--out", str(tmp_path / "rep")]
         )
@@ -1068,19 +1081,21 @@ class TestSweep:
             assert [p.name for p in cell.iterdir()] == ["trace.csv"]
             assert (cell / "trace.csv").read_text().splitlines()[1] in ("0,inf", "0,nan")
 
+    @pytest.mark.parametrize("error", [TypeError, KeyError])
     @pytest.mark.parametrize("command", ["fit", "sweep"])
-    def test_defect_ends_fit_and_sweep_with_its_traceback(self, tmp_path, monkeypatch, command):
+    def test_defect_ends_fit_and_sweep_with_its_traceback(self, tmp_path, monkeypatch, command,
+                                                          error):
         data = _synth_dataset(tmp_path)
         argv = {"fit": ["fit", "--data", str(data), "--out", str(tmp_path / "model")],
                 "sweep": ["sweep", "--config", str(self._config(tmp_path, data))]}[command]
 
         def defect(*args, **kwargs):
-            raise TypeError("defect")
+            raise error("defect")
 
         # the fit command fits its one problem through fit; a sweep fits its cells through fit_batch
         module, name = {"fit": (cli, "fit"), "sweep": (experiment, "fit_batch")}[command]
         monkeypatch.setattr(module, name, defect)
-        with pytest.raises(TypeError, match="defect"):
+        with pytest.raises(error, match="defect"):
             main(argv)
         assert not (tmp_path / "model").exists() and not (tmp_path / "sweep").exists()
 

@@ -1,5 +1,6 @@
-"""Every demo script runs to completion and leaves no temp files, and the
-package namespace holds exactly the names the demos, README and tests import."""
+"""Every demo script and the README quickstart run to completion, the demos
+leave no temp files, and the package namespace holds exactly the names the
+demos, README and tests import."""
 
 import os
 import pkgutil
@@ -11,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import tsnmf
+from tsnmf import make_planted_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+QUICKSTART = re.compile(r"^## Library quickstart\n+```python\n(.*?)^```$", re.M | re.S)
 # one import statement from the package itself, or one inside a string literal
 TOP_LEVEL_IMPORT = re.compile(r"\bfrom\s+tsnmf\s+import\s+(\([^)]*\)|[^\n\\]*)")
 
@@ -49,3 +52,17 @@ def test_namespace_is_exactly_what_users_import_from_it():
     assert imported - submodules == set(tsnmf.__all__) - {"__version__"}
     for name in tsnmf.__all__:
         getattr(tsnmf, name)  # raises AttributeError for a name listed but not bound
+
+
+def test_readme_quickstart_runs_on_a_planted_instance(capsys):
+    code = QUICKSTART.search((ROOT / "README.md").read_text()).group(1)
+    code = "".join(line for line in code.splitlines(True) if not line.startswith("V = "))
+    inst = make_planted_instance(40, 30, 3, seed=11)
+    table = inst.label_table
+    doc_label_sets = [{table.labels[j] for j in labels} for labels in table.doc_labels]
+    namespace = {"V": inst.V, "doc_label_sets": doc_label_sets}
+    exec(compile(code, "README.md quickstart", "exec"), namespace)
+    report = namespace["report"]
+    assert namespace["table"] == table
+    assert capsys.readouterr().out == f"{report.resolved_count} {report.mean_similarity}\n"
+    assert 0 <= report.resolved_count <= 3 and 0.0 < report.mean_similarity <= 1.0

@@ -8,7 +8,6 @@ import pytest
 from tsnmf.errors import ShapeError
 from tsnmf.evaluation import (
     RESOLVED_THRESHOLD,
-    TruthMatrix,
     cross_similarity,
     hungarian_match,
     jaccard_match,
@@ -20,6 +19,7 @@ from tsnmf.evaluation import (
 from tsnmf.matrix import read_json
 from tsnmf.preprocessing import Vocabulary
 from tsnmf.supervision import LabelTable, build_mask, topic_coverage
+from tsnmf.synthetic import make_planted_instance
 
 
 def brute_force_best_total(S):
@@ -165,11 +165,14 @@ class TestHungarianMatch:
         assert m.unmatched_labels == tuple(range(shape[1]))
 
 
-def _truth(matrix, labels=None):
+def _truth(matrix):
+    """The label table whose indicator is the binary ``matrix``."""
     matrix = np.asarray(matrix, dtype=float)
-    if labels is None:
-        labels = tuple(f"l{j}" for j in range(matrix.shape[1]))
-    return TruthMatrix(matrix=matrix, labels=labels)
+    labels = tuple(f"l{j}" for j in range(matrix.shape[1]))
+    doc_labels = tuple(frozenset(np.flatnonzero(row).tolist()) for row in matrix)
+    table = LabelTable(labels=labels, doc_labels=doc_labels)
+    assert table.indicator.tobytes() == matrix.tobytes()
+    return table
 
 
 class TestScoreReport:
@@ -196,7 +199,7 @@ class TestScoreReport:
         W = Wt[:, [2, 0, 1]] * 0.5  # scaled and permuted
         report = score_report(W, _truth(Wt))
         S = cross_similarity(max_normalize_columns(W), Wt)
-        assert report.total_similarity == pytest.approx(brute_force_best_total(S))
+        assert report.matching.total_similarity == pytest.approx(brute_force_best_total(S))
         assert [(i, j) for i, j, _ in report.matching.pairs] == [(0, 2), (1, 0), (2, 1)]
         assert report.resolved_count == 3
         assert report.mean_similarity == pytest.approx(1.0)
@@ -208,7 +211,8 @@ class TestScoreReport:
         base = score_report(W, _truth(Wt))
         perm = rng.permutation(4)
         permuted = score_report(W[:, perm], _truth(Wt[:, perm]))
-        assert base.total_similarity == pytest.approx(permuted.total_similarity)
+        total = permuted.matching.total_similarity
+        assert base.matching.total_similarity == pytest.approx(total)
         assert base.resolved_count == permuted.resolved_count
 
     def test_threshold_is_strict(self):
@@ -237,17 +241,9 @@ def _random_label_table(rng, min_labels):
     return LabelTable(labels=tuple(f"l{j}" for j in range(d)), doc_labels=doc_labels)
 
 
-class TestTruthMatrix:
-    def test_from_label_table(self):
-        table = LabelTable(
-            labels=("a", "b"), doc_labels=(frozenset({0}), frozenset({0, 1}))
-        )
-        truth = TruthMatrix.from_label_table(table)
-        np.testing.assert_array_equal(truth.matrix, [[1.0, 0.0], [1.0, 1.0]])
-        assert truth.labels == ("a", "b")
-
+class TestLabelIndicator:
     @pytest.mark.parametrize("seed", range(8))
-    def test_from_label_table_matches_the_double_loop(self, seed):
+    def test_indicator_matches_the_double_loop(self, seed):
         rng = np.random.default_rng(seed)
         table = _random_label_table(rng, min_labels=1)
         n, d, doc_labels = table.n_docs, table.n_labels, table.doc_labels
@@ -255,9 +251,9 @@ class TestTruthMatrix:
         for i, idxs in enumerate(doc_labels):
             for j in idxs:
                 oracle[i, j] = 1.0
-        truth = TruthMatrix.from_label_table(table)
-        assert truth.matrix.dtype == np.float64 and truth.matrix.shape == (n, d)
-        assert truth.matrix.tobytes() == oracle.tobytes()
+        indicator = table.indicator
+        assert indicator.dtype == np.float64 and indicator.shape == (n, d)
+        assert indicator.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("topics", ["below", "equal", "above"])
     @pytest.mark.parametrize("seed", range(6))
@@ -287,17 +283,17 @@ class TestTruthMatrix:
             covered = set().union(*(table.doc_labels[i] for i in supervised))
             assert topic_coverage(table, supervised) == len(covered) / table.n_labels
 
-    def test_rejects_nonbinary(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            TruthMatrix(matrix=np.full((2, 1), 0.5), labels=("a",))
 
-    @pytest.mark.parametrize("matrix, message", [
-        (np.ones(2), "truth matrix must be 2-D, got ndim=1"),
-        (np.ones((2, 2)), "truth matrix has 2 columns for 1 labels"),
-    ], ids=["one_d", "column_count"])
-    def test_rejects_a_shape_other_than_docs_by_labels(self, matrix, message):
-        with pytest.raises(ShapeError, match=message):
-            TruthMatrix(matrix=matrix, labels=("a",))
+class TestPlantedInstance:
+    def test_noiseless_instance_is_the_planted_product_bitwise(self):
+        inst = make_planted_instance(30, 40, 4, noise_level=0.0, seed=3)
+        assert inst.V.tobytes() == (inst.W_true @ inst.H_true).tobytes()
+
+    def test_truth_is_the_label_table_of_the_planted_topics(self):
+        inst = make_planted_instance(30, 40, 4, seed=3)
+        assert inst.truth is inst.label_table
+        assert inst.truth.indicator.tobytes() == (inst.W_true > 0).astype(float).tobytes()
+        assert score_report(inst.W_true, inst.truth).resolved_count == 4
 
 
 class TestTopTerms:
