@@ -9,21 +9,21 @@ no other module of the package reads or writes it) and score (coverage and
 ``score_report`` against the label table); mask, coverage and score all read
 ``LabelTable.indicator``.  A sweep runs that path over a grid of (supervision
 rate, seed) cells against one dataset, read once, so the indicator is built
-once.  It takes the grid in batches of as many cells as keep the stacked W and
-H within a dense V's size, ``n t // (d (n + t))`` and at least one: it plans
-a batch's cells, fits them in one ``fit_batch`` call, which copies a dense
-``V^T`` once per batch, not once per fit, then records and scores each cell
-in order.  A cell fails as ``fit`` does, through ``one_run``: one of
-``errors.INPUT_ERRORS``, from its supervision, fit, record or score, is
-recorded in its row, and any other exception ends the sweep.  Files under the
-sweep directory:
+once.  It takes the grid in batches of ``factorization.batch_size`` cells: on a
+dense V as many as keep the stacked W and H within V's size, on a CSR V one,
+since ``fit_batch`` fits CSR cells one after another.  It plans a batch's
+cells, fits them in one ``fit_batch`` call, which copies a dense ``V^T`` once
+per batch, not once per fit, then records and scores each cell in order.  A
+cell fails as ``fit`` does, through ``one_run``: one of ``errors.INPUT_ERRORS``,
+from its supervision, fit, record or score, is recorded in its row, and any
+other exception ends the sweep.  Files under the sweep directory:
 
     sweep.csv           one row per (rate, seed) cell, deterministic
     sweep_summary.csv   mean and stddev per rate over seeds
     sweep_timing.csv    wall time per cell: its own supervise, record and
                         score time plus an equal share of its batch's fit
-                        time; 0 for a failed cell (kept apart so sweep.csv
-                        is byte-reproducible across runs)
+                        time, all of it on a CSR V; 0 for a failed cell
+                        (kept apart so sweep.csv is byte-reproducible)
     cells/rate_<r>/seed_<s>/   model and report artifacts per cell
 
 A cell holds the bytes ``fit`` and ``evaluate`` write with the same
@@ -47,11 +47,13 @@ import numpy as np
 from .dataio import Dataset, read_dataset, read_matrix
 from .evaluation import REPORT_FILENAME, EvaluationReport, score_report, write_report
 from .errors import INPUT_ERRORS, NumericalFailureError
-from .factorization import MODEL_FILES, FitConfig, fit_batch, save_model, write_trace_csv
+from .factorization import (MODEL_FILES, FitConfig, batch_size, fit_batch, save_model,
+                            write_trace_csv)
 from .matrix import read_json, write_csv, write_json
 from .supervision import (
     build_error_weights,
     build_mask,
+    check_rate,
     sample_supervised_set,
     topic_coverage,
 )
@@ -169,6 +171,7 @@ def plan_fit(dataset: Dataset, rate: float, config: FitConfig, spec=None) -> Fit
         sampled = sample_supervised_set(dataset.n_docs, rate, config.seed)
         rows = {i for i in sampled if dataset.label_table.doc_labels[i]}
     else:
+        check_rate(rate)  # the record's rate replaces it, but a bad one is still an error
         rows, seed, rate = _read_supervision(dataset, spec)
         config = replace(config, seed=config.seed if seed is None else seed)
     n = dataset.n_docs
@@ -357,8 +360,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     configs = {seed: fit_config(cfg, d, seed) for seed in cfg.seeds}
     out = Path(cfg.out)
     grid = [(rate, seed) for rate in cfg.rates for seed in cfg.seeds]
-    n, t = V.shape
-    size = max(1, n * t // (d * (n + t)))  # cells whose stacked W and H fit in a dense V's size
+    size = batch_size(V, d)
     cells = []
     for start in range(0, len(grid), size):
         cells += run_batch(dataset, V, grid[start:start + size], configs, out)

@@ -30,23 +30,23 @@ bitwise, as multiplying by 1.0 is exact.  The weights scale a product's
 d-wide factor or result, never V.
 
 One engine, ``fit_batch``, fits k problems that share V, each with its own
-mask, weights and ``FitConfig`` (one d for all), as a stack: W is (k, n, d),
-H is (k, d, t), and each step is one call on the whole stack.  ``np.matmul``
-makes one BLAS call per cell, the call a 2-D product makes, and a CSR product
-takes the cells' columns side by side, which scipy sums entry by entry in the
-same order, so each cell gets the bits of a fit on its own; one gemm over
-merged cells would not.  A cell leaves the stack when its own stop rule or
-finite check ends it.  ``fit`` is the one-problem call, and the public
-``update_*`` steps run the same half-steps on a stack of one.  ``_problem``
-builds the record the half-steps read, once per call: ``V^T`` (a C-contiguous
-copy for dense V, one more n x t array, so one per sweep batch; the CSC view
-for CSR), each product in its form's faster orientation (dense:
-``(WL * e)^T V`` and ``(H V^T)^T * e``; CSR: ``(V^T (WL * e))^T`` and
-``(V H^T) * e``), and ``e``, ``sqrt(e)`` and the mask's zeros at the stack's
-shape.  An iteration forms no n x t temporary: the loss is recorded by the
-identity ``sum e||V||^2 - 2 sum(WL o e V H^T) + sum(G o HH^T)`` from the W
-step's products, and at or below ``LOSS_GUARD * sum e||V||^2``, where that
-cancels, as the explicit residual.
+mask, weights and ``FitConfig`` (one d for all).  On a dense V they run as a
+stack, W (k, n, d) and H (k, d, t), one call per step: ``np.matmul`` makes one
+BLAS call per cell, the call a 2-D product makes, so each cell gets the bits of
+a fit on its own, which one gemm over merged cells would not.  On a CSR V, where
+a stack saves no pass over V and costs time and memory, they run one after
+another.  A cell leaves the stack when its own stop rule or finite check ends
+it.  ``fit`` is the one-problem call, and the public ``update_*`` steps run the
+same half-steps on a stack of one.  ``_problem`` builds the record the
+half-steps read, once per stack: ``V^T`` (a C-contiguous copy for dense V, one
+more n x t array, so one per sweep batch; the CSC view for CSR), each product
+in its form's faster orientation (dense: ``(WL * e)^T V`` and
+``(H V^T)^T * e``; CSR: ``(V^T (WL * e))^T`` and ``(V H^T) * e``), and ``e``,
+``sqrt(e)`` and the mask's zeros at the stack's shape.  An iteration forms no
+n x t temporary: the loss is recorded by the identity
+``sum e||V||^2 - 2 sum(WL o e V H^T) + sum(G o HH^T)`` from the W step's
+products, and at or below ``LOSS_GUARD * sum e||V||^2``, where that cancels, as
+the explicit residual.
 
 Sparse data: ``fit`` and ``update_*`` multiply V in the form given: a
 scipy sparse V, such as ``dataio.read_matrix`` gives, as CSR to the last
@@ -235,12 +235,6 @@ def _gram(WL: np.ndarray, sqrt_e: np.ndarray) -> np.ndarray:
     return S.transpose(0, 2, 1) @ S
 
 
-def _sparse_product(A, X: np.ndarray) -> np.ndarray:
-    """A X per cell of the stack X (k, m, d), as one product of the cells side by side."""
-    k, m, d = X.shape
-    return (A @ X.transpose(1, 0, 2).reshape(m, k * d)).reshape(A.shape[0], k, d).transpose(1, 0, 2)
-
-
 @dataclass(frozen=True)
 class _Problem:
     """The constants of a stack of k fits that share V, which the half-steps read."""
@@ -277,10 +271,8 @@ def _problem(V, L: np.ndarray, E: np.ndarray) -> _Problem:
         XtV, VHt = (lambda X: X.transpose(0, 2, 1) @ V), (lambda H: (H @ VT()).transpose(0, 2, 1))
     else:
         VT = cache(lambda: V.T)  # held: scipy would build this CSC view on every H step
-        XtV, VHt = (
-            (lambda X: _sparse_product(VT(), X).transpose(0, 2, 1)),
-            (lambda H: _sparse_product(V, H.transpose(0, 2, 1))),
-        )
+        # a CSR record holds one cell, as fit_batch stacks only dense cells
+        XtV, VHt = (lambda X: (VT() @ X[0]).T[np.newaxis]), (lambda H: (V @ H[0].T)[np.newaxis])
     return _Problem(VT, XtV, VHt, L == 0.0, e, np.sqrt(e))
 
 
@@ -419,7 +411,7 @@ def fit(
 
 
 def _cell(V, L, config: FitConfig, E) -> tuple:
-    """One problem's checked mask, its config, its checked row weights and its seeded start."""
+    """One problem's checked mask, its config, its checked row weights and its sum e||V||^2."""
     L = np.asarray(L, dtype=np.float64)
     if V.ndim != 2 or L.ndim != 2 or 0 in V.shape:
         raise ShapeError(f"V and mask must be 2-D, V non-empty; got shapes {V.shape} and {L.shape}")
@@ -429,8 +421,16 @@ def _cell(V, L, config: FitConfig, E) -> tuple:
         raise ValueError("row_weights need config.weighted; the plain rule has no weights")
     if config.weighted and E is None:
         E = build_error_weights(V.shape[0], np.flatnonzero(~L.all(axis=1))).row_weight
-    model = init_model(V, L, config)
-    return L, config, _row_weights(E, V.shape[0]), model
+    E = _row_weights(E, V.shape[0])
+    # sum e||V||^2 of the stored values; taken before V^T is held, so its n x t temporary is gone
+    if _is_sparse(V):
+        return L, config, E, float(np.vdot(V.data * np.repeat(E, np.diff(V.indptr)), V.data))
+    return L, config, E, float(np.vdot(V * E[:, np.newaxis], V))
+
+
+def batch_size(V, d: int) -> int:
+    """Problems per ``fit_batch`` call: 1 on a sparse V, else as many as fit W and H in V's size."""
+    return 1 if _is_sparse(V) else max(1, np.size(V) // (d * sum(np.shape(V))))
 
 
 def fit_batch(V, problems) -> list:
@@ -439,7 +439,8 @@ def fit_batch(V, problems) -> list:
     Returns, per problem in order, its ``(model, trace)``, bitwise that of
     ``fit``, or the ``NumericalFailureError`` it failed with, which carries its
     losses; a problem ``fit`` would reject raises here.  The problems need one
-    topic count; they run as one stack, as the module docstring says.
+    topic count.  On a dense ``V`` they run as one stack, on a sparse ``V`` one
+    after another, as the module docstring says.
     """
     V = _operand(V)
     values = V.data if _is_sparse(V) else V
@@ -447,17 +448,17 @@ def fit_batch(V, problems) -> list:
     if lowest < 0.0:
         raise ValueError(f"V must be non-negative, min entry is {lowest}")
     cells = [_cell(V, *problem) for problem in problems]
-    if not cells:
-        return []
-    masks, configs, weights, models = zip(*cells)
-    topics = sorted({config.d for config in configs})
+    topics = sorted({config.d for _, config, _, _ in cells})
     if len(topics) > 1:
         raise ShapeError(f"one batch fits one topic count, got {topics}")
-    # sum e||V||^2 of the stored values; taken before V^T is held, so its n x t temporary is gone
-    sum_ev2 = []
-    for E in weights:
-        e = np.repeat(E, np.diff(V.indptr)) if _is_sparse(V) else E[:, np.newaxis]
-        sum_ev2.append(float(np.vdot(values * e, values)))
+    stacks = [[cell] for cell in cells] if _is_sparse(V) else [cells]
+    return [outcome for stack in stacks if stack for outcome in _fit_stack(V, stack)]
+
+
+def _fit_stack(V, cells) -> list:
+    """The outcomes of checked problems on the operand ``V``, fitted as one stack."""
+    masks, configs, weights, sum_ev2 = zip(*cells)
+    models = [init_model(V, L, config) for L, config in zip(masks, configs)]
     p = _problem(V, np.stack(masks), np.stack(weights))
 
     def loss(c, W, H, G, eVHt, HHt):

@@ -112,14 +112,19 @@ class ErrorWeights:
             raise ValueError(f"row weights must be >= 1, min is {w.min()}")
 
 
+def check_rate(rate: float) -> None:
+    """Raise ``ValueError`` unless the supervision rate lies in [0, 1]; NaN does not."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"supervision rate must be in [0, 1], got {rate}")
+
+
 def sample_supervised_set(n: int, rate: float, seed: int) -> set[int]:
     """Draw a uniform random subset of round(rate * n) document indices.
 
     Reproducible for a given seed (PCG64).  Rounding is Python's
     round-half-even.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"supervision rate must be in [0, 1], got {rate}")
+    check_rate(rate)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -1054,6 +1054,35 @@ class TestSweep:
                     assert (model / name).read_bytes() == (cell / name).read_bytes(), (rate, seed, name)
                 assert (report / "report.json").read_bytes() == (cell / "report.json").read_bytes()
 
+    @needs_scipy
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_csr_cells_fit_one_by_one_and_write_the_fit_and_evaluate_bytes(self, tmp_path,
+                                                                            monkeypatch, weighted):
+        data = _sparse_dataset(tmp_path)  # 60 x 300 x 3 CSR: stacked cells would save no pass
+        rates, seeds = [0.0, 0.2, 0.5, 1.0], [1, 2]
+        batches, fit_batch = [], experiment.fit_batch
+
+        def counted(V, problems):
+            batches.append(len(problems))
+            return fit_batch(V, problems)
+
+        monkeypatch.setattr(experiment, "fit_batch", counted)
+        cfg = self._config(tmp_path, data, rates=rates, seeds=seeds, weighted=weighted)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert batches == [1] * 8
+        for rate in rates:
+            for seed in seeds:
+                cell = tmp_path / "sweep" / "cells" / f"rate_{rate}" / f"seed_{seed}"
+                model, report = tmp_path / f"m{rate}_{seed}", tmp_path / f"r{rate}_{seed}"
+                fit_args = ["fit", "--data", str(data), "--rate", str(rate), "--seed", str(seed),
+                            "--max-iter", "30", *["--weighted"] * weighted, "--out", str(model)]
+                assert main(fit_args) == 0
+                assert main(["evaluate", "--model", str(model), "--data", str(data),
+                             "--out", str(report)]) == 0
+                for name in FIT_FILES:
+                    assert (model / name).read_bytes() == (cell / name).read_bytes(), (rate, seed, name)
+                assert (report / "report.json").read_bytes() == (cell / "report.json").read_bytes()
+
     @pytest.mark.parametrize("key", ["data", "out"])
     def test_empty_path_exits_2_naming_the_key(self, tmp_path, monkeypatch, capsys, key):
         data = _synth_dataset(tmp_path)
@@ -1242,6 +1271,20 @@ def test_negative_seed_exits_2_naming_it_on_fit_and_sweep(tmp_path, capsys, rate
     assert main(["sweep", "--config", str(config)]) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not model.exists() and not sweep.exists()
+
+
+@pytest.mark.parametrize("rate", ["7", "-0.5", "nan"])
+@pytest.mark.parametrize("record", [False, True], ids=["sampled", "record"])
+def test_bad_rate_exits_2_naming_it_on_fit(tmp_path, capsys, rate, record):
+    data = _synth_dataset(tmp_path)
+    model = tmp_path / "model"
+    supervision = []
+    if record:  # a record's rate replaces --rate, and its valid rate does not stand in for it
+        (tmp_path / "sup.json").write_text(json.dumps({"rate": 0.5, "supervised_ids": ["doc00"]}))
+        supervision = ["--supervision", str(tmp_path / "sup.json")]
+    assert main(["fit", "--data", str(data), "--rate", rate, *supervision, "--out", str(model)]) == 2
+    assert f"supervision rate must be in [0, 1], got {float(rate)}" in capsys.readouterr().err
+    assert not model.exists()
 
 
 # every flag that takes a string; each names a file

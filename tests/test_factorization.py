@@ -621,6 +621,29 @@ class TestProblemRecord:
         for field in dataclasses.fields(p):
             assert np.shape(getattr(p, field.name))[-2:] != (n, t), field.name
 
+    def test_csr_batch_holds_no_stack_of_its_cells(self):
+        n, t, d = 3000, 1000, 10
+        V = pytest.importorskip("scipy.sparse").csr_array(_tfidf_like(7, n=n, t=t, density=0.01))
+        rng = np.random.default_rng(4)
+        problems = []
+        for seed in range(6):
+            rows = rng.choice(n, size=n // 5, replace=False)
+            L = np.ones((n, d))
+            L[rows] = np.eye(d)[rng.integers(0, d, rows.size)]
+            problems.append((L, FitConfig(d=d, seed=seed, max_iter=3, weighted=True),
+                             build_error_weights(n, rows).row_weight))
+        peaks = []
+        for batch in (problems[:1], problems):
+            tracemalloc.start()
+            try:
+                fit_batch(V, batch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        lone, six = peaks
+        # each cell's W and H outlive its fit; the six cells as one stack peaked at 5.6 lone fits
+        assert six < lone + 6 * 8 * (n * d + d * t) + lone // 2
+
     def test_update_h_on_dense_v_allocates_no_transpose(self):
         n, t = 400, 1000
         V, L, _ = _operands(n, t, sparse=False)
