@@ -195,15 +195,22 @@ def score_report(
 
 
 def top_terms(H, vocab: Vocabulary, m: int) -> list[list[str]]:
-    """The ``m`` heaviest terms of each topic row, descending, ties by column index."""
+    """The ``m`` heaviest terms of each topic row, descending, ties by column index.
+
+    Selected, not sorted: only the weights not below a row's m-th heaviest are
+    sorted, which orders them as the row's full stable sort does, NaN last.
+    """
     H = as_dense(H, "H")
     if H.shape[1] != len(vocab):
         raise ShapeError(f"H has {H.shape[1]} columns for {len(vocab)} vocabulary terms")
     if m < 1:
         raise ValueError(f"term count must be >= 1, got {m}")
+    k = min(m, H.shape[1])
     out = []
     for row in H:
-        order = np.argsort(-row, kind="stable")[:m]
+        cut = -np.partition(-row, k - 1)[k - 1] if k else np.nan  # the m-th heaviest weight
+        kept = np.flatnonzero(~(row < cut))  # all of the row if fewer than k weights are numbers
+        order = kept[np.argsort(-row[kept], kind="stable")[:m]]
         out.append([vocab.terms[int(j)] for j in order])
     return out
 

@@ -123,8 +123,7 @@ def _read_supervision(dataset: Dataset, path) -> tuple[set[int], int | None, flo
     rate = info.get("rate")
     if rate is not None:
         _check_type(path, "rate", rate, *_NUMBER)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"{path}: 'rate' must be in [0, 1], got {rate!r}")
+        check_rate(rate, f"{path}: 'rate'")
     return {row[x] for x in ids}, seed, rate
 
 
@@ -241,8 +240,7 @@ class SweepConfig:
             if not values or len(set(values)) != len(values):
                 raise ValueError(f"{key} must be non-empty and distinct, got {list(values)}")
         for r in self.rates:
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"rates must lie in [0, 1], got {r}")
+            check_rate(r, "rates")
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":

@@ -112,10 +112,10 @@ class ErrorWeights:
             raise ValueError(f"row weights must be >= 1, min is {w.min()}")
 
 
-def check_rate(rate: float) -> None:
-    """Raise ``ValueError`` unless the supervision rate lies in [0, 1]; NaN does not."""
+def check_rate(rate: float, name: str = "supervision rate") -> None:
+    """Raise ``ValueError``, naming the rate ``name``, unless it lies in [0, 1]; NaN does not."""
     if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"supervision rate must be in [0, 1], got {rate}")
+        raise ValueError(f"{name} must be in [0, 1], got {rate}")
 
 
 def sample_supervised_set(n: int, rate: float, seed: int) -> set[int]:

@@ -28,7 +28,7 @@ class PlantedInstance:
 
     @property
     def truth(self) -> LabelTable:
-        """The label table, which ``score_report`` scores against."""
+        """The label table, by the name the acceptance gate's criterion 07 scores against."""
         return self.label_table
 
 

@@ -321,6 +321,23 @@ class TestTopTerms:
         with pytest.raises(ShapeError, match="vocabulary"):
             top_terms(np.ones((1, 3)), self._vocab("x", "y"), 1)
 
+    def test_selection_is_the_head_of_the_full_stable_sort(self):
+        # a small value set makes ties, signed zeros, NaN and infinities common
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 3.0, np.nan, np.inf, -np.inf])
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(st.integers(0, 4), st.integers(0, 12), st.integers(1, 15), st.data())
+        def check(d, t, m, data):
+            H = np.array(data.draw(st.lists(st.lists(values, min_size=t, max_size=t),
+                                            min_size=d, max_size=d)), dtype=float).reshape(d, t)
+            vocab = self._vocab(*(f"w{j}" for j in range(t)))
+            oracle = [[vocab.terms[j] for j in np.argsort(-row, kind="stable")[:m]] for row in H]
+            assert top_terms(H, vocab, m) == oracle
+
+        check()
+
 
 class TestReportIO:
     def test_json_round_trip(self, tmp_path):
