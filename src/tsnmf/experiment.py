@@ -9,14 +9,14 @@ no other module of the package reads or writes it) and score (coverage and
 ``score_report`` against the label table); mask, coverage and score all read
 ``LabelTable.indicator``.  A sweep runs that path over a grid of (supervision
 rate, seed) cells against one dataset, read once, so the indicator is built
-once.  It takes the grid in batches of ``factorization.batch_size`` cells: on a
-dense V as many as keep the stacked W and H within V's size, on a CSR V one,
-since ``fit_batch`` fits CSR cells one after another.  It plans a batch's
-cells, fits them in one ``fit_batch`` call, which copies a dense ``V^T`` once
-per batch, not once per fit, then records and scores each cell in order.  A
-cell fails as ``fit`` does, through ``one_run``: one of ``errors.INPUT_ERRORS``,
-from its supervision, fit, record or score, is recorded in its row, and any
-other exception ends the sweep.  Files under the sweep directory:
+once.  It takes the grid in batches of ``factorization.batch_size`` cells, the
+most ``fit_batch`` stacks at once: on a dense V as many as keep the stacked W
+and H within V's size, on a CSR V one.  It plans a batch's cells, fits them in
+one ``fit_batch`` call, which copies a dense ``V^T`` once per batch, not once
+per fit, then records and scores each cell in order.  A cell fails as ``fit``
+does, through ``one_run``: one of ``errors.INPUT_ERRORS``, from its
+supervision, fit, record or score, is recorded in its row, and any other
+exception ends the sweep.  Files under the sweep directory:
 
     sweep.csv           one row per (rate, seed) cell, deterministic
     sweep_summary.csv   mean and stddev per rate over seeds
@@ -54,6 +54,7 @@ from .supervision import (
     build_error_weights,
     build_mask,
     check_rate,
+    check_seed,
     sample_supervised_set,
     topic_coverage,
 )
@@ -118,8 +119,7 @@ def _read_supervision(dataset: Dataset, path) -> tuple[set[int], int | None, flo
     seed = info.get("seed")
     if "seed" in info:
         _check_type(path, "seed", seed, *_INTEGER)
-        if seed < 0:
-            raise ValueError(f"{path}: 'seed' must be >= 0, got {seed}")
+        check_seed(seed, f"{path}: 'seed'")
     rate = info.get("rate")
     if rate is not None:
         _check_type(path, "rate", rate, *_NUMBER)
@@ -128,13 +128,11 @@ def _read_supervision(dataset: Dataset, path) -> tuple[set[int], int | None, flo
 
 
 def topic_count(dataset: Dataset, topics: int | None) -> int:
-    """``topics``, by default the dataset's label count; at least 1 either way."""
+    """``topics``, by default the dataset's label count; ``FitConfig`` checks it."""
     if topics is None:
         topics = dataset.label_table.n_labels
         if topics == 0:
             raise ValueError("dataset has no labels; pass fit --topics or the sweep key 'topics'")
-    if topics < 1:
-        raise ValueError(f"topic count must be >= 1, got {topics}")
     return topics
 
 

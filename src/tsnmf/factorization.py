@@ -30,23 +30,23 @@ bitwise, as multiplying by 1.0 is exact.  The weights scale a product's
 d-wide factor or result, never V.
 
 One engine, ``fit_batch``, fits k problems that share V, each with its own
-mask, weights and ``FitConfig`` (one d for all).  On a dense V they run as a
-stack, W (k, n, d) and H (k, d, t), one call per step: ``np.matmul`` makes one
+mask, weights and ``FitConfig`` (one d for all), in stacks of ``batch_size``
+problems: on a dense V as many as keep the stacked W and H within V's size, on
+a CSR V, where a stack saves no pass over V and costs time and memory, one.  A
+stack is W (k, n, d) and H (k, d, t), one call per step: ``np.matmul`` makes one
 BLAS call per cell, the call a 2-D product makes, so each cell gets the bits of
-a fit on its own, which one gemm over merged cells would not.  On a CSR V, where
-a stack saves no pass over V and costs time and memory, they run one after
-another.  A cell leaves the stack when its own stop rule or finite check ends
-it.  ``fit`` is the one-problem call, and the public ``update_*`` steps run the
-same half-steps on a stack of one.  ``_problem`` builds the record the
-half-steps read, once per stack: ``V^T`` (a C-contiguous copy for dense V, one
-more n x t array, so one per sweep batch; the CSC view for CSR), each product
-in its form's faster orientation (dense: ``(WL * e)^T V`` and
-``(H V^T)^T * e``; CSR: ``(V^T (WL * e))^T`` and ``(V H^T) * e``), and ``e``,
-``sqrt(e)`` and the mask's zeros at the stack's shape.  An iteration forms no
-n x t temporary: the loss is recorded by the identity
-``sum e||V||^2 - 2 sum(WL o e V H^T) + sum(G o HH^T)`` from the W step's
-products, and at or below ``LOSS_GUARD * sum e||V||^2``, where that cancels, as
-the explicit residual.
+a fit on its own, which one gemm over merged cells would not.  A cell leaves
+the stack when its own stop rule or finite check ends it.  ``fit`` is the
+one-problem call, and the public ``update_*`` steps run the same half-steps on
+a stack of one.  ``_products`` gives a stack its pair of products with V, each
+in its form's faster orientation (dense: ``X^T V`` and ``(H V^T)^T``, with
+``V^T`` a C-contiguous copy built on first use, one more n x t array per stack;
+CSR: ``(V^T X)^T`` and ``V H^T``, with ``V^T`` the CSC view).  The stack's
+``e``, ``sqrt(e)`` and the mask's zeros are arrays at its (k, n, d) shape,
+sliced as cells leave it.  An iteration forms no n x t temporary: the loss is
+recorded by the identity ``sum e||V||^2 - 2 sum(WL o e V H^T) + sum(G o HH^T)``
+from the W step's products, and at or below ``LOSS_GUARD * sum e||V||^2``, where
+that cancels, as the explicit residual.
 
 Sparse data: ``fit`` and ``update_*`` multiply V in the form given: a
 scipy sparse V, such as ``dataio.read_matrix`` gives, as CSR to the last
@@ -67,10 +67,9 @@ for a rise beyond that slack plus ``ROUNDING_FLOOR * sum e||V||^2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -82,7 +81,7 @@ from .matrix import (
     write_dense_csv,
     write_json,
 )
-from .supervision import build_error_weights
+from .supervision import build_error_weights, check_seed
 
 STOP_CONVERGED = "converged"
 STOP_LOSS_INCREASED = "loss_increased"
@@ -119,11 +118,10 @@ class FitConfig:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError(f"topic count d must be >= 1, got {self.d}")
+            raise ValueError(f"topic count must be >= 1, got {self.d}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         # a non-finite value would be written to model.json as a token JSON lacks
         if not (self.rel_tol > 0.0 and np.isfinite(self.rel_tol)):
             raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
@@ -235,45 +233,21 @@ def _gram(WL: np.ndarray, sqrt_e: np.ndarray) -> np.ndarray:
     return S.transpose(0, 2, 1) @ S
 
 
-@dataclass(frozen=True)
-class _Problem:
-    """The constants of a stack of k fits that share V, which the half-steps read."""
-
-    VT: Callable[[], object]  # V^T, held: a C-contiguous copy for dense V, the CSC view for CSR
-    XtV: Callable[[np.ndarray], np.ndarray]  # X (k, n, d) -> X^T V per cell, in V's faster form
-    VHt: Callable[[np.ndarray], np.ndarray]  # H (k, d, t) -> V H^T per cell, likewise
-    forbidden: np.ndarray  # L == 0, where the W step pins W to 0
-    # each cell's row weights, ones for the plain rule, at the stack's (k, n, d) shape:
-    # numpy multiplies two arrays of one shape faster than it broadcasts an (n, 1) column
-    e: np.ndarray
-    sqrt_e: np.ndarray  # their square roots, which _gram scales WL by
-
-    def WLetV(self, WL: np.ndarray) -> np.ndarray:
-        """(WL * e)^T V, cell by cell."""
-        return self.XtV(WL * self.e)
-
-    def eVHt(self, H: np.ndarray) -> np.ndarray:
-        """e * (V H^T), cell by cell."""
-        return self.VHt(H) * self.e
-
-    def take(self, keep) -> "_Problem":
-        """The record of the cells that the boolean ``keep`` selects."""
-        return replace(self, forbidden=self.forbidden[keep], e=self.e[keep],
-                       sqrt_e=self.sqrt_e[keep])
-
-
-def _problem(V, L: np.ndarray, E: np.ndarray) -> _Problem:
-    """The record of float64 ``V`` (dense or CSR), masks ``L`` (k, n, d), weights ``E`` (k, n)."""
-    e = np.repeat(E[:, :, np.newaxis], L.shape[2], axis=2)
+def _products(V):
+    """``X -> X^T V`` and ``H -> V H^T`` per cell of a stack, each in V's form's faster order."""
     if not _is_sparse(V):
         # H V^T takes a faster gemm than V H^T; built on first use, so update_h_* never copies V
         VT = cache(lambda: np.ascontiguousarray(V.T))
-        XtV, VHt = (lambda X: X.transpose(0, 2, 1) @ V), (lambda H: (H @ VT()).transpose(0, 2, 1))
-    else:
-        VT = cache(lambda: V.T)  # held: scipy would build this CSC view on every H step
-        # a CSR record holds one cell, as fit_batch stacks only dense cells
-        XtV, VHt = (lambda X: (VT() @ X[0]).T[np.newaxis]), (lambda H: (V @ H[0].T)[np.newaxis])
-    return _Problem(VT, XtV, VHt, L == 0.0, e, np.sqrt(e))
+        return (lambda X: X.transpose(0, 2, 1) @ V), (lambda H: (H @ VT()).transpose(0, 2, 1))
+    VT = V.T  # held: scipy would build this CSC view on every H step
+    # a CSR stack holds one cell, as batch_size gives 1 on a sparse V
+    return (lambda X: (VT @ X[0]).T[np.newaxis]), (lambda H: (V @ H[0].T)[np.newaxis])
+
+
+def _weights(E: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights ``E`` (k, n) and their roots at (k, n, d), which multiply faster than a column."""
+    e = np.repeat(E[:, :, np.newaxis], d, axis=2)
+    return e, np.sqrt(e)
 
 
 def _h_step(H, G, WLetV, epsilon: float) -> np.ndarray:
@@ -286,27 +260,27 @@ def _h_step(H, G, WLetV, epsilon: float) -> np.ndarray:
     return out
 
 
-def _w_step(p: _Problem, W, WL, eVHt, HHt, epsilon: float) -> np.ndarray:
-    """W o (e * (V H^T)) / ((WL HH^T) * e + epsilon) per cell, pinned to exactly 0 where L is 0.
+def _w_step(W, WL, eVHt, HHt, e, forbidden, epsilon: float) -> np.ndarray:
+    """W o (e * (V H^T)) / ((WL HH^T) * e + epsilon) per cell, pinned to exactly 0 where forbidden.
 
-    At forbidden positions W is 0, or is pinned there anyway, so the ratio
-    needs no mask.
+    At forbidden positions (L == 0) W is 0, or is pinned there anyway, so the
+    ratio needs no mask.
     """
     with np.errstate(all="ignore"):
         out = WL @ HHt
-        out *= p.e
+        out *= e
         out += epsilon
         np.divide(eVHt, out, out=out)
         out *= W
-    out[p.forbidden] = 0.0
+    out[forbidden] = 0.0
     return out
 
 
 def _one_cell(V, W, H, L, E):
-    """W, H and L as a stack of one cell, conformed to ``V``, and the record of that cell."""
+    """V, W, H and L conformed, the last three as a stack of one cell, and its e and sqrt(e)."""
     V, W, H, L = _conform(V, W, H, L)
-    W, H, L = W[np.newaxis], H[np.newaxis], L[np.newaxis]
-    return W, H, L, _problem(V, L, _row_weights(E, V.shape[0])[np.newaxis])
+    e, sqrt_e = _weights(_row_weights(E, V.shape[0])[np.newaxis], L.shape[1])
+    return V, W[np.newaxis], H[np.newaxis], L[np.newaxis], e, sqrt_e
 
 
 def update_h(V, W, H, L, epsilon: float) -> np.ndarray:
@@ -326,9 +300,10 @@ def update_w(V, W, H, L, epsilon: float) -> np.ndarray:
 
 def update_h_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     """Row-weighted multiplicative step on H; ``E`` of None or all ones is update_h."""
-    W, H, L, p = _one_cell(V, W, H, L, E)
+    V, W, H, L, e, sqrt_e = _one_cell(V, W, H, L, E)
     WL = W * L
-    return _check_finite(_h_step(H, _gram(WL, p.sqrt_e), p.WLetV(WL), epsilon)[0], "H update")
+    XtV, _ = _products(V)
+    return _check_finite(_h_step(H, _gram(WL, sqrt_e), XtV(WL * e), epsilon)[0], "H update")
 
 
 def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
@@ -339,9 +314,10 @@ def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     the unweighted step and identical to it when E is all ones.
     On a dense V every call copies ``V^T`` (n x t); ``fit`` copies it once, so loops call ``fit``.
     """
-    W, H, L, p = _one_cell(V, W, H, L, E)
+    V, W, H, L, e, _ = _one_cell(V, W, H, L, E)
+    _, VHt = _products(V)
     HHt = H @ H.transpose(0, 2, 1)
-    return _check_finite(_w_step(p, W, W * L, p.eVHt(H), HHt, epsilon)[0], "W update")
+    return _check_finite(_w_step(W, W * L, VHt(H) * e, HHt, e, L == 0.0, epsilon)[0], "W update")
 
 
 def init_model(V, L, config: FitConfig) -> FactorModel:
@@ -412,6 +388,10 @@ def fit(
 
 def _cell(V, L, config: FitConfig, E) -> tuple:
     """One problem's checked mask, its config, its checked row weights and its sum e||V||^2."""
+    sparse = _is_sparse(V)
+    lowest = (V.data if sparse else V).min(initial=0.0)
+    if lowest < 0.0:
+        raise ValueError(f"V must be non-negative, min entry is {lowest}")
     L = np.asarray(L, dtype=np.float64)
     if V.ndim != 2 or L.ndim != 2 or 0 in V.shape:
         raise ShapeError(f"V and mask must be 2-D, V non-empty; got shapes {V.shape} and {L.shape}")
@@ -423,13 +403,13 @@ def _cell(V, L, config: FitConfig, E) -> tuple:
         E = build_error_weights(V.shape[0], np.flatnonzero(~L.all(axis=1))).row_weight
     E = _row_weights(E, V.shape[0])
     # sum e||V||^2 of the stored values; taken before V^T is held, so its n x t temporary is gone
-    if _is_sparse(V):
+    if sparse:
         return L, config, E, float(np.vdot(V.data * np.repeat(E, np.diff(V.indptr)), V.data))
     return L, config, E, float(np.vdot(V * E[:, np.newaxis], V))
 
 
 def batch_size(V, d: int) -> int:
-    """Problems per ``fit_batch`` call: 1 on a sparse V, else as many as fit W and H in V's size."""
+    """Problems per ``fit_batch`` stack: 1 on a sparse V, else as many as fit W and H in V's size."""
     return 1 if _is_sparse(V) else max(1, np.size(V) // (d * sum(np.shape(V))))
 
 
@@ -439,27 +419,26 @@ def fit_batch(V, problems) -> list:
     Returns, per problem in order, its ``(model, trace)``, bitwise that of
     ``fit``, or the ``NumericalFailureError`` it failed with, which carries its
     losses; a problem ``fit`` would reject raises here.  The problems need one
-    topic count.  On a dense ``V`` they run as one stack, on a sparse ``V`` one
-    after another, as the module docstring says.
+    topic count d; they run in stacks of ``batch_size(V, d)``, as the module
+    docstring says.
     """
     V = _operand(V)
-    values = V.data if _is_sparse(V) else V
-    lowest = values.min(initial=0.0)
-    if lowest < 0.0:
-        raise ValueError(f"V must be non-negative, min entry is {lowest}")
     cells = [_cell(V, *problem) for problem in problems]
     topics = sorted({config.d for _, config, _, _ in cells})
     if len(topics) > 1:
         raise ShapeError(f"one batch fits one topic count, got {topics}")
-    stacks = [[cell] for cell in cells] if _is_sparse(V) else [cells]
-    return [outcome for stack in stacks if stack for outcome in _fit_stack(V, stack)]
+    size = batch_size(V, topics[0]) if topics else 1
+    return [outcome for start in range(0, len(cells), size)
+            for outcome in _fit_stack(V, cells[start:start + size])]
 
 
 def _fit_stack(V, cells) -> list:
     """The outcomes of checked problems on the operand ``V``, fitted as one stack."""
     masks, configs, weights, sum_ev2 = zip(*cells)
     models = [init_model(V, L, config) for L, config in zip(masks, configs)]
-    p = _problem(V, np.stack(masks), np.stack(weights))
+    XtV, VHt = _products(V)
+    forbidden = np.stack(masks) == 0.0
+    e, sqrt_e = _weights(np.stack(weights), configs[0].d)
 
     def loss(c, W, H, G, eVHt, HHt):
         cheap = sum_ev2[c] - 2.0 * float(np.vdot(W, eVHt)) + float(np.vdot(G, HHt))
@@ -471,20 +450,20 @@ def _fit_stack(V, cells) -> list:
     # W is 0 wherever L is, from init_model and after every W step, so W o L is W itself
     W = np.stack([model.W for model in models])
     H = np.stack([model.H for model in models])
-    G = _gram(W, p.sqrt_e)
-    eVHt, HHt = p.eVHt(H), H @ H.transpose(0, 2, 1)
+    G = _gram(W, sqrt_e)
+    eVHt, HHt = VHt(H) * e, H @ H.transpose(0, 2, 1)
     losses = [[loss(c, W[c], H[c], G[c], eVHt[c], HHt[c])] for c in range(len(cells))]
     outcomes: list = [None] * len(cells)
     live = np.arange(len(cells))  # the problem at each position of the stack
     iteration = 0
     while live.size:  # each cell leaves by its max_iter
         iteration += 1
-        H = _h_step(H, G, p.WLetV(W), EPSILON)
+        H = _h_step(H, G, XtV(W * e), EPSILON)
         # a cell whose H step failed takes its W step too, alone in its slices, and leaves below
         with np.errstate(all="ignore"):
-            eVHt, HHt = p.eVHt(H), H @ H.transpose(0, 2, 1)
-            W = _w_step(p, W, W, eVHt, HHt, EPSILON)
-            G = _gram(W, p.sqrt_e)
+            eVHt, HHt = VHt(H) * e, H @ H.transpose(0, 2, 1)
+            W = _w_step(W, W, eVHt, HHt, e, forbidden, EPSILON)
+            G = _gram(W, sqrt_e)
         finite_H, finite_W = np.isfinite(H).all(axis=(1, 2)), np.isfinite(W).all(axis=(1, 2))
         for j, c in enumerate(live):
             if not (finite_H[j] and finite_W[j]):
@@ -501,7 +480,8 @@ def _fit_stack(V, cells) -> list:
                 outcomes[c] = model, FitTrace(losses=tuple(losses[c]), stop_reason=reason)
         ok = np.array([outcomes[c] is None for c in live], dtype=bool)
         if not ok.all():
-            live, p, W, H, G = live[ok], p.take(ok), W[ok], H[ok], G[ok]
+            live, W, H, G = live[ok], W[ok], H[ok], G[ok]
+            e, sqrt_e, forbidden = e[ok], sqrt_e[ok], forbidden[ok]
     return outcomes
 
 

@@ -118,6 +118,12 @@ def check_rate(rate: float, name: str = "supervision rate") -> None:
         raise ValueError(f"{name} must be in [0, 1], got {rate}")
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Raise ``ValueError``, naming the seed ``name``, unless it is >= 0."""
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
+
+
 def sample_supervised_set(n: int, rate: float, seed: int) -> set[int]:
     """Draw a uniform random subset of round(rate * n) document indices.
 
@@ -125,8 +131,7 @@ def sample_supervised_set(n: int, rate: float, seed: int) -> set[int]:
     round-half-even.
     """
     check_rate(rate)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     return {int(i) for i in rng.choice(n, size=round(rate * n), replace=False)}
 

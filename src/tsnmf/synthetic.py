@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .supervision import LabelTable
+from .supervision import LabelTable, check_seed
 
 MAX_TOPICS_PER_DOC = 3
 
@@ -53,8 +53,7 @@ def make_planted_instance(
         )
     if not (noise_level >= 0.0 and np.isfinite(noise_level)):
         raise ValueError(f"noise_level must be finite and >= 0, got {noise_level}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
 
     W_bin = np.zeros((n_docs, d), dtype=np.float64)

@@ -22,6 +22,7 @@ from tsnmf.factorization import (
     MONOTONE_SLACK,
     ROUNDING_FLOOR,
     FitConfig,
+    batch_size,
     _row_weighted_sse,
     _stop_reason,
     fit,
@@ -569,8 +570,14 @@ def _operands(n, t, sparse):
     return V, L, build_error_weights(n, range(n // 5)).row_weight
 
 
+def _held(product, name="VT"):
+    """What the product function ``product`` of ``factorization._products`` holds as ``name``."""
+    cells = (cell.cell_contents for cell in product.__closure__)
+    return dict(zip(product.__code__.co_freevars, cells))[name]
+
+
 class TestProblemRecord:
-    """The per-fit record: the layout BLAS sees and the memory each form holds."""
+    """A fit's products and stacks: the layout BLAS sees and the memory each form holds."""
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
@@ -582,14 +589,27 @@ class TestProblemRecord:
             assert a.dtype == np.float64 and a.flags.c_contiguous
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
-    def test_dense_record_holds_a_c_contiguous_copy_of_v_transposed(self, weighted):
-        V, L, E = _operands(60, 80, sparse=False)
-        p = factorization._problem(V, L[np.newaxis], (E if weighted else np.ones(60))[np.newaxis])
-        held = p.VT()
-        assert held is p.VT()  # built once per record
-        assert held.flags.c_contiguous and held.shape == (80, 60)
+    def test_dense_products_hold_a_c_contiguous_copy_of_v_transposed(self, weighted):
+        n, t = 60, 80
+        V, L, E = _operands(n, t, sparse=False)
+        e, _ = factorization._weights((E if weighted else np.ones(n))[np.newaxis], 5)
+        H = np.random.default_rng(1).random((1, 5, t))
+        XtV, VHt = factorization._products(V)
+        XtV(L[np.newaxis] * e)
+        assert _held(VHt).cache_info().currsize == 0  # the X^T V product never builds it
+        VHt(H) * e
+        held = _held(VHt)()
+        assert held is _held(VHt)()  # built once, by the first V H^T
+        assert held.flags.c_contiguous and held.shape == (t, n)
         assert not np.shares_memory(held, V)
         assert held.tobytes() == V.T.tobytes()  # the weights never scale V
+        tracemalloc.start()
+        try:
+            VHt(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * t  # a later V H^T copies nothing
 
     def test_weighted_dense_fit_holds_less_than_two_n_by_t_arrays(self):
         n, t = 400, 1000
@@ -604,22 +624,21 @@ class TestProblemRecord:
         # the held V^T is one; sum e||V||^2's temporary is freed before it is built
         assert peak < 2 * 8 * n * t
 
-    def test_csr_record_holds_no_dense_n_by_t_array(self):
+    def test_csr_products_hold_no_dense_n_by_t_array(self):
         n, t = 400, 1000
         V, L, E = _operands(n, t, sparse=True)
         H = np.random.default_rng(1).random((5, t))
+        e, _ = factorization._weights(E[np.newaxis], 5)
         tracemalloc.start()
         try:
-            p = factorization._problem(V, L[np.newaxis], E[np.newaxis])
-            p.WLetV(L[np.newaxis])
-            p.eVHt(H[np.newaxis])
+            XtV, VHt = factorization._products(V)
+            XtV(L[np.newaxis] * e)
+            VHt(H[np.newaxis]) * e
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * t // 4
-        assert p.VT().format == "csc"
-        for field in dataclasses.fields(p):
-            assert np.shape(getattr(p, field.name))[-2:] != (n, t), field.name
+        assert _held(XtV).format == "csc"
 
     def test_csr_batch_holds_no_stack_of_its_cells(self):
         n, t, d = 3000, 1000, 10
@@ -643,6 +662,31 @@ class TestProblemRecord:
         lone, six = peaks
         # each cell's W and H outlive its fit; the six cells as one stack peaked at 5.6 lone fits
         assert six < lone + 6 * 8 * (n * d + d * t) + lone // 2
+
+    def test_dense_batch_stacks_at_most_batch_size_cells(self):
+        n, t, d = 3000, 50, 10
+        V = _tfidf_like(7, n=n, t=t, density=1.0)
+        size = batch_size(V, d)
+        rng = np.random.default_rng(5)
+        problems = []
+        for seed in range(3 * size):
+            rows = rng.choice(n, size=n // 5, replace=False)
+            L = np.ones((n, d))
+            L[rows] = np.eye(d)[rng.integers(0, d, rows.size)]
+            problems.append((L, FitConfig(d=d, seed=seed, max_iter=3, weighted=True),
+                             build_error_weights(n, rows).row_weight))
+        _assert_batch_is_lone_fits(V, problems)
+        peaks = []
+        for batch in (problems[:size], problems):
+            tracemalloc.start()
+            try:
+                fit_batch(V, batch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one, three = peaks
+        # the later cells' W and H outlive their fits; one stack of all of them peaked at 2.7 x one
+        assert three < one + 2 * size * 8 * (n * d + d * t) + one // 2
 
     def test_update_h_on_dense_v_allocates_no_transpose(self):
         n, t = 400, 1000
@@ -969,7 +1013,8 @@ class TestSparsePath:
 
 def test_dense_fits_and_cli_import_never_load_scipy(tmp_path):
     code = (
-        "import sys\n"
+        "import json, sys\n"
+        "from pathlib import Path\n"
         "import tsnmf.cli\n"
         "assert 'scipy' not in sys.modules, 'import tsnmf.cli loaded scipy'\n"
         "from tsnmf import FitConfig, fit, make_planted_instance\n"
@@ -977,12 +1022,21 @@ def test_dense_fits_and_cli_import_never_load_scipy(tmp_path):
         "fit(inst.V, [[1.0] * 3] * 30, FitConfig(d=3, seed=0, max_iter=5))\n"
         "assert 'scipy' not in sys.modules, 'a dense fit loaded scipy'\n"
         "from tsnmf.cli import main\n"
-        "for argv in (['synth', '--docs', '30', '--terms', '40', '--topics', '3', '--out', sys.argv[1]],\n"
-        "             ['fit', '--data', sys.argv[1], '--max-iter', '5', '--out', sys.argv[2]]):\n"
-        "    assert main(argv) == 0\n"
-        "assert 'scipy' not in sys.modules, 'reading a dense dataset loaded scipy'\n"
+        "base = Path(sys.argv[1])\n"
+        "data, model = str(base / 'data'), str(base / 'model')\n"
+        "sweep = {'data': data, 'out': str(base / 'sweep'), 'rates': [0.0, 0.5], 'seeds': [1, 2],\n"
+        "         'max_iter': 5, 'weighted': True}\n"
+        "(base / 'sweep.json').write_text(json.dumps(sweep))\n"
+        "read = ['--model', model, '--data', data, '--out']\n"
+        "for argv in (['synth', '--docs', '30', '--terms', '40', '--topics', '3', '--out', data],\n"
+        "             ['fit', '--data', data, '--max-iter', '5', '--out', model],\n"
+        "             ['sweep', '--config', str(base / 'sweep.json')],\n"
+        "             ['evaluate', *read, str(base / 'report')],\n"
+        "             ['top-terms', *read, str(base / 'top.csv')]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'scipy' not in sys.modules, f'{argv[0]} on a dense dataset loaded scipy'\n"
     )
     src = str(Path(factorization.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    subprocess.run([sys.executable, "-c", code, str(tmp_path / "data"), str(tmp_path / "model")],
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                    check=True, env=env, stdout=subprocess.DEVNULL)

@@ -267,6 +267,49 @@ def test_write_file_is_the_only_write_site():
     assert sites == [("matrix.py", "write_file")]
 
 
+def _names_read(node) -> set[str]:
+    """Every name that ``node`` reads, bare or as an attribute."""
+    nodes = list(ast.walk(node))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def _bound(stmt) -> list[str]:
+    """The module-level names that the top-level statement ``stmt`` binds, imports aside."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [n.id for target in filter(None, targets) for n in ast.walk(target)
+            if isinstance(n, ast.Name)]
+
+
+def test_no_unused_import_or_private_name():
+    """Every module-level import is used in its module; every private name somewhere else too.
+
+    ``__init__.py`` imports to re-export, so its imports are exempt.  A private
+    name counts as used when any statement of the package but its own definition reads it.
+    """
+    modules = {path.name: ast.parse(path.read_text())
+               for path in sorted(Path(tsnmf.__file__).parent.glob("*.py"))}
+    unused_imports = [
+        (module, name)
+        for module, tree in modules.items() if module != "__init__.py"
+        for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))
+        and getattr(stmt, "module", None) != "__future__"
+        for name in ((alias.asname or alias.name).split(".")[0] for alias in stmt.names)
+        if name not in _names_read(tree)
+    ]
+    assert unused_imports == []
+    statements = [(module, stmt, _names_read(stmt))
+                  for module, tree in modules.items() for stmt in tree.body]
+    unread = [
+        (module, name) for module, stmt, _ in statements for name in _bound(stmt)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in read for _, other, read in statements if other is not stmt)
+    ]
+    assert unread == []
+
+
 def test_cli_maps_errors_to_exit_codes_in_main_only():
     """One exit-code map in ``cli.main``; a sweep cell catches the errors it maps to exit 2."""
     handlers = []
