@@ -9,13 +9,13 @@ supervise and evaluate against it:
     meta.json           doc_ids, vocabulary, labels, per-document label names,
                         and filter statistics
 
-The three matrix files are plain ``.npy`` arrays (int64, int64, float64)
-with the bytes ``np.save`` writes without pickling, so a rerun writes
-identical bytes; like every artifact they reach disk through
-``matrix.write_file``, whole or not at all.  The matrix shape comes from
-``meta.json``: one row per doc id, one column per vocabulary term.
-``ingest`` hands its CSR parts over as they are, and ``synth`` takes them
-from the dense planted matrix with ``csr_parts``.
+The three matrix files are plain ``.npy`` arrays (int64, int64, float64),
+written by ``matrix.write_npy`` and read by ``matrix.read_npy``, the
+package's one ``.npy`` writer and reader, which the model's factors share;
+like every artifact they reach disk whole or not at all.  The matrix shape
+comes from ``meta.json``: one row per doc id, one column per vocabulary
+term.  ``ingest`` hands its CSR parts over as they are, and ``synth`` takes
+them from the dense planted matrix with ``csr_parts``.
 
 The ingest and synth commands write this layout.  Reading is split by
 use: ``read_dataset`` reads ``meta.json`` alone, which is all evaluate and
@@ -31,12 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from tokenize import TokenError
 
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import csr_parts, dense_from_csr, read_json, write_file, write_json
+from .matrix import csr_parts, dense_from_csr, read_json, read_npy, write_json, write_npy
 from .preprocessing import IngestResult, Vocabulary
 from .supervision import LabelTable, build_label_table
 from .synthetic import PlantedInstance
@@ -49,12 +48,9 @@ META_FILENAME = "meta.json"
 SPARSE_DENSITY_MAX = 0.1
 
 
-def _write_matrix(out: Path, indptr, indices, data) -> None:
-    arrays = {"indptr": indptr, "indices": indices, "data": data}
-    for part, name in MATRIX_FILENAMES.items():
-        array = np.asanyarray(arrays[part])
-        # np.save's own writer: its bytes, streamed without a copy of the array
-        write_file(out / name, lambda fh: np.lib.format.write_array(fh, array, allow_pickle=False))
+def _write_matrix(out: Path, csr) -> None:
+    for name, array in zip(MATRIX_FILENAMES.values(), csr):
+        write_npy(out / name, array)
 
 
 def read_matrix(datadir, dataset: Dataset):
@@ -68,21 +64,9 @@ def read_matrix(datadir, dataset: Dataset):
     if 0 in (n_rows, n_cols):
         raise ShapeError(f"{datadir}: V has shape {(n_rows, n_cols)}; a fit needs rows and columns")
     kinds = {"indptr": np.integer, "indices": np.integer, "data": np.floating}
-    arrays = {}
-    for part, name in MATRIX_FILENAMES.items():
-        path = datadir / name
-        with open(path, "rb") as fh:
-            try:
-                a = np.lib.format.read_array(fh, allow_pickle=False)
-            except (ValueError, TokenError) as exc:  # numpy retries a bad header through tokenize
-                reason = "its header does not parse" if isinstance(exc, TokenError) else exc
-                raise ValueError(f"{path}: not a readable .npy array: {reason}") from None
-        if a.ndim != 1 or not np.issubdtype(a.dtype, kinds[part]):
-            raise ValueError(
-                f"{path}: expected a 1-D {kinds[part].__name__} array, "
-                f"got {a.dtype} with shape {a.shape}"
-            )
-        arrays[part] = a
+    arrays = {
+        part: read_npy(datadir / name, 1, kinds[part]) for part, name in MATRIX_FILENAMES.items()
+    }
     # unsigned differences would wrap; scipy takes the values as float64
     indptr, indices = (arrays[part].astype(np.int64, copy=False) for part in ("indptr", "indices"))
     data = arrays["data"].astype(np.float64, copy=False)
@@ -145,7 +129,7 @@ def _write(
     stats: dict,
 ) -> None:
     out = Path(outdir)
-    _write_matrix(out, *csr)
+    _write_matrix(out, csr)
     meta = {
         "doc_ids": list(doc_ids),
         "vocabulary": list(vocab_terms),

@@ -74,20 +74,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalFailureError, ShapeError
-from .matrix import (
-    read_dense_csv,
-    read_json,
-    write_csv,
-    write_dense_csv,
-    write_json,
-)
-from .supervision import build_error_weights, check_seed
+from .matrix import read_json, read_npy, write_csv, write_dense_csv, write_json, write_npy
+from .supervision import build_error_weights, check_seed, check_topics
 
 STOP_CONVERGED = "converged"
 STOP_LOSS_INCREASED = "loss_increased"
 STOP_MAX_ITER = "max_iter"
-# the files save_model writes under a model directory
-MODEL_FILES = ("model.json", "W.csv", "H.csv", "trace.csv")
+# the files save_model writes under a model directory; the CSVs are an export
+MODEL_FILES = ("model.json", "W.npy", "H.npy", "W.csv", "H.csv", "trace.csv")
 
 # fit's update denominator guard; the public update_* steps take theirs as an argument
 EPSILON = 1e-9
@@ -117,8 +111,7 @@ class FitConfig:
     weighted: bool = False
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"topic count must be >= 1, got {self.d}")
+        check_topics(self.d)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         check_seed(self.seed)
@@ -486,7 +479,12 @@ def _fit_stack(V, cells) -> list:
 
 
 def save_model(outdir, model: FactorModel, trace: FitTrace, config: FitConfig) -> None:
-    """Write model.json (header), W.csv, H.csv, and trace.csv under ``outdir``."""
+    """Write the ``MODEL_FILES`` under ``outdir``.
+
+    model.json is the header; W.npy and H.npy hold the factors ``read_factor``
+    reads, and W.csv and H.csv the same factors as a text export that nothing
+    in the package reads; trace.csv holds the loss of each iteration.
+    """
     out = Path(outdir)
     header = {
         "n": int(model.W.shape[0]),
@@ -504,6 +502,8 @@ def save_model(outdir, model: FactorModel, trace: FitTrace, config: FitConfig) -
         "final_loss": trace.final_loss,
     }
     write_json(out / "model.json", header)
+    write_npy(out / "W.npy", model.W)
+    write_npy(out / "H.npy", model.H)
     write_dense_csv(model.W, out / "W.csv")
     write_dense_csv(model.H, out / "H.csv")
     write_trace_csv(out, trace.losses)
@@ -515,18 +515,21 @@ def write_trace_csv(outdir, losses) -> None:
 
 
 def read_factor(modeldir, name: str) -> np.ndarray:
-    """Factor ``name``, "W" or "H", of a model directory written by save_model.
+    """Factor ``name``, "W" or "H", of a model directory written by save_model, from its .npy.
 
-    The factor must have the shape ``model.json`` records, (n, d) for W and
-    (d, t) for H, and finite entries >= 0; a ``ValueError`` names the file.
+    The factor must be a 2-D floating array of the shape ``model.json``
+    records, (n, d) for W and (d, t) for H, with entries, at least one, all
+    finite and >= 0; a ``ValueError`` names the file.
     """
     modeldir = Path(modeldir)
     header = read_json(modeldir / "model.json")
     shape = tuple(header.get(key) for key in {"W": ("n", "d"), "H": ("d", "t")}[name])
-    path = modeldir / f"{name}.csv"
-    a = read_dense_csv(path)
+    path = modeldir / f"{name}.npy"
+    a = read_npy(path, 2, np.floating).astype(np.float64, copy=False)
     if a.shape != shape:
         raise ValueError(f"{path}: shape {a.shape}, model.json records {shape}")
+    if not a.size:
+        raise ValueError(f"{path}: shape {a.shape} holds no entries")
     if not np.isfinite(a).all() or a.min() < 0.0:
         raise ValueError(f"{path}: entries must be finite and >= 0")
     return a

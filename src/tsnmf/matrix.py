@@ -7,10 +7,17 @@ gives the CSR arrays of a dense matrix for it, and ``dense_from_csr``
 turns such arrays back into the dense matrix, which only a dataset too
 dense for the CSR path (or read without scipy) needs.
 
-Dense CSV: one matrix row per line, comma-separated values.  Floats are
-written with ``repr`` and read back with ``numpy.loadtxt``, so files
-round-trip exactly and reruns are byte-identical; a file that does not
-parse, is ragged or is empty raises a ``ValueError`` naming it.
+``.npy``: the one binary matrix format, read and written here for the
+dataset matrix and the model's factors.  ``write_npy`` writes the bytes
+``np.save`` gives without pickling, so a rerun writes identical bytes;
+``read_npy`` reads them back without pickling and checks the array's ndim
+and dtype kind, and every error, a header that does not parse included,
+is a ``ValueError`` naming the file.
+
+Dense CSV: one matrix row per line, comma-separated values, floats written
+with ``repr``, so a float parser gets each value back exactly and reruns
+are byte-identical.  The package writes it as an export and reads no text
+matrix.
 
 Artifacts: every file the package writes goes through ``write_file``: a
 temporary ``.<name>.<pid>.tmp`` beside the target, renamed into place by
@@ -26,8 +33,8 @@ import csv
 import io
 import json
 import os
-import warnings
 from pathlib import Path
+from tokenize import TokenError
 from typing import BinaryIO, Callable
 
 import numpy as np
@@ -120,13 +127,26 @@ def write_dense_csv(a, path) -> None:
     write_file(path, "\n".join(lines) + "\n")
 
 
-def read_dense_csv(path) -> np.ndarray:
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty file is rejected below
-            a = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not a.size:
-        raise ValueError(f"empty dense matrix file: {path}")
+def write_npy(path, a) -> None:
+    """Write ``a`` with ``np.save``'s own writer, unpickled and streamed without a copy."""
+    a = np.asanyarray(a)
+    write_file(path, lambda fh: np.lib.format.write_array(fh, a, allow_pickle=False))
+
+
+def read_npy(path, ndim: int, kind: type[np.generic]) -> np.ndarray:
+    """The array of the ``.npy`` file ``path``, which must be ``ndim``-D of a ``kind`` dtype.
+
+    Nothing is unpickled; a ``ValueError`` names the file.
+    """
+    with open(path, "rb") as fh:
+        try:
+            a = np.lib.format.read_array(fh, allow_pickle=False)
+        # numpy retries a bad header through tokenize, and allocates the shape it names
+        except (ValueError, TokenError, MemoryError) as exc:
+            reason = "its header does not parse" if isinstance(exc, TokenError) else exc
+            raise ValueError(f"{path}: not a readable .npy array: {reason}") from None
+    if a.ndim != ndim or not np.issubdtype(a.dtype, kind):
+        raise ValueError(
+            f"{path}: expected a {ndim}-D {kind.__name__} array, got {a.dtype} with shape {a.shape}"
+        )
     return a

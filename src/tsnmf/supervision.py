@@ -118,6 +118,12 @@ def check_rate(rate: float, name: str = "supervision rate") -> None:
         raise ValueError(f"{name} must be in [0, 1], got {rate}")
 
 
+def check_topics(d: int) -> None:
+    """Raise ``ValueError`` unless the topic count ``d`` is >= 1."""
+    if d < 1:
+        raise ValueError(f"topic count must be >= 1, got {d}")
+
+
 def check_seed(seed: int, name: str = "seed") -> None:
     """Raise ``ValueError``, naming the seed ``name``, unless it is >= 0."""
     if seed < 0:
@@ -148,8 +154,7 @@ def build_mask(
     """
     if labels.n_docs != n:
         raise ShapeError(f"label table covers {labels.n_docs} documents, expected {n}")
-    if d < 1:
-        raise ValueError(f"topic count must be >= 1, got {d}")
+    check_topics(d)
     supervised = frozenset(int(i) for i in supervised)
     rows = np.array(sorted(supervised), dtype=np.int64)
     outside = rows[(rows < 0) | (rows >= n)]

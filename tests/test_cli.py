@@ -1,6 +1,7 @@
 """Command-line contract tests: stages, file handoffs, exit codes."""
 
 import csv
+import io
 import json
 import os
 import signal
@@ -25,7 +26,7 @@ from tsnmf.experiment import (
     fit_config,
 )
 from tsnmf.factorization import FactorModel, FitConfig, FitTrace, fit, read_factor, save_model
-from tsnmf.matrix import csr_parts, read_dense_csv, read_json
+from tsnmf.matrix import csr_parts, read_json, read_npy
 from tsnmf.supervision import LabelTable
 from tsnmf.synthetic import make_planted_instance
 
@@ -218,8 +219,8 @@ class TestFit:
         args = ["fit", "--data", str(data), "--rate", "0.4", "--seed", "3"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
-        for name in ("model.json", "W.csv", "H.csv", "trace.csv", "supervision.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        for name in FIT_FILES:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_trace_csv_non_increasing(self, tmp_path):
         data = _synth_dataset(tmp_path)
@@ -314,7 +315,7 @@ class TestFit:
         model_dir = tmp_path / "model"
         args = ["fit", "--data", str(data), "--rate", "0.5", "--out", str(model_dir)]
         assert main(args) == 0
-        assert len(list(model_dir.iterdir())) == 5
+        assert sorted(p.name for p in model_dir.iterdir()) == sorted(FIT_FILES)
         _rewrite(data, "data", _set(0, np.inf))
         with np.errstate(invalid="ignore"):
             assert main(args) == 4
@@ -589,35 +590,56 @@ def test_malformed_meta_exits_2_on_fit_evaluate_and_top_terms(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: {meta_path}: {message}\n" * 3
 
 
+def _saved(change):
+    """A corruption that saves ``change`` of the factor in place of its .npy bytes."""
+
+    def corrupt(blob):
+        out = io.BytesIO()
+        np.save(out, change(np.load(io.BytesIO(blob))), allow_pickle=True)
+        return out.getvalue()
+
+    return corrupt
+
+
 def _first_entry(value):
-    return lambda text: value + text[text.index(","):]
+    def change(a):
+        a = a.copy()
+        a.flat[0] = value
+        return a
+
+    return _saved(change)
 
 
-def _drop_last_row(text):
-    return "".join(line + "\n" for line in text.splitlines()[:-1])
-
-
-def _drop_last_column(text):
-    return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+def _huge_shape(blob):
+    # the header asks for far more memory than there is; the length field stays valid
+    grown = blob.replace(b"'shape': (", b"'shape': (99999999999, ", 1)
+    return grown.replace(b" " * 13 + b"\n", b"\n", 1)
 
 
 # each factor corruption is run against the command that reads that factor:
-# evaluate reads only W.csv, top-terms only H.csv, and both read model.json
+# evaluate reads only W.npy, top-terms only H.npy, and both read model.json
 FACTOR_CORRUPTIONS = {
-    "empty": lambda text: "",
-    "not_a_number": _first_entry("x"),
-    "nan": _first_entry("nan"),
-    "inf": _first_entry("inf"),
-    "negative": _first_entry("-5.0"),
-    "row_missing": _drop_last_row,
-    "column_missing": _drop_last_column,
+    "empty": lambda blob: b"",
+    "truncated": lambda blob: blob[: len(blob) // 2],
+    "flipped_magic": lambda blob: bytes([blob[0] ^ 0xFF]) + blob[1:],
+    "header_brace": lambda blob: blob.replace(b"}", b"(", 1),
+    "huge_shape": _huge_shape,
+    "row_missing": _saved(lambda a: a[:-1]),
+    "column_missing": _saved(lambda a: a[:, :-1]),
+    "one_d": _saved(np.ravel),
+    "integer": _saved(lambda a: a.astype(np.int64)),
+    "pickled_object": _saved(lambda a: a.astype(object)),
+    "nan": _first_entry(np.nan),
+    "inf": _first_entry(np.inf),
+    "negative": _first_entry(-5.0),
+    "zero_size": _saved(lambda a: a[:0]),
 }
 MODEL_CORRUPTIONS = {
-    **{f"{factor}_{kind}": (f"{factor}.csv", corrupt)
+    **{f"{factor}_{kind}": (f"{factor}.npy", corrupt)
        for factor in "WH" for kind, corrupt in FACTOR_CORRUPTIONS.items()},
-    "model_json_truncated": ("model.json", lambda text: text[:25]),
+    "model_json_truncated": ("model.json", lambda blob: blob[:25]),
 }
-READERS = {"W.csv": ["evaluate"], "H.csv": ["top-terms"], "model.json": ["evaluate", "top-terms"]}
+READERS = {"W.npy": ["evaluate"], "H.npy": ["top-terms"], "model.json": ["evaluate", "top-terms"]}
 
 
 @pytest.mark.parametrize(
@@ -631,11 +653,70 @@ def test_corrupt_model_file_exits_2_naming_it(tmp_path, capsys, corruption, comm
     assert main(["fit", "--data", str(data), "--out", str(model_dir)]) == 0
     name, corrupt = MODEL_CORRUPTIONS[corruption]
     path = model_dir / name
-    path.write_text(corrupt(path.read_text()))
+    path.write_bytes(corrupt(path.read_bytes()))
     argv = [command, "--model", str(model_dir), "--data", str(data)]
     capsys.readouterr()
     assert main(argv + (["--out", str(tmp_path / "rep")] if command == "evaluate" else [])) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor, command", [("W", "evaluate"), ("H", "top-terms")])
+def test_zero_size_factor_that_model_json_records_exits_2_naming_it(tmp_path, capsys, factor,
+                                                                     command):
+    data = _synth_dataset(tmp_path)
+    model_dir = tmp_path / "model"
+    assert main(["fit", "--data", str(data), "--out", str(model_dir)]) == 0
+    header = read_json(model_dir / "model.json")
+    (model_dir / "model.json").write_text(json.dumps(dict(header, d=0)))
+    path = model_dir / f"{factor}.npy"
+    shape = {"W": (header["n"], 0), "H": (0, header["t"])}[factor]
+    np.save(path, np.zeros(shape), allow_pickle=False)
+    argv = [command, "--model", str(model_dir), "--data", str(data)]
+    capsys.readouterr()
+    assert main(argv + (["--out", str(tmp_path / "rep")] if command == "evaluate" else [])) == 2
+    assert capsys.readouterr().err == f"error: {path}: shape {shape} holds no entries\n"
+
+
+class TestFactorFiles:
+    """fit writes each factor as .npy, which evaluate and top-terms read, and as a CSV export."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_read_factor_equals_the_csv_export_bit_for_bit(self, tmp_path, weighted):
+        data = _synth_dataset(tmp_path)
+        model_dir = tmp_path / "model"
+        args = ["fit", "--data", str(data), "--rate", "0.5", *["--weighted"] * weighted]
+        assert main([*args, "--out", str(model_dir)]) == 0
+        for name in "WH":
+            csv_text = np.loadtxt(model_dir / f"{name}.csv", delimiter=",", ndmin=2)
+            factor = read_factor(model_dir, name)
+            assert factor.dtype == np.float64 and factor.flags.c_contiguous
+            assert factor.shape == csv_text.shape and factor.tobytes() == csv_text.tobytes()
+
+    def test_model_without_npy_factors_exits_2_naming_the_file(self, tmp_path, capsys):
+        # a model directory from before the factors were saved as .npy holds the CSVs only
+        data = _synth_dataset(tmp_path)
+        model_dir = tmp_path / "model"
+        assert main(["fit", "--data", str(data), "--out", str(model_dir)]) == 0
+        for name in ("W.npy", "H.npy"):
+            (model_dir / name).unlink()
+        inputs = ["--model", str(model_dir), "--data", str(data)]
+        capsys.readouterr()
+        assert main(["evaluate", *inputs, "--out", str(tmp_path / "rep")]) == 2
+        assert str(model_dir / "W.npy") in capsys.readouterr().err
+        assert main(["top-terms", *inputs]) == 2
+        assert str(model_dir / "H.npy") in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_refit_from_the_model_own_record_rewrites_every_file(self, tmp_path):
+        data = _synth_dataset(tmp_path)
+        model_dir = tmp_path / "model"
+        args = ["fit", "--data", str(data), "--weighted", "--max-iter", "30", "--out", str(model_dir)]
+        assert main([*args, "--rate", "0.4", "--seed", "3"]) == 0
+        before = {name: (model_dir / name).read_bytes() for name in FIT_FILES}
+        # the record is read before the run replaces it
+        assert main([*args, "--supervision", str(model_dir / "supervision.json")]) == 0
+        assert sorted(p.name for p in model_dir.iterdir()) == sorted(FIT_FILES)
+        assert {name: (model_dir / name).read_bytes() for name in FIT_FILES} == before
 
 
 # Each artifact a command reads, the commands that read it, and seeded corruptions of it:
@@ -645,8 +726,8 @@ FUZZ_ARTIFACTS = {
     "meta.json": ("data/meta.json", ("fit", "evaluate", "top-terms", "sweep")),
     **{name: (f"data/{name}", ("fit", "sweep")) for name in MATRIX_FILENAMES.values()},
     "model.json": ("model/model.json", ("evaluate", "top-terms")),
-    "W.csv": ("model/W.csv", ("evaluate",)),
-    "H.csv": ("model/H.csv", ("top-terms",)),
+    "W.npy": ("model/W.npy", ("evaluate",)),
+    "H.npy": ("model/H.npy", ("top-terms",)),
     "supervision.json": ("model/supervision.json", ("evaluate", "fit --supervision")),
     "sweep config": ("sweep.json", ("sweep",)),
 }
@@ -777,15 +858,15 @@ def _not_utf8_factor(tmp_path):
     data = _synth_dataset(tmp_path)
     model_dir = tmp_path / "model"
     assert main(["fit", "--data", str(data), "--out", str(model_dir)]) == 0
-    path = model_dir / "W.csv"
-    path.write_bytes(b"\xff" + path.read_bytes())
+    path = model_dir / "W.npy"
+    path.write_bytes(b"\xff" + (model_dir / "W.csv").read_bytes())
     argv = ["evaluate", "--model", str(model_dir), "--data", str(data), "--out", str(tmp_path / "out")]
     return argv, str(path)
 
 
 @pytest.mark.parametrize(
     "make", [_not_utf8_stopwords, _not_utf8_corpus_line, _not_utf8_factor],
-    ids=["stopwords", "corpus_line", "W_csv"],
+    ids=["stopwords", "corpus_line", "W_npy"],
 )
 def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, make):
     argv, named = make(tmp_path)
@@ -822,14 +903,15 @@ def test_evaluate_and_top_terms_never_densify_the_data(tmp_path):
     assert main(["evaluate", *inputs, "--out", str(tmp_path / "all_files")]) == 0
     assert main(["top-terms", *inputs, "--out", str(tmp_path / "all_files.csv")]) == 0
 
-    # each command reads meta.json and its own factor only
-    for name in MATRIX_FILENAMES.values():
-        (data / name).unlink()
-    H = (model_dir / "H.csv").read_bytes()
-    (model_dir / "H.csv").unlink()
+    # each command reads meta.json and its own factor's .npy only
+    for path in [*(data / name for name in MATRIX_FILENAMES.values()),
+                 model_dir / "W.csv", model_dir / "H.csv"]:
+        path.unlink()
+    H = (model_dir / "H.npy").read_bytes()
+    (model_dir / "H.npy").unlink()
     assert main(["evaluate", *inputs, "--out", str(tmp_path / "rep")]) == 0
-    (model_dir / "H.csv").write_bytes(H)
-    (model_dir / "W.csv").unlink()
+    (model_dir / "H.npy").write_bytes(H)
+    (model_dir / "W.npy").unlink()
     assert main(["top-terms", *inputs, "--out", str(tmp_path / "tt.csv")]) == 0
 
     report = (tmp_path / "rep" / "report.json").read_bytes()
@@ -1022,7 +1104,7 @@ class TestSweep:
             fit_args = ["fit", "--data", str(data), "--rate", str(rate), "--seed", "2", "--max-iter", "30"]
             assert main(fit_args + ["--weighted"] * weighted + ["--out", str(model)]) == 0
             assert main(["evaluate", "--model", str(model), "--data", str(data), "--out", str(report)]) == 0
-            for name in ("model.json", "W.csv", "H.csv", "trace.csv", "supervision.json"):
+            for name in FIT_FILES:
                 assert (model / name).read_bytes() == (cell / name).read_bytes(), (rate, name)
             assert (report / "report.json").read_bytes() == (cell / "report.json").read_bytes(), rate
 
@@ -1101,7 +1183,7 @@ class TestSweep:
         cfg = self._config(tmp_path, data, rates=[0.0, 0.5])
         assert main(["sweep", "--config", str(cfg)]) == 0
         cells = [tmp_path / "sweep" / "cells" / f"rate_{r}" / "seed_1" for r in (0.0, 0.5)]
-        assert all(len(list(cell.iterdir())) == 6 for cell in cells)
+        assert all(sorted(p.name for p in cell.iterdir()) == sorted(CELL_FILES) for cell in cells)
         _rewrite(data, "data", _set(0, np.inf))
         with np.errstate(invalid="ignore"):
             assert main(["sweep", "--config", str(cfg)]) == 1  # every cell failed
@@ -1147,7 +1229,7 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg)]) == 0
         assert len(built) == 1
         after = {p: p.read_bytes() for p in (tmp_path / "sweep" / "cells").rglob("*") if p.is_file()}
-        assert len(before) == 4 * 6 and after == before
+        assert len(before) == 4 * len(CELL_FILES) and after == before
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         data = _synth_dataset(tmp_path)
@@ -1233,7 +1315,7 @@ def test_failed_write_removes_the_earlier_run(tmp_path, monkeypatch, capsys, com
     assert main(fit_args + ["--seed", "1"]) == 0
     assert main(evaluate_args) == 0
     out, names, failing = {
-        "fit": (model, FIT_FILES, "H.csv"),  # after model.json and W.csv
+        "fit": (model, FIT_FILES, "H.npy"),  # after model.json and W.npy
         "evaluate": (report, REPORT_FILES, "report.json"),
     }[command]
     assert sorted(p.name for p in out.iterdir()) == sorted(names)
@@ -1349,10 +1431,10 @@ ARTIFACT_READERS = {
     "model.json": read_json,
     "supervision.json": read_json,
     "report.json": read_json,
-    "W.csv": read_dense_csv,
-    "H.csv": read_dense_csv,
+    "W.npy": lambda path: read_npy(path, 2, np.floating),
+    "H.npy": lambda path: read_npy(path, 2, np.floating),
     **dict.fromkeys(
-        ("trace.csv", "sweep.csv", "sweep_summary.csv", "sweep_timing.csv"), None
+        ("W.csv", "H.csv", "trace.csv", "sweep.csv", "sweep_summary.csv", "sweep_timing.csv"), None
     ),
 }
 
@@ -1383,15 +1465,18 @@ def test_killed_sweep_leaves_each_artifact_whole_or_absent(tmp_path):
             proc.kill()
             proc.wait()
     files = [p for p in out.rglob("*") if p.is_file()]
-    assert any(p.name == "W.csv" for p in files)
+    assert any(p.name == "W.npy" for p in files)
     for path in files:
         if path.name.startswith("."):
             assert path.name.endswith(".tmp")
             continue
         assert path.name in ARTIFACT_READERS
+        read = ARTIFACT_READERS[path.name]
+        if path.suffix == ".npy":
+            read(path)
+            continue
         text = path.read_text()
         assert text.endswith("\n"), path
-        read = ARTIFACT_READERS[path.name]
         if read is not None:
             read(path)
         else:

@@ -154,6 +154,16 @@ class TestCsrMatrixFiles:
             _read(tmp_path)
 
 
+    def test_header_naming_more_memory_than_there_is_is_named_as_such(self, tmp_path):
+        _save_dataset(tmp_path, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        path = tmp_path / MATRIX_FILENAMES["indices"]
+        # the shape grows by 13 characters and the header's padding shrinks by as many
+        blob = path.read_bytes().replace(b"'shape': (", b"'shape': (99999999999, ", 1)
+        path.write_bytes(blob.replace(b" " * 13 + b"\n", b"\n", 1))
+        message = f"{path}: not a readable .npy array: Unable to allocate"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            _read(tmp_path)
+
 class TestOperandForm:
     """``read_matrix`` is where V's form is chosen; fit multiplies the form it gets."""
 

@@ -1,10 +1,9 @@
-"""Dense primitive, dense CSV and artifact writer tests."""
+"""Dense primitive, .npy, dense CSV and artifact writer tests."""
 
 import ast
 import os
 import re
 import stat
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +16,13 @@ from tsnmf.matrix import (
     as_dense,
     csr_parts,
     dense_from_csr,
-    read_dense_csv,
     read_json,
+    read_npy,
     write_csv,
     write_dense_csv,
     write_file,
     write_json,
+    write_npy,
 )
 
 
@@ -36,37 +36,41 @@ class TestDenseCsv:
         for m, name in ((a, "m.csv"), (edges, "edges.csv"), (edges.T, "column.csv")):
             path = tmp_path / name
             write_dense_csv(m, path)
-            back = read_dense_csv(path)
+            back = np.loadtxt(path, delimiter=",", ndmin=2)
             assert back.shape == m.shape
             assert back.tobytes() == m.tobytes()  # bitwise, so -0.0 keeps its sign
-
-    def test_rejects_ragged_rows(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*columns"):
-            read_dense_csv(path)
-
-    def test_unparsable_value_names_the_file(self, tmp_path):
-        path = tmp_path / "W.csv"
-        path.write_text("1.0,2.0\n3.0,x\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*'x'"):
-            read_dense_csv(path)
-
-    @pytest.mark.parametrize("content", ["", "\n"], ids=["empty", "newline"])
-    def test_rejects_a_file_without_values(self, tmp_path, content):
-        path = tmp_path / "W.csv"
-        path.write_text(content)
-        # numpy warns about such a file; the reader raises instead, with no warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=re.escape(f"empty dense matrix file: {path}")):
-                read_dense_csv(path)
 
     def test_bytes_are_repr_of_each_float(self, tmp_path):
         a = np.array([[0.1, -0.0, 1e-300], [2.0 / 3.0, 5e20, 1.0]])
         write_dense_csv(a, tmp_path / "m.csv")
         expected = "\n".join(",".join(repr(float(v)) for v in row) for row in a) + "\n"
         assert (tmp_path / "m.csv").read_text() == expected
+
+
+class TestNpy:
+    def test_round_trip_writes_np_save_bytes(self, tmp_path):
+        edges = np.array([[5e-324, 1.7976931348623157e308, -0.0], [1e16, 1e-5, 0.1]])
+        for a, ndim, kind in ((edges, 2, np.floating), (np.arange(4), 1, np.integer)):
+            write_npy(tmp_path / "a.npy", a)
+            np.save(tmp_path / "saved.npy", a, allow_pickle=False)
+            assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "saved.npy").read_bytes()
+            back = read_npy(tmp_path / "a.npy", ndim, kind)
+            assert back.dtype == a.dtype and back.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize(
+        "array, message",
+        [
+            (np.zeros(3), "expected a 2-D floating array, got float64 with shape (3,)"),
+            (np.zeros((2, 2), dtype=np.int64), "expected a 2-D floating array, got int64"),
+            (np.array([[None]]), "not a readable .npy array: Object arrays cannot be loaded"),
+        ],
+        ids=["one_d", "integer", "object"],
+    )
+    def test_wrong_array_names_the_file(self, tmp_path, array, message):
+        path = tmp_path / "W.npy"
+        np.save(path, array, allow_pickle=True)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+            read_npy(path, 2, np.floating)
 
 
 @pytest.mark.parametrize("shape", [(3,), ()], ids=["one_d", "scalar"])

@@ -472,9 +472,10 @@ def test_ingest_and_fit_are_byte_reproducible(tmp_path):
         assert nnz <= dataio.SPARSE_DENSITY_MAX * V.shape[0] * V.shape[1]
         assert main(["fit", "--data", str(data), "--rate", "0.3", "--max-iter", "30",
                      "--out", str(model)]) == 0
-        files = sorted(data.glob("matrix*")) + [model / f for f in ("W.csv", "H.csv", "trace.csv")]
+        factors = ("W.npy", "H.npy", "W.csv", "H.csv", "trace.csv")
+        files = sorted(data.glob("matrix*")) + [model / f for f in factors]
         runs.append({p.name: p.read_bytes() for p in files})
-    assert len(runs[0]) == 6 and runs[0] == runs[1]
+    assert len(runs[0]) == 8 and runs[0] == runs[1]
 
 
 def test_ingest_bytes_do_not_depend_on_the_hash_seed(tmp_path):
