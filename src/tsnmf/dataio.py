@@ -35,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import csr_parts, dense_from_csr, read_json, read_npy, write_json, write_npy
+from .matrix import (check_distinct, csr_parts, dense_from_csr, read_json, read_npy, write_json,
+                     write_npy)
 from .preprocessing import IngestResult, Vocabulary
 from .supervision import LabelTable, build_label_table
 from .synthetic import PlantedInstance
@@ -46,6 +47,10 @@ META_FILENAME = "meta.json"
 # fit multiplies as it is.  Measured at 1500x2000 with d = 10 and 20, one BLAS
 # thread: CSR is 1.15-1.3x faster at 10 % density and 1.3-1.5x slower at 20 %.
 SPARSE_DENSITY_MAX = 0.1
+_META_FIELDS = {
+    **dict.fromkeys(("doc_ids", "vocabulary", "labels"), ([(str,)], "a list of strings")),
+    "doc_labels": ([[(str,)]], "a list of lists of strings"),
+}
 
 
 def _write_matrix(out: Path, csr) -> None:
@@ -166,26 +171,10 @@ def write_planted_instance(outdir, inst: PlantedInstance, stats: dict | None = N
 
 def _read_meta(path: Path) -> dict:
     """Load ``meta.json`` and check every field the reader uses, one pass per check."""
-    meta = read_json(path)
-    for key in ("doc_ids", "vocabulary", "labels"):
-        value = meta.get(key)
-        if not isinstance(value, list) or not set(map(type, value)) <= {str}:
-            raise ValueError(f"{path}: '{key}' must be a list of strings")
-    doc_labels = meta.get("doc_labels")
-    if (
-        not isinstance(doc_labels, list)
-        or not set(map(type, doc_labels)) <= {list}
-        or not set(map(type, chain.from_iterable(doc_labels))) <= {str}
-    ):
-        raise ValueError(f"{path}: 'doc_labels' must be a list of lists of strings")
-    for key, entry in (("doc_ids", "doc_id"), ("vocabulary", "vocabulary term")):
-        values = meta[key]
-        if len(set(values)) != len(values):
-            seen = set()
-            for value in values:  # name the first repeat
-                if value in seen:
-                    raise ValueError(f"{path}: {entry} {value!r} appears more than once")
-                seen.add(value)
+    meta = read_json(path, _META_FIELDS)
+    check_distinct(f"{path}: doc_id", meta["doc_ids"])
+    check_distinct(f"{path}: vocabulary term", meta["vocabulary"])
+    doc_labels = meta["doc_labels"]
     if len(doc_labels) != len(meta["doc_ids"]):
         raise ValueError(
             f"{path}: {len(doc_labels)} 'doc_labels' entries for {len(meta['doc_ids'])} doc_ids"

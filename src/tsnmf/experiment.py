@@ -37,7 +37,6 @@ each sweep CSV either complete or absent.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -49,7 +48,7 @@ from .evaluation import REPORT_FILENAME, EvaluationReport, score_report, write_r
 from .errors import INPUT_ERRORS, NumericalFailureError
 from .factorization import (MODEL_FILES, FitConfig, batch_size, fit_batch, save_model,
                             write_trace_csv)
-from .matrix import read_json, write_csv, write_json
+from .matrix import check_distinct, read_json, write_csv, write_json
 from .supervision import (
     build_error_weights,
     build_mask,
@@ -64,15 +63,20 @@ SUPERVISION_FILENAME = "supervision.json"
 FIT_FILES = (*MODEL_FILES, SUPERVISION_FILENAME)
 REPORT_FILES = (REPORT_FILENAME,)
 CELL_FILES = (*FIT_FILES, *REPORT_FILES)
-_INTEGER = (int, "an integer")
-_NUMBER = ((int, float), "a number")
-# (types, description) of each sweep config value, or of each entry of the
-# "rates" and "seeds" lists; numbers are read as floats
-_SWEEP_TYPES = {
-    **dict.fromkeys(("data", "out"), (str, "a path string")),
-    **dict.fromkeys(("rates", "rel_tol"), _NUMBER),
-    **dict.fromkeys(("seeds", "topics", "max_iter"), _INTEGER),
-    "weighted": (bool, "true or false"),
+# (JSON types, description) of each field of a supervision record and of a sweep config
+_SUPERVISION_FIELDS = {
+    "supervised_ids": ([(str,)], "a list of document id strings"),
+    "seed": ((int,), "an integer"),
+    "rate": ((int, float, type(None)), "null or a number"),
+}
+_SWEEP_FIELDS = {
+    **dict.fromkeys(("data", "out"), ((str,), "a path string")),
+    "rates": ([(int, float)], "a list of numbers"),
+    "seeds": ([(int,)], "a list of integers"),
+    "topics": ((int, type(None)), "an integer or null"),
+    "weighted": ((bool,), "true or false"),
+    "max_iter": ((int,), "an integer"),
+    "rel_tol": ((int, float), "a number"),
 }
 # FitConfig fields that fit's arguments and a SweepConfig both carry
 _FIT_KNOBS = ("max_iter", "rel_tol", "weighted")
@@ -92,12 +96,6 @@ SUMMARY_COLUMNS = ("rate", "n_ok", "mean_similarity_mean", "mean_similarity_std"
 TIMING_COLUMNS = ("rate", "seed", "wall_time_s")
 
 
-def _check_type(path, key, value, kinds, what) -> None:
-    # JSON true/false pass only as bools: Python would take them for 1 and 0
-    if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
-        raise ValueError(f"{path}: '{key}' must be {what}, got {value!r}")
-
-
 def _read_supervision(dataset: Dataset, path) -> tuple[set[int], int | None, float | None]:
     """The rows, seed and rate of a supervision spec or record, each checked.
 
@@ -105,24 +103,17 @@ def _read_supervision(dataset: Dataset, path) -> tuple[set[int], int | None, flo
     when the record has none, else an integer >= 0; the rate is None or a
     number in [0, 1].  Every error names the file.
     """
-    info = read_json(path)
-    ids = info.get("supervised_ids")
-    if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
-        raise ValueError(f"{path}: 'supervised_ids' must be a list of document id strings")
+    info = read_json(path, _SUPERVISION_FIELDS, optional=("seed", "rate"))
+    ids = info["supervised_ids"]
     row = {doc_id: i for i, doc_id in enumerate(dataset.doc_ids)}
     missing = [x for x in ids if x not in row]
     if missing:
         raise ValueError(f"{path}: supervised_ids not in dataset: {missing[:5]}")
-    repeated = [x for x, count in Counter(ids).items() if count > 1]
-    if repeated:
-        raise ValueError(f"{path}: supervised_ids repeated: {repeated[:5]}")
-    seed = info.get("seed")
-    if "seed" in info:
-        _check_type(path, "seed", seed, *_INTEGER)
+    check_distinct(f"{path}: 'supervised_ids' entry", ids)
+    seed, rate = info.get("seed"), info.get("rate")
+    if seed is not None:
         check_seed(seed, f"{path}: 'seed'")
-    rate = info.get("rate")
     if rate is not None:
-        _check_type(path, "rate", rate, *_NUMBER)
         check_rate(rate, f"{path}: 'rate'")
     return {row[x] for x in ids}, seed, rate
 
@@ -233,38 +224,33 @@ class SweepConfig:
     rel_tol: float = FitConfig.rel_tol
 
     def __post_init__(self):
-        for key in ("rates", "seeds"):
-            values = getattr(self, key)
-            if not values or len(set(values)) != len(values):
-                raise ValueError(f"{key} must be non-empty and distinct, got {list(values)}")
+        for key, values in (("rates", self.rates), ("seeds", self.seeds)):
+            if not values:
+                raise ValueError(f"'{key}' must not be empty")
+            check_distinct(f"'{key}' entry", values)
         for r in self.rates:
             check_rate(r, "rates")
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
-        raw = read_json(path)
-        unknown = set(raw) - set(_SWEEP_TYPES)
+        """The sweep config of the JSON file ``path``; every error names the file."""
+        raw = read_json(path, _SWEEP_FIELDS, optional=("topics", "weighted", "max_iter", "rel_tol"))
+        unknown = set(raw) - set(_SWEEP_FIELDS)
         if unknown:
-            raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-        for key in ("data", "out", "rates", "seeds"):
-            if key not in raw:
-                raise ValueError(f"sweep config missing required key {key!r}")
-        for key, value in raw.items():
-            kinds, what = _SWEEP_TYPES[key]
-            if key in ("rates", "seeds"):
-                _check_type(path, key, value, list, "a list")
-                for i, item in enumerate(value):
-                    _check_type(path, f"{key}[{i}]", item, kinds, what)
-            elif key != "topics" or value is not None:
-                _check_type(path, key, value, kinds, what)
-            if value == "":  # "." would pass for a directory, as an empty flag would
+            raise ValueError(f"{path}: unknown sweep config keys: {sorted(unknown)}")
+        for key in ("data", "out"):
+            if raw[key] == "":  # "." would pass for a directory, as an empty flag would
                 raise ValueError(f"{path}: '{key}': empty file name")
-            if kinds == _NUMBER[0]:
-                raw[key] = tuple(map(float, value)) if key == "rates" else float(value)
-        raw["seeds"] = tuple(raw["seeds"])
         if not Path(raw["data"]).is_dir():
-            raise ValueError(f"sweep data directory not found: {raw['data']}")
-        return cls(**raw)
+            raise ValueError(f"{path}: sweep data directory not found: {raw['data']}")
+        # numbers are read as floats
+        raw["rates"], raw["seeds"] = tuple(map(float, raw["rates"])), tuple(raw["seeds"])
+        if "rel_tol" in raw:
+            raw["rel_tol"] = float(raw["rel_tol"])
+        try:
+            return cls(**raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

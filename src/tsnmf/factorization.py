@@ -518,12 +518,13 @@ def read_factor(modeldir, name: str) -> np.ndarray:
     """Factor ``name``, "W" or "H", of a model directory written by save_model, from its .npy.
 
     The factor must be a 2-D floating array of the shape ``model.json``
-    records, (n, d) for W and (d, t) for H, with entries, at least one, all
-    finite and >= 0; a ``ValueError`` names the file.
+    records as the JSON integers n, d and t, (n, d) for W and (d, t) for H,
+    with entries, at least one, all finite and >= 0; a ``ValueError`` names
+    the file.
     """
     modeldir = Path(modeldir)
-    header = read_json(modeldir / "model.json")
-    shape = tuple(header.get(key) for key in {"W": ("n", "d"), "H": ("d", "t")}[name])
+    header = read_json(modeldir / "model.json", dict.fromkeys("ndt", ((int,), "an integer")))
+    shape = tuple(header[key] for key in {"W": ("n", "d"), "H": ("d", "t")}[name])
     path = modeldir / f"{name}.npy"
     a = read_npy(path, 2, np.floating).astype(np.float64, copy=False)
     if a.shape != shape:

@@ -24,7 +24,13 @@ temporary ``.<name>.<pid>.tmp`` beside the target, renamed into place by
 ``os.replace`` (no fsync), so a killed process leaves each artifact whole
 or absent, and any ``OSError`` it raises says ``cannot write output``.
 ``write_json`` and ``write_csv`` fix the one JSON layout and the one CSV
-dialect; ``read_json`` names the file in every error.
+dialect.
+
+JSON input: ``read_json`` reads each JSON file, and ``parse_json`` each
+corpus line, as UTF-8 whatever the locale, and checks the object's fields
+against a table of key -> (JSON types, description), by exact type, so
+``true`` is never an integer.  Every error is a ``ValueError`` naming the
+place (the file, and a corpus line) and the key.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import csv
 import io
 import json
 import os
+from itertools import chain
 from pathlib import Path
 from tokenize import TokenError
 from typing import BinaryIO, Callable
@@ -111,15 +118,49 @@ def write_csv(path, rows) -> None:
     write_file(path, buf.getvalue())
 
 
-def read_json(path) -> dict:
-    """Load a JSON object; a ``ValueError`` naming the file if it is not one."""
+def _has_types(value, types) -> bool:
+    """Whether ``value`` has one of ``types`` exactly: a tuple of types, or ``[inner]``
+    for an array whose items have the types ``inner``, checked in one pass."""
+    if type(types) is tuple:
+        return type(value) in types
+    if type(value) is not list:
+        return False
+    (inner,) = types
+    if type(inner) is tuple:
+        return set(map(type, value)).issubset(inner)
+    # an array of arrays: its items are arrays, whose items, all together, have ``inner``
+    return set(map(type, value)) <= {list} and _has_types(list(chain.from_iterable(value)), inner)
+
+
+def parse_json(data: bytes, place, fields: dict | None = None, optional=()) -> dict:
+    """The JSON object that the UTF-8 ``data`` holds, with the ``fields`` it must have.
+
+    ``fields`` maps a key to (types, what), as ``_has_types`` takes them; an
+    absent key fails unless it is ``optional``, with ``<place>: '<key>' must be <what>``.
+    """
     try:
-        obj = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: must be a JSON object")
+        obj = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # a UnicodeDecodeError included
+        raise ValueError(f"{place}: not valid JSON: {exc}") from None
+    if type(obj) is not dict:
+        raise ValueError(f"{place}: must be a JSON object")
+    for key, (types, what) in (fields or {}).items():
+        if not (_has_types(obj[key], types) if key in obj else key in optional):
+            raise ValueError(f"{place}: '{key}' must be {what}")
     return obj
+
+
+def read_json(path, fields: dict | None = None, optional=()) -> dict:
+    """The JSON object of the file ``path``, checked by ``parse_json``; errors name the file."""
+    return parse_json(Path(path).read_bytes(), path, fields, optional)
+
+
+def check_distinct(what: str, values) -> None:
+    """Raise ``ValueError`` ``<what> <value!r> appears more than once`` on a repeat."""
+    if len(set(values)) != len(values):
+        seen = set()  # name the first entry seen twice
+        value = next(value for value in values if value in seen or seen.add(value))
+        raise ValueError(f"{what} {value!r} appears more than once")
 
 
 def write_dense_csv(a, path) -> None:

@@ -28,7 +28,6 @@ is ever allocated.  Row norms are taken over dense blocks of about
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -41,12 +40,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyVocabularyError
-from .matrix import dense_from_csr
+from .matrix import check_distinct, dense_from_csr, parse_json
 
 MIN_TOKEN_LEN = 3
 DEFAULT_MIN_CHARS = 250
 DEFAULT_VOCAB_CAP = 2000
 TFIDF_BLOCK_BYTES = 1 << 20  # dense row block used for the row norms
+_DOCUMENT_FIELDS = {"id": ((str,), "a string"), "text": ((str,), "a string"),
+                    "labels": ([(str,)], "an array of strings")}
 
 # byte -> byte: ASCII letters to lowercase, every other byte to a space
 _TOKEN_TABLE = bytes(b | 0x20 if 65 <= b <= 90 or 97 <= b <= 122 else 32 for b in range(256))
@@ -267,38 +268,17 @@ def tfidf_encode(
 def read_corpus_jsonl(path) -> list[RawDocument]:
     """Parse a JSON-lines corpus file.
 
-    Lines are UTF-8 and end at a line feed.  Each must be an object with
-    string fields ``id`` and ``text`` and an array of strings ``labels``.
-    Errors name the offending line number.
+    Lines are UTF-8 and end at a line feed.  Each must be an object with a
+    unique string ``id``, a string ``text`` and an array of strings ``labels``.
+    Errors name the file and, but for a repeated id, the line.
     """
     docs = []
-    seen_ids = set()
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: not UTF-8: {exc}") from None
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {lineno}: expected a JSON object")
-            for key in ("id", "text", "labels"):
-                if key not in obj:
-                    raise ValueError(f"{path}: line {lineno}: missing field {key!r}")
-            if not isinstance(obj["id"], str) or not isinstance(obj["text"], str):
-                raise ValueError(f"{path}: line {lineno}: 'id' and 'text' must be strings")
-            labels = obj["labels"]
-            if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-                raise ValueError(f"{path}: line {lineno}: 'labels' must be an array of strings")
-            if obj["id"] in seen_ids:
-                raise ValueError(f"{path}: line {lineno}: duplicate document id {obj['id']!r}")
-            seen_ids.add(obj["id"])
-            docs.append(RawDocument(id=obj["id"], text=obj["text"], labels=frozenset(labels)))
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                obj = parse_json(line, f"{path}: line {lineno}", _DOCUMENT_FIELDS)
+                docs.append(RawDocument(obj["id"], obj["text"], frozenset(obj["labels"])))
+    check_distinct(f"{path}: document id", [doc.id for doc in docs])
     return docs
 
 

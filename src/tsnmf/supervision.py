@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidSupervisionError, ShapeError
+from .matrix import check_distinct
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,7 @@ class LabelTable:
     doc_labels: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("label list contains duplicates")
+        check_distinct("label", self.labels)
         if list(self.labels) != sorted(self.labels):
             raise ValueError("labels must be in lexicographic order")
         d = len(self.labels)

@@ -116,23 +116,26 @@ class TestIngest:
         "body, message",
         [
             ('{"id": "a", "text": "x", "labels": []}\n{"id": "b", "labels": []}\n',
-             "line 2: missing field 'text'"),
-            ("[1, 2]\n", "line 1: expected a JSON object"),
-            ('{"id": 3, "text": "x", "labels": []}\n', "line 1: 'id' and 'text' must be strings"),
+             "line 2: 'text' must be a string"),
+            ("[1, 2]\n", "line 1: must be a JSON object"),
+            ("not json\n", "line 1: not valid JSON"),
+            ('{"id": "\udcff", "text": "x", "labels": []}\n', "line 1: not valid JSON: 'utf-8' codec"),
+            ('{"id": 3, "text": "x", "labels": []}\n', "line 1: 'id' must be a string"),
+            ('{"id": "a", "text": null, "labels": []}\n', "line 1: 'text' must be a string"),
             ('{"id": "a", "text": "x", "labels": [1]}\n',
              "line 1: 'labels' must be an array of strings"),
             ('{"id": "a", "text": "x", "labels": "grain"}\n',
              "line 1: 'labels' must be an array of strings"),
             # a blank line is skipped, and still counted
             ('{"id": "a", "text": "x", "labels": []}\n \n{"id": "b", "labels": []}\n',
-             "line 3: missing field 'text'"),
+             "line 3: 'text' must be a string"),
         ],
-        ids=["missing_text", "array", "id_number", "labels_numbers", "labels_string",
-             "after_blank_line"],
+        ids=["missing_text", "array", "not_json", "not_utf8", "id_number", "text_null",
+             "labels_numbers", "labels_string", "after_blank_line"],
     )
     def test_malformed_line_exits_2_and_names_line(self, tmp_path, capsys, body, message):
         path = tmp_path / "bad.jsonl"
-        path.write_text(body)
+        path.write_text(body, encoding="utf-8", errors="surrogateescape")  # U+DCFF: byte 0xff
         rc = main(["ingest", "--corpus", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"{path}: {message}" in capsys.readouterr().err
@@ -262,6 +265,22 @@ class TestFit:
         assert "supervised_ids not in dataset: ['nodoc']" in capsys.readouterr().err
         # as a sweep cell whose supervision fails, the model directory keeps no file of either run
         assert list(model_dir.iterdir()) == []
+
+    def test_supervision_spec_is_read_as_utf8_under_an_ascii_locale(self, tmp_path):
+        data = _synth_dataset(tmp_path)
+        spec = tmp_path / "spec.json"
+        info = {"supervised_ids": list(read_dataset(data).doc_ids[:2]), "note": "caf\u00e9"}
+        spec.write_text(json.dumps(info, ensure_ascii=False), encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # the C locale without coercion or UTF-8 mode: the locale's encoding is ASCII
+        env = dict(os.environ, PYTHONPATH=pythonpath, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONUTF8="0")
+        argv = ["fit", "--data", str(data), "--supervision", str(spec), "--out", str(tmp_path / "m")]
+        proc = subprocess.run([sys.executable, "-m", "tsnmf.cli", *argv], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        assert proc.returncode == 0, proc.stderr
+        assert read_json(tmp_path / "m" / "supervision.json")["supervised_ids"] == ["doc00", "doc01"]
 
     def test_supervision_spec_file_with_explicit_ids(self, tmp_path):
         data = _synth_dataset(tmp_path)
@@ -453,7 +472,7 @@ class TestEvaluate:
         capsys.readouterr()
         assert main([*argv[command], "--data", str(data), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "supervised_ids repeated: ['doc00']" in err
+        assert f"{path}: 'supervised_ids' entry 'doc00' appears more than once" in err
         assert not out.exists()
 
     def test_coverage_recorded_from_supervision_info(self, tmp_path):
@@ -568,6 +587,10 @@ META_CORRUPTIONS = {
         lambda meta: dict(meta, vocabulary=meta["vocabulary"][:1] + meta["vocabulary"][:-1]),
         "vocabulary term 'term00' appears more than once",
     ),
+    "labels_repeated": (
+        lambda meta: dict(meta, labels=meta["labels"][:1] + meta["labels"]),
+        "label 'topic0' appears more than once",
+    ),
 }
 
 
@@ -634,10 +657,20 @@ FACTOR_CORRUPTIONS = {
     "negative": _first_entry(-5.0),
     "zero_size": _saved(lambda a: a[:0]),
 }
+def _header(edit):
+    """A corruption that rewrites model.json as ``edit`` of its object."""
+    return lambda blob: json.dumps(edit(json.loads(blob))).encode()
+
+
 MODEL_CORRUPTIONS = {
     **{f"{factor}_{kind}": (f"{factor}.npy", corrupt)
        for factor in "WH" for kind, corrupt in FACTOR_CORRUPTIONS.items()},
     "model_json_truncated": ("model.json", lambda blob: blob[:25]),
+    # a shape field must be a JSON integer: neither 30.0 nor true nor "30" is taken for one
+    "model_json_n_float": ("model.json", _header(lambda h: dict(h, n=float(h["n"])))),
+    "model_json_d_bool": ("model.json", _header(lambda h: dict(h, d=True))),
+    "model_json_t_string": ("model.json", _header(lambda h: dict(h, t=str(h["t"])))),
+    "model_json_n_missing": ("model.json", _header(lambda h: {k: h[k] for k in h if k != "n"})),
 }
 READERS = {"W.npy": ["evaluate"], "H.npy": ["top-terms"], "model.json": ["evaluate", "top-terms"]}
 
@@ -1003,6 +1036,7 @@ BAD_SWEEP_VALUES = {
     "seeds_repeated": ("seeds", [1, 2, 1]),
 }
 FIXED_SETTINGS = {"epsilon", "acol_q", "threshold"}
+FIT_CONFIG_RANGES = {"rel_tol_inf"}
 
 
 class TestSweep:
@@ -1075,6 +1109,8 @@ class TestSweep:
         err = capsys.readouterr().err
         assert key in err
         assert ("unknown sweep config keys" in err) == (key in FIXED_SETTINGS)
+        # a range that FitConfig checks names the setting, as it does for a fit flag
+        assert err.startswith(f"error: {cfg}: ") == (case not in FIT_CONFIG_RANGES)
         assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize("case", ["seeds_missing", "data_absent"])
@@ -1084,10 +1120,10 @@ class TestSweep:
             raw = json.loads(cfg.read_text())
             del raw["seeds"]
             cfg.write_text(json.dumps(raw))
-            message = "sweep config missing required key 'seeds'"
+            message = f"{cfg}: 'seeds' must be a list of integers"
         else:
             cfg = self._config(tmp_path, tmp_path / "absent")
-            message = f"sweep data directory not found: {tmp_path / 'absent'}"
+            message = f"{cfg}: sweep data directory not found: {tmp_path / 'absent'}"
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()

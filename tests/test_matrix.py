@@ -1,4 +1,4 @@
-"""Dense primitive, .npy, dense CSV and artifact writer tests."""
+"""Dense primitive, .npy, dense CSV, JSON reader and artifact writer tests."""
 
 import ast
 import os
@@ -14,8 +14,10 @@ from tsnmf import cli, errors, experiment
 from tsnmf.errors import ShapeError
 from tsnmf.matrix import (
     as_dense,
+    check_distinct,
     csr_parts,
     dense_from_csr,
+    parse_json,
     read_json,
     read_npy,
     write_csv,
@@ -196,6 +198,47 @@ class TestWriteFile:
             read_json(path)
 
 
+@pytest.mark.parametrize(
+    "value, types, ok",
+    [
+        (1, (int,), True),
+        (True, (int,), False),  # json gives bool for true, never int
+        (1.0, (int,), False),
+        (1, (int, float), True),
+        (None, (int, type(None)), True),
+        ([1, 2], [(int,)], True),
+        ([], [(int,)], True),
+        ([1, True], [(int,)], False),
+        (1, [(int,)], False),
+        ([["a"], []], [[(str,)]], True),
+        ([["a"], "b"], [[(str,)]], False),
+        ([["a", 1]], [[(str,)]], False),
+    ],
+)
+def test_json_fields_have_exact_json_types(tmp_path, value, types, ok):
+    path = tmp_path / "f.json"
+    write_json(path, {"k": value})
+    fields = {"k": (types, "what")}
+    if ok:
+        assert read_json(path, fields) == {"k": value}
+    else:
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 'k' must be what$"):
+            read_json(path, fields)
+
+
+def test_json_field_absent_fails_unless_optional():
+    fields = {"k": ((int,), "an integer")}
+    assert parse_json(b"{}", "f.json: line 3", fields, optional=("k",)) == {}
+    with pytest.raises(ValueError, match=r"^f\.json: line 3: 'k' must be an integer$"):
+        parse_json(b"{}", "f.json: line 3", fields)
+
+
+def test_check_distinct_names_the_first_entry_seen_twice():
+    check_distinct("f.json: id", ["a", "b"])
+    with pytest.raises(ValueError, match=r"^f\.json: id 'c' appears more than once$"):
+        check_distinct("f.json: id", ["b", "c", "c", "b"])
+
+
 WRITE_METHODS = {"write_text", "write_bytes", "tofile"}
 NUMPY_WRITERS = {"save", "savetxt", "savez", "savez_compressed"}
 
@@ -271,6 +314,20 @@ def test_write_file_is_the_only_write_site():
     assert sites == [("matrix.py", "write_file")]
 
 
+def test_matrix_is_the_only_json_parser():
+    """Every JSON input is parsed by ``matrix.parse_json``; no other module calls json.load(s)."""
+    src = Path(tsnmf.__file__).parent
+    parsers = {
+        path.name
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("load", "loads") and getattr(node.func.value, "id", None) == "json"
+        or isinstance(node, ast.ImportFrom) and node.module == "json"
+    }
+    assert parsers == {"matrix.py"}
+
+
 def _names_read(node) -> set[str]:
     """Every name that ``node`` reads, bare or as an attribute."""
     nodes = list(ast.walk(node))
@@ -315,7 +372,10 @@ def test_no_unused_import_or_private_name():
 
 
 def test_cli_maps_errors_to_exit_codes_in_main_only():
-    """One exit-code map in ``cli.main``; a sweep cell catches the errors it maps to exit 2."""
+    """One exit-code map in ``cli.main``; a sweep cell catches the errors it maps to exit 2.
+
+    A sweep config's own checks raise again with the config's file name.
+    """
     handlers = []
 
     def visit(node, function):
@@ -333,9 +393,12 @@ def test_cli_maps_errors_to_exit_codes_in_main_only():
         ("main", "EmptyVocabularyError"),
         ("main", "INPUT_ERRORS"),
         ("one_run", "Exception"),
+        ("from_json", "ValueError"),
         ("run_batch", "INPUT_ERRORS"),  # a cell's supervision, kept for its turn
         ("run_batch", "INPUT_ERRORS"),  # a cell's record and score, or the error it kept
     ]
     last = handlers[3][2]
     assert isinstance(last, ast.Raise) and last.exc is None  # one_run cleans up and re-raises
+    named = handlers[4][2]
+    assert isinstance(named, ast.Raise) and ast.unparse(named.exc).startswith("ValueError(f'{path}: ")
     assert cli.INPUT_ERRORS is experiment.INPUT_ERRORS is errors.INPUT_ERRORS

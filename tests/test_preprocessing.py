@@ -376,7 +376,7 @@ class TestReadCorpusJsonl:
         path = tmp_path / "c.jsonl"
         line = json.dumps({"id": "a", "text": "x", "labels": []})
         path.write_text(line + "\n" + line + "\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: document id 'a' appears more than once$"):
             read_corpus_jsonl(path)
 
 
