@@ -36,6 +36,7 @@ each sweep CSV either complete or absent.
 
 from __future__ import annotations
 
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -210,6 +211,13 @@ def score(dataset: Dataset, W, supervised) -> EvaluationReport:
     return score_report(W, table, coverage=coverage)
 
 
+def _as_float(number, key: str) -> float:
+    """The JSON ``number`` as a float; an integer too large for one names ``key``."""
+    if type(number) is int and abs(number) > sys.float_info.max:
+        raise ValueError(f"'{key}' holds an integer too large for a float")
+    return float(number)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid definition plus fit and scoring parameters for one sweep."""
@@ -243,11 +251,12 @@ class SweepConfig:
                 raise ValueError(f"{path}: '{key}': empty file name")
         if not Path(raw["data"]).is_dir():
             raise ValueError(f"{path}: sweep data directory not found: {raw['data']}")
-        # numbers are read as floats
-        raw["rates"], raw["seeds"] = tuple(map(float, raw["rates"])), tuple(raw["seeds"])
-        if "rel_tol" in raw:
-            raw["rel_tol"] = float(raw["rel_tol"])
+        raw["seeds"] = tuple(raw["seeds"])
         try:
+            # numbers are read as floats
+            raw["rates"] = tuple(_as_float(rate, "rates") for rate in raw["rates"])
+            if "rel_tol" in raw:
+                raw["rel_tol"] = _as_float(raw["rel_tol"], "rel_tol")
             return cls(**raw)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

@@ -3,10 +3,8 @@
 import csv
 import io
 import json
-import os
 import signal
 import subprocess
-import sys
 import time
 from functools import cached_property
 from importlib.util import find_spec
@@ -156,12 +154,19 @@ class TestIngest:
         assert message in err and "line 1" not in err
         assert not (tmp_path / "o").exists()
 
-    def test_filter_dropping_everything_exits_3(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, min_chars",
+        [(None, "100000"), ("The and OF with ab x from THAT this", "0")],
+        ids=["every_document_too_short", "every_term_a_stopword_or_too_short"],
+    )
+    def test_filter_dropping_everything_exits_3(self, tmp_path, capsys, text, min_chars):
         corpus = _small_corpus(tmp_path)
-        rc = main(
-            ["ingest", "--corpus", str(corpus), "--min-chars", "100000", "--out", str(tmp_path / "o")]
-        )
-        assert rc == 3
+        if text is not None:  # one document, kept, of which no term is
+            _write_corpus(corpus, [{"id": "s", "text": text, "labels": []}])
+        out = tmp_path / "o"
+        assert main(["ingest", "--corpus", str(corpus), "--min-chars", min_chars, "--out", str(out)]) == 3
+        assert "vocabulary is empty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_vocab_cap_respected(self, tmp_path):
         corpus = _small_corpus(tmp_path)
@@ -266,19 +271,16 @@ class TestFit:
         # as a sweep cell whose supervision fails, the model directory keeps no file of either run
         assert list(model_dir.iterdir()) == []
 
-    def test_supervision_spec_is_read_as_utf8_under_an_ascii_locale(self, tmp_path):
+    def test_supervision_spec_is_read_as_utf8_under_an_ascii_locale(self, tmp_path, run_python):
         data = _synth_dataset(tmp_path)
         spec = tmp_path / "spec.json"
         info = {"supervised_ids": list(read_dataset(data).doc_ids[:2]), "note": "caf\u00e9"}
         spec.write_text(json.dumps(info, ensure_ascii=False), encoding="utf-8")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         # the C locale without coercion or UTF-8 mode: the locale's encoding is ASCII
-        env = dict(os.environ, PYTHONPATH=pythonpath, LC_ALL="C", PYTHONCOERCECLOCALE="0",
-                   PYTHONUTF8="0")
+        env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
         argv = ["fit", "--data", str(data), "--supervision", str(spec), "--out", str(tmp_path / "m")]
-        proc = subprocess.run([sys.executable, "-m", "tsnmf.cli", *argv], env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        proc = run_python(["-m", "tsnmf.cli", *argv], env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE)
         assert proc.returncode == 0, proc.stderr
         assert read_json(tmp_path / "m" / "supervision.json")["supervised_ids"] == ["doc00", "doc01"]
 
@@ -1029,6 +1031,9 @@ BAD_SWEEP_VALUES = {
     "threshold_null": ("threshold", None),
     "threshold_nan": ("threshold", float("nan")),
     "rel_tol_inf": ("rel_tol", float("inf")),
+    # JSON integers that no float holds
+    "rates_too_large": ("rates", [10**400]),
+    "rel_tol_too_large": ("rel_tol", 10**400),
     "epsilon_inf": ("epsilon", float("inf")),
     "weighted_int": ("weighted", 1),
     "rates_repeated": ("rates", [0.3, 0.3]),
@@ -1463,6 +1468,33 @@ def test_empty_file_name_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys, 
     assert not (tmp_path / "inputs" / "out").exists()
 
 
+# one run of the command-line program per exit code; each writes to "out"
+EXIT_CASES = {
+    "ok": (0, ["fit", "--data", "data"]),
+    "input_error": (2, ["fit", "--data", "nowhere"]),
+    "empty_vocabulary": (3, ["ingest", "--corpus", "corpus.jsonl", "--min-chars", "100000"]),
+    "numerical_failure": (4, ["fit", "--data", "data"]),  # V holds an infinity
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_code_reaches_the_shell(tmp_path, run_python, case):
+    code, argv = EXIT_CASES[case]
+    data = _synth_dataset(tmp_path)
+    _small_corpus(tmp_path)
+    if code == 4:
+        _rewrite(data, "data", _set(0, np.inf))
+    proc = run_python(["-m", "tsnmf.cli", *argv, "--out", "out"], cwd=tmp_path,
+                      capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    out = tmp_path / "out"
+    # a failed run leaves no output, but for a numerical failure's loss trace
+    left = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert left == {0: sorted(FIT_FILES), 4: ["trace.csv"]}.get(code, [])
+    if code:
+        assert proc.stderr.splitlines()[-1].startswith("error: ") and "Traceback" not in proc.stderr
+
+
 ARTIFACT_READERS = {
     "model.json": read_json,
     "supervision.json": read_json,
@@ -1475,20 +1507,16 @@ ARTIFACT_READERS = {
 }
 
 
-def test_killed_sweep_leaves_each_artifact_whole_or_absent(tmp_path):
+def test_killed_sweep_leaves_each_artifact_whole_or_absent(tmp_path, run_python):
     data = _synth_dataset(tmp_path, docs=60, terms=80, topics=4)
     out = tmp_path / "sweep"
     # 200 cells of 200 iterations each: seconds of work, far more than the wait below
     cfg = {"data": str(data), "out": str(out), "rates": [i / 19 for i in range(20)],
            "seeds": list(range(10)), "max_iter": 200, "rel_tol": 1e-12}
     (tmp_path / "sweep.json").write_text(json.dumps(cfg))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "tsnmf.cli", "sweep", "--config", str(tmp_path / "sweep.json")],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
+    proc = run_python(["-m", "tsnmf.cli", "sweep", "--config", str(tmp_path / "sweep.json")],
+                      env={"OPENBLAS_NUM_THREADS": "1"}, start=subprocess.Popen,
+                      stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 60
         while (proc.poll() is None and time.monotonic() < deadline

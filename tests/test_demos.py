@@ -2,11 +2,8 @@
 leave no temp files, and the package namespace holds exactly the names the
 demos, README and tests import."""
 
-import os
 import pkgutil
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -22,15 +19,11 @@ TOP_LEVEL_IMPORT = re.compile(r"\bfrom\s+tsnmf\s+import\s+(\([^)]*\)|[^\n\\]*)")
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.stem for p in DEMOS])
-def test_demo_runs(tmp_path, demo):
+def test_demo_runs(tmp_path, run_python, demo):
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath, TMPDIR=str(tmpdir))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
-        timeout=120,
-    )
+    proc = run_python([str(demo)], env={"TMPDIR": str(tmpdir)}, cwd=tmp_path, capture_output=True,
+                      text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert list(tmpdir.iterdir()) == []  # temporary files are cleaned up
 

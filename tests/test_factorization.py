@@ -1,13 +1,10 @@
 """Engine tests: losses, update rules, initialization, and the fit loop."""
 
 import dataclasses
-import os
 import re
 import subprocess
-import sys
 import tracemalloc
 from importlib.util import find_spec
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1011,7 +1008,7 @@ class TestSparsePath:
             np.testing.assert_allclose(short.final_loss, explicit, rtol=1e-12, atol=0.0)
 
 
-def test_dense_fits_and_cli_import_never_load_scipy(tmp_path):
+def test_dense_fits_and_cli_import_never_load_scipy(tmp_path, run_python):
     code = (
         "import json, sys\n"
         "from pathlib import Path\n"
@@ -1036,7 +1033,4 @@ def test_dense_fits_and_cli_import_never_load_scipy(tmp_path):
         "    assert main(argv) == 0, argv\n"
         "    assert 'scipy' not in sys.modules, f'{argv[0]} on a dense dataset loaded scipy'\n"
     )
-    src = str(Path(factorization.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                   check=True, env=env, stdout=subprocess.DEVNULL)
+    run_python(["-c", code, str(tmp_path)], check=True, stdout=subprocess.DEVNULL)

@@ -2,14 +2,11 @@
 
 import json
 import math
-import os
 import re
 import subprocess
-import sys
 from collections import Counter
 from importlib.util import find_spec
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,7 +475,7 @@ def test_ingest_and_fit_are_byte_reproducible(tmp_path):
     assert len(runs[0]) == 8 and runs[0] == runs[1]
 
 
-def test_ingest_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+def test_ingest_bytes_do_not_depend_on_the_hash_seed(tmp_path, run_python):
     """String hashing orders sets and dicts differently per seed; the dataset must not show it."""
     docs = _zipf_tokens(9, 80, n_words=400)
     extras = ["İstanbul", "Kelvin", "naïve café", "straße", "ſtop",
@@ -490,15 +487,12 @@ def test_ingest_bytes_do_not_depend_on_the_hash_seed(tmp_path):
                     "labels": [f"l{i % 3}"]}, ensure_ascii=i % 4 == 1) + "\n"
         for i, tokens in enumerate(docs)
     ), encoding="utf-8")
-    src = str(Path(preprocessing.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = []
     for hash_seed in ("0", "12345"):
         out = tmp_path / f"data{hash_seed}"
-        env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=hash_seed)
-        subprocess.run([sys.executable, "-m", "tsnmf.cli", "ingest", "--corpus", str(corpus),
-                        "--min-chars", "0", "--out", str(out)],
-                       check=True, env=env, stdout=subprocess.DEVNULL)
+        run_python(["-m", "tsnmf.cli", "ingest", "--corpus", str(corpus), "--min-chars", "0",
+                    "--out", str(out)],
+                   env={"PYTHONHASHSEED": hash_seed}, check=True, stdout=subprocess.DEVNULL)
         runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert sorted(runs[0]) == ["matrix.data.npy", "matrix.indices.npy", "matrix.indptr.npy",
                                "meta.json"]
