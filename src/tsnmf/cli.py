@@ -20,9 +20,10 @@ Exit codes are a stable contract, all of it in ``main``: 0 success, 2 input
 or shape error, 3 empty-data error, 4 numerical failure.  An empty string
 for any flag (each names a file) exits 2 naming the flag.  The commands
 raise, and ``main`` maps ``NumericalFailureError`` to 4,
-``EmptyVocabularyError`` to 3 and the rest of ``errors.INPUT_ERRORS`` to 2;
-any other exception is a defect, in ``fit`` as in a sweep cell, and exits 1
-with its traceback.  A write error's message starts with
+``EmptyVocabularyError`` to 3 and the rest of ``errors.INPUT_ERRORS`` to 2,
+as it does ``MemoryError``: a size the machine cannot allocate is an input
+too large for it.  Any other exception is a defect, in ``fit`` as in a sweep
+cell, and exits 1 with its traceback.  A write error's message starts with
 ``cannot write output:``, which ``matrix.write_file`` adds.
 """
 
@@ -96,8 +97,8 @@ def cmd_fit(args) -> int:
     with one_run(args.out, FIT_FILES):
         plan = plan_fit(dataset, args.rate, config, args.supervision)
         model, trace = fit(V, *plan.problem)
-        save_model(args.out, model, trace, plan.config)
         write_supervision(args.out, dataset, plan)
+        save_model(args.out, model, trace, plan.config)
     print(
         f"fit d={config.d} stopped after {trace.iterations} iterations "
         f"({trace.stop_reason}), final loss {trace.final_loss!r}"
@@ -231,6 +232,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_EMPTY)
     except INPUT_ERRORS as exc:
         return _fail(str(exc), EXIT_INPUT)
+    except MemoryError as exc:  # numpy's message names the shape
+        return _fail(f"cannot allocate: {exc}", EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,10 @@ comes from ``meta.json``: one row per doc id, one column per vocabulary
 term.  ``ingest`` hands its CSR parts over as they are, and ``synth`` takes
 them from the dense planted matrix with ``csr_parts``.
 
-The ingest and synth commands write this layout.  Reading is split by
-use: ``read_dataset`` reads ``meta.json`` alone, which is all evaluate and
+The ingest and synth commands write this layout, ``meta.json`` last: a
+write deletes it first, so a run killed midway leaves a directory that
+every reader refuses, naming ``meta.json``.  Reading is split by use:
+``read_dataset`` reads ``meta.json`` alone, which is all evaluate and
 top-terms need, and ``read_matrix`` checks the three matrix files and
 gives fit and sweep V in the one place its form is chosen: a scipy CSR
 array of the parts when sparse enough, else dense.  Every load failure,
@@ -35,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import (check_distinct, csr_parts, dense_from_csr, read_json, read_npy, write_json,
-                     write_npy)
+from .matrix import (check_distinct, csr_parts, dense_from_csr, read_json, read_npy, remove_file,
+                     write_json, write_npy)
 from .preprocessing import IngestResult, Vocabulary
 from .supervision import LabelTable, build_label_table
 from .synthetic import PlantedInstance
@@ -134,6 +136,7 @@ def _write(
     stats: dict,
 ) -> None:
     out = Path(outdir)
+    remove_file(out / META_FILENAME)  # written again last, once the matrix files are
     _write_matrix(out, csr)
     meta = {
         "doc_ids": list(doc_ids),

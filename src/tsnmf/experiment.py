@@ -31,12 +31,12 @@ settings, bit for bit, so it can be re-inspected with the evaluate and
 top-terms commands.
 Every file is written whole through ``matrix.write_file`` (a temporary file
 renamed into place), so a sweep killed midway leaves each cell file and
-each sweep CSV either complete or absent.
+each sweep CSV either complete or absent; a cell writes its ``model.json``
+last, after ``report.json``, so a cell without it was cut short.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -49,7 +49,7 @@ from .evaluation import REPORT_FILENAME, EvaluationReport, score_report, write_r
 from .errors import INPUT_ERRORS, NumericalFailureError
 from .factorization import (MODEL_FILES, FitConfig, batch_size, fit_batch, save_model,
                             write_trace_csv)
-from .matrix import check_distinct, read_json, write_csv, write_json
+from .matrix import check_distinct, read_json, remove_file, write_csv, write_json
 from .supervision import (
     build_error_weights,
     build_mask,
@@ -170,6 +170,8 @@ def plan_fit(dataset: Dataset, rate: float, config: FitConfig, spec=None) -> Fit
 
 
 def write_supervision(outdir, dataset: Dataset, plan: FitPlan) -> None:
+    """Write supervision.json, a fit's first file, once the model.json there is deleted."""
+    remove_file(Path(outdir) / "model.json")  # save_model writes it again, last
     ids = sorted(dataset.doc_ids[i] for i in plan.rows)
     info = {"rate": plan.rate, "seed": plan.config.seed, "supervised_ids": ids}
     write_json(Path(outdir) / SUPERVISION_FILENAME, info)
@@ -189,6 +191,8 @@ def one_run(outdir, names):
 
     A failed run leaves neither its own files nor an earlier run's there; a
     ``NumericalFailureError`` that carries losses then leaves them as ``trace.csv``.
+    A killed run gets no clean-up: a fit deletes ``model.json`` before its first
+    write and ``save_model`` writes it last, so a reader refuses what it leaves.
     """
     try:
         yield
@@ -209,13 +213,6 @@ def score(dataset: Dataset, W, supervised) -> EvaluationReport:
     table = dataset.label_table
     coverage = None if supervised is None else topic_coverage(table, supervised)
     return score_report(W, table, coverage=coverage)
-
-
-def _as_float(number, key: str) -> float:
-    """The JSON ``number`` as a float; an integer too large for one names ``key``."""
-    if type(number) is int and abs(number) > sys.float_info.max:
-        raise ValueError(f"'{key}' holds an integer too large for a float")
-    return float(number)
 
 
 @dataclass(frozen=True)
@@ -252,11 +249,10 @@ class SweepConfig:
         if not Path(raw["data"]).is_dir():
             raise ValueError(f"{path}: sweep data directory not found: {raw['data']}")
         raw["seeds"] = tuple(raw["seeds"])
+        raw["rates"] = tuple(map(float, raw["rates"]))  # numbers are read as floats
+        if "rel_tol" in raw:
+            raw["rel_tol"] = float(raw["rel_tol"])
         try:
-            # numbers are read as floats
-            raw["rates"] = tuple(_as_float(rate, "rates") for rate in raw["rates"])
-            if "rel_tol" in raw:
-                raw["rel_tol"] = _as_float(raw["rel_tol"], "rel_tol")
             return cls(**raw)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
@@ -294,9 +290,9 @@ def run_cell(dataset: Dataset, plan, outcome, outdir, spent: float) -> SweepCell
         raise outcome
     model, trace = outcome
     report = score(dataset, model.W, plan.rows)
-    save_model(outdir, model, trace, plan.config)
     write_supervision(outdir, dataset, plan)
     write_report(outdir, report, labels=dataset.label_table.labels)
+    save_model(outdir, model, trace, plan.config)
     return SweepCell(
         rate=plan.rate,
         seed=plan.config.seed,

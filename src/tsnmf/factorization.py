@@ -479,11 +479,13 @@ def _fit_stack(V, cells) -> list:
 
 
 def save_model(outdir, model: FactorModel, trace: FitTrace, config: FitConfig) -> None:
-    """Write the ``MODEL_FILES`` under ``outdir``.
+    """Write the ``MODEL_FILES`` under ``outdir``, the header model.json last.
 
-    model.json is the header; W.npy and H.npy hold the factors ``read_factor``
-    reads, and W.csv and H.csv the same factors as a text export that nothing
-    in the package reads; trace.csv holds the loss of each iteration.
+    W.npy and H.npy hold the factors ``read_factor`` reads, and W.csv and H.csv
+    the same factors as a text export that nothing in the package reads;
+    trace.csv holds the loss of each iteration.  model.json marks the
+    directory whole, as every reader needs it: a run deletes it before its
+    first write (``experiment.write_supervision``) and writes its other files first.
     """
     out = Path(outdir)
     header = {
@@ -501,12 +503,12 @@ def save_model(outdir, model: FactorModel, trace: FitTrace, config: FitConfig) -
         "objective": "row_weighted_sse" if config.weighted else "masked_sse",
         "final_loss": trace.final_loss,
     }
-    write_json(out / "model.json", header)
     write_npy(out / "W.npy", model.W)
     write_npy(out / "H.npy", model.H)
     write_dense_csv(model.W, out / "W.csv")
     write_dense_csv(model.H, out / "H.csv")
     write_trace_csv(out, trace.losses)
+    write_json(out / "model.json", header)
 
 
 def write_trace_csv(outdir, losses) -> None:

@@ -22,15 +22,17 @@ matrix.
 Artifacts: every file the package writes goes through ``write_file``: a
 temporary ``.<name>.<pid>.tmp`` beside the target, renamed into place by
 ``os.replace`` (no fsync), so a killed process leaves each artifact whole
-or absent, and any ``OSError`` it raises says ``cannot write output``.
+or absent, and any ``OSError`` it raises says ``cannot write output``, as
+one from ``remove_file`` does, which deletes a directory's header before a run
+writes the directory again.
 ``write_json`` and ``write_csv`` fix the one JSON layout and the one CSV
 dialect.
 
 JSON input: ``read_json`` reads each JSON file, and ``parse_json`` each
 corpus line, as UTF-8 whatever the locale, and checks the object's fields
 against a table of key -> (JSON types, description), by exact type, so
-``true`` is never an integer.  Every error is a ``ValueError`` naming the
-place (the file, and a corpus line) and the key.
+``true`` is never an integer and an integer too large for a float is no
+number.  Every error is a ``ValueError`` naming the place (file, line) and key.
 """
 
 from __future__ import annotations
@@ -107,6 +109,14 @@ def write_file(path, content: str | bytes | Callable[[BinaryIO], object]) -> Non
         raise OSError(f"cannot write output: {path}: {exc}") from exc
 
 
+def remove_file(path) -> None:
+    """Delete the file ``path`` if there is one; an ``OSError`` reads as ``write_file``'s."""
+    try:
+        Path(path).unlink(missing_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot write output: {path}: {exc}") from exc
+
+
 def write_json(path, obj) -> None:
     write_file(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -118,16 +128,22 @@ def write_csv(path, rows) -> None:
     write_file(path, buf.getvalue())
 
 
+_FLOAT_BOUND = 2**1024 - 2**970  # the least int that float() cannot hold: it rounds to 2**1024
+
+
 def _has_types(value, types) -> bool:
     """Whether ``value`` has one of ``types`` exactly: a tuple of types, or ``[inner]``
-    for an array whose items have the types ``inner``, checked in one pass."""
+    for an array whose items have the types ``inner``, checked in one pass; an int
+    passes for a float only if ``float()`` holds it."""
     if type(types) is tuple:
-        return type(value) in types
+        return type(value) in types and (
+            type(value) is not int or float not in types or abs(value) < _FLOAT_BOUND)
     if type(value) is not list:
         return False
     (inner,) = types
     if type(inner) is tuple:
-        return set(map(type, value)).issubset(inner)
+        return set(map(type, value)).issubset(inner) and (
+            float not in inner or all(_has_types(item, inner) for item in value))
     # an array of arrays: its items are arrays, whose items, all together, have ``inner``
     return set(map(type, value)) <= {list} and _has_types(list(chain.from_iterable(value)), inner)
 
@@ -135,8 +151,9 @@ def _has_types(value, types) -> bool:
 def parse_json(data: bytes, place, fields: dict | None = None, optional=()) -> dict:
     """The JSON object that the UTF-8 ``data`` holds, with the ``fields`` it must have.
 
-    ``fields`` maps a key to (types, what), as ``_has_types`` takes them; an
-    absent key fails unless it is ``optional``, with ``<place>: '<key>' must be <what>``.
+    ``fields`` maps a key to (types, what), as ``_has_types`` takes them, so a number
+    fits a float; a key that fails, or is absent and not ``optional``, raises
+    ``<place>: '<key>' must be <what>``.
     """
     try:
         obj = json.loads(data.decode("utf-8"))

@@ -1356,7 +1356,7 @@ def test_failed_write_removes_the_earlier_run(tmp_path, monkeypatch, capsys, com
     assert main(fit_args + ["--seed", "1"]) == 0
     assert main(evaluate_args) == 0
     out, names, failing = {
-        "fit": (model, FIT_FILES, "H.npy"),  # after model.json and W.npy
+        "fit": (model, FIT_FILES, "H.npy"),  # after supervision.json and W.npy
         "evaluate": (report, REPORT_FILES, "report.json"),
     }[command]
     assert sorted(p.name for p in out.iterdir()) == sorted(names)
@@ -1468,12 +1468,97 @@ def test_empty_file_name_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys, 
     assert not (tmp_path / "inputs" / "out").exists()
 
 
-# one run of the command-line program per exit code; each writes to "out"
+# Each value one flag is set to in an otherwise valid argv; a flag that names a file is also
+# given a missing path.  Only one size is large at a time: two large sizes together, such as
+# --docs 10000000 --terms 1000 (80 GB), might be allocated.
+EDGE_VALUES = ("", "0", "-1", "nan", "inf", "1e400", "1000000000000")
+MISSING_PATH = "missing/path"
+_COMMANDS = next(a for a in build_parser()._actions if a.dest == "command").choices
+# (command, flag) -> whether it names a file, for every flag that takes a value, and each
+# sweep config key as a flag of "sweep config"
+EDGE_FLAGS = {
+    **{(command, action.option_strings[0]): action.type is None
+       for command, subparser in _COMMANDS.items()
+       for action in subparser._actions if action.nargs is None},
+    **{("sweep config", key): key in ("data", "out")
+       for key in ("data", "out", "rates", "seeds", "topics", "weighted", "max_iter", "rel_tol")},
+}
+# the JSON token of each edge value in a sweep config (Python's json parses NaN and Infinity)
+JSON_TOKENS = {"": '""', "nan": "NaN", "inf": "Infinity", MISSING_PATH: f'"{MISSING_PATH}"'}
+
+
+@pytest.fixture(scope="module")
+def edge_base(tmp_path_factory):
+    """A 40x60x3 planted dataset, a model fitted to it and a 3-document corpus."""
+    base = tmp_path_factory.mktemp("edge_base")
+    data = _synth_dataset(base, docs=40, terms=60, topics=3)
+    assert main(["fit", "--data", str(data), "--rate", "0.5", "--out", str(base / "model")]) == 0
+    _small_corpus(base)
+    return base
+
+
+def _edge_run(base, command, flag=None, value=None) -> int:
+    """``main``'s exit code on the valid argv of ``command`` with ``flag`` set to ``value``.
+
+    A flag the argv lacks is added; the default ``--rel-tol`` stays, so a fit of
+    ``--max-iter 1000000000000`` stops by convergence.  Outputs go under the working directory.
+    """
+    data, model = str(base / "data"), str(base / "model")
+    config = {"data": data, "out": "out", "rates": [0.5], "seeds": [1]}
+    text = json.dumps(config)
+    if command == "sweep config":  # the value's JSON token, in a list for a list key
+        config[flag] = ["@"] if flag in ("rates", "seeds") else "@"
+        text = json.dumps(config).replace('"@"', JSON_TOKENS.get(value, value))
+        command, flag = "sweep", None
+    Path("sweep.json").write_text(text)
+    argv = {
+        "ingest": ["--corpus", str(base / "corpus.jsonl"), "--out", "out"],
+        "fit": ["--data", data, "--out", "out"],
+        "evaluate": ["--model", model, "--data", data, "--out", "out"],
+        "top-terms": ["--model", model, "--data", data],
+        "sweep": ["--config", "sweep.json"],
+        "synth": ["--docs", "40", "--terms", "60", "--topics", "3", "--out", "out"],
+    }[command]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    elif flag is not None:
+        argv += [flag, value]
+    try:
+        return main([command, *argv])
+    except SystemExit as exc:  # argparse rejects the value
+        return exc.code
+
+
+@pytest.mark.parametrize("command", [*_COMMANDS])
+def test_edge_base_argv_is_valid(edge_base, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert _edge_run(edge_base, command) == 0
+
+
+@pytest.mark.parametrize("command, flag", list(EDGE_FLAGS))
+def test_no_single_flag_edit_exits_1(edge_base, tmp_path, monkeypatch, command, flag):
+    codes = {}
+    for k, value in enumerate(EDGE_VALUES + (MISSING_PATH,) * EDGE_FLAGS[command, flag]):
+        work = tmp_path / str(k)
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with np.errstate(all="ignore"):
+            codes[value] = _edge_run(edge_base, command, flag, value)
+    assert set(codes.values()) <= {0, 2, 3, 4}, codes
+
+
+# one run of the command-line program per exit code, and per size no machine can allocate;
+# each writes to "out", the sweep through sweep.json
+TOO_LARGE = "1000000000000"
 EXIT_CASES = {
     "ok": (0, ["fit", "--data", "data"]),
     "input_error": (2, ["fit", "--data", "nowhere"]),
     "empty_vocabulary": (3, ["ingest", "--corpus", "corpus.jsonl", "--min-chars", "100000"]),
     "numerical_failure": (4, ["fit", "--data", "data"]),  # V holds an infinity
+    "fit_topics_too_large": (2, ["fit", "--data", "data", "--topics", TOO_LARGE]),
+    "sweep_topics_too_large": (2, ["sweep", "--config", "sweep.json"]),
+    "synth_docs_too_large": (2, ["synth", "--docs", TOO_LARGE, "--terms", "60", "--topics", "3"]),
+    "synth_terms_too_large": (2, ["synth", "--docs", "40", "--terms", TOO_LARGE, "--topics", "3"]),
 }
 
 
@@ -1484,15 +1569,72 @@ def test_exit_code_reaches_the_shell(tmp_path, run_python, case):
     _small_corpus(tmp_path)
     if code == 4:
         _rewrite(data, "data", _set(0, np.inf))
-    proc = run_python(["-m", "tsnmf.cli", *argv, "--out", "out"], cwd=tmp_path,
+    config = {"data": "data", "out": "out", "rates": [0.5], "seeds": [1], "topics": int(TOO_LARGE)}
+    (tmp_path / "sweep.json").write_text(json.dumps(config))
+    out = [] if argv[0] == "sweep" else ["--out", "out"]
+    proc = run_python(["-m", "tsnmf.cli", *argv, *out], cwd=tmp_path,
                       capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
+    if case.endswith("_too_large"):
+        assert "error: cannot allocate: " in proc.stderr
     out = tmp_path / "out"
     # a failed run leaves no output, but for a numerical failure's loss trace
     left = sorted(p.name for p in out.iterdir()) if out.exists() else []
     assert left == {0: sorted(FIT_FILES), 4: ["trace.csv"]}.get(code, [])
     if code:
         assert proc.stderr.splitlines()[-1].startswith("error: ") and "Traceback" not in proc.stderr
+
+
+# python -c KILL <file> <argv>: run main on argv, and exit at once where it would write <file>
+KILL = """
+import os, sys
+from tsnmf import cli, matrix
+write_file = matrix.write_file
+
+def write_or_die(path, content):
+    if os.path.basename(path) == sys.argv[1]:
+        os._exit(9)
+    write_file(path, content)
+
+matrix.write_file = write_or_die
+cli.main(sys.argv[2:])
+"""
+# a run into a directory that holds an earlier run, killed before it writes the named file,
+# and the commands that must then refuse the directory, naming its header
+KILLED_RUNS = {
+    "fit": (["fit", "--data", "data", "--rate", "0.5", "--max-iter", "5", "--out", "model"],
+            "model", "H.npy", ["evaluate", "top-terms"], "model.json"),
+    "sweep cell": (["sweep", "--config", "sweep.json"], "sweep/cells/rate_0.5/seed_1",
+                   "report.json", ["evaluate", "top-terms"], "model.json"),
+    "synth": (["synth", "--docs", "30", "--terms", "40", "--topics", "3", "--out", "data"],
+              "data", "meta.json", ["fit"], "meta.json"),
+    "ingest": (["ingest", "--corpus", "corpus.jsonl", "--out", "data"],
+               "data", "matrix.data.npy", ["fit"], "meta.json"),
+}
+
+
+@pytest.mark.parametrize("run", list(KILLED_RUNS))
+def test_killed_run_leaves_a_directory_every_reader_refuses(tmp_path, monkeypatch, capsys,
+                                                             run_python, run):
+    argv, directory, killed_at, readers, header = KILLED_RUNS[run]
+    monkeypatch.chdir(tmp_path)
+    _small_corpus(tmp_path)
+    (tmp_path / "sweep.json").write_text(json.dumps(
+        {"data": "data", "out": "sweep", "rates": [0.5], "seeds": [1], "max_iter": 5}))
+    assert main(["synth", "--docs", "30", "--terms", "40", "--topics", "3", "--out", "data"]) == 0
+    seeded = run in ("fit", "synth")  # the second run differs from the first where it can
+    assert main([*argv, *["--seed", "1"] * seeded]) == 0
+    proc = run_python(["-c", KILL, killed_at, *argv, *["--seed", "2"] * seeded],
+                      capture_output=True, text=True)
+    assert proc.returncode == 9, proc.stderr
+    assert not (tmp_path / directory / header).exists()
+    model = ["--model", directory, "--data", "data"]
+    for command in readers:
+        capsys.readouterr()
+        rc = main({"evaluate": ["evaluate", *model, "--out", "report"],
+                   "top-terms": ["top-terms", *model],
+                   "fit": ["fit", "--data", directory, "--out", "refit"]}[command])
+        assert rc == 2 and header in capsys.readouterr().err, command
 
 
 ARTIFACT_READERS = {

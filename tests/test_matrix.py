@@ -213,6 +213,15 @@ class TestWriteFile:
         ([["a"], []], [[(str,)]], True),
         ([["a"], "b"], [[(str,)]], False),
         ([["a", 1]], [[(str,)]], False),
+        # a number field takes an integer only if float() holds it; 2**1024 - 2**970
+        # is the least integer that rounds up to 2**1024
+        (10**400, (int, float), False),
+        (-(10**400), (int, float, type(None)), False),
+        ([0.5, 10**400], [(int, float)], False),
+        (2**1024 - 2**970, (int, float), False),
+        (2**1024 - 2**970 - 1, (int, float), True),
+        (10**400, (int,), True),
+        ([10**400], [(int,)], True),
     ],
 )
 def test_json_fields_have_exact_json_types(tmp_path, value, types, ok):
@@ -392,13 +401,14 @@ def test_cli_maps_errors_to_exit_codes_in_main_only():
         ("main", "NumericalFailureError"),
         ("main", "EmptyVocabularyError"),
         ("main", "INPUT_ERRORS"),
+        ("main", "MemoryError"),  # a size the machine cannot allocate is an input error
         ("one_run", "Exception"),
         ("from_json", "ValueError"),
         ("run_batch", "INPUT_ERRORS"),  # a cell's supervision, kept for its turn
         ("run_batch", "INPUT_ERRORS"),  # a cell's record and score, or the error it kept
     ]
-    last = handlers[3][2]
+    last = handlers[4][2]
     assert isinstance(last, ast.Raise) and last.exc is None  # one_run cleans up and re-raises
-    named = handlers[4][2]
+    named = handlers[5][2]
     assert isinstance(named, ast.Raise) and ast.unparse(named.exc).startswith("ValueError(f'{path}: ")
     assert cli.INPUT_ERRORS is experiment.INPUT_ERRORS is errors.INPUT_ERRORS
