@@ -16,15 +16,15 @@ such as a model's ``supervision.json``, as the list of supervised ids and,
 if it records one, the seed, which replaces ``--seed`` once that is checked.
 ``evaluate`` counts a topic resolved above the fixed ``RESOLVED_THRESHOLD``.
 
-Exit codes are a stable contract, all of it in ``main``: 0 success, 2 input
-or shape error, 3 empty-data error, 4 numerical failure.  An empty string
-for any flag (each names a file) exits 2 naming the flag.  The commands
-raise, and ``main`` maps ``NumericalFailureError`` to 4,
-``EmptyVocabularyError`` to 3 and the rest of ``errors.INPUT_ERRORS`` to 2,
-as it does ``MemoryError``: a size the machine cannot allocate is an input
-too large for it.  Any other exception is a defect, in ``fit`` as in a sweep
-cell, and exits 1 with its traceback.  A write error's message starts with
-``cannot write output:``, which ``matrix.write_file`` adds.
+Exit codes are a stable contract, all of it in ``main``: 0 success, 2 input or
+shape error, 3 empty-data error, 4 numerical failure.  An empty string for any
+flag (each names a file) exits 2 naming the flag.  The commands raise (a sweep
+whose cells all failed, its first cell's error) and ``main`` maps
+``NumericalFailureError`` to 4, ``EmptyVocabularyError`` to 3 and the rest of
+``errors.INPUT_ERRORS`` to 2, as it does ``MemoryError``: a size the machine
+cannot allocate is an input too large for it.  Any other exception is a defect,
+in ``fit`` as in a sweep cell, and exits 1 with its traceback.  A write error's
+message starts with ``cannot write output:``, which ``matrix.write_file`` adds.
 """
 
 from __future__ import annotations
@@ -136,9 +136,9 @@ def cmd_sweep(args) -> int:
     cfg = SweepConfig.from_json(args.config)
     result = run_sweep(cfg)
     ok = sum(1 for c in result.cells if c.status == "ok")
+    if ok == 0:  # the sweep fails as its first cell did, its tables written
+        raise result.cells[0].error
     print(f"sweep finished: {ok}/{len(result.cells)} cells ok -> {cfg.out}")
-    if ok == 0:
-        return _fail("all sweep cells failed", 1)
     return EXIT_OK
 
 

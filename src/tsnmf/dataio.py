@@ -25,7 +25,7 @@ top-terms need, and ``read_matrix`` checks the three matrix files and
 gives fit and sweep V in the one place its form is chosen: a scipy CSR
 array of the parts when sparse enough, else dense.  Every load failure,
 from a missing file to an entry out of range, raises ``OSError`` or
-``ValueError`` naming the file, and an empty V a ``ShapeError``.
+``ValueError`` naming the file; the fit itself rejects an empty V.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError
 from .matrix import (check_distinct, csr_parts, dense_from_csr, read_json, read_npy, remove_file,
                      write_json, write_npy)
 from .preprocessing import IngestResult, Vocabulary
@@ -64,12 +63,10 @@ def read_matrix(datadir, dataset: Dataset):
     """The V of ``dataset``, from its directory's CSR files once every check passes.
 
     A scipy CSR array of the checked parts when at most ``SPARSE_DENSITY_MAX`` of V is
-    stored and scipy imports, else dense; ``ShapeError`` for an empty V, before any file.
+    stored and scipy imports, else dense; an empty V too, which the fit rejects.
     """
     datadir = Path(datadir)
     n_rows, n_cols = dataset.n_docs, len(dataset.vocabulary)
-    if 0 in (n_rows, n_cols):
-        raise ShapeError(f"{datadir}: V has shape {(n_rows, n_cols)}; a fit needs rows and columns")
     kinds = {"indptr": np.integer, "indices": np.integer, "data": np.floating}
     arrays = {
         part: read_npy(datadir / name, 1, kinds[part]) for part, name in MATRIX_FILENAMES.items()

@@ -14,9 +14,9 @@ most ``fit_batch`` stacks at once: on a dense V as many as keep the stacked W
 and H within V's size, on a CSR V one.  It plans a batch's cells, fits them in
 one ``fit_batch`` call, which copies a dense ``V^T`` once per batch, not once
 per fit, then records and scores each cell in order.  A cell fails as ``fit``
-does, through ``one_run``: one of ``errors.INPUT_ERRORS``, from its
-supervision, fit, record or score, is recorded in its row, and any other
-exception ends the sweep.  Files under the sweep directory:
+does, through ``one_run``: one of ``errors.INPUT_ERRORS``, from its supervision,
+fit, record or score, is recorded in its row and kept as ``SweepCell.error``;
+any other exception ends the sweep.  Files under the sweep directory:
 
     sweep.csv           one row per (rate, seed) cell, deterministic
     sweep_summary.csv   mean and stddev per rate over seeds
@@ -271,6 +271,7 @@ class SweepCell:
     iterations: int | None = None
     final_loss: float | None = None
     wall_time_s: float = 0.0
+    error: Exception | None = field(default=None, compare=False, repr=False)  # not a column
 
 
 @dataclass(frozen=True)
@@ -334,7 +335,7 @@ def run_batch(dataset: Dataset, V, grid, configs: dict, out: Path) -> list[Sweep
             with one_run(cell_dir, CELL_FILES):
                 cells.append(run_cell(dataset, plan, outcome, cell_dir, own + share))
         except INPUT_ERRORS as exc:
-            cells.append(SweepCell(rate=rate, seed=seed, status=f"error: {exc}"))
+            cells.append(SweepCell(rate=rate, seed=seed, status=f"error: {exc}", error=exc))
     return cells
 
 

@@ -62,7 +62,9 @@ the half-steps never do.  Dense fits and ``import tsnmf`` never load scipy.
 the monotonicity guarantee therefore holds up to a 1e-10 relative slack
 (``MONOTONE_SLACK``).  A fit that is exact up to epsilon jitters at the
 rounding floor of ``V - WH``, so a stop is labeled ``loss_increased`` only
-for a rise beyond that slack plus ``ROUNDING_FLOOR * sum e||V||^2``.
+for a rise beyond that slack plus ``ROUNDING_FLOOR * sum e||V||^2``.  Float
+errors never warn: ``fit_batch`` and the ``update_*_weighted`` steps each run under
+one ``np.errstate(all="ignore")``, and the finite checks alone report a NaN or Inf.
 """
 
 from __future__ import annotations
@@ -245,11 +247,10 @@ def _weights(E: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _h_step(H, G, WLetV, epsilon: float) -> np.ndarray:
     """H o ((WL * e)^T V) / (G H + epsilon) per cell, given that numerator; zeros stay zero."""
-    with np.errstate(all="ignore"):
-        out = G @ H
-        out += epsilon
-        np.divide(WLetV, out, out=out)
-        out *= H
+    out = G @ H
+    out += epsilon
+    np.divide(WLetV, out, out=out)
+    out *= H
     return out
 
 
@@ -259,12 +260,11 @@ def _w_step(W, WL, eVHt, HHt, e, forbidden, epsilon: float) -> np.ndarray:
     At forbidden positions (L == 0) W is 0, or is pinned there anyway, so the
     ratio needs no mask.
     """
-    with np.errstate(all="ignore"):
-        out = WL @ HHt
-        out *= e
-        out += epsilon
-        np.divide(eVHt, out, out=out)
-        out *= W
+    out = WL @ HHt
+    out *= e
+    out += epsilon
+    np.divide(eVHt, out, out=out)
+    out *= W
     out[forbidden] = 0.0
     return out
 
@@ -291,6 +291,7 @@ def update_w(V, W, H, L, epsilon: float) -> np.ndarray:
     return update_w_weighted(V, W, H, L, None, epsilon)
 
 
+@np.errstate(all="ignore")
 def update_h_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     """Row-weighted multiplicative step on H; ``E`` of None or all ones is update_h."""
     V, W, H, L, e, sqrt_e = _one_cell(V, W, H, L, E)
@@ -299,6 +300,7 @@ def update_h_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     return _check_finite(_h_step(H, _gram(WL, sqrt_e), XtV(WL * e), epsilon)[0], "H update")
 
 
+@np.errstate(all="ignore")
 def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     """Row-weighted multiplicative step on W with the same mask zeroing as update_w.
 
@@ -406,6 +408,7 @@ def batch_size(V, d: int) -> int:
     return 1 if _is_sparse(V) else max(1, np.size(V) // (d * sum(np.shape(V))))
 
 
+@np.errstate(all="ignore")
 def fit_batch(V, problems) -> list:
     """Fit problems that share ``V``, each an ``(L, config, row_weights)`` triple as ``fit`` takes.
 
@@ -453,10 +456,9 @@ def _fit_stack(V, cells) -> list:
         iteration += 1
         H = _h_step(H, G, XtV(W * e), EPSILON)
         # a cell whose H step failed takes its W step too, alone in its slices, and leaves below
-        with np.errstate(all="ignore"):
-            eVHt, HHt = VHt(H) * e, H @ H.transpose(0, 2, 1)
-            W = _w_step(W, W, eVHt, HHt, e, forbidden, EPSILON)
-            G = _gram(W, sqrt_e)
+        eVHt, HHt = VHt(H) * e, H @ H.transpose(0, 2, 1)
+        W = _w_step(W, W, eVHt, HHt, e, forbidden, EPSILON)
+        G = _gram(W, sqrt_e)
         finite_H, finite_W = np.isfinite(H).all(axis=(1, 2)), np.isfinite(W).all(axis=(1, 2))
         for j, c in enumerate(live):
             if not (finite_H[j] and finite_W[j]):

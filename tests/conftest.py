@@ -14,12 +14,13 @@ def _run_python(args, env=(), start=subprocess.run, **kwargs):
     """Start ``python *args`` with this checkout's ``src/`` ahead of any ``PYTHONPATH``.
 
     ``env`` adds variables to this process's environment; ``start`` is
-    ``subprocess.run`` or ``subprocess.Popen``, and takes ``kwargs``.
+    ``subprocess.run`` or ``subprocess.Popen``, and takes ``kwargs``.  A
+    ``RuntimeWarning`` is an error there, as pyproject's ``filterwarnings`` makes it here.
     """
     # no empty entry: an unset PYTHONPATH must not put the working directory on sys.path
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return start([sys.executable, *args], env={**os.environ, **dict(env), "PYTHONPATH": path},
-                 **kwargs)
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning", **dict(env), "PYTHONPATH": path}
+    return start([sys.executable, *args], env=env, **kwargs)
 
 
 @pytest.fixture

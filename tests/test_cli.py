@@ -326,8 +326,7 @@ class TestFit:
             )
         )
         model_dir = tmp_path / "model"
-        with np.errstate(invalid="ignore"):
-            rc = main(["fit", "--data", str(out), "--topics", "1", "--out", str(model_dir)])
+        rc = main(["fit", "--data", str(out), "--topics", "1", "--out", str(model_dir)])
         assert rc == 4
         assert (model_dir / "trace.csv").exists()
 
@@ -338,8 +337,7 @@ class TestFit:
         assert main(args) == 0
         assert sorted(p.name for p in model_dir.iterdir()) == sorted(FIT_FILES)
         _rewrite(data, "data", _set(0, np.inf))
-        with np.errstate(invalid="ignore"):
-            assert main(args) == 4
+        assert main(args) == 4
         # the trace of the failed run alone: no model.json, W, H or supervision of the first
         assert [p.name for p in model_dir.iterdir()] == ["trace.csv"]
         assert (model_dir / "trace.csv").read_text().splitlines()[1] in ("0,inf", "0,nan")
@@ -355,8 +353,7 @@ class TestFit:
         V = read_matrix(data, read_dataset(data))
         assert V.format == "csr" and V.nnz == 20
         model_dir = tmp_path / "model"
-        with np.errstate(invalid="ignore"):
-            rc = main(["fit", "--data", str(data), "--topics", "2", "--out", str(model_dir)])
+        rc = main(["fit", "--data", str(data), "--topics", "2", "--out", str(model_dir)])
         assert rc == 4
         assert (model_dir / "trace.csv").exists()
 
@@ -406,7 +403,7 @@ class TestFit:
         assert rc == 2
         assert str(shape) in capsys.readouterr().err
         assert not model_dir.exists()
-        # a sweep stops where it reads V, before its first cell
+        # a sweep stops at its first fit, before any cell or table is written
         sweep = tmp_path / "sweep"
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({"data": str(data), "out": str(sweep), "rates": [0.0, 0.5],
@@ -768,11 +765,12 @@ FUZZ_ARTIFACTS = {
 }
 FUZZ_FLIPS = 10
 ODD_VALUES = (None, True, -1, 0.5, "x", [], {})
-# what a command that fails may leave: a numerical failure's trace, and a sweep whose
-# cells all failed its tables beside each cell's trace
+# what a command that fails may leave, by exit code: a numerical failure's trace, and a
+# sweep whose cells all failed its tables beside each cell's trace
 LEFT_ON_FAILURE = {
-    4: {"trace.csv"},
-    1: {"sweep.csv", "sweep_summary.csv", "sweep_timing.csv", "trace.csv"},
+    **dict.fromkeys(("fit", "fit --supervision", "evaluate", "top-terms"), {4: {"trace.csv"}}),
+    "sweep": dict.fromkeys((2, 4), {"sweep.csv", "sweep_summary.csv", "sweep_timing.csv",
+                                    "trace.csv"}),
 }
 
 
@@ -839,16 +837,15 @@ def test_corrupt_artifacts_keep_the_exit_code_contract(fuzz_base, tmp_path, monk
                 monkeypatch.chdir(work)
                 runs += 1
                 try:
-                    with np.errstate(all="ignore"):
-                        rc = main(_fuzz_argv(fuzz_base, command))
+                    rc = main(_fuzz_argv(fuzz_base, command))
                 except Exception as exc:  # an escape from main is the defect looked for
                     pytest.fail(f"{artifact}, {case}: {command} raised {exc!r}")
                 what = f"{artifact}, {case}: {command} exited {rc}"
-                assert rc in (0, 2, 3, 4) or (command, rc) == ("sweep", 1), what
+                assert rc in (0, 2, 3, 4), what
                 if rc == 0:
                     continue
                 left = [p for p in work.rglob("*") if p.is_file()]
-                assert {p.name for p in left} <= LEFT_ON_FAILURE.get(rc, set()), what
+                assert {p.name for p in left} <= LEFT_ON_FAILURE[command].get(rc, set()), what
                 for table in (p for p in left if p.name == "sweep.csv"):
                     rows = table.read_text().splitlines()[1:]
                     assert all(row.split(",")[2].startswith("error") for row in rows), what
@@ -1086,8 +1083,13 @@ class TestSweep:
     def test_all_cells_failing_is_nonzero_exit(self, tmp_path, capsys):
         data = _synth_dataset(tmp_path)
         cfg = self._config(tmp_path, data, topics=2, rates=[0.5, 1.0])
-        assert main(["sweep", "--config", str(cfg)]) == 1  # no cell reached the fit
-        assert "all sweep cells failed" in capsys.readouterr().err
+        capsys.readouterr()
+        # no cell reached the fit; the sweep exits as its first cell's supervision failed
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        message = "document 0 carries label index 2 but the mask has only 2 topics"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == [f"error: {message}"] * 2
 
     def test_summary_and_timing_files_written(self, tmp_path):
         data = _synth_dataset(tmp_path)
@@ -1219,15 +1221,17 @@ class TestSweep:
         assert f"'{key}': empty file name" in capsys.readouterr().err
         assert not list(work.iterdir()) and not (tmp_path / "sweep").exists()
 
-    def test_failing_cell_removes_the_earlier_run(self, tmp_path):
+    def test_failing_cell_removes_the_earlier_run(self, tmp_path, capsys):
         data = _synth_dataset(tmp_path)
         cfg = self._config(tmp_path, data, rates=[0.0, 0.5])
         assert main(["sweep", "--config", str(cfg)]) == 0
         cells = [tmp_path / "sweep" / "cells" / f"rate_{r}" / "seed_1" for r in (0.0, 0.5)]
         assert all(sorted(p.name for p in cell.iterdir()) == sorted(CELL_FILES) for cell in cells)
         _rewrite(data, "data", _set(0, np.inf))
-        with np.errstate(invalid="ignore"):
-            assert main(["sweep", "--config", str(cfg)]) == 1  # every cell failed
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg)]) == 4  # every cell failed, as fit does
+        err = capsys.readouterr().err
+        assert err == "error: H update produced NaN or Inf entries (iteration 1)\n"
         # the trace of the failed run alone, as a failed fit leaves it
         for cell in cells:
             assert [p.name for p in cell.iterdir()] == ["trace.csv"]
@@ -1542,19 +1546,20 @@ def test_no_single_flag_edit_exits_1(edge_base, tmp_path, monkeypatch, command, 
         work = tmp_path / str(k)
         work.mkdir()
         monkeypatch.chdir(work)
-        with np.errstate(all="ignore"):
-            codes[value] = _edge_run(edge_base, command, flag, value)
+        codes[value] = _edge_run(edge_base, command, flag, value)
     assert set(codes.values()) <= {0, 2, 3, 4}, codes
 
 
 # one run of the command-line program per exit code, and per size no machine can allocate;
-# each writes to "out", the sweep through sweep.json
+# each writes to "out", a sweep through its config
 TOO_LARGE = "1000000000000"
 EXIT_CASES = {
     "ok": (0, ["fit", "--data", "data"]),
     "input_error": (2, ["fit", "--data", "nowhere"]),
     "empty_vocabulary": (3, ["ingest", "--corpus", "corpus.jsonl", "--min-chars", "100000"]),
-    "numerical_failure": (4, ["fit", "--data", "data"]),  # V holds an infinity
+    # V holds an infinity: a sweep of one cell fails as the fit with its settings does
+    "numerical_failure": (4, ["fit", "--data", "data", "--seed", "1"]),
+    "sweep_numerical_failure": (4, ["sweep", "--config", "one_cell.json"]),
     "fit_topics_too_large": (2, ["fit", "--data", "data", "--topics", TOO_LARGE]),
     "sweep_topics_too_large": (2, ["sweep", "--config", "sweep.json"]),
     "synth_docs_too_large": (2, ["synth", "--docs", TOO_LARGE, "--terms", "60", "--topics", "3"]),
@@ -1571,6 +1576,8 @@ def test_exit_code_reaches_the_shell(tmp_path, run_python, case):
         _rewrite(data, "data", _set(0, np.inf))
     config = {"data": "data", "out": "out", "rates": [0.5], "seeds": [1], "topics": int(TOO_LARGE)}
     (tmp_path / "sweep.json").write_text(json.dumps(config))
+    config = {"data": "data", "out": "out", "rates": [0.0], "seeds": [1]}
+    (tmp_path / "one_cell.json").write_text(json.dumps(config))
     out = [] if argv[0] == "sweep" else ["--out", "out"]
     proc = run_python(["-m", "tsnmf.cli", *argv, *out], cwd=tmp_path,
                       capture_output=True, text=True)
@@ -1578,11 +1585,19 @@ def test_exit_code_reaches_the_shell(tmp_path, run_python, case):
     if case.endswith("_too_large"):
         assert "error: cannot allocate: " in proc.stderr
     out = tmp_path / "out"
-    # a failed run leaves no output, but for a numerical failure's loss trace
-    left = sorted(p.name for p in out.iterdir()) if out.exists() else []
-    assert left == {0: sorted(FIT_FILES), 4: ["trace.csv"]}.get(code, [])
-    if code:
-        assert proc.stderr.splitlines()[-1].startswith("error: ") and "Traceback" not in proc.stderr
+    # a failed run leaves no output, but for a numerical failure's loss trace, which a
+    # sweep leaves in its cell beside its tables
+    left = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    expected = {0: sorted(FIT_FILES), 4: ["trace.csv"]}.get(code, [])
+    if argv[0] == "sweep" and code == 4:
+        expected = ["cells/rate_0.0/seed_1/trace.csv", "sweep.csv", "sweep_summary.csv",
+                    "sweep_timing.csv"]
+    assert left == expected
+    # one line, no warning and no traceback
+    if code == 4:
+        assert proc.stderr == "error: H update produced NaN or Inf entries (iteration 1)\n"
+    elif code:
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
 # python -c KILL <file> <argv>: run main on argv, and exit at once where it would write <file>

@@ -16,7 +16,6 @@ from tsnmf.dataio import (
     read_dataset,
     read_matrix,
 )
-from tsnmf.errors import ShapeError
 from tsnmf.experiment import SweepConfig, run_sweep
 from tsnmf.matrix import csr_parts
 from tsnmf.supervision import build_label_table
@@ -184,14 +183,6 @@ class TestOperandForm:
             csr = scipy_imports and stored <= cutoff
             assert getattr(got, "format", None) == ("csr" if csr else None)
             assert (got.toarray() if csr else got).tobytes() == V.tobytes()
-
-    @pytest.mark.parametrize("shape", [(0, 5), (4, 0)], ids=["no_documents", "no_terms"])
-    def test_empty_matrix_is_a_shape_error_naming_the_directory(self, tmp_path, shape):
-        data = _save_dataset(tmp_path / "data", np.zeros(shape))
-        for name in MATRIX_FILENAMES.values():
-            (data / name).unlink()  # raised before any matrix file is opened
-        with pytest.raises(ShapeError, match="^" + re.escape(f"{data}: V has shape {shape}")):
-            _read(data)
 
 
 class TestReadDataset:

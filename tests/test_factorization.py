@@ -133,6 +133,12 @@ class TestUpdateH:
         with pytest.raises(NumericalFailureError):
             update_h(V, [[1.0]], [[1.0]], [[1.0]], EPS)
 
+    @pytest.mark.parametrize("step", [update_h, update_w])
+    def test_invalid_step_raises_numerical_failure_and_no_warning(self, step):
+        # inf / inf or 0 * inf in the ratio: only the finite check reports it, as warnings fail here
+        with pytest.raises(NumericalFailureError, match="update produced NaN or Inf entries"):
+            step([[1.0]], [[1.0]], [[np.inf]], [[1.0]], EPS)
+
 
 class TestUpdateW:
     def test_masked_entries_exactly_zero(self):
@@ -347,11 +353,18 @@ class TestFit:
 
     def test_numerical_failure_carries_iteration_and_trace(self):
         V = np.array([[np.inf, 1.0], [1.0, 1.0]])
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(NumericalFailureError) as excinfo:
-                fit(V, np.ones((2, 2)), FitConfig(d=2, seed=0))
+        with pytest.raises(NumericalFailureError) as excinfo:
+            fit(V, np.ones((2, 2)), FitConfig(d=2, seed=0))
         assert excinfo.value.iteration == 1
         assert len(excinfo.value.losses) == 1
+
+    def test_zero_weight_on_an_infinite_row_fails_without_a_warning(self):
+        # the set-up's sum e||V||^2 takes 0 * inf before any step; warnings fail here
+        V = np.array([[np.inf, 1.0], [1.0, 1.0]])
+        config = FitConfig(d=2, seed=0, weighted=True)
+        with pytest.raises(NumericalFailureError, match="^H update") as excinfo:
+            fit(V, np.ones((2, 2)), config, row_weights=np.array([0.0, 1.0]))
+        assert excinfo.value.iteration == 1
 
     def test_stop_reason_max_iter(self):
         rng = np.random.default_rng(20)
@@ -778,8 +791,7 @@ class TestFitBatch:
                  (4, np.full(12, 3.0))]
         problems = [(L, FitConfig(d=3, seed=seed, max_iter=30, weighted=True), E)
                     for seed, E in cells]
-        with np.errstate(over="ignore", invalid="ignore"):
-            outcomes = _assert_batch_is_lone_fits(V, problems)
+        outcomes = _assert_batch_is_lone_fits(V, problems)
         failed = {k: outcome for k, outcome in enumerate(outcomes)
                   if isinstance(outcome, NumericalFailureError)}
         assert sorted(failed) == [1, 3]

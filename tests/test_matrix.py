@@ -383,20 +383,24 @@ def test_no_unused_import_or_private_name():
 def test_cli_maps_errors_to_exit_codes_in_main_only():
     """One exit-code map in ``cli.main``; a sweep cell catches the errors it maps to exit 2.
 
+    Only ``main`` calls ``_fail``, so no command gives an error its own exit code.
     A sweep config's own checks raise again with the config's file name.
     """
-    handlers = []
+    handlers, fail_calls = [], []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         if isinstance(node, ast.ExceptHandler):
             handlers.append((function, ast.unparse(node.type), node.body[-1]))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_fail":
+            fail_calls.append(function)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     for module in ("cli.py", "experiment.py"):
         visit(ast.parse((Path(tsnmf.__file__).parent / module).read_text()), module)
+    assert fail_calls and set(fail_calls) == {"main"}
     assert [(function, caught) for function, caught, _ in handlers] == [
         ("main", "NumericalFailureError"),
         ("main", "EmptyVocabularyError"),
