@@ -48,6 +48,19 @@ recorded by the identity ``sum e||V||^2 - 2 sum(WL o e V H^T) + sum(G o HH^T)``
 from the W step's products, and at or below ``LOSS_GUARD * sum e||V||^2``, where
 that cancels, as the explicit residual.
 
+Inputs: the engine entries, ``fit``, ``fit_batch``, the ``update_*`` steps and
+``loss_ts``, each check an input by its one rule, V first, so a fault raises the
+same error from every entry.  V (``_operand``, once per call) must be 2-D and
+non-empty, else a ``ShapeError``, and >= 0, else a ``ValueError``; NaN and Inf
+pass, and a fit or step reports them as a ``NumericalFailureError``.  A step's
+W must be (n, d) and its H (d, t), else a ``ShapeError``.  The mask
+(``supervision.check_mask``) must be (n, d), with d ``config.d`` or W's column
+count, else a ``ShapeError``, and hold only 0s and 1s, else a ``ValueError``.
+Row weights must be n values, finite and >= 0; ``fit`` takes them only for a
+weighted fit, which by default weights the rows the mask constrains.
+``init_model``, a step of the fit, checks its mask and takes V as ``fit_batch``
+gives it.
+
 Sparse data: ``fit`` and ``update_*`` multiply V in the form given: a
 scipy sparse V, such as ``dataio.read_matrix`` gives, as CSR to the last
 iteration; a dense V dense, however many zeros it holds.  Checks and
@@ -77,7 +90,7 @@ import numpy as np
 
 from .errors import NumericalFailureError, ShapeError
 from .matrix import read_json, read_npy, write_csv, write_dense_csv, write_json, write_npy
-from .supervision import build_error_weights, check_seed, check_topics
+from .supervision import build_error_weights, check_count, check_mask, check_seed, check_topics
 
 STOP_CONVERGED = "converged"
 STOP_LOSS_INCREASED = "loss_increased"
@@ -114,8 +127,7 @@ class FitConfig:
 
     def __post_init__(self):
         check_topics(self.d)
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_count(self.max_iter, "max_iter", 1)
         check_seed(self.seed)
         # a non-finite value would be written to model.json as a token JSON lacks
         if not (self.rel_tol > 0.0 and np.isfinite(self.rel_tol)):
@@ -152,13 +164,19 @@ def _is_sparse(V) -> bool:
 
 
 def _operand(V):
-    """V as ``fit`` and ``update_*`` multiply it: float64, and canonical CSR if sparse."""
-    if not _is_sparse(V):
-        return np.asarray(V, dtype=np.float64)
-    V = V.tocsr().astype(np.float64, copy=False)
-    if not V.has_canonical_format:
-        V = V.copy()  # sum_duplicates works in place; the caller's array keeps its layout
-        V.sum_duplicates()
+    """V as the engine multiplies it: float64 (canonical CSR if sparse), 2-D, non-empty, >= 0."""
+    if _is_sparse(V):
+        V = V.tocsr().astype(np.float64, copy=False)
+        if not V.has_canonical_format:
+            V = V.copy()  # sum_duplicates works in place; the caller's array keeps its layout
+            V.sum_duplicates()
+    else:
+        V = np.asarray(V, dtype=np.float64)
+    if V.ndim != 2 or 0 in V.shape:
+        raise ShapeError(f"V must be 2-D and non-empty, got shape {V.shape}")
+    lowest = (V.data if _is_sparse(V) else V).min(initial=0.0)
+    if lowest < 0.0:
+        raise ValueError(f"V must be non-negative, min entry is {lowest}")
     return V
 
 
@@ -166,15 +184,12 @@ def _conform(V, W, H, L):
     V = _operand(V)
     W = np.asarray(W, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
-    L = np.asarray(L, dtype=np.float64)
     n, t = V.shape
-    if W.shape != L.shape:
-        raise ShapeError(f"W shape {W.shape} does not match mask shape {L.shape}")
-    if W.shape[0] != n:
-        raise ShapeError(f"W has {W.shape[0]} rows, V has {n}")
+    if W.ndim != 2 or W.shape[0] != n:
+        raise ShapeError(f"W shape {W.shape}, expected ({n}, d)")
     if H.shape != (W.shape[1], t):
         raise ShapeError(f"H shape {H.shape}, expected ({W.shape[1]}, {t})")
-    return V, W, H, L
+    return V, W, H, check_mask(L, W.shape)
 
 
 def _row_weights(E: np.ndarray | None, n: int) -> np.ndarray:
@@ -324,11 +339,9 @@ def init_model(V, L, config: FitConfig) -> FactorModel:
     then W, from one PCG64 generator.  The picked rows come in one gather,
     densified alone for a CSR ``V``, so H is bitwise that of the dense V.
     """
-    L = np.asarray(L, dtype=np.float64)
     n, t = np.shape(V)
     d = config.d
-    if L.shape != (n, d):
-        raise ShapeError(f"mask shape {L.shape}, expected ({n}, {d})")
+    L = check_mask(L, (n, d))
     rng = np.random.default_rng(config.seed)
     q = min(ACOL_Q, n)
     rows = np.concatenate([rng.choice(n, size=q, replace=False) for _ in range(d)])
@@ -383,22 +396,14 @@ def fit(
 
 def _cell(V, L, config: FitConfig, E) -> tuple:
     """One problem's checked mask, its config, its checked row weights and its sum e||V||^2."""
-    sparse = _is_sparse(V)
-    lowest = (V.data if sparse else V).min(initial=0.0)
-    if lowest < 0.0:
-        raise ValueError(f"V must be non-negative, min entry is {lowest}")
-    L = np.asarray(L, dtype=np.float64)
-    if V.ndim != 2 or L.ndim != 2 or 0 in V.shape:
-        raise ShapeError(f"V and mask must be 2-D, V non-empty; got shapes {V.shape} and {L.shape}")
-    if not np.isin(L, (0.0, 1.0)).all():
-        raise ValueError("mask entries must be exactly 0 or 1")
+    L = check_mask(L, (V.shape[0], config.d))
     if E is not None and not config.weighted:
         raise ValueError("row_weights need config.weighted; the plain rule has no weights")
     if config.weighted and E is None:
         E = build_error_weights(V.shape[0], np.flatnonzero(~L.all(axis=1))).row_weight
     E = _row_weights(E, V.shape[0])
     # sum e||V||^2 of the stored values; taken before V^T is held, so its n x t temporary is gone
-    if sparse:
+    if _is_sparse(V):
         return L, config, E, float(np.vdot(V.data * np.repeat(E, np.diff(V.indptr)), V.data))
     return L, config, E, float(np.vdot(V * E[:, np.newaxis], V))
 

@@ -157,7 +157,7 @@ def parse_json(data: bytes, place, fields: dict | None = None, optional=()) -> d
     """
     try:
         obj = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # a UnicodeDecodeError included
+    except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError, or nesting too deep
         raise ValueError(f"{place}: not valid JSON: {exc}") from None
     if type(obj) is not dict:
         raise ValueError(f"{place}: must be a JSON object")

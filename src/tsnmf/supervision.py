@@ -85,11 +85,7 @@ class SupervisionMask:
     supervised_rows: frozenset[int]
 
     def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2:
-            raise ShapeError(f"mask must be 2-D, got ndim={m.ndim}")
-        if not np.isin(m, (0.0, 1.0)).all():
-            raise ValueError("mask entries must be exactly 0 or 1")
+        m = check_mask(self.matrix)
         rows = np.array(sorted(self.supervised_rows), dtype=np.int64)
         closed = rows[m[rows].sum(axis=1) < 1]
         if closed.size:
@@ -118,16 +114,35 @@ def check_rate(rate: float, name: str = "supervision rate") -> None:
         raise ValueError(f"{name} must be in [0, 1], got {rate}")
 
 
+def check_count(value: int, name: str, least: int) -> None:
+    """Raise ``ValueError``, naming ``name``, unless ``value`` is an integer >= ``least``.
+
+    A numpy integer is one; a bool, a float and anything else are not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def check_topics(d: int) -> None:
-    """Raise ``ValueError`` unless the topic count ``d`` is >= 1."""
-    if d < 1:
-        raise ValueError(f"topic count must be >= 1, got {d}")
+    """Raise ``ValueError`` unless the topic count ``d`` is an integer >= 1."""
+    check_count(d, "topic count", 1)
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
-    """Raise ``ValueError``, naming the seed ``name``, unless it is >= 0."""
-    if seed < 0:
-        raise ValueError(f"{name} must be >= 0, got {seed}")
+    """Raise ``ValueError``, naming the seed ``name``, unless it is an integer >= 0."""
+    check_count(seed, name, 0)
+
+
+def check_mask(L, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """The mask ``L`` as float64: 2-D, of ``shape`` if given (else ``ShapeError``), all 0 or 1."""
+    L = np.asarray(L, dtype=np.float64)
+    if L.ndim != 2 or shape is not None and L.shape != shape:
+        raise ShapeError(f"mask shape {L.shape}, expected {shape or 'a 2-D array'}")
+    if not np.isin(L, (0.0, 1.0)).all():
+        raise ValueError("mask entries must be exactly 0 or 1")
+    return L
 
 
 def sample_supervised_set(n: int, rate: float, seed: int) -> set[int]:

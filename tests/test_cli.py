@@ -28,6 +28,18 @@ from tsnmf.matrix import csr_parts, read_json, read_npy
 from tsnmf.supervision import LabelTable
 from tsnmf.synthetic import make_planted_instance
 
+# arrays nested past the recursion limit, on which json.loads raises RecursionError
+DEEP_JSON = "[" * 100_000
+
+
+def _deep_json_error():
+    with pytest.raises(RecursionError) as excinfo:
+        json.loads(DEEP_JSON)
+    return f"not valid JSON: {excinfo.value}"
+
+
+DEEP_JSON_ERROR = _deep_json_error()
+
 
 def _write_corpus(path, docs):
     lines = [json.dumps(d) for d in docs]
@@ -127,9 +139,10 @@ class TestIngest:
             # a blank line is skipped, and still counted
             ('{"id": "a", "text": "x", "labels": []}\n \n{"id": "b", "labels": []}\n',
              "line 3: 'text' must be a string"),
+            (DEEP_JSON + "\n", f"line 1: {DEEP_JSON_ERROR}"),
         ],
         ids=["missing_text", "array", "not_json", "not_utf8", "id_number", "text_null",
-             "labels_numbers", "labels_string", "after_blank_line"],
+             "labels_numbers", "labels_string", "after_blank_line", "nested_too_deep"],
     )
     def test_malformed_line_exits_2_and_names_line(self, tmp_path, capsys, body, message):
         path = tmp_path / "bad.jsonl"
@@ -362,21 +375,23 @@ class TestFit:
         [{"supervised_ids": 5}, {"supervised_ids": [], "seed": None},
          {"supervised_ids": [], "seed": -5}, {"supervised_ids": [], "seed": "x"},
          {"supervised_ids": [], "seed": True}, {"supervised_ids": [], "rate": "0.5"},
-         {"supervised_ids": [], "rate": float("nan")}, {"supervised_ids": [], "rate": 7}],
+         {"supervised_ids": [], "rate": float("nan")}, {"supervised_ids": [], "rate": 7},
+         DEEP_JSON],
         ids=["ids_int", "seed_null", "seed_negative", "seed_string", "seed_bool",
-             "rate_string", "rate_nan", "rate_above_one"],
+             "rate_string", "rate_nan", "rate_above_one", "nested_too_deep"],
     )
     def test_malformed_supervision_spec_exits_2(self, tmp_path, capsys, spec):
         data = _synth_dataset(tmp_path)
         path = tmp_path / "sup.json"
-        path.write_text(json.dumps(spec))
+        text = spec if isinstance(spec, str) else json.dumps(spec)  # a str is the file's text
+        path.write_text(text)
         rc = main(["fit", "--data", str(data), "--supervision", str(path), "--out", str(tmp_path / "m")])
         assert rc == 2
-        assert "sup.json" in capsys.readouterr().err
+        assert f"{path}: " in capsys.readouterr().err
         # evaluate reads a model's record through the same checks
         model_dir = tmp_path / "model"
         assert main(["fit", "--data", str(data), "--out", str(model_dir)]) == 0
-        (model_dir / "supervision.json").write_text(json.dumps(spec))
+        (model_dir / "supervision.json").write_text(text)
         capsys.readouterr()
         report_dir = tmp_path / "report"
         rc = main(["evaluate", "--model", str(model_dir), "--data", str(data), "--out", str(report_dir)])
@@ -590,6 +605,8 @@ META_CORRUPTIONS = {
         lambda meta: dict(meta, labels=meta["labels"][:1] + meta["labels"]),
         "label 'topic0' appears more than once",
     ),
+    # a str is the file's text
+    "nested_too_deep": (lambda meta: DEEP_JSON, DEEP_JSON_ERROR),
 }
 
 
@@ -600,7 +617,8 @@ def test_malformed_meta_exits_2_on_fit_evaluate_and_top_terms(tmp_path, capsys, 
     assert main(["fit", "--data", str(data), "--rate", "0.5", "--out", str(model_dir)]) == 0
     meta_path = data / "meta.json"
     corrupt, message = META_CORRUPTIONS[corruption]
-    meta_path.write_text(json.dumps(corrupt(json.loads(meta_path.read_text()))))
+    corrupted = corrupt(json.loads(meta_path.read_text()))
+    meta_path.write_text(corrupted if isinstance(corrupted, str) else json.dumps(corrupted))
     capsys.readouterr()
     rcs = (
         main(["fit", "--data", str(data), "--out", str(tmp_path / "m2")]),
@@ -670,6 +688,7 @@ MODEL_CORRUPTIONS = {
     "model_json_d_bool": ("model.json", _header(lambda h: dict(h, d=True))),
     "model_json_t_string": ("model.json", _header(lambda h: dict(h, t=str(h["t"])))),
     "model_json_n_missing": ("model.json", _header(lambda h: {k: h[k] for k in h if k != "n"})),
+    "model_json_nested_too_deep": ("model.json", lambda blob: DEEP_JSON.encode()),
 }
 READERS = {"W.npy": ["evaluate"], "H.npy": ["top-terms"], "model.json": ["evaluate", "top-terms"]}
 
@@ -1134,6 +1153,12 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
+
+    def test_config_nested_too_deep_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(DEEP_JSON)
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {DEEP_JSON_ERROR}\n"
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     def test_fit_and_evaluate_write_the_cell_bytes(self, tmp_path, weighted):

@@ -1,10 +1,12 @@
 """Engine tests: losses, update rules, initialization, and the fit loop."""
 
+import ast
 import dataclasses
 import re
 import subprocess
 import tracemalloc
 from importlib.util import find_spec
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,7 +83,7 @@ class TestLosses:
 # V is 3 x 4 and d = 2; each call gets one shape wrong
 @pytest.mark.parametrize("call, message", [
     (lambda V: update_h(V, np.ones((3, 2)), np.ones((2, 4)), np.ones((3, 3)), EPS),
-     "W shape (3, 2) does not match mask shape (3, 3)"),
+     "mask shape (3, 3), expected (3, 2)"),
     (lambda V: update_w(V, np.ones((3, 2)), np.ones((3, 4)), np.ones((3, 2)), EPS),
      "H shape (3, 4), expected (2, 4)"),
     (lambda V: update_h_weighted(V, np.ones((3, 2)), np.ones((2, 4)), np.ones((3, 2)),
@@ -90,10 +92,94 @@ class TestLosses:
     (lambda V: fit(V, np.ones((3, 3)), FitConfig(d=2, seed=0)), "mask shape (3, 3), expected (3, 2)"),
     (lambda V: init_model(V, np.ones((2, 2)), FitConfig(d=2, seed=0)),
      "mask shape (2, 2), expected (3, 2)"),
-], ids=["W_vs_mask", "H", "row_weights", "fit_mask", "init_model_mask"])
+], ids=["mask_vs_W", "H", "row_weights", "fit_mask", "init_model_mask"])
 def test_shape_errors_name_the_shapes(call, message):
     with pytest.raises(ShapeError, match=re.escape(message)):
         call(np.ones((3, 4)))
+
+
+# every engine entry on a 10 x 8 V with d = 3, given the V and the mask of an input fault
+_W, _H, _WEIGHTED = np.ones((10, 3)), np.ones((3, 8)), FitConfig(d=3, seed=0, weighted=True)
+ENGINE_ENTRIES = {
+    "fit": lambda V, L: fit(V, L, _WEIGHTED),
+    "fit_batch": lambda V, L: fit_batch(V, [(np.ones((10, 3)), _WEIGHTED, None),
+                                            (L, _WEIGHTED, None)]),
+    "update_h": lambda V, L: update_h(V, _W, _H, L, EPS),
+    "update_w": lambda V, L: update_w(V, _W, _H, L, EPS),
+    "update_h_weighted": lambda V, L: update_h_weighted(V, _W, _H, L, None, EPS),
+    "update_w_weighted": lambda V, L: update_w_weighted(V, _W, _H, L, None, EPS),
+    "loss_ts": lambda V, L: loss_ts(V, _W, _H, L),
+    # a step of the fit: it checks its mask, and takes V as fit_batch gives it
+    "init_model": lambda V, L: init_model(V, L, _WEIGHTED),
+}
+
+
+def _mask_of_12_rows():
+    # row 11 is constrained: default weights drawn from it before the shape check index past V
+    L = np.ones((12, 3))
+    L[11] = [1.0, 0.0, 0.0]
+    return L
+
+
+# fault -> (V, mask, the error, its message); each breaks one input rule
+INPUT_FAULTS = {
+    "negative_V": (np.where(np.arange(80).reshape(10, 8) == 13, -1.0, 1.0), np.ones((10, 3)),
+                   ValueError, "V must be non-negative, min entry is -1.0"),
+    "one_d_V": (np.ones(8), np.ones((10, 3)), ShapeError,
+                "V must be 2-D and non-empty, got shape (8,)"),
+    "empty_V": (np.ones((10, 0)), np.ones((10, 3)), ShapeError,
+                "V must be 2-D and non-empty, got shape (10, 0)"),
+    "mask_of_halves": (np.ones((10, 8)), np.full((10, 3), 0.5), ValueError,
+                       "mask entries must be exactly 0 or 1"),
+    "mask_too_narrow": (np.ones((10, 8)), np.ones((10, 2)), ShapeError,
+                        "mask shape (10, 2), expected (10, 3)"),
+    "mask_of_12_rows": (np.ones((10, 8)), _mask_of_12_rows(), ShapeError,
+                        "mask shape (12, 3), expected (10, 3)"),
+}
+
+
+@pytest.mark.parametrize("entry, fault", [
+    (entry, fault) for entry in ENGINE_ENTRIES for fault in INPUT_FAULTS
+    if entry != "init_model" or fault.startswith("mask")
+])
+def test_every_engine_entry_raises_one_error_per_input_fault(entry, fault):
+    V, L, error, message = INPUT_FAULTS[fault]
+    with pytest.raises(error, match="^" + re.escape(message) + "$") as excinfo:
+        ENGINE_ENTRIES[entry](V, L)
+    assert type(excinfo.value) is error
+
+
+def test_each_fit_input_rule_is_written_once():
+    """Only ``check_mask`` tests a mask's entries for 0 and 1, and only ``_operand`` V's sign.
+
+    A mask test is an ``isin`` call or the "0 or 1" message; a sign test is a min of
+    V, an order comparison of V, or the "must be non-negative" message.
+    """
+    def reads_v(node):
+        return any(isinstance(n, ast.Name) and n.id == "V" for n in ast.walk(node))
+
+    def says(node, words):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and words in node.value
+
+    def tests_mask(node):
+        return isinstance(node, ast.Attribute) and node.attr == "isin" or says(node, "0 or 1")
+
+    def tests_v_sign(node):
+        order = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("min", "amin", "nanmin") and reads_v(node)
+                or isinstance(node, ast.Compare) and any(isinstance(op, order) for op in node.ops)
+                and reads_v(node) or says(node, "must be non-negative"))
+
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(factorization.__file__).parent.glob("*.py"))}
+
+    def functions_where(test):
+        return {(module, node.name) for module, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and any(map(test, ast.walk(node)))}
+
+    assert functions_where(tests_mask) == {("supervision.py", "check_mask")}
+    assert functions_where(tests_v_sign) == {("factorization.py", "_operand")}
 
 
 class TestUpdateH:
@@ -240,17 +326,34 @@ class TestInitModel:
 
 class TestFitConfig:
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            {"d": 0},
-            {"d": 2, "max_iter": 0},
-            {"d": 2, "rel_tol": 0.0},
-            {"d": 2, "seed": -1},
+            ({"d": 0}, "topic count must be >= 1, got 0"),
+            ({"d": 2, "max_iter": 0}, "max_iter must be >= 1, got 0"),
+            ({"d": 2, "rel_tol": 0.0}, "rel_tol must be finite and > 0, got 0.0"),
+            ({"d": 2, "seed": -1}, "seed must be >= 0, got -1"),
+            # an integer field takes no float, which could skip its checks, and no bool
+            ({"d": 2.5}, "topic count must be an integer, got 2.5"),
+            ({"d": True}, "topic count must be an integer, got True"),
+            ({"d": 2, "max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+            ({"d": 2, "max_iter": np.float64(3.0)}, "max_iter must be an integer, got "),
+            ({"d": 2, "seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"d": 2, "seed": True}, "seed must be an integer, got True"),
+            ({"d": 2, "seed": np.True_}, "seed must be an integer, got "),
+            ({"d": 2, "seed": "1"}, "seed must be an integer, got '1'"),
         ],
+        ids=["d_zero", "max_iter_zero", "rel_tol_zero", "seed_negative", "d_float", "d_bool",
+             "max_iter_float", "max_iter_numpy_float", "seed_float", "seed_bool",
+             "seed_numpy_bool", "seed_string"],
     )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_values(self, kwargs, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
             FitConfig(**kwargs)
+
+    def test_takes_numpy_integers(self):
+        config = FitConfig(d=np.int64(2), max_iter=np.int32(3), seed=np.uint8(4))
+        V, L = _random_instance(np.random.default_rng(30), n=8, t=6, d=2)
+        assert fit(V, L, config)[1].iterations <= 3
 
 
 class TestFit:
@@ -586,7 +689,7 @@ def _held(product, name="VT"):
     return dict(zip(product.__code__.co_freevars, cells))[name]
 
 
-class TestProblemRecord:
+class TestProductsAndStacks:
     """A fit's products and stacks: the layout BLAS sees and the memory each form holds."""
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])

@@ -153,7 +153,7 @@ class TestBuildMask:
             build_mask(_table([{0}, {1}], n_labels=2), set(), n=n, d=d)
 
     @pytest.mark.parametrize("matrix, supervised, error, message", [
-        (np.ones(2), set(), ShapeError, "mask must be 2-D, got ndim=1"),
+        (np.ones(2), set(), ShapeError, "mask shape (2,), expected a 2-D array"),
         (np.full((2, 2), 0.5), set(), ValueError, "mask entries must be exactly 0 or 1"),
         (np.array([[1.0, 1.0], [0.0, 0.0]]), {1}, InvalidSupervisionError,
          "supervised row 1 permits no topic"),
