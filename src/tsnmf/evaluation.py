@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ShapeError
 from .matrix import as_dense, write_json
 from .preprocessing import Vocabulary
-from .supervision import LabelTable
+from .supervision import LabelTable, check_count
 
 # A matched topic whose similarity is above this counts as resolved.
 RESOLVED_THRESHOLD = 0.1
@@ -203,8 +203,7 @@ def top_terms(H, vocab: Vocabulary, m: int) -> list[list[str]]:
     H = as_dense(H, "H")
     if H.shape[1] != len(vocab):
         raise ShapeError(f"H has {H.shape[1]} columns for {len(vocab)} vocabulary terms")
-    if m < 1:
-        raise ValueError(f"term count must be >= 1, got {m}")
+    check_count(m, "term count", 1)
     k = min(m, H.shape[1])
     out = []
     for row in H:

@@ -47,8 +47,8 @@ import numpy as np
 from .dataio import Dataset, read_dataset, read_matrix
 from .evaluation import REPORT_FILENAME, EvaluationReport, score_report, write_report
 from .errors import INPUT_ERRORS, NumericalFailureError
-from .factorization import (MODEL_FILES, FitConfig, batch_size, fit_batch, save_model,
-                            write_trace_csv)
+from .factorization import (MODEL_FILES, MODEL_HEADER, FitConfig, batch_size, fit_batch,
+                            save_model, write_trace_csv)
 from .matrix import check_distinct, read_json, remove_file, write_csv, write_json
 from .supervision import (
     build_error_weights,
@@ -171,7 +171,7 @@ def plan_fit(dataset: Dataset, rate: float, config: FitConfig, spec=None) -> Fit
 
 def write_supervision(outdir, dataset: Dataset, plan: FitPlan) -> None:
     """Write supervision.json, a fit's first file, once the model.json there is deleted."""
-    remove_file(Path(outdir) / "model.json")  # save_model writes it again, last
+    remove_file(Path(outdir) / MODEL_HEADER)  # save_model writes it again, last
     ids = sorted(dataset.doc_ids[i] for i in plan.rows)
     info = {"rate": plan.rate, "seed": plan.config.seed, "supervised_ids": ids}
     write_json(Path(outdir) / SUPERVISION_FILENAME, info)

@@ -56,8 +56,8 @@ pass, and a fit or step reports them as a ``NumericalFailureError``.  A step's
 W must be (n, d) and its H (d, t), else a ``ShapeError``.  The mask
 (``supervision.check_mask``) must be (n, d), with d ``config.d`` or W's column
 count, else a ``ShapeError``, and hold only 0s and 1s, else a ``ValueError``.
-Row weights must be n values, finite and >= 0; ``fit`` takes them only for a
-weighted fit, which by default weights the rows the mask constrains.
+Row weights must be n values, finite and >= 0, and only a weighted fit takes
+them, by default all 1: the supervision policy is ``experiment.plan_fit``'s.
 ``init_model``, a step of the fit, checks its mask and takes V as ``fit_batch``
 gives it.
 
@@ -90,13 +90,14 @@ import numpy as np
 
 from .errors import NumericalFailureError, ShapeError
 from .matrix import read_json, read_npy, write_csv, write_dense_csv, write_json, write_npy
-from .supervision import build_error_weights, check_count, check_mask, check_seed, check_topics
+from .supervision import check_count, check_mask, check_seed, check_topics
 
 STOP_CONVERGED = "converged"
 STOP_LOSS_INCREASED = "loss_increased"
 STOP_MAX_ITER = "max_iter"
-# the files save_model writes under a model directory; the CSVs are an export
-MODEL_FILES = ("model.json", "W.npy", "H.npy", "W.csv", "H.csv", "trace.csv")
+# the files save_model writes under a model directory, its header first; the CSVs are an export
+MODEL_HEADER = "model.json"
+MODEL_FILES = (MODEL_HEADER, "W.npy", "H.npy", "W.csv", "H.csv", "trace.csv")
 
 # fit's update denominator guard; the public update_* steps take theirs as an argument
 EPSILON = 1e-9
@@ -193,7 +194,7 @@ def _conform(V, W, H, L):
 
 
 def _row_weights(E: np.ndarray | None, n: int) -> np.ndarray:
-    """``E`` as n float64 row weights; None gives the plain rule's unit weights."""
+    """``E`` as n float64 row weights; None gives unit weights, the plain rule's."""
     E = np.ones(n) if E is None else np.asarray(E, dtype=np.float64)
     if E.shape != (n,):
         raise ShapeError(f"row weights shape {E.shape}, expected ({n},)")
@@ -381,9 +382,9 @@ def fit(
     is exactly zero wherever the mask is zero.
 
     When ``config.weighted`` is set, the weighted update rules run with
-    ``row_weights`` (by default ``build_error_weights`` over the rows the
-    mask constrains) and the trace records the row-weighted squared error;
-    without it, ``row_weights`` is a ``ValueError``.
+    ``row_weights`` (``build_error_weights`` gives the paper's; None, all 1,
+    gives the plain fit's bits) and the trace records the row-weighted
+    squared error; without it, ``row_weights`` is a ``ValueError``.
 
     ``V`` is multiplied in the form given: dense, or as CSR if scipy sparse.
     This is ``fit_batch`` of one problem.
@@ -399,8 +400,6 @@ def _cell(V, L, config: FitConfig, E) -> tuple:
     L = check_mask(L, (V.shape[0], config.d))
     if E is not None and not config.weighted:
         raise ValueError("row_weights need config.weighted; the plain rule has no weights")
-    if config.weighted and E is None:
-        E = build_error_weights(V.shape[0], np.flatnonzero(~L.all(axis=1))).row_weight
     E = _row_weights(E, V.shape[0])
     # sum e||V||^2 of the stored values; taken before V^T is held, so its n x t temporary is gone
     if _is_sparse(V):
@@ -515,7 +514,7 @@ def save_model(outdir, model: FactorModel, trace: FitTrace, config: FitConfig) -
     write_dense_csv(model.W, out / "W.csv")
     write_dense_csv(model.H, out / "H.csv")
     write_trace_csv(out, trace.losses)
-    write_json(out / "model.json", header)
+    write_json(out / MODEL_HEADER, header)
 
 
 def write_trace_csv(outdir, losses) -> None:
@@ -532,7 +531,7 @@ def read_factor(modeldir, name: str) -> np.ndarray:
     the file.
     """
     modeldir = Path(modeldir)
-    header = read_json(modeldir / "model.json", dict.fromkeys("ndt", ((int,), "an integer")))
+    header = read_json(modeldir / MODEL_HEADER, dict.fromkeys("ndt", ((int,), "an integer")))
     shape = tuple(header[key] for key in {"W": ("n", "d"), "H": ("d", "t")}[name])
     path = modeldir / f"{name}.npy"
     a = read_npy(path, 2, np.floating).astype(np.float64, copy=False)

@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import EmptyVocabularyError
 from .matrix import check_distinct, dense_from_csr, parse_json
+from .supervision import check_count
 
 MIN_TOKEN_LEN = 3
 DEFAULT_MIN_CHARS = 250
@@ -153,11 +154,9 @@ class TokenCounts:
 
 
 def check_settings(vocab_cap: int, min_chars: int) -> None:
-    """Reject an out-of-range ingest setting; cheap enough to run before any reading."""
-    if min_chars < 0:
-        raise ValueError(f"min_chars must be >= 0, got {min_chars}")
-    if vocab_cap < 1:
-        raise ValueError(f"vocabulary cap must be >= 1, got {vocab_cap}")
+    """Reject a non-integer or out-of-range ingest setting, before any reading."""
+    check_count(min_chars, "min_chars", 0)
+    check_count(vocab_cap, "vocabulary cap", 1)
 
 
 def tokenize(texts: Iterable[str], stopwords: frozenset[str] | None = None) -> TokenCounts:
@@ -297,7 +296,7 @@ def ingest(
     min_chars: int = DEFAULT_MIN_CHARS,
     stopwords: frozenset[str] | None = None,
 ) -> IngestResult:
-    """Run the full preprocessing pipeline on an in-memory corpus."""
+    """Run the full preprocessing pipeline on an in-memory corpus; both counts are integers."""
     check_settings(vocab_cap, min_chars)
     corpus = list(corpus)
     kept = filter_documents(corpus, min_chars=min_chars)
@@ -308,8 +307,8 @@ def ingest(
         "input_docs": len(corpus),
         "kept_docs": len(kept),
         "dropped_short": len(corpus) - len(kept),
-        "min_chars": min_chars,
-        "vocab_cap": vocab_cap,
+        "min_chars": int(min_chars),  # a numpy integer passes check_count; json cannot write it
+        "vocab_cap": int(vocab_cap),
         "vocab_size": len(vocab),
         "zero_rows": len(tdm.zero_rows),
     }

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .supervision import LabelTable, check_seed
+from .supervision import LabelTable, check_count, check_seed, check_topics
 
 MAX_TOPICS_PER_DOC = 3
 
@@ -45,12 +45,12 @@ def make_planted_instance(
     topic is used by at least one document).  Each topic owns a disjoint
     slice of anchor terms over a light background, so topics are
     separable.  Noise is a dense non-negative matrix rescaled so its
-    Frobenius norm is ``noise_level`` times the signal's.
+    Frobenius norm is ``noise_level`` times the signal's.  The counts are
+    integers by ``check_count``'s rule: d >= 1, n_docs and n_terms >= d.
     """
-    if d < 1 or n_docs < d or n_terms < d:
-        raise ValueError(
-            f"need n_docs >= d >= 1 and n_terms >= d, got n_docs={n_docs}, n_terms={n_terms}, d={d}"
-        )
+    check_topics(d)
+    check_count(n_docs, "n_docs", d)
+    check_count(n_terms, "n_terms", d)
     if not (noise_level >= 0.0 and np.isfinite(noise_level)):
         raise ValueError(f"noise_level must be finite and >= 0, got {noise_level}")
     check_seed(seed)

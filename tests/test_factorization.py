@@ -101,9 +101,9 @@ def test_shape_errors_name_the_shapes(call, message):
 # every engine entry on a 10 x 8 V with d = 3, given the V and the mask of an input fault
 _W, _H, _WEIGHTED = np.ones((10, 3)), np.ones((3, 8)), FitConfig(d=3, seed=0, weighted=True)
 ENGINE_ENTRIES = {
-    "fit": lambda V, L: fit(V, L, _WEIGHTED),
-    "fit_batch": lambda V, L: fit_batch(V, [(np.ones((10, 3)), _WEIGHTED, None),
-                                            (L, _WEIGHTED, None)]),
+    "fit": lambda V, L: fit(V, L, _WEIGHTED, np.ones(10)),
+    "fit_batch": lambda V, L: fit_batch(V, [(np.ones((10, 3)), _WEIGHTED, np.ones(10)),
+                                            (L, _WEIGHTED, np.ones(10))]),
     "update_h": lambda V, L: update_h(V, _W, _H, L, EPS),
     "update_w": lambda V, L: update_w(V, _W, _H, L, EPS),
     "update_h_weighted": lambda V, L: update_h_weighted(V, _W, _H, L, None, EPS),
@@ -115,7 +115,7 @@ ENGINE_ENTRIES = {
 
 
 def _mask_of_12_rows():
-    # row 11 is constrained: default weights drawn from it before the shape check index past V
+    # its extra row is constrained, so a use of the mask before the shape check indexes past V
     L = np.ones((12, 3))
     L[11] = [1.0, 0.0, 0.0]
     return L
@@ -153,7 +153,9 @@ def test_each_fit_input_rule_is_written_once():
     """Only ``check_mask`` tests a mask's entries for 0 and 1, and only ``_operand`` V's sign.
 
     A mask test is an ``isin`` call or the "0 or 1" message; a sign test is a min of
-    V, an order comparison of V, or the "must be non-negative" message.
+    V, an order comparison of V, or the "must be non-negative" message.  The
+    supervision policy has one owner too: only ``plan_fit`` calls
+    ``build_error_weights``, and the engine imports no ``build_*`` or ``sample_*``.
     """
     def reads_v(node):
         return any(isinstance(n, ast.Name) and n.id == "V" for n in ast.walk(node))
@@ -178,8 +180,16 @@ def test_each_fit_input_rule_is_written_once():
         return {(module, node.name) for module, tree in trees.items() for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and any(map(test, ast.walk(node)))}
 
+    def calls_error_weights(node):
+        return isinstance(node, ast.Call) and "build_error_weights" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
     assert functions_where(tests_mask) == {("supervision.py", "check_mask")}
     assert functions_where(tests_v_sign) == {("factorization.py", "_operand")}
+    assert functions_where(calls_error_weights) == {("experiment.py", "plan_fit")}
+    imported = {alias.asname or alias.name for node in ast.walk(trees["factorization.py"])
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not {name for name in imported if name.startswith(("build_", "sample_"))}
 
 
 class TestUpdateH:
@@ -404,15 +414,6 @@ class TestFit:
             save_model(tmp_path, *fit(V, L, cfg), cfg)
             assert read_json(tmp_path / "model.json")["objective"] == objective
 
-    def test_weighted_defaults_derive_from_mask(self):
-        rng = np.random.default_rng(19)
-        V, L = _random_instance(rng, n=20, t=10, d=3)
-        # run must succeed and satisfy the mask invariant without explicit weights
-        model, trace = fit(V, L, FitConfig(d=3, seed=5, weighted=True))
-        assert (model.W[L == 0.0] == 0.0).all()
-        losses = np.array(trace.losses)
-        assert (losses[1:] <= losses[:-1] * (1 + 1e-10)).all()
-
     def test_rejects_negative_v(self):
         message = "V must be non-negative, min entry is -1.0"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
@@ -506,17 +507,20 @@ class TestFit:
         # the floor only labels a stop: it never turns a step into one
         assert _stop_reason(10.0, 5.0, 1e-4, 1e20) is None
 
-    def test_default_row_weights_equal_explicit_bitwise(self):
+    def test_weighted_fit_without_row_weights_is_the_plain_fit_bitwise(self):
+        """The engine derives no weights from the mask: without row weights every row weighs 1."""
         inst = make_planted_instance(40, 30, 4, noise_level=0.1, seed=25)
         for rate, seed in ((0.0, 1), (0.25, 2), (1.0, 3)):
             supervised = sample_supervised_set(40, rate, seed)
             L = build_mask(inst.label_table, supervised, 40, 4).matrix
-            weights = build_error_weights(40, supervised).row_weight
-            cfg = FitConfig(d=4, seed=seed, max_iter=30, rel_tol=1e-15, weighted=True)
-            m1, t1 = fit(inst.V, L, cfg)
-            m2, t2 = fit(inst.V, L, cfg, row_weights=weights)
-            assert np.array_equal(m1.W, m2.W) and np.array_equal(m1.H, m2.H)
-            assert t1.losses == t2.losses
+            plain = FitConfig(d=4, seed=seed, max_iter=30, rel_tol=1e-15)
+            weighted = dataclasses.replace(plain, weighted=True)
+            expected = fit(inst.V, L, plain)
+            for model, trace in (fit(inst.V, L, weighted),
+                                 *fit_batch(inst.V, [(L, weighted, None), (L, plain, None)])):
+                assert np.array_equal(model.W, expected[0].W)
+                assert np.array_equal(model.H, expected[0].H)
+                assert trace == expected[1]
 
 
 class TestNmfReduction:

@@ -261,6 +261,13 @@ class TestIngest:
         assert r1.tdm.vocabulary.terms == r2.tdm.vocabulary.terms
         assert r1.tdm.doc_ids == r2.tdm.doc_ids
 
+    def test_numpy_integer_settings_write_the_python_int_dataset(self, tmp_path):
+        for out, cap, min_chars in ((tmp_path / "np", np.int64(10), np.int32(250)),
+                                    (tmp_path / "int", 10, 250)):
+            dataio.write_ingest_result(out, ingest(_corpus(), vocab_cap=cap, min_chars=min_chars))
+        for name in (dataio.META_FILENAME, *dataio.MATRIX_FILENAMES.values()):
+            assert (tmp_path / "np" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
     def test_doc_labels_aligned_with_rows(self):
         result = ingest(_corpus(), vocab_cap=10, min_chars=250)
         assert result.tdm.doc_ids == ("d1", "d2", "d4")

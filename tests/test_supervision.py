@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from tsnmf.errors import InvalidSupervisionError, ShapeError
+from tsnmf.evaluation import top_terms
+from tsnmf.preprocessing import RawDocument, Vocabulary, ingest
 from tsnmf.supervision import (
     ErrorWeights,
     LabelTable,
@@ -16,6 +18,7 @@ from tsnmf.supervision import (
     sample_supervised_set,
     topic_coverage,
 )
+from tsnmf.synthetic import make_planted_instance
 
 
 def _table(doc_labels, n_labels=3):
@@ -227,3 +230,33 @@ class TestTopicCoverage:
             cov = topic_coverage(table, set(order[:k].tolist()))
             assert cov >= prev
             prev = cov
+
+
+_CORPUS = [RawDocument(id=f"d{i}", text=text, labels=frozenset())
+           for i, text in enumerate(["wheat corn harvest", "gold silver mining", "wheat gold"])]
+_VOCAB = Vocabulary(("corn", "gold", "wheat", "zinc"))
+# setting -> (a call taking its value, the result's matrix; the name its messages give)
+_COUNT_SETTINGS = {
+    "vocab_cap": (lambda v: ingest(_CORPUS, vocab_cap=v, min_chars=0).tdm.matrix, "vocabulary cap"),
+    "min_chars": (lambda v: ingest(_CORPUS, vocab_cap=4, min_chars=v).tdm.matrix, "min_chars"),
+    "n_docs": (lambda v: make_planted_instance(v, 5, 2).V, "n_docs"),
+    "n_terms": (lambda v: make_planted_instance(5, v, 2).V, "n_terms"),
+    "d": (lambda v: make_planted_instance(5, 5, v).V, "topic count"),
+    "top_terms": (lambda v: top_terms(np.eye(4), _VOCAB, v), "term count"),
+}
+
+
+@pytest.mark.parametrize("setting", _COUNT_SETTINGS)
+@pytest.mark.parametrize("value, integer", [
+    (2.0, None), (2.5, None), (True, None), (np.float64(2.0), None),
+    (np.int64(2), 2), (np.uint8(2), 2),
+], ids=["float", "fraction", "bool", "numpy_float", "int64", "uint8"])
+def test_ingest_synth_and_top_terms_counts_follow_the_one_integer_rule(setting, value, integer):
+    """Each count of ingest, make_planted_instance and top_terms obeys check_count."""
+    call, name = _COUNT_SETTINGS[setting]
+    if integer is None:
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call(value)
+    else:  # a numpy integer is one, and gives the bits of the Python int
+        assert np.array_equal(call(value), call(integer))
