@@ -4,8 +4,8 @@ Stages hand off through files: ``ingest`` (or ``synth``) writes a dataset
 directory, ``fit`` writes a model directory, ``evaluate`` and
 ``top-terms`` read both, and ``sweep`` runs fit + evaluate over a
 (rate, seed) grid.  Only ``fit`` and ``sweep`` read the dataset matrix;
-``evaluate`` reads the model's ``W.npy`` and ``top-terms`` its ``H.npy``,
-and no command reads the ``W.csv`` and ``H.csv`` export.  ``fit``,
+``evaluate`` reads the model's ``W.npy`` and ``supervision.json``, ``top-terms``
+its ``H.npy``, and no command reads the ``W.csv`` and ``H.csv`` export.  ``fit``,
 ``evaluate`` and the sweep share one plan -> fit -> record -> score path,
 which lives in ``tsnmf.experiment``: ``fit`` checks its settings, then, as
 a sweep cell does, plans the fit with ``plan_fit``, fits the plan's problem,

@@ -177,12 +177,9 @@ def write_supervision(outdir, dataset: Dataset, plan: FitPlan) -> None:
     write_json(Path(outdir) / SUPERVISION_FILENAME, info)
 
 
-def recorded_rows(dataset: Dataset, modeldir) -> set[int] | None:
-    """The rows a model directory records as supervised; None without a record."""
-    path = Path(modeldir) / SUPERVISION_FILENAME
-    if not path.exists():
-        return None
-    return _read_supervision(dataset, path)[0]
+def recorded_rows(dataset: Dataset, modeldir) -> set[int]:
+    """The rows a model directory's supervision.json records as supervised; it must exist."""
+    return _read_supervision(dataset, Path(modeldir) / SUPERVISION_FILENAME)[0]
 
 
 @contextmanager
@@ -206,13 +203,9 @@ def one_run(outdir, names):
 
 
 def score(dataset: Dataset, W, supervised) -> EvaluationReport:
-    """Score the fitted ``W`` against the dataset's labels.
-
-    No coverage when ``supervised`` is None.
-    """
+    """Score the fitted ``W`` against the dataset's labels, with the coverage of ``supervised``."""
     table = dataset.label_table
-    coverage = None if supervised is None else topic_coverage(table, supervised)
-    return score_report(W, table, coverage=coverage)
+    return score_report(W, table, coverage=topic_coverage(table, supervised))
 
 
 @dataclass(frozen=True)

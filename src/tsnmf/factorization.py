@@ -41,25 +41,24 @@ one-problem call, and the public ``update_*`` steps run the same half-steps on
 a stack of one.  ``_products`` gives a stack its pair of products with V, each
 in its form's faster orientation (dense: ``X^T V`` and ``(H V^T)^T``, with
 ``V^T`` a C-contiguous copy built on first use, one more n x t array per stack;
-CSR: ``(V^T X)^T`` and ``V H^T``, with ``V^T`` the CSC view).  The stack's
-``e``, ``sqrt(e)`` and the mask's zeros are arrays at its (k, n, d) shape,
-sliced as cells leave it.  An iteration forms no n x t temporary: the loss is
+CSR: ``(V^T X)^T`` and ``V H^T``, with ``V^T`` the CSC view).  The stack holds
+``e``, ``W * e`` and the mask's zeros as arrays at its (k, n, d) shape, sliced as
+cells leave it; ``W * e`` is formed once per iteration and gives both ``G`` and
+the next H step's numerator.  An iteration forms no n x t temporary: the loss is
 recorded by the identity ``sum e||V||^2 - 2 sum(WL o e V H^T) + sum(G o HH^T)``
 from the W step's products, and at or below ``LOSS_GUARD * sum e||V||^2``, where
 that cancels, as the explicit residual.
 
-Inputs: the engine entries, ``fit``, ``fit_batch``, the ``update_*`` steps and
-``loss_ts``, each check an input by its one rule, V first, so a fault raises the
-same error from every entry.  V (``_operand``, once per call) must be 2-D and
-non-empty, else a ``ShapeError``, and >= 0, else a ``ValueError``; NaN and Inf
+Inputs: the engine entries, ``fit``, ``fit_batch``, ``init_model``, the ``update_*``
+steps and ``loss_ts``, each check an input by its one rule, V first, so a fault
+raises the same error from every entry.  V (``_operand``, once per call) must be
+2-D and non-empty, else a ``ShapeError``, and >= 0, else a ``ValueError``; NaN and Inf
 pass, and a fit or step reports them as a ``NumericalFailureError``.  A step's
 W must be (n, d) and its H (d, t), else a ``ShapeError``.  The mask
 (``supervision.check_mask``) must be (n, d), with d ``config.d`` or W's column
 count, else a ``ShapeError``, and hold only 0s and 1s, else a ``ValueError``.
 Row weights must be n values, finite and >= 0, and only a weighted fit takes
 them, by default all 1: the supervision policy is ``experiment.plan_fit``'s.
-``init_model``, a step of the fit, checks its mask and takes V as ``fit_batch``
-gives it.
 
 Sparse data: ``fit`` and ``update_*`` multiply V in the form given: a
 scipy sparse V, such as ``dataio.read_matrix`` gives, as CSR to the last
@@ -233,17 +232,6 @@ def _check_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def _gram(WL: np.ndarray, sqrt_e: np.ndarray) -> np.ndarray:
-    """G = (WL * e)^T WL per cell, the d x d row-weighted Gram matrices of the masked W.
-
-    Formed as S^T S with S = WL * sqrt(e), which numpy runs as syrk (``A.T @ A``),
-    slice by slice; the gemm of (WL * e)^T WL differs in the last bits, and unit
-    weights must keep the plain rule's bits.
-    """
-    S = WL * sqrt_e
-    return S.transpose(0, 2, 1) @ S
-
-
 def _products(V):
     """``X -> X^T V`` and ``H -> V H^T`` per cell of a stack, each in V's form's faster order."""
     if not _is_sparse(V):
@@ -255,10 +243,9 @@ def _products(V):
     return (lambda X: (VT @ X[0]).T[np.newaxis]), (lambda H: (V @ H[0].T)[np.newaxis])
 
 
-def _weights(E: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights ``E`` (k, n) and their roots at (k, n, d), which multiply faster than a column."""
-    e = np.repeat(E[:, :, np.newaxis], d, axis=2)
-    return e, np.sqrt(e)
+def _weights(E: np.ndarray, d: int) -> np.ndarray:
+    """Weights ``E`` (k, n) at (k, n, d), which multiply faster than a column."""
+    return np.repeat(E[:, :, np.newaxis], d, axis=2)
 
 
 def _h_step(H, G, WLetV, epsilon: float) -> np.ndarray:
@@ -286,10 +273,10 @@ def _w_step(W, WL, eVHt, HHt, e, forbidden, epsilon: float) -> np.ndarray:
 
 
 def _one_cell(V, W, H, L, E):
-    """V, W, H and L conformed, the last three as a stack of one cell, and its e and sqrt(e)."""
+    """V, W, H and L conformed, the last three as a stack of one cell, and its weights e."""
     V, W, H, L = _conform(V, W, H, L)
-    e, sqrt_e = _weights(_row_weights(E, V.shape[0])[np.newaxis], L.shape[1])
-    return V, W[np.newaxis], H[np.newaxis], L[np.newaxis], e, sqrt_e
+    e = _weights(_row_weights(E, V.shape[0])[np.newaxis], L.shape[1])
+    return V, W[np.newaxis], H[np.newaxis], L[np.newaxis], e
 
 
 def update_h(V, W, H, L, epsilon: float) -> np.ndarray:
@@ -310,10 +297,12 @@ def update_w(V, W, H, L, epsilon: float) -> np.ndarray:
 @np.errstate(all="ignore")
 def update_h_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     """Row-weighted multiplicative step on H; ``E`` of None or all ones is update_h."""
-    V, W, H, L, e, sqrt_e = _one_cell(V, W, H, L, E)
+    V, W, H, L, e = _one_cell(V, W, H, L, E)
     WL = W * L
+    WLe = WL * e
     XtV, _ = _products(V)
-    return _check_finite(_h_step(H, _gram(WL, sqrt_e), XtV(WL * e), epsilon)[0], "H update")
+    G = WLe.transpose(0, 2, 1) @ WL
+    return _check_finite(_h_step(H, G, XtV(WLe), epsilon)[0], "H update")
 
 
 @np.errstate(all="ignore")
@@ -325,7 +314,7 @@ def update_w_weighted(V, W, H, L, E, epsilon: float) -> np.ndarray:
     the unweighted step and identical to it when E is all ones.
     On a dense V every call copies ``V^T`` (n x t); ``fit`` copies it once, so loops call ``fit``.
     """
-    V, W, H, L, e, _ = _one_cell(V, W, H, L, E)
+    V, W, H, L, e = _one_cell(V, W, H, L, E)
     _, VHt = _products(V)
     HHt = H @ H.transpose(0, 2, 1)
     return _check_finite(_w_step(W, W * L, VHt(H) * e, HHt, e, L == 0.0, epsilon)[0], "W update")
@@ -340,13 +329,14 @@ def init_model(V, L, config: FitConfig) -> FactorModel:
     then W, from one PCG64 generator.  The picked rows come in one gather,
     densified alone for a CSR ``V``, so H is bitwise that of the dense V.
     """
-    n, t = np.shape(V)
+    V = _operand(V)
+    n, t = V.shape
     d = config.d
     L = check_mask(L, (n, d))
     rng = np.random.default_rng(config.seed)
     q = min(ACOL_Q, n)
     rows = np.concatenate([rng.choice(n, size=q, replace=False) for _ in range(d)])
-    picked = V[rows].toarray() if _is_sparse(V) else np.asarray(V, dtype=np.float64)[rows]
+    picked = V[rows].toarray() if _is_sparse(V) else V[rows]
     H0 = picked.reshape(d, q, t).mean(axis=1)
     W0 = rng.random((n, d))
     W0[L == 0.0] = 0.0
@@ -438,7 +428,7 @@ def _fit_stack(V, cells) -> list:
     models = [init_model(V, L, config) for L, config in zip(masks, configs)]
     XtV, VHt = _products(V)
     forbidden = np.stack(masks) == 0.0
-    e, sqrt_e = _weights(np.stack(weights), configs[0].d)
+    e = _weights(np.stack(weights), configs[0].d)
 
     def loss(c, W, H, G, eVHt, HHt):
         cheap = sum_ev2[c] - 2.0 * float(np.vdot(W, eVHt)) + float(np.vdot(G, HHt))
@@ -450,7 +440,8 @@ def _fit_stack(V, cells) -> list:
     # W is 0 wherever L is, from init_model and after every W step, so W o L is W itself
     W = np.stack([model.W for model in models])
     H = np.stack([model.H for model in models])
-    G = _gram(W, sqrt_e)
+    We = W * e
+    G = We.transpose(0, 2, 1) @ W
     eVHt, HHt = VHt(H) * e, H @ H.transpose(0, 2, 1)
     losses = [[loss(c, W[c], H[c], G[c], eVHt[c], HHt[c])] for c in range(len(cells))]
     outcomes: list = [None] * len(cells)
@@ -458,11 +449,12 @@ def _fit_stack(V, cells) -> list:
     iteration = 0
     while live.size:  # each cell leaves by its max_iter
         iteration += 1
-        H = _h_step(H, G, XtV(W * e), EPSILON)
+        H = _h_step(H, G, XtV(We), EPSILON)
         # a cell whose H step failed takes its W step too, alone in its slices, and leaves below
         eVHt, HHt = VHt(H) * e, H @ H.transpose(0, 2, 1)
         W = _w_step(W, W, eVHt, HHt, e, forbidden, EPSILON)
-        G = _gram(W, sqrt_e)
+        We = W * e
+        G = We.transpose(0, 2, 1) @ W
         finite_H, finite_W = np.isfinite(H).all(axis=(1, 2)), np.isfinite(W).all(axis=(1, 2))
         for j, c in enumerate(live):
             if not (finite_H[j] and finite_W[j]):
@@ -480,7 +472,7 @@ def _fit_stack(V, cells) -> list:
         ok = np.array([outcomes[c] is None for c in live], dtype=bool)
         if not ok.all():
             live, W, H, G = live[ok], W[ok], H[ok], G[ok]
-            e, sqrt_e, forbidden = e[ok], sqrt_e[ok], forbidden[ok]
+            e, We, forbidden = e[ok], We[ok], forbidden[ok]
     return outcomes
 
 

@@ -438,6 +438,7 @@ class TestEvaluate:
         cfg = FitConfig(d=3, seed=0, max_iter=1)
         trace = FitTrace(losses=(0.0,), stop_reason="converged")
         save_model(model_dir, FactorModel(W=inst.label_table.indicator, H=np.ones((3, 30))), trace, cfg)
+        (model_dir / "supervision.json").write_text(json.dumps({"supervised_ids": []}))
         rc = main(
             ["evaluate", "--model", str(model_dir), "--data", str(data), "--out", str(tmp_path / "rep")]
         )
@@ -459,19 +460,24 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "content",
-        ['{"rate": 0.5, "supervised', "[1, 2]", '{"supervised_ids": ["doc00", "ghost"]}'],
-        ids=["truncated", "list", "unknown_id"],
+        ['{"rate": 0.5, "supervised', "[1, 2]", '{"supervised_ids": ["doc00", "ghost"]}', None],
+        ids=["truncated", "list", "unknown_id", "missing"],
     )
     def test_malformed_supervision_record_exits_2(self, tmp_path, capsys, content):
         data = _synth_dataset(tmp_path)
         model_dir = tmp_path / "model"
         assert main(["fit", "--data", str(data), "--rate", "0.5", "--out", str(model_dir)]) == 0
-        (model_dir / "supervision.json").write_text(content)
+        record = model_dir / "supervision.json"
+        if content is None:
+            record.unlink()
+        else:
+            record.write_text(content)
         rc = main(["evaluate", "--model", str(model_dir), "--data", str(data), "--out", str(tmp_path / "rep")])
         assert rc == 2
         err = capsys.readouterr().err
         assert "supervision.json" in err
-        assert "ghost" in err or "ghost" not in content  # a missing id is named
+        assert "ghost" in err or "ghost" not in (content or "")  # a missing id is named
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("command", ["fit", "evaluate"])
     def test_repeated_supervised_id_exits_2_naming_it(self, tmp_path, capsys, command):
