@@ -26,6 +26,10 @@ gives fit and sweep V in the one place its form is chosen: a scipy CSR
 array of the parts when sparse enough, else dense.  Every load failure,
 from a missing file to an entry out of range, raises ``OSError`` or
 ``ValueError`` naming the file; the fit itself rejects an empty V.
+
+Memory: a read holds the parts it read, V when dense, and one row block of
+``matrix.csr_blocks`` at a time, since both the column-order check and the
+densify go block by block.  ``synth``'s write holds V and its CSR parts.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrix import (check_distinct, csr_parts, dense_from_csr, read_json, read_npy, remove_file,
-                     write_json, write_npy)
+from .matrix import (check_distinct, csr_blocks, csr_parts, dense_from_csr, read_json, read_npy,
+                     remove_file, write_json, write_npy)
 from .preprocessing import IngestResult, Vocabulary
 from .supervision import LabelTable, build_label_table
 from .synthetic import PlantedInstance
@@ -94,11 +98,12 @@ def read_matrix(datadir, dataset: Dataset):
         not len(indices) or (indices.min() >= 0 and indices.max() < n_cols), "indices",
         f"column index out of range for {n_cols} vocabulary terms",
     )
-    # flat positions row * n_cols + col must strictly increase: columns sorted
-    # within each row and no duplicate entries
-    flat = np.repeat(np.arange(n_rows, dtype=np.int64) * n_cols, counts)
-    flat += indices
-    check(np.all(np.diff(flat) > 0), "indices", "columns must strictly increase within each row")
+    # flat positions row * n_cols + col must strictly increase: columns sorted within
+    # each row and no duplicate entries.  Across blocks they do, as every column is in range.
+    check(
+        all(np.all(flat[1:] > flat[:-1]) for _, flat in csr_blocks(indptr, indices, n_cols)),
+        "indices", "columns must strictly increase within each row",
+    )
     # NaN and Inf pass: the fit reports non-finite input as a numerical failure
     check(not np.any(data <= 0.0), "data", "stored values must be > 0")
     if len(data) <= SPARSE_DENSITY_MAX * n_rows * n_cols:

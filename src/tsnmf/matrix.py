@@ -5,7 +5,10 @@ The matrix functions are pure; inputs are never mutated.  The
 dataset matrix has its own on-disk form, kept in ``dataio``; ``csr_parts``
 gives the CSR arrays of a dense matrix for it, and ``dense_from_csr``
 turns such arrays back into the dense matrix, which only a dataset too
-dense for the CSR path (or read without scipy) needs.
+dense for the CSR path (or read without scipy) needs.  Neither holds a
+whole-matrix temporary: ``csr_parts`` holds its parts and a boolean mask,
+and ``dense_from_csr`` its matrix and the positions of one ``csr_blocks``
+row block (``CSR_BLOCK_BYTES`` of dense rows).
 
 ``.npy``: the one binary matrix format, read and written here for the
 dataset matrix and the model's factors.  ``write_npy`` writes the bytes
@@ -17,7 +20,9 @@ is a ``ValueError`` naming the file.
 Dense CSV: one matrix row per line, comma-separated values, floats written
 with ``repr``, so a float parser gets each value back exactly and reruns
 are byte-identical.  The package writes it as an export and reads no text
-matrix.
+matrix.  The export is streamed: whole rows of about ``CSV_BLOCK_VALUES``
+values are formatted and written at a time, never the whole text, and the
+bytes are those of the whole text.
 
 Artifacts: every file the package writes goes through ``write_file``: a
 temporary ``.<name>.<pid>.tmp`` beside the target, renamed into place by
@@ -50,6 +55,11 @@ import numpy as np
 
 from .errors import ShapeError
 
+# ``csr_blocks`` covers at most this many bytes of rows of the dense matrix at a time.
+CSR_BLOCK_BYTES = 1 << 20
+# The dense CSV export formats about this many values, a few times their bytes as text, per write.
+CSV_BLOCK_VALUES = 1 << 13
+
 
 def as_dense(a, name: str = "matrix") -> np.ndarray:
     """Coerce input to a 2-D float64 C-order array without copying when possible."""
@@ -63,20 +73,44 @@ def csr_parts(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR row pointers, column indices (both int64) and values of ``a``'s non-zeros.
 
     Entries come in row-major order, so columns ascend within each row.
-    NaN and Inf count as non-zero.
+    NaN and Inf count as non-zero.  Beside ``a`` and the parts it holds only
+    a boolean mask of ``a``, freed before the values are gathered.
     """
     a = as_dense(a, "a")
-    flat = np.flatnonzero(a != 0.0)  # far faster on the bool mask than on floats
-    rows, cols = np.divmod(flat, a.shape[1])
+    stored = a != 0.0
     indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=a.shape[0]), out=indptr[1:])
-    return indptr, cols, a.ravel()[flat]
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    flat = np.flatnonzero(stored)  # far faster on the bool mask than on floats
+    del stored
+    data = a.ravel()[flat]
+    # the row-major positions become column indices in their own buffer
+    return indptr, np.remainder(flat, a.shape[1], out=flat), data
+
+
+def csr_blocks(indptr, indices, n_cols: int):
+    """Per block of rows at most ``CSR_BLOCK_BYTES`` wide when dense: the slice of its
+    stored entries and their row-major positions ``row * n_cols + column``."""
+    n_rows = len(indptr) - 1
+    step = max(1, CSR_BLOCK_BYTES // (8 * n_cols or 1))
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        entries = slice(indptr[start], indptr[stop])
+        flat = np.repeat(np.arange(start, stop, dtype=np.int64) * n_cols,
+                         np.diff(indptr[start:stop + 1]))
+        flat += indices[entries]
+        yield entries, flat
 
 
 def dense_from_csr(indptr, indices, data, shape: tuple[int, int]) -> np.ndarray:
-    """The dense float64 matrix of CSR parts; the inverse of ``csr_parts``."""
+    """The dense float64 matrix of CSR parts; the inverse of ``csr_parts``.
+
+    It is filled ``csr_blocks`` at a time, so beside the parts and itself it holds one
+    block of positions.
+    """
     out = np.zeros(shape, dtype=np.float64)
-    out[np.repeat(np.arange(shape[0]), np.diff(indptr)), indices] = data
+    flat_out = out.reshape(-1)  # a view: ``out`` is C-contiguous
+    for entries, flat in csr_blocks(indptr, indices, shape[1]):
+        flat_out[flat] = data[entries]
     return out
 
 
@@ -181,8 +215,17 @@ def check_distinct(what: str, values) -> None:
 
 
 def write_dense_csv(a, path) -> None:
-    lines = [",".join(map(repr, row)) for row in as_dense(a, "a").tolist()]
-    write_file(path, "\n".join(lines) + "\n")
+    """Write ``a`` as dense CSV, formatted and written about ``CSV_BLOCK_VALUES`` values of
+    whole rows at a time."""
+    a = as_dense(a, "a")
+    step = max(1, CSV_BLOCK_VALUES // (a.shape[1] or 1))
+
+    def write(fh) -> None:
+        for start in range(0, a.shape[0], step):
+            lines = [",".join(map(repr, row)) for row in a[start:start + step].tolist()]
+            fh.write("\n".join([*lines, ""]).encode())
+
+    write_file(path, write)
 
 
 def write_npy(path, a) -> None:

@@ -78,12 +78,13 @@ def make_planted_instance(
     signal = W_true @ H_true
     noise = rng.random((n_docs, n_terms))
     noise *= noise_level * np.linalg.norm(signal) / np.linalg.norm(noise)
-    V = signal + noise
+    V = np.add(signal, noise, out=noise)  # signal + noise, in the noise's buffer
 
     width = len(str(d - 1))
     names = tuple(f"topic{j:0{width}d}" for j in range(d))
-    doc_labels = tuple(
-        frozenset(int(j) for j in np.where(W_bin[i] > 0)[0]) for i in range(n_docs)
-    )
+    rows, cols = np.nonzero(W_bin)  # row-major, so each document's topics form one run
+    ends = np.searchsorted(rows, np.arange(n_docs + 1)).tolist()
+    topics = cols.tolist()
+    doc_labels = tuple(frozenset(topics[lo:hi]) for lo, hi in zip(ends, ends[1:]))
     table = LabelTable(labels=names, doc_labels=doc_labels)
     return PlantedInstance(V=V, W_true=W_true, H_true=H_true, label_table=table)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tsnmf import dataio
+from tsnmf import dataio, matrix
 from tsnmf.dataio import (
     MATRIX_FILENAMES,
     SPARSE_DENSITY_MAX,
@@ -100,6 +100,18 @@ class TestCsrMatrixFiles:
     def test_rejects_duplicate_entry(self, tmp_path):
         _save_dataset(tmp_path, np.array([[1.0, 2.0], [0.0, 1.0]]))
         _replace(tmp_path, "indices", np.array([0, 0, 1]))
+        with pytest.raises(ValueError, match=r"matrix\.indices\.npy: columns must strictly increase"):
+            _read(tmp_path)
+
+    @pytest.mark.parametrize("row", [0, 3, 4])
+    def test_column_order_is_checked_in_every_row_block(self, tmp_path, monkeypatch, row):
+        monkeypatch.setattr(matrix, "CSR_BLOCK_BYTES", 2 * 8 * 3)  # blocks of rows 0-1, 2-3, 4
+        a = np.arange(1.0, 16.0).reshape(5, 3)
+        _save_dataset(tmp_path, a)
+        assert _read(tmp_path).tobytes() == a.tobytes()
+        indices = _load(tmp_path, "indices")
+        indices[3 * row:3 * row + 2] = [1, 0]
+        _replace(tmp_path, "indices", indices)
         with pytest.raises(ValueError, match=r"matrix\.indices\.npy: columns must strictly increase"):
             _read(tmp_path)
 

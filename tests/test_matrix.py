@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tsnmf
-from tsnmf import cli, errors, experiment
+from tsnmf import cli, errors, experiment, matrix
 from tsnmf.errors import ShapeError
 from tsnmf.matrix import (
     as_dense,
@@ -47,6 +47,30 @@ class TestDenseCsv:
         write_dense_csv(a, tmp_path / "m.csv")
         expected = "\n".join(",".join(repr(float(v)) for v in row) for row in a) + "\n"
         assert (tmp_path / "m.csv").read_text() == expected
+
+    @pytest.mark.parametrize("block", [1, 5, matrix.CSV_BLOCK_VALUES], ids=["row", "rows", "default"])
+    def test_streamed_bytes_equal_the_whole_text_join(self, tmp_path, monkeypatch, block):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis.extra.numpy import array_shapes, arrays
+
+        monkeypatch.setattr(matrix, "CSV_BLOCK_VALUES", block)
+        values = hypothesis.strategies.sampled_from(
+            [0.0, -0.0, 5e-324, 1e-5, 0.1, 2.0 / 3.0, 1e16, 1.7976931348623157e308, np.nan, np.inf])
+        edges = np.array([[0.0, 5e-324, 1e-5, 1e16, np.nan, np.inf]])
+        path = tmp_path / "m.csv"
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                                          max_side=7), elements=values))
+        @hypothesis.example(edges)  # one row
+        @hypothesis.example(edges.T)  # one column
+        def check(a):
+            write_dense_csv(a, path)
+            # the export as one text, before it was streamed by row blocks
+            oracle = "\n".join([",".join(map(repr, row)) for row in a.tolist()]) + "\n"
+            assert path.read_bytes() == oracle.encode()
+
+        check()
 
 
 class TestNpy:
@@ -94,6 +118,34 @@ class TestDenseFromCsr:
     def test_no_entries(self):
         back = dense_from_csr(*csr_parts(np.zeros((2, 3))), (2, 3))
         np.testing.assert_array_equal(back, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("block", [8, matrix.CSR_BLOCK_BYTES], ids=["row", "default"])
+    def test_parts_match_the_nonzero_oracle(self, monkeypatch, block):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis.extra.numpy import array_shapes, arrays
+
+        monkeypatch.setattr(matrix, "CSR_BLOCK_BYTES", block)  # 8: one row per block
+        values = hypothesis.strategies.sampled_from(
+            [0.0, -0.0, 0.0, 1.5, -2.0, 5e-324, np.nan, np.inf, -np.inf])  # zeros weigh double
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                                          max_side=7), elements=values))
+        @hypothesis.example(np.zeros((0, 4)))
+        @hypothesis.example(np.zeros((4, 0)))
+        @hypothesis.example(np.array([[0.0, -0.0], [np.nan, 0.0], [0.0, 0.0], [-np.inf, 1.0]]))
+        def check(a):
+            indptr, indices, data = csr_parts(a)
+            rows, cols = np.nonzero(a)  # -0.0 is zero; NaN and Inf are not
+            assert indptr.dtype == indices.dtype == np.int64 and data.dtype == np.float64
+            assert indptr.tolist() == np.searchsorted(rows, np.arange(a.shape[0] + 1)).tolist()
+            assert indices.tolist() == cols.tolist()
+            assert data.tobytes() == a[rows, cols].tobytes()
+            back = dense_from_csr(indptr, indices, data, a.shape)
+            # every entry comes back bit for bit, but a -0.0, which is not stored, as 0.0
+            assert back.tobytes() == np.where(a == 0.0, 0.0, a).tobytes()
+
+        check()
 
 
 # the exception each kind of failed write raises
