@@ -14,7 +14,8 @@ supervision leaves no model file either; this module only maps the path's
 errors to exit codes.  ``fit --supervision`` takes a supervision record,
 such as a model's ``supervision.json``, as the list of supervised ids and,
 if it records one, the seed, which replaces ``--seed`` once that is checked.
-``evaluate`` counts a topic resolved above the fixed ``RESOLVED_THRESHOLD``.
+``evaluate`` counts a topic resolved above the fixed ``RESOLVED_THRESHOLD``;
+its score step takes coverage from ``supervision.json``, not ``score_report``.
 
 Exit codes are a stable contract, all of it in ``main``: 0 success, 2 input or
 shape error, 3 empty-data error, 4 numerical failure.  An empty string for any
@@ -109,9 +110,9 @@ def cmd_fit(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset = read_dataset(args.data)
     W = read_factor(args.model, "W")
-    report = score(dataset, W, recorded_rows(dataset, args.model))
+    report, coverage = score(dataset, W, recorded_rows(dataset, args.model))
     with one_run(args.out, REPORT_FILES):
-        write_report(args.out, report, labels=dataset.label_table.labels)
+        write_report(args.out, report, coverage)
     print(
         f"resolved {report.resolved_count}/{len(report.matching.pairs)} topics "
         f"(threshold {RESOLVED_THRESHOLD}), mean similarity {report.mean_similarity:.4f}"
@@ -123,8 +124,7 @@ def cmd_top_terms(args) -> int:
     dataset = read_dataset(args.data)
     tables = top_terms(read_factor(args.model, "H"), dataset.vocabulary, args.terms)
     if args.out is not None:
-        width = len(tables[0]) if tables else 0
-        header = ["topic"] + [f"term{k + 1}" for k in range(width)]
+        header = ["topic"] + [f"term{k + 1}" for k in range(len(tables[0]))]
         write_csv(args.out, [header, *([j, *terms] for j, terms in enumerate(tables))])
     else:
         for j, terms in enumerate(tables):

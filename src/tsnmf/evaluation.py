@@ -6,7 +6,8 @@ the same labels that build the supervision mask, are compared column-wise
 over sum of entrywise maxima.  An optimal one-to-one topic-to-label
 assignment is then found with an in-repo Kuhn-Munkres solver, and topics
 whose matched similarity is above the fixed ``RESOLVED_THRESHOLD`` count as
-resolved.
+resolved.  The report names the table's labels; coverage comes from the
+supervision record, not from ``score_report``, and ``write_report`` is given it.
 
 Weighted Jaccard is scale-sensitive, so W columns are max-normalized
 (each column divided by its maximum, zero columns left alone) before
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class EvaluationReport:
     matching: Matching
     mean_similarity: float
     resolved_count: int
-    coverage: float | None = None
+    labels: tuple[str, ...]  # the scored table's label names, by matched index
 
 
 def jaccard_match(x, y) -> float:
@@ -167,11 +167,7 @@ def hungarian_match(similarity) -> Matching:
     )
 
 
-def score_report(
-    model_W,
-    truth: LabelTable,
-    coverage: float | None = None,
-) -> EvaluationReport:
+def score_report(model_W, truth: LabelTable) -> EvaluationReport:
     """Match topics to the labels of ``truth`` and summarize the similarities.
 
     ``model_W`` is the fitted documents x topics matrix (or a FactorModel;
@@ -190,7 +186,7 @@ def score_report(
         matching=matching,
         mean_similarity=mean,
         resolved_count=resolved,
-        coverage=coverage,
+        labels=truth.labels,
     )
 
 
@@ -214,13 +210,13 @@ def top_terms(H, vocab: Vocabulary, m: int) -> list[list[str]]:
     return out
 
 
-def write_report(outdir, report: EvaluationReport, labels: Sequence[str]) -> None:
-    """Write report.json under ``outdir``; it records ``RESOLVED_THRESHOLD`` as "threshold"."""
+def write_report(outdir, report: EvaluationReport, coverage: float) -> None:
+    """Write report.json under ``outdir``, with the record's ``coverage`` and the threshold."""
     pairs = [
         {
             "topic": i,
             "label_index": j,
-            "label": labels[j],
+            "label": report.labels[j],
             "similarity": sim,
         }
         for i, j, sim in report.matching.pairs
@@ -233,6 +229,6 @@ def write_report(outdir, report: EvaluationReport, labels: Sequence[str]) -> Non
         "mean_similarity": report.mean_similarity,
         "resolved_count": report.resolved_count,
         "threshold": RESOLVED_THRESHOLD,
-        "coverage": report.coverage,
+        "coverage": coverage,
     }
     write_json(Path(outdir) / REPORT_FILENAME, payload)

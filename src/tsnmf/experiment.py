@@ -5,8 +5,9 @@ samples the labeled rows, or maps the ids of a supervision record to rows and
 takes its seed, then builds the mask and error weights into a ``FitPlan``),
 fit (the plan's problem, through ``factorization.fit_batch``, of which
 ``factorization.fit`` is the one-problem call), record (``supervision.json``;
-no other module of the package reads or writes it) and score (coverage and
-``score_report`` against the label table); mask, coverage and score all read
+no other module of the package reads or writes it) and score (``score_report``
+against the label table, and the coverage of the record's rows, which
+``score_report`` does not take); mask, coverage and score all read
 ``LabelTable.indicator``.  A sweep runs that path over a grid of (supervision
 rate, seed) cells against one dataset, read once, so the indicator is built
 once.  It takes the grid in batches of ``factorization.batch_size`` cells, the
@@ -202,10 +203,10 @@ def one_run(outdir, names):
         raise
 
 
-def score(dataset: Dataset, W, supervised) -> EvaluationReport:
-    """Score the fitted ``W`` against the dataset's labels, with the coverage of ``supervised``."""
+def score(dataset: Dataset, W, supervised) -> tuple[EvaluationReport, float]:
+    """The report of the fitted ``W`` against the dataset's labels, and ``supervised``'s coverage."""
     table = dataset.label_table
-    return score_report(W, table, coverage=topic_coverage(table, supervised))
+    return score_report(W, table), topic_coverage(table, supervised)
 
 
 @dataclass(frozen=True)
@@ -283,15 +284,15 @@ def run_cell(dataset: Dataset, plan, outcome, outdir, spent: float) -> SweepCell
     if isinstance(outcome, Exception):
         raise outcome
     model, trace = outcome
-    report = score(dataset, model.W, plan.rows)
+    report, coverage = score(dataset, model.W, plan.rows)
     write_supervision(outdir, dataset, plan)
-    write_report(outdir, report, labels=dataset.label_table.labels)
+    write_report(outdir, report, coverage)
     save_model(outdir, model, trace, plan.config)
     return SweepCell(
         rate=plan.rate,
         seed=plan.config.seed,
         status="ok",
-        coverage=report.coverage,
+        coverage=coverage,
         mean_similarity=report.mean_similarity,
         resolved_count=report.resolved_count,
         iterations=trace.iterations,

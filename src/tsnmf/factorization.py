@@ -343,7 +343,7 @@ def init_model(V, L, config: FitConfig) -> FactorModel:
     return FactorModel(W=W0, H=H0)
 
 
-def _stop_reason(prev: float, cur: float, rel_tol: float, sum_ev2: float = 0.0) -> str | None:
+def _stop_reason(prev: float, cur: float, rel_tol: float, sum_ev2: float) -> str | None:
     """Why the fit stops after a step from loss ``prev`` to ``cur``, or None to go on.
 
     A rise beyond ``MONOTONE_SLACK`` plus ``ROUNDING_FLOOR * sum_ev2`` is

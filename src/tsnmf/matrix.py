@@ -8,7 +8,7 @@ turns such arrays back into the dense matrix, which only a dataset too
 dense for the CSR path (or read without scipy) needs.  Neither holds a
 whole-matrix temporary: ``csr_parts`` holds its parts and a boolean mask,
 and ``dense_from_csr`` its matrix and the positions of one ``csr_blocks``
-row block (``CSR_BLOCK_BYTES`` of dense rows).
+row block (``ROW_BLOCK_BYTES`` of dense rows).
 
 ``.npy``: the one binary matrix format, read and written here for the
 dataset matrix and the model's factors.  ``write_npy`` writes the bytes
@@ -55,8 +55,8 @@ import numpy as np
 
 from .errors import ShapeError
 
-# ``csr_blocks`` covers at most this many bytes of rows of the dense matrix at a time.
-CSR_BLOCK_BYTES = 1 << 20
+# A row block, of ``csr_blocks`` or the TF-IDF row norms, holds at most this many dense bytes.
+ROW_BLOCK_BYTES = 1 << 20
 # The dense CSV export formats about this many values, a few times their bytes as text, per write.
 CSV_BLOCK_VALUES = 1 << 13
 
@@ -88,10 +88,10 @@ def csr_parts(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def csr_blocks(indptr, indices, n_cols: int):
-    """Per block of rows at most ``CSR_BLOCK_BYTES`` wide when dense: the slice of its
+    """Per block of rows at most ``ROW_BLOCK_BYTES`` wide when dense: the slice of its
     stored entries and their row-major positions ``row * n_cols + column``."""
     n_rows = len(indptr) - 1
-    step = max(1, CSR_BLOCK_BYTES // (8 * n_cols or 1))
+    step = max(1, ROW_BLOCK_BYTES // (8 * n_cols or 1))
     for start in range(0, n_rows, step):
         stop = min(start + step, n_rows)
         entries = slice(indptr[start], indptr[stop])

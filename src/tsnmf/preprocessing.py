@@ -21,7 +21,7 @@ counts that document frequency and TF-IDF read.
 
 The matrix is built and returned in CSR form; no documents x terms array
 is ever allocated.  Row norms are taken over dense blocks of about
-``TFIDF_BLOCK_BYTES``, so every value is bitwise the one the dense formula
+``matrix.ROW_BLOCK_BYTES``, so every value is bitwise the one the dense formula
 ``X / sqrt(sum(X * X, axis=1))`` over ``X = counts * idf`` gives.
 ``TermDocumentMatrix.matrix`` densifies on request.
 """
@@ -39,6 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import matrix
 from .errors import EmptyVocabularyError
 from .matrix import check_distinct, dense_from_csr, parse_json
 from .supervision import check_count
@@ -46,7 +47,6 @@ from .supervision import check_count
 MIN_TOKEN_LEN = 3
 DEFAULT_MIN_CHARS = 250
 DEFAULT_VOCAB_CAP = 2000
-TFIDF_BLOCK_BYTES = 1 << 20  # dense row block used for the row norms
 _DOCUMENT_FIELDS = {"id": ((str,), "a string"), "text": ((str,), "a string"),
                     "labels": ([(str,)], "an array of strings")}
 
@@ -246,7 +246,7 @@ def tfidf_encode(
     # row norms over dense row blocks: a sum over the stored entries alone
     # would add in a different order than the dense formula and change the bits
     data = np.empty_like(weighted)
-    step = max(1, TFIDF_BLOCK_BYTES // (8 * t))
+    step = max(1, matrix.ROW_BLOCK_BYTES // (8 * t))
     for start in range(0, n, step):
         lo, hi = indptr[start], indptr[min(start + step, n)]
         local = rows[lo:hi] - start

@@ -105,7 +105,7 @@ class TestCsrMatrixFiles:
 
     @pytest.mark.parametrize("row", [0, 3, 4])
     def test_column_order_is_checked_in_every_row_block(self, tmp_path, monkeypatch, row):
-        monkeypatch.setattr(matrix, "CSR_BLOCK_BYTES", 2 * 8 * 3)  # blocks of rows 0-1, 2-3, 4
+        monkeypatch.setattr(matrix, "ROW_BLOCK_BYTES", 2 * 8 * 3)  # blocks of rows 0-1, 2-3, 4
         a = np.arange(1.0, 16.0).reshape(5, 3)
         _save_dataset(tmp_path, a)
         assert _read(tmp_path).tobytes() == a.tobytes()

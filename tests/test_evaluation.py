@@ -226,9 +226,12 @@ class TestScoreReport:
         with pytest.raises(ShapeError, match="documents"):
             score_report(np.ones((3, 2)), _truth(np.ones((4, 2))))
 
-    def test_coverage_passthrough(self):
-        report = score_report(np.eye(2), _truth(np.eye(2)), coverage=0.75)
-        assert report.coverage == 0.75
+    def test_report_names_the_scored_labels_and_takes_no_coverage(self):
+        # coverage is a fact of the supervision record, which write_report is given
+        truth = _truth(np.eye(2))
+        assert score_report(np.eye(2), truth).labels == truth.labels == ("l0", "l1")
+        with pytest.raises(TypeError, match="coverage"):
+            score_report(np.eye(2), truth, coverage=0.75)
 
 
 def _random_label_table(rng, min_labels):
@@ -342,8 +345,8 @@ class TestTopTerms:
 class TestReportIO:
     def test_json_round_trip(self, tmp_path):
         W = np.eye(3)
-        report = score_report(W, _truth(np.eye(3)), coverage=0.5)
-        write_report(tmp_path, report, labels=("l0", "l1", "l2"))
+        report = score_report(W, _truth(np.eye(3)))
+        write_report(tmp_path, report, 0.5)
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
         payload = read_json(tmp_path / "report.json")
         assert payload["resolved_count"] == 3

@@ -483,15 +483,15 @@ class TestFit:
         assert trace.iterations < 500
 
     def test_stop_rule(self):
-        assert _stop_reason(10.0, 5.0, 1e-4) is None
-        assert _stop_reason(10.0, 10.0 * (1 - 1e-5), 1e-4) == "converged"
-        assert _stop_reason(10.0, 10.0, 1e-4) == "converged"
+        assert _stop_reason(10.0, 5.0, 1e-4, 0.0) is None
+        assert _stop_reason(10.0, 10.0 * (1 - 1e-5), 1e-4, 0.0) == "converged"
+        assert _stop_reason(10.0, 10.0, 1e-4, 0.0) == "converged"
         # a rise inside the monotone slack still counts as convergence
-        assert _stop_reason(10.0, 10.0 * (1 + MONOTONE_SLACK / 2), 1e-4) == "converged"
-        assert _stop_reason(10.0, 10.0 * (1 + 10 * MONOTONE_SLACK), 1e-4) == "loss_increased"
-        assert _stop_reason(10.0, 11.0, 1e-15) == "loss_increased"
-        assert _stop_reason(0.0, 0.0, 1e-4) == "converged"
-        assert _stop_reason(0.0, 1.0, 1e-4) == "loss_increased"
+        assert _stop_reason(10.0, 10.0 * (1 + MONOTONE_SLACK / 2), 1e-4, 0.0) == "converged"
+        assert _stop_reason(10.0, 10.0 * (1 + 10 * MONOTONE_SLACK), 1e-4, 0.0) == "loss_increased"
+        assert _stop_reason(10.0, 11.0, 1e-15, 0.0) == "loss_increased"
+        assert _stop_reason(0.0, 0.0, 1e-4, 0.0) == "converged"
+        assert _stop_reason(0.0, 1.0, 1e-4, 0.0) == "loss_increased"
 
     def test_rounding_floor_relabels_but_never_moves_the_stop(self):
         # exact up to epsilon: the loss settles near 1e-19 of sum||V||^2 and jitters there

@@ -119,12 +119,12 @@ class TestDenseFromCsr:
         back = dense_from_csr(*csr_parts(np.zeros((2, 3))), (2, 3))
         np.testing.assert_array_equal(back, np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("block", [8, matrix.CSR_BLOCK_BYTES], ids=["row", "default"])
+    @pytest.mark.parametrize("block", [8, matrix.ROW_BLOCK_BYTES], ids=["row", "default"])
     def test_parts_match_the_nonzero_oracle(self, monkeypatch, block):
         hypothesis = pytest.importorskip("hypothesis")
         from hypothesis.extra.numpy import array_shapes, arrays
 
-        monkeypatch.setattr(matrix, "CSR_BLOCK_BYTES", block)  # 8: one row per block
+        monkeypatch.setattr(matrix, "ROW_BLOCK_BYTES", block)  # 8: one row per block
         values = hypothesis.strategies.sampled_from(
             [0.0, -0.0, 0.0, 1.5, -2.0, 5e-324, np.nan, np.inf, -np.inf])  # zeros weigh double
 

@@ -11,7 +11,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from tsnmf import dataio, preprocessing
+from tsnmf import dataio, matrix, preprocessing
 from tsnmf.cli import main
 from tsnmf.dataio import read_dataset, read_matrix
 from tsnmf.errors import EmptyVocabularyError
@@ -328,7 +328,7 @@ class TestIngestOracle:
         zero_rows = tuple(int(i) for i in np.flatnonzero(~oracle.any(axis=1)))
         assert len(kept) < len(corpus) and zero_rows
 
-        monkeypatch.setattr(preprocessing, "TFIDF_BLOCK_BYTES", 8 * cap * 3)  # three rows a block
+        monkeypatch.setattr(matrix, "ROW_BLOCK_BYTES", 8 * cap * 3)  # three rows a block
         result = ingest(corpus, vocab_cap=cap, min_chars=self.MIN_CHARS)
         tdm = result.tdm
         assert tdm.vocabulary.terms == vocab.terms
@@ -433,7 +433,7 @@ class TestTfidfBlocks:
         # the vocabulary comes from a larger corpus: out-of-vocabulary tokens
         # and documents that come out as zero rows are both likely
         vocab = build_vocabulary(_counted(docs + _zipf_tokens(cap, 30)), cap=cap)
-        monkeypatch.setattr(preprocessing, "TFIDF_BLOCK_BYTES", 8 * len(vocab) * self.BLOCK_ROWS)
+        monkeypatch.setattr(matrix, "ROW_BLOCK_BYTES", 8 * len(vocab) * self.BLOCK_ROWS)
         tdm = tfidf_encode(_counted(docs), vocab, _ids(docs))
         oracle = _dense_tfidf(docs, vocab)
         assert tdm.shape == oracle.shape
@@ -453,7 +453,7 @@ class TestTfidfBlocks:
     def test_default_block_size_on_a_larger_corpus(self):
         docs = _zipf_tokens(11, 400, n_words=2000)
         vocab = build_vocabulary(_counted(docs), cap=1500)
-        assert 8 * len(vocab) * len(docs) > preprocessing.TFIDF_BLOCK_BYTES  # several blocks
+        assert 8 * len(vocab) * len(docs) > matrix.ROW_BLOCK_BYTES  # several blocks
         tdm = tfidf_encode(_counted(docs), vocab, _ids(docs))
         assert tdm.matrix.tobytes() == _dense_tfidf(docs, vocab).tobytes()
 
