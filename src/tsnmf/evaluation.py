@@ -9,6 +9,12 @@ whose matched similarity is above the fixed ``RESOLVED_THRESHOLD`` count as
 resolved.  The report names the table's labels; coverage comes from the
 supervision record, not from ``score_report``, and ``write_report`` is given it.
 
+Both kernels keep the bits of their plain forms.  Similarities come in topic
+blocks of ``matrix.ROW_BLOCK_BYTES``, each entry still summed over the
+documents in order.  The solver runs on Python floats, O(rows^2 * cols), each
+step's decrement folded into the next step's scan, the same one subtraction
+per column; from about 200 columns numpy's whole-array steps are faster.
+
 Weighted Jaccard is scale-sensitive, so W columns are max-normalized
 (each column divided by its maximum, zero columns left alone) before
 scoring against the binary indicator.
@@ -21,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import matrix
 from .errors import ShapeError
 from .matrix import as_dense, write_json
 from .preprocessing import Vocabulary
@@ -70,19 +77,25 @@ def jaccard_match(x, y) -> float:
 def cross_similarity(W, Wt) -> np.ndarray:
     """Column-by-column weighted Jaccard between two matrices with equal row counts.
 
-    Entry (a, b) compares column a of ``W`` with column b of ``Wt``.
+    Entry (a, b) compares column a of ``W`` with column b of ``Wt``.  Topics
+    are scored in blocks whose (rows, topics, labels) minima and maxima each
+    fit in ``matrix.ROW_BLOCK_BYTES``; every sum runs over the rows in order,
+    as one topic's (rows, labels) sums do.  Against one label, numpy sums a
+    topic's column pairwise instead, so there a block is one topic.
     """
     W = as_dense(W, "W")
     Wt = as_dense(Wt, "truth")
     if W.shape[0] != Wt.shape[0]:
         raise ShapeError(f"row count mismatch: {W.shape[0]} vs {Wt.shape[0]}")
-    d, dt = W.shape[1], Wt.shape[1]
+    (n, d), dt = W.shape, Wt.shape[1]
+    step = max(1, matrix.ROW_BLOCK_BYTES // (8 * n * dt or 1)) if dt > 1 else 1
     S = np.empty((d, dt), dtype=np.float64)
-    for a in range(d):
-        col = W[:, a : a + 1]
-        mins = np.minimum(col, Wt).sum(axis=0)
-        maxs = np.maximum(col, Wt).sum(axis=0)
-        S[a, :] = np.where(maxs > 0.0, mins / np.where(maxs > 0.0, maxs, 1.0), 1.0)
+    truth = Wt[:, None, :]
+    for a in range(0, d, step):
+        cols = W[:, a : a + step, None]
+        mins = np.minimum(cols, truth).sum(axis=0)
+        maxs = np.maximum(cols, truth).sum(axis=0)
+        S[a : a + step] = np.where(maxs > 0.0, mins / np.where(maxs > 0.0, maxs, 1.0), 1.0)
     return S
 
 
@@ -94,46 +107,59 @@ def max_normalize_columns(W) -> np.ndarray:
     return W / safe[np.newaxis, :]
 
 
-def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+def _min_cost_assignment(cost: np.ndarray) -> list[int]:
     """Shortest-augmenting-path assignment for a rows <= cols cost matrix.
 
-    Returns the column assigned to each row.  Ties are broken toward lower
-    column indices by the ascending scan order.  O(rows^2 * cols).
+    Returns the column assigned to each row.  Each augmenting step scans the
+    free columns in ascending order and moves to the first one of least
+    reduced cost.  O(rows^2 * cols), on Python floats.  A step's least cost
+    is taken from each free column's ``minv`` in the next step's scan: one
+    subtraction per column, as when it is made at once, so the bits do not
+    change, and a column that has left the free list is never read again.
+    Below about 200 columns a list scan beats a dozen numpy calls per step;
+    from there on it is slower, most on a table far wider than tall (about
+    twice at 50 x 500).
     """
     n, m = cost.shape
-    u = np.zeros(n + 1)
-    v = np.zeros(m + 1)
+    rows = cost.tolist()
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
     # p[j]: 1-based row matched to column j (0 = free); column 0 is virtual
-    p = np.zeros(m + 1, dtype=np.int64)
-    way = np.zeros(m + 1, dtype=np.int64)
+    p = [0] * (m + 1)
+    way = [0] * (m + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(m + 1, np.inf)
-        used = np.zeros(m + 1, dtype=bool)
+        used, free = [0], list(range(1, m + 1))
+        minv = [np.inf] * (m + 1)
+        delta = 0.0  # the last step's least cost, not yet taken from minv[free]
         while True:
-            used[j0] = True
             i0 = p[j0]
-            free = np.where(~used)[0]
-            cur = cost[i0 - 1, free - 1] - u[i0] - v[free]
-            better = cur < minv[free]
-            minv[free] = np.where(better, cur, minv[free])
-            way[free[better]] = j0
-            k = int(np.argmin(minv[free]))
-            delta = minv[free][k]
-            j1 = int(free[k])
-            used_idx = np.where(used)[0]
-            u[p[used_idx]] += delta
-            v[used_idx] -= delta
-            minv[free] -= delta
+            row, ui = rows[i0 - 1], u[i0]
+            least, j1 = np.inf, free[0]
+            for j in free:
+                cur = row[j - 1] - ui - v[j]
+                low = minv[j] - delta
+                if cur < low:
+                    low = cur
+                    way[j] = j0
+                minv[j] = low
+                if low < least:
+                    least, j1 = low, j
+            delta = least
+            for j in used:
+                u[p[j]] += delta
+                v[j] -= delta
+            free.remove(j1)
+            used.append(j1)
             j0 = j1
             if p[j0] == 0:
                 break
         while j0 != 0:
-            j1 = int(way[j0])
+            j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    assigned = np.empty(n, dtype=np.int64)
+    assigned = [0] * n
     for j in range(1, m + 1):
         if p[j] > 0:
             assigned[p[j] - 1] = j - 1
@@ -143,21 +169,22 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
 def hungarian_match(similarity) -> Matching:
     """Maximum-total-similarity one-to-one assignment of size min(d, d~).
 
-    Solved as a min-cost assignment on the negated similarities.  Among
-    equally good alternatives the solver's ascending scan prefers lower
-    (topic, label) indices.
+    Solved as a min-cost assignment on the negated similarities, the
+    smaller side as rows.  Among equally good alternatives the choice is
+    not the lowest (topic, label) pairs: it is the first minimum in the
+    ascending column scan of each augmenting step.  So
+    ``[[1, 0, 0], [1, .5, .5], [0, .5, 0], [1, 1, 1]]`` gives the pairs
+    (0, 0), (1, 2), (3, 1), not (0, 0), (1, 1), (3, 2).
     """
     S = as_dense(similarity, "similarity")
     if not np.isfinite(S).all():
         raise ValueError("similarity matrix contains non-finite entries")
     d, dt = S.shape
     if d <= dt:
-        cols = _min_cost_assignment(-S)
-        pairs = tuple((i, int(cols[i]), float(S[i, cols[i]])) for i in range(d))
+        by_topic = enumerate(_min_cost_assignment(-S))
     else:
-        rows = _min_cost_assignment(-S.T)
-        by_topic = sorted((int(rows[j]), j) for j in range(dt))
-        pairs = tuple((i, j, float(S[i, j])) for i, j in by_topic)
+        by_topic = sorted(zip(_min_cost_assignment(-S.T), range(dt)))
+    pairs = tuple((i, j, float(S[i, j])) for i, j in by_topic)
     matched_topics = {i for i, _, _ in pairs}
     matched_labels = {j for _, j, _ in pairs}
     return Matching(

@@ -8,7 +8,8 @@ turns such arrays back into the dense matrix, which only a dataset too
 dense for the CSR path (or read without scipy) needs.  Neither holds a
 whole-matrix temporary: ``csr_parts`` holds its parts and a boolean mask,
 and ``dense_from_csr`` its matrix and the positions of one ``csr_blocks``
-row block (``ROW_BLOCK_BYTES`` of dense rows).
+row block (``ROW_BLOCK_BYTES`` of dense rows).  The same budget bounds the
+TF-IDF row norms and each topic block of ``evaluation.cross_similarity``.
 
 ``.npy``: the one binary matrix format, read and written here for the
 dataset matrix and the model's factors.  ``write_npy`` writes the bytes
@@ -55,7 +56,8 @@ import numpy as np
 
 from .errors import ShapeError
 
-# A row block, of ``csr_blocks`` or the TF-IDF row norms, holds at most this many dense bytes.
+# A row block (``csr_blocks``, the TF-IDF row norms) or a topic block (``cross_similarity``)
+# holds at most this many dense bytes.
 ROW_BLOCK_BYTES = 1 << 20
 # The dense CSV export formats about this many values, a few times their bytes as text, per write.
 CSV_BLOCK_VALUES = 1 << 13

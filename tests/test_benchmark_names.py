@@ -111,3 +111,15 @@ def test_sweep_reaches_each_cell_writer_and_init_through_the_patched_names(
                                   "rates": [0.0, 0.5], "seeds": [1, 2], "max_iter": 5}))
     assert main(["sweep", "--config", str(config)]) == 0
     assert calls == dict.fromkeys(names, 4)
+
+
+def test_evaluate_scores_through_the_patched_names(tmp_path, monkeypatch, data):
+    model = tmp_path / "model"
+    argv = ["fit", "--data", str(data), "--rate", "0.5", "--max-iter", "5", "--out", str(model)]
+    assert main(argv) == 0
+    names = [("tsnmf.experiment", "score_report"), ("tsnmf.evaluation", "cross_similarity"),
+             ("tsnmf.evaluation", "hungarian_match")]
+    calls = _count_calls(monkeypatch, names)
+    argv = ["evaluate", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "r")]
+    assert main(argv) == 0
+    assert calls == dict.fromkeys(names, 1)

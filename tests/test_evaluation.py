@@ -5,9 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+import tsnmf.matrix
 from tsnmf.errors import ShapeError
 from tsnmf.evaluation import (
     RESOLVED_THRESHOLD,
+    _min_cost_assignment,
     cross_similarity,
     hungarian_match,
     jaccard_match,
@@ -69,6 +71,92 @@ class TestJaccardMatch:
             assert jaccard_match(x, c * x) < 1.0
 
 
+def reference_assignment(cost: np.ndarray) -> np.ndarray:
+    """The solver as it stood in numpy arrays, kept unchanged as the oracle."""
+    n, m = cost.shape
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    # p[j]: 1-based row matched to column j (0 = free); column 0 is virtual
+    p = np.zeros(m + 1, dtype=np.int64)
+    way = np.zeros(m + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            free = np.where(~used)[0]
+            cur = cost[i0 - 1, free - 1] - u[i0] - v[free]
+            better = cur < minv[free]
+            minv[free] = np.where(better, cur, minv[free])
+            way[free[better]] = j0
+            k = int(np.argmin(minv[free]))
+            delta = minv[free][k]
+            j1 = int(free[k])
+            used_idx = np.where(used)[0]
+            u[p[used_idx]] += delta
+            v[used_idx] -= delta
+            minv[free] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = int(way[j0])
+            p[j0] = p[j1]
+            j0 = j1
+    assigned = np.empty(n, dtype=np.int64)
+    for j in range(1, m + 1):
+        if p[j] > 0:
+            assigned[p[j] - 1] = j - 1
+    return assigned
+
+
+def per_topic_similarity(W, Wt):
+    """Weighted Jaccard one topic at a time: the formula the topic blocks must reproduce."""
+    S = np.empty((W.shape[1], Wt.shape[1]))
+    for a in range(W.shape[1]):
+        col = W[:, a : a + 1]
+        mins = np.minimum(col, Wt).sum(axis=0)
+        maxs = np.maximum(col, Wt).sum(axis=0)
+        S[a, :] = np.where(maxs > 0.0, mins / np.where(maxs > 0.0, maxs, 1.0), 1.0)
+    return S
+
+
+# values of each kind of cost table: continuous, three tied levels, ties at 0.1, tiny
+COST_KINDS = {
+    "continuous": lambda rng, shape: rng.random(shape),
+    "three-levels": lambda rng, shape: rng.integers(0, 3, shape).astype(float),
+    "tenths": lambda rng, shape: np.round(rng.random(shape), 1),
+    "tiny": lambda rng, shape: rng.random(shape) * 1e-300,
+}
+
+
+class TestMinCostAssignment:
+    @pytest.mark.parametrize("kind", COST_KINDS)
+    def test_matches_the_numpy_solver(self, kind):
+        rng = np.random.default_rng(list(COST_KINDS).index(kind))
+        for _ in range(1300):
+            rows = int(rng.integers(1, 10))
+            cost = -COST_KINDS[kind](rng, (rows, int(rng.integers(rows, 13))))
+            assert _min_cost_assignment(cost) == reference_assignment(cost).tolist()
+
+    @pytest.mark.parametrize("shape", [(0, 4), (0, 0), (1, 1), (100, 100), (20, 200)])
+    def test_matches_the_numpy_solver_at_edge_and_large_shapes(self, shape):
+        cost = -np.random.default_rng(7).random(shape)
+        assert _min_cost_assignment(cost) == reference_assignment(cost).tolist()
+
+    def test_ties_go_to_the_first_minimum_of_each_scan_not_the_lowest_pairs(self):
+        S = np.array([[1.0, 0.0, 0.0], [1.0, 0.5, 0.5], [0.0, 0.5, 0.0], [1.0, 1.0, 1.0]])
+        # labels are the rows: label 0 takes topic 0, label 1 topic 3, label 2 topic 1
+        assert reference_assignment(-S.T).tolist() == _min_cost_assignment(-S.T) == [0, 3, 1]
+        pairs = [(i, j) for i, j, _ in hungarian_match(S).pairs]
+        assert pairs == [(0, 0), (1, 2), (3, 1)]
+        # (0, 0), (1, 1), (3, 2) is as good, and lower
+        assert sum(S[i, j] for i, j in pairs) == S[0, 0] + S[1, 1] + S[3, 2]
+
+
 class TestCrossSimilarity:
     def test_self_comparison_has_unit_diagonal(self):
         rng = np.random.default_rng(1)
@@ -92,6 +180,29 @@ class TestCrossSimilarity:
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeError, match="row count"):
             cross_similarity(np.ones((3, 2)), np.ones((4, 2)))
+
+    # topics per block: 3 of 10 (blocks 3, 3, 3, 1), 4 of 10 (4, 4, 2), one, all of them;
+    # against one label numpy sums a column pairwise, so a block is one topic there
+    @pytest.mark.parametrize("topics_per_block", [3, 4, 1, 10])
+    @pytest.mark.parametrize("labels", [1, 2, 5])
+    def test_topic_blocks_are_the_per_topic_formula_bitwise(
+            self, monkeypatch, topics_per_block, labels):
+        rng = np.random.default_rng(labels)
+        n = 300
+        W = rng.random((n, 10)) * (rng.random((n, 10)) < 0.7)
+        W[:, 4] = 0.0
+        Wt = (rng.random((n, labels)) < 0.4).astype(float)
+        monkeypatch.setattr(tsnmf.matrix, "ROW_BLOCK_BYTES", 8 * n * labels * topics_per_block)
+        assert cross_similarity(W, Wt).tobytes() == per_topic_similarity(W, Wt).tobytes()
+
+    def test_no_documents_score_one(self):
+        S = cross_similarity(np.zeros((0, 3)), np.zeros((0, 2)))
+        assert S.shape == (3, 2) and (S == 1.0).all()
+
+    @pytest.mark.parametrize("shape, labels", [((5, 3), 0), ((5, 0), 2), ((0, 0), 0)])
+    def test_no_labels_or_no_topics_give_an_empty_table(self, shape, labels):
+        S = cross_similarity(np.ones(shape), np.ones((shape[0], labels)))
+        assert S.shape == (shape[1], labels)
 
 
 class TestMaxNormalizeColumns:

@@ -3,7 +3,9 @@
 Each pass holds its inputs, its outputs and at most one row block, so its peak,
 outputs included, stays within a small multiple of its array: generating V
 (the signal, and the noise that becomes V), taking V's CSR parts, writing them,
-reading them back as a dense V, and the factor CSV export.
+reading them back as a dense V, and the factor CSV export.  Scoring 20
+topics of 1000 documents against 20 labels holds its similarity table and
+about one ``ROW_BLOCK_BYTES`` topic block.
 """
 
 import gc
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 from tsnmf.dataio import read_dataset, read_matrix, write_planted_instance
-from tsnmf.matrix import csr_parts, write_dense_csv
+from tsnmf.evaluation import cross_similarity
+from tsnmf.matrix import ROW_BLOCK_BYTES, csr_parts, write_dense_csv
 from tsnmf.synthetic import make_planted_instance
 
 N_DOCS, N_TERMS, D = 1000, 2000, 10
@@ -64,3 +67,11 @@ def test_dense_read_holds_the_parts_v_and_one_block(dataset):
 def test_csv_export_holds_less_than_its_array(tmp_path):
     H = np.random.default_rng(2).random((20, 5000))
     assert _peak(write_dense_csv, H, tmp_path / "H.csv") <= H.nbytes
+
+
+def test_scoring_holds_its_table_and_one_topic_block():
+    # all (documents, topics, labels) minima at once would be 3.2 MB, three blocks
+    rng = np.random.default_rng(3)
+    W, truth = rng.random((1000, 20)), (rng.random((1000, 20)) < 0.3).astype(float)
+    table_bytes = 8 * 20 * 20
+    assert _peak(cross_similarity, W, truth) <= table_bytes + 1.25 * ROW_BLOCK_BYTES
